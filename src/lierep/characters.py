@@ -8,19 +8,18 @@ validated against the product dimension formula.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
 
-from .errors import CapExceeded
-from .rootsystem import Weight, RootVector
+from .config import DEFAULT_CAPS, Caps
+from .errors import InvariantViolation
+from .rootsystem import Weight, RootVector, build_root_system
 from .weyl import enumerate_weyl
-from .config import DEFAULT_CAPS
 
 __all__ = [
     "partition_function", "weight_multiplicity", "kostant_multiplicity",
     "freudenthal_multiplicity", "character_of", "weyl_dimension", "Character",
-    "dominant_weight_table",
+    "dominant_weight_table", "dominant_drops", "weight_drops",
 ]
 
 
@@ -104,12 +103,15 @@ def partition_function_bruteforce(rs, beta, bound=None):
 def weyl_dimension(rs, lam):
     """Product formula for dim V(lambda)."""
     _require_dominant_integral(lam)
-    num = Fraction(1)
-    rho = rs.rho
-    for k in range(rs.nroots):
-        num *= Fraction(rs.pairing(lam + rho, k), rs.pairing(rho, k))
-    assert num.denominator == 1
-    return num.numerator
+    shifted = [c + 1 for c in lam.coords]
+    num = den = 1
+    for cv in rs.coroots:
+        num *= sum(a * b for a, b in zip(cv, shifted))
+        den *= sum(cv)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise InvariantViolation(f"Weyl dimension of {lam} is {num}/{den}")
+    return dim
 
 
 def _require_dominant_integral(lam):
@@ -117,72 +119,102 @@ def _require_dominant_integral(lam):
         raise ValueError(f"weight {lam} must be dominant integral")
 
 
+def dominant_drops(rs, lam_coords):
+    """(drop, nu) for every dominant nu = lam - sum_j drop_j alpha_j with
+    integral drop >= 0, in lexicographic drop order: the dominant weights of
+    V(lam), lam dominant integral.
+
+    A dominant nu has nonnegative root coordinates, so drop_j is at most the
+    j-th root coordinate of lam.  A prefix of the drop is abandoned once some
+    coordinate stays negative after the largest rise the later simple roots
+    can still give it.
+    """
+    rank = rs.rank
+    span = [sum(r * c for r, c in zip(row, lam_coords)) // rs.inv_den
+            for row in rs.inv_num]
+    cols = [tuple(rs.cartan[i][j] for i in range(rank)) for j in range(rank)]
+    # rise[j][i]: the most coordinate i can gain from drops at levels >= j
+    rise = [[0] * rank for _ in range(rank + 1)]
+    for j in range(rank - 1, -1, -1):
+        for i in range(rank):
+            rise[j][i] = rise[j + 1][i] + max(0, -cols[j][i] * span[j])
+    out = []
+
+    def rec(j, nu, drop):
+        if j == rank:
+            out.append((drop, nu))
+            return
+        col, later = cols[j], rise[j + 1]
+        for d in range(span[j] + 1):
+            nu2 = tuple(x - d * c for x, c in zip(nu, col))
+            if nu2[j] + later[j] < 0:
+                break  # coordinate j only falls as d grows
+            if all(x + r >= 0 for x, r in zip(nu2, later)):
+                rec(j + 1, nu2, drop + (d,))
+
+    rec(0, tuple(lam_coords), ())
+    return tuple(out)
+
+
+def weight_drops(rs, lam_coords):
+    """Every drop z with lam - sum_j z_j alpha_j a weight of V(lam), lam
+    dominant integral: the W-orbits of its dominant weights, so that a weight
+    test is one set lookup."""
+    drops = set()
+    for _, nu in dominant_drops(rs, lam_coords):
+        for x in rs.orbit(Weight(nu)):
+            drops.add(rs.root_lattice_coords(
+                tuple(a - b for a, b in zip(lam_coords, x.coords))))
+    return frozenset(drops)
+
+
 @lru_cache(maxsize=None)
 def _dominant_table(rs_id, lam_coords):
     """dict dominant-weight-coords -> multiplicity in V(lam), via Freudenthal."""
-    rs = _RS_REGISTRY[rs_id]
-    lam = Weight(lam_coords)
+    rs = build_root_system(rs_id)
     rank = rs.rank
-    # candidate dominant weights mu = lam - sum c_i alpha_i, c in an integer box
-    bounds = []
-    lam_root = rs.weight_to_root_coords(lam)
-    for i in range(rank):
-        b = lam_root[i]
-        bounds.append(int(b) if isinstance(b, int) else int(b))
-    cands = []
-    for c in iproduct(*(range(b + 1) for b in bounds)):
-        mu = Weight(tuple(lam[i] - sum(rs.cartan[i][j] * c[j] for j in range(rank))
-                          for i in range(rank)))
-        if mu.is_dominant:
-            cands.append((sum(c), mu))
-    cands.sort(key=lambda t: (t[0], t[1].coords))
-    rho = rs.rho
-    norm_top = rs.inner(lam + rho, lam + rho)
+    form = rs.form_num
+
+    def norm(x):
+        """(x + rho, x + rho), scaled by form_den like every inner product
+        below, so the scale cancels in the recursion."""
+        y = [c + 1 for c in x]
+        return sum(y[i] * form[i][j] * y[j]
+                   for i in range(rank) for j in range(rank))
+
+    # each positive root with the form row giving (x, alpha) = x . f_alpha
+    roots = [(a, tuple(sum(form[i][j] * a[j] for j in range(rank))
+                       for i in range(rank)))
+             for a in rs.root_weight_coords]
+    norm_top = norm(lam_coords)
     table = {}
-    for depth, mu in cands:
+    for depth, mu in sorted((sum(d), nu)
+                            for d, nu in dominant_drops(rs, lam_coords)):
         if depth == 0:
-            table[mu.coords] = 1
+            table[mu] = 1
             continue
-        acc = Fraction(0)
-        for k in range(rs.nroots):
-            alpha_w = Weight(rs.root_weight_coords[k])
-            j = 1
+        acc = 0
+        for alpha, f_alpha in roots:
+            nu = mu
             while True:
-                nu = mu + j * alpha_w
-                m = table.get(rs.dominant_in_orbit(nu).coords, 0)
+                nu = tuple(x + a for x, a in zip(nu, alpha))
+                m = table.get(rs.dominant_ascent(nu)[0], 0)
                 if m == 0:
                     break
-                acc += m * rs.inner(nu, alpha_w)
-                j += 1
-        denom = norm_top - rs.inner(mu + rho, mu + rho)
-        val = 2 * acc / denom
-        assert val.denominator == 1 and val >= 0
-        table[mu.coords] = int(val)
+                acc += m * sum(x * f for x, f in zip(nu, f_alpha))
+        val, rem = divmod(2 * acc, norm_top - norm(mu))
+        if rem or val < 0:
+            raise InvariantViolation(
+                f"Freudenthal value at {mu} in V({lam_coords}) is "
+                f"{2 * acc}/{norm_top - norm(mu)}")
+        table[mu] = val
     return table
-
-
-_RS_REGISTRY = {}
 
 
 def dominant_weight_table(rs, lam):
     """Multiplicities of V(lambda) on dominant weights (Freudenthal)."""
     _require_dominant_integral(lam)
-    _RS_REGISTRY[rs.label] = rs
     return _dominant_table(rs.label, lam.coords)
-
-
-def _dominant_candidates(rs, lam):
-    """Integer boxes c with lam - sum c_i alpha_i dominant."""
-    rank = rs.rank
-    lam_root = rs.weight_to_root_coords(lam)
-    bounds = [int(b) for b in lam_root]
-    cands = []
-    for c in iproduct(*(range(b + 1) for b in bounds)):
-        mu = tuple(lam[i] - sum(rs.cartan[i][j] * c[j] for j in range(rank))
-                   for i in range(rank))
-        if all(x >= 0 for x in mu):
-            cands.append(mu)
-    return cands
 
 
 @lru_cache(maxsize=None)
@@ -191,16 +223,14 @@ def _dominant_table_fast(rs_id, lam_coords):
     Weyl group; much faster for thin high weights.  Only used when the group
     is enumerable; cross-checked against Freudenthal in the test suite and by
     the total-dimension audit on every character."""
-    rs = _RS_REGISTRY[rs_id]
+    rs = build_root_system(rs_id)
     lam = Weight(lam_coords)
-    rho = rs.rho
-    shifted = [(w.sign, (w.apply(lam + rho)).coords) for w in enumerate_weyl(rs)]
-    rho_c = rho.coords
+    shifted = [(w.sign, w.apply(lam + rs.rho).coords) for w in enumerate_weyl(rs)]
     table = {}
-    for mu in _dominant_candidates(rs, lam):
+    for _, mu in dominant_drops(rs, lam_coords):
         total = 0
         for sgn, top in shifted:
-            arg = tuple(t - m - r for t, m, r in zip(top, mu, rho_c))
+            arg = tuple(t - m - 1 for t, m in zip(top, mu))
             total += sgn * partition_weight_coords(rs, arg)
         if total:
             table[mu] = total
@@ -218,7 +248,7 @@ def freudenthal_multiplicity(rs, lam, mu):
     return dominant_weight_table(rs, lam).get(dom.coords, 0)
 
 
-def kostant_multiplicity(rs, lam, mu, max_weyl=None):
+def kostant_multiplicity(rs, lam, mu, caps=Caps()):
     """dim V(lambda)_mu as the signed partition-function sum over W."""
     _require_dominant_integral(lam)
     if not mu.is_integral or rs.root_lattice_coords(lam - mu) is None:
@@ -226,19 +256,21 @@ def kostant_multiplicity(rs, lam, mu, max_weyl=None):
     rho = rs.rho
     target = mu + rho
     total = 0
-    for w in enumerate_weyl(rs, max_weyl):
+    for w in enumerate_weyl(rs, caps):
         arg = w.apply(lam + rho) - target
         total += w.sign * partition_function(rs, arg)
-    assert total >= 0
+    if total < 0:
+        raise InvariantViolation(
+            f"alternating sum for V({lam})_{mu} is negative: {total}")
     return total
 
 
-def weight_multiplicity(rs, lam, mu, max_weyl=None):
+def weight_multiplicity(rs, lam, mu, caps=Caps()):
     """dim V(lambda)_mu.  Uses the alternating-sum formula while the Weyl
-    group is enumerable, falling back to Freudenthal past the cap."""
-    cap = DEFAULT_CAPS.max_weyl if max_weyl is None else max_weyl
-    if rs.weyl_group_order <= cap:
-        return kostant_multiplicity(rs, lam, mu, cap)
+    group is enumerable under caps.max_weyl, falling back to Freudenthal
+    past it."""
+    if rs.weyl_group_order <= caps.max_weyl:
+        return kostant_multiplicity(rs, lam, mu, caps)
     return freudenthal_multiplicity(rs, lam, mu)
 
 
@@ -270,12 +302,11 @@ class Character:
 
 
 @lru_cache(maxsize=None)
-def _character_cached(rs_id, lam_coords, cap):
-    rs = _RS_REGISTRY[rs_id]
+def _character_cached(rs_id, lam_coords):
+    rs = build_root_system(rs_id)
     lam = Weight(lam_coords)
     dim = weyl_dimension(rs, lam)
-    if dim > cap:
-        raise CapExceeded(f"dim V({lam}) = {dim} exceeds character cap {cap}")
+    # a route choice, not a cap: the alternating sum needs the whole group
     if rs.weyl_group_order <= DEFAULT_CAPS.max_weyl:
         table = _dominant_table_fast(rs.label, lam.coords)
     else:
@@ -286,16 +317,14 @@ def _character_cached(rs_id, lam_coords, cap):
             entries[w.coords] = m
     total = sum(entries.values())
     if total != dim:
-        from .errors import InvariantViolation
         raise InvariantViolation(
             f"character of {lam}: mass {total} != Weyl dimension {dim}")
     return Character(entries, "formal", lam_coords)
 
 
-def character_of(rs, lam, max_dim=None):
+def character_of(rs, lam, caps=Caps()):
     """Full formal character of V(lambda); sparse, validated against the
     dimension formula."""
     _require_dominant_integral(lam)
-    _RS_REGISTRY[rs.label] = rs
-    cap = DEFAULT_CAPS.max_char if max_dim is None else max_dim
-    return _character_cached(rs.label, lam.coords, cap)
+    caps.check("max_char", weyl_dimension(rs, lam), f"dim V({lam})")
+    return _character_cached(rs.label, lam.coords)

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 
+from .config import Caps
 from .errors import CapExceeded, InvariantViolation
 from .rootsystem import build_root_system, format_weight, parse_weight
 from .weyl import enumerate_weyl, from_word
@@ -67,7 +68,7 @@ def cmd_roots(args):
 
 def cmd_weyl(args):
     rs = _system(args)
-    els = enumerate_weyl(rs, args.max_weyl)
+    els = enumerate_weyl(rs, args.caps)
     data = {
         "system": rs.label,
         "order": len(els),
@@ -87,7 +88,7 @@ def cmd_mult(args):
     rs = _system(args)
     lam = _weight(rs, args.highest)
     mu = _weight(rs, args.weight)
-    m = weight_multiplicity(rs, lam, mu, args.max_weyl)
+    m = weight_multiplicity(rs, lam, mu, args.caps)
     f = freudenthal_multiplicity(rs, lam, mu)
     if m != f:
         raise InvariantViolation(
@@ -100,7 +101,7 @@ def cmd_mult(args):
 def cmd_char(args):
     rs = _system(args)
     lam = _weight(rs, args.highest)
-    ch = character_of(rs, lam, args.max_dim)
+    ch = character_of(rs, lam, args.caps)
     data = {"system": rs.label, "highest": format_weight(lam),
             "dimension": weyl_dimension(rs, lam), "character": ch.to_json()}
     lines = [f"dim V({format_weight(lam)}) = {data['dimension']}"]
@@ -113,7 +114,7 @@ def cmd_decompose(args):
     lam = _weight(rs, args.lam)
     mu = _weight(rs, args.mu)
     if args.method == "all":
-        decs = decompose_all(rs, lam, mu, args.max_weyl, args.max_dim)
+        decs = decompose_all(rs, lam, mu, args.caps)
         dec = decs["character"]
         data = dec.to_json()
         data["method"] = "all"
@@ -122,7 +123,7 @@ def cmd_decompose(args):
         lines += [f"  V({k}) x {v}" for k, v in sorted(data["entries"].items())]
         lines.append("methods agree: " + " ".join(METHODS))
     else:
-        dec = decompose(rs, lam, mu, args.method, args.max_weyl, args.max_dim)
+        dec = decompose(rs, lam, mu, args.method, args.caps)
         data = dec.to_json()
         lines = [f"V({format_weight(lam)}) (x) V({format_weight(mu)}) ="]
         lines += [f"  V({k}) x {v}" for k, v in sorted(data["entries"].items())]
@@ -149,11 +150,10 @@ def cmd_prv(args):
             tuple(int(x) - 1 for x in args.word.split(","))
         els = [from_word(rs, word)]
     else:
-        els = list(enumerate_weyl(rs, args.max_weyl))
+        els = list(enumerate_weyl(rs, args.caps))
     reports = []
     for w in els:
-        rep = generalized_prv(rs, lam, mu, w, args.max_weyl,
-                              with_kprv=args.kprv, max_dim=args.max_dim)
+        rep = generalized_prv(rs, lam, mu, w, args.caps, with_kprv=args.kprv)
         reports.append({
             "word": list(w.word),
             "target": format_weight(rep["target"]),
@@ -195,7 +195,7 @@ def cmd_shapovalov_det(args):
 def cmd_prv_det(args):
     rs = _system(args)
     mu = _weight(rs, args.mu)
-    det, lead, spectra = prv_det(rs, mu, args.max_dim)
+    det, lead, spectra = prv_det(rs, mu, args.caps)
     data = {"system": rs.label, "mu": format_weight(mu),
             "determinant": det.to_json(),
             "leading": lead.to_json(),
@@ -236,7 +236,7 @@ def cmd_hc(args):
     elif args.hc_cmd == "equivalent":
         p = HCParams(_weight(rs, args.lam), _weight(rs, args.nu))
         q = HCParams(_weight(rs, args.lam2), _weight(rs, args.nu2))
-        ok, w = equivalent(rs, p, q, args.max_weyl)
+        ok, w = equivalent(rs, p, q, args.caps)
         data = {"system": rs.label, "p": p.to_json(), "q": q.to_json(),
                 "equivalent": ok,
                 "witness": list(w.word) if ok else None}
@@ -245,7 +245,7 @@ def cmd_hc(args):
                            if ok else "not equivalent"])
     elif args.hc_cmd == "class-zero":
         lam = _weight(rs, args.lam)
-        rep = class_zero(rs, lam)
+        rep = class_zero(rs, lam, caps=args.caps)
         mults = rep["mults"].to_json()["entries"] if rep["mults"] else None
         data = {"system": rs.label, "lambda": format_weight(lam),
                 "complete": rep["complete"],
@@ -269,7 +269,7 @@ def cmd_hc(args):
     elif args.hc_cmd == "count":
         lam = _weight(rs, args.lam)
         mu = _weight(rs, args.nu)
-        n = isoclass_count(rs, lam, mu, args.max_weyl)
+        n = isoclass_count(rs, lam, mu, args.caps)
         data = {"system": rs.label, "lambda": format_weight(lam),
                 "mu": format_weight(mu), "classes": n}
         _emit(args, data, [str(n)])
@@ -295,13 +295,9 @@ def build_parser():
     common.add_argument("--json", action="store_true",
                         help="machine-readable output")
     common.add_argument("--max-dim", type=int, default=None,
-                        help="module dimension cap")
+                        help="module dimension and character caps")
     common.add_argument("--max-weyl", type=int, default=None,
                         help="Weyl group enumeration cap")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads (computations stay "
-                             "deterministic; 1 reproduces byte-identical "
-                             "output)")
     top = argparse.ArgumentParser(
         prog="lierep",
         description="exact semisimple Lie representation computations")
@@ -390,9 +386,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 1
+    args.caps = Caps.from_flags(args.max_dim, args.max_weyl)
     try:
         out = args.fn(args)
         return out if isinstance(out, int) else 0

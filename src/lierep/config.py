@@ -2,6 +2,12 @@
 
 from dataclasses import dataclass
 
+from .errors import CapExceeded
+
+# the CLI flag that raises each cap
+_FLAGS = {"max_weyl": "--max-weyl", "max_dim": "--max-dim",
+          "max_char": "--max-dim"}
+
 
 @dataclass(frozen=True)
 class Caps:
@@ -16,6 +22,25 @@ class Caps:
     max_weyl: int = 1152
     max_dim: int = 400
     max_char: int = 20000
+
+    @classmethod
+    def from_flags(cls, max_dim=None, max_weyl=None):
+        """The caps the CLI flags ask for: --max-dim sets max_dim and
+        max_char, --max-weyl sets max_weyl; an absent flag keeps the default."""
+        given = {}
+        if max_dim is not None:
+            given.update(max_dim=max_dim, max_char=max_dim)
+        if max_weyl is not None:
+            given["max_weyl"] = max_weyl
+        return cls(**given)
+
+    def check(self, name, value, what):
+        """Raise CapExceeded, naming the flag that raises cap `name`, when
+        value exceeds it."""
+        cap = getattr(self, name)
+        if value > cap:
+            raise CapExceeded(f"{what} = {value} exceeds {name} cap {cap}; "
+                              f"raise it with {_FLAGS[name]}")
 
 
 DEFAULT_CAPS = Caps()

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
+from .config import Caps
 from .errors import CapExceeded
 from .hpoly import HPoly
 from .rootsystem import Weight, RootVector
@@ -112,7 +113,8 @@ def shapovalov_det(rs, nu, mode="direct", max_height=None):
     nu = _as_root_vector(rs, nu)
     cap = _ht_cap(rs, max_height)
     if nu.height > cap:
-        raise CapExceeded(f"depth height {nu.height} exceeds cap {cap}")
+        raise CapExceeded(f"depth height {nu.height} exceeds cap {cap}; "
+                          f"raise it with --max-height")
     if mode == "formula":
         rho = rs.rho
         factors = []
@@ -144,7 +146,7 @@ def shapovalov_det(rs, nu, mode="direct", max_height=None):
                                    else HPoly.constant(rs.rank, 1))
 
 
-def prv_det(rs, mu, max_dim=None):
+def prv_det(rs, mu, caps=Caps()):
     """Product formula for the zero-weight-space determinant of V(mu).
 
     Returns (determinant, leading, spectra): the factored determinant built
@@ -158,7 +160,7 @@ def prv_det(rs, mu, max_dim=None):
     if rs.root_lattice_coords(mu) is None:
         return (DetPolynomial(rs.rank, 1, ()), DetPolynomial(rs.rank, 1, ()),
                 {})
-    real = realize_cached(rs, mu, max_dim)
+    real = realize_cached(rs, mu, caps)
     rho = rs.rho
     factors = []
     lead = []

@@ -10,6 +10,7 @@ by a lattice-cone condition.
 
 from dataclasses import dataclass
 
+from .config import Caps
 from .rootsystem import Weight
 from .weyl import double_cosets, enumerate_weyl, longest_element
 from .characters import weight_multiplicity
@@ -57,10 +58,10 @@ def invariants(rs, p):
     return HCInvariants(rs, p.nu, minimal, inf)
 
 
-def equivalent(rs, p, q, max_weyl=None):
+def equivalent(rs, p, q, caps=Caps()):
     """(bool, witness): whether some w sends (lam, nu) to (lam', nu') by the
     simultaneous dot/plain action."""
-    for w in enumerate_weyl(rs, max_weyl):
+    for w in enumerate_weyl(rs, caps):
         if w.twisted(p.lam) == q.lam and w.apply(p.nu) == q.nu:
             return True, w
     return False, None
@@ -83,7 +84,7 @@ def finite_dimensional(rs, p):
     return p.lam, mu
 
 
-def class_zero(rs, lam, with_mults=True):
+def class_zero(rs, lam, with_mults=True, caps=Caps()):
     """Report on the nu = 0 member with character parameter lam.
 
     complete: no positive root pairs (lam + rho) into a nonzero integer;
@@ -108,19 +109,19 @@ def class_zero(rs, lam, with_mults=True):
         w0 = longest_element(rs)
         dual = -w0.apply(lam)
         try:
-            report["mults"] = decompose(rs, lam, dual, "character")
+            report["mults"] = decompose(rs, lam, dual, "character", caps)
         except CapExceeded:
             report["mults"] = None  # recoverable: raise the cap and retry
     return report
 
 
-def isoclass_count(rs, lam, mu, max_weyl=None):
+def isoclass_count(rs, lam, mu, caps=Caps()):
     """Number of isomorphism classes with infinitesimal character
     chi(lam, mu): the double coset count for the two stabilizers."""
-    return len(double_cosets(rs, lam, mu, max_weyl).representatives)
+    return len(double_cosets(rs, lam, mu, caps).representatives)
 
 
-def find_invariant_collision(rs, lam_grid, nu_grid, max_weyl=None):
+def find_invariant_collision(rs, lam_grid, nu_grid, caps=Caps()):
     """Search for parameter pairs sharing minimal type and infinitesimal
     character while not being equivalent.
 
@@ -134,12 +135,12 @@ def find_invariant_collision(rs, lam_grid, nu_grid, max_weyl=None):
             nu = Weight(nu_c)
             p = HCParams(lam, nu)
             ip = invariants(rs, p)
-            for w1 in enumerate_weyl(rs, max_weyl):
-                for w2 in enumerate_weyl(rs, max_weyl):
+            for w1 in enumerate_weyl(rs, caps):
+                for w2 in enumerate_weyl(rs, caps):
                     q = HCParams(w2.twisted(lam), w1.apply(nu))
                     iq = invariants(rs, q)
                     if (ip.minimal_type == iq.minimal_type
                             and ip.inf_char == iq.inf_char
-                            and not equivalent(rs, p, q, max_weyl)[0]):
+                            and not equivalent(rs, p, q, caps)[0]):
                         return p, q
     return None

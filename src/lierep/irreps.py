@@ -11,7 +11,8 @@ monomial columns, which keeps everything deterministic.
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapExceeded
+from .config import Caps
+from .errors import InvariantViolation
 from .linalg import (SpanBasis, kernel_basis, nullity, pivot_columns,
                      rank_int, solve)
 from .rootsystem import Weight
@@ -412,16 +413,20 @@ class IrrepRealization:
         return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)], tgt_w
 
 
-def realize(rs, mu, max_dim=None):
+def _realizable_dim(rs, mu, caps):
+    """dim V(mu) for dominant integral mu, refused past caps.max_dim."""
+    dim = weyl_dimension(rs, mu)
+    caps.check("max_dim", dim, f"dim V({mu})")
+    return dim
+
+
+def realize(rs, mu, caps=Caps()):
     """Build V(mu) with per-weight pivot-monomial bases and exact simple
     generator matrices."""
-    from .config import DEFAULT_CAPS
-    cap = DEFAULT_CAPS.max_dim if max_dim is None else max_dim
-    if not (mu.is_integral and mu.is_dominant):
-        raise ValueError("highest weight must be dominant integral")
-    dim = weyl_dimension(rs, mu)
-    if dim > cap:
-        raise CapExceeded(f"dim V({mu}) = {dim} exceeds cap {cap}")
+    return _build_realization(rs, mu, _realizable_dim(rs, mu, caps))
+
+
+def _build_realization(rs, mu, dim):
     engine = verma_engine(rs, mu)
     table = dominant_weight_table(rs, mu)
     weight_mults = {}
@@ -436,7 +441,6 @@ def realize(rs, mu, max_dim=None):
         gram = engine.gram(beta)
         piv = pivot_columns(gram)
         if len(piv) != mult:
-            from .errors import InvariantViolation
             raise InvariantViolation(
                 f"Gram rank {len(piv)} != multiplicity {mult} at {wcoords}")
         weights[wcoords] = [monos[p] for p in piv]
@@ -444,7 +448,6 @@ def realize(rs, mu, max_dim=None):
         gram_pivot[wcoords] = (piv, gp)
     real = IrrepRealization(rs, mu, weights, {}, {}, engine, gram_pivot)
     if real.dimension != dim:
-        from .errors import InvariantViolation
         raise InvariantViolation("realization dimension mismatch")
     for wcoords in weights:
         for i in range(rs.rank):
@@ -459,15 +462,15 @@ def realize(rs, mu, max_dim=None):
 
 
 @lru_cache(maxsize=None)
-def _realize_cached(label, mu_coords, cap):
+def _realize_cached(label, mu_coords):
     from .rootsystem import build_root_system
-    return realize(build_root_system(label), Weight(mu_coords), cap)
+    rs, mu = build_root_system(label), Weight(mu_coords)
+    return _build_realization(rs, mu, weyl_dimension(rs, mu))
 
 
-def realize_cached(rs, mu, max_dim=None):
-    from .config import DEFAULT_CAPS
-    return _realize_cached(rs.label, mu.coords,
-                           DEFAULT_CAPS.max_dim if max_dim is None else max_dim)
+def realize_cached(rs, mu, caps=Caps()):
+    _realizable_dim(rs, mu, caps)
+    return _realize_cached(rs.label, mu.coords)
 
 
 def v_extremes(rs, realization, gamma, nu, sign="+"):
@@ -553,12 +556,9 @@ def zero_weight_spectrum(rs, realization, root_idx):
 class TensorModule:
     """V(lam) (x) V(mu) with the diagonal action, weight-graded exact basis."""
 
-    def __init__(self, rs, real1, real2, max_dim=None):
-        from .config import DEFAULT_CAPS
-        cap = DEFAULT_CAPS.max_dim if max_dim is None else max_dim
+    def __init__(self, rs, real1, real2, caps=Caps()):
         dim = real1.dimension * real2.dimension
-        if dim > cap:
-            raise CapExceeded(f"tensor dimension {dim} exceeds cap {cap}")
+        caps.check("max_dim", dim, "tensor dimension")
         self.rs = rs
         self.r1 = real1
         self.r2 = real2
@@ -616,7 +616,9 @@ class TensorModule:
         wmu = w.apply(self.r2.highest)
         w1 = lam.coords
         w2 = wmu.coords
-        assert len(self.r1.weights[w1]) == 1 and len(self.r2.weights[w2]) == 1
+        if len(self.r1.weights[w1]) != 1 or len(self.r2.weights[w2]) != 1:
+            raise InvariantViolation(
+                f"extremal weights {w1}, {w2} are not multiplicity-free")
         tot, pos = self.index[(w1, 0, w2, 0)]
         vec = [Fraction(0)] * len(self.blocks[tot])
         vec[pos] = Fraction(1)
@@ -679,12 +681,12 @@ def _span_vectors(span):
     return [list(row) for row in span.rows]
 
 
-def kprv_multiplicity(rs, lam, mu, w, max_dim=None):
+def kprv_multiplicity(rs, lam, mu, w, caps=Caps()):
     """Multiplicity of V(dominant(lam + w mu)) inside the submodule of
     V(lam) (x) V(mu) generated by v_lam (x) v'_{w mu}."""
-    real1 = realize_cached(rs, lam, max_dim)
-    real2 = realize_cached(rs, mu, max_dim)
-    tensor = TensorModule(rs, real1, real2, max_dim)
+    real1 = realize_cached(rs, lam, caps)
+    real2 = realize_cached(rs, mu, caps)
+    tensor = TensorModule(rs, real1, real2, caps)
     seeds = [tensor.extremal_vector(w)]
     spans = generated_submodule(tensor, seeds)
     eta = rs.dominant_in_orbit(lam + w.apply(mu))

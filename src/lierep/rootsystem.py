@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InvariantViolation
 from .linalg import mat_inv
 
 __all__ = [
@@ -220,7 +221,8 @@ def _symmetrizers(cartan):
         raise ValueError("disconnected Cartan matrix")
     lo = min(d)
     d = [x / lo for x in d]
-    assert all(x.denominator == 1 for x in d)
+    if any(x.denominator != 1 for x in d):
+        raise InvariantViolation(f"non-integral symmetrizers {d}")
     return tuple(int(x) for x in d)
 
 
@@ -276,6 +278,8 @@ class RootSystem:
             tuple(sum(self.cartan[i][j] * rv.coeffs[j] for j in range(rank))
                   for i in range(rank))
             for rv in self.positive_roots)
+        self.root_weight_index = {wc: k for k, wc
+                                  in enumerate(self.root_weight_coords)}
 
     def _build_form(self):
         rank = self.rank
@@ -289,6 +293,9 @@ class RootSystem:
                 inv_den = inv_den * x.denominator // math.gcd(inv_den, x.denominator)
         self.inv_den = inv_den
         self.inv_num = tuple(tuple(int(x * inv_den) for x in row) for row in c_inv)
+        # height (root-coordinate sum) of a weight, scaled by inv_den
+        self.height_num = tuple(sum(row[j] for row in self.inv_num)
+                                for j in range(rank))
         # F * A = diag(d) with (w_i, alpha_j) = delta_ij d_j, so F = diag(d) A^{-1}
         form = [[_num(self.sym[i] * c_inv[i][j]) for j in range(rank)]
                 for i in range(rank)]
@@ -309,7 +316,8 @@ class RootSystem:
                     for i in range(rank) for j in range(rank))
             d_alpha = Fraction(n, 2)
             cv = tuple(_num(Fraction(c[i] * self.sym[i]) / d_alpha) for i in range(rank))
-            assert all(isinstance(x, int) for x in cv)
+            if not all(isinstance(x, int) for x in cv):
+                raise InvariantViolation(f"non-integral coroot {cv}")
             norms.append(_num(n))
             coroots.append(cv)
         self.root_norms = tuple(norms)
@@ -447,14 +455,33 @@ class RootSystem:
             frontier = nxt
         return [Weight(c) for c in sorted(seen)]
 
+    def dominant_ascent(self, coords):
+        """(dominant orbit representative, reflections applied) for raw
+        fundamental coordinates.
+
+        Reflects at the least index with a negative coordinate until none is
+        left.  The reflection indices come in the order applied, so the
+        element carrying coords to the representative is s_{word[-1]} ...
+        s_{word[0]}, and (-1)**len(word) is its sign.
+        """
+        x = list(coords)
+        rank = self.rank
+        cartan = self.cartan
+        word = []
+        while True:
+            for i in range(rank):
+                c = x[i]
+                if c < 0:
+                    for j in range(rank):
+                        x[j] -= c * cartan[j][i]
+                    word.append(i)
+                    break
+            else:
+                return tuple(x), word
+
     def dominant_in_orbit(self, w):
         """The unique dominant orbit representative (no group element tracked)."""
-        cur = w
-        while True:
-            i = next((k for k in range(self.rank) if cur[k] < 0), None)
-            if i is None:
-                return cur
-            cur = self.reflect(i, cur)
+        return Weight(self.dominant_ascent(w.coords)[0])
 
     def in_dominant_hull(self, lam, mu):
         """mu in conv(W lam), both arguments dominant: lam - mu in Q>=0 Pi."""

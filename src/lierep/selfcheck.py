@@ -14,7 +14,8 @@ from itertools import combinations, product as iproduct
 
 from .rootsystem import Weight, build_root_system, dominance_hull_equiv
 from .weyl import (bruhat_leq, double_cosets, enumerate_weyl, longest_element)
-from .characters import freudenthal_multiplicity, weyl_dimension
+from .characters import (dominant_drops, freudenthal_multiplicity,
+                         weight_drops, weyl_dimension)
 from .enveloping import (casimir, casimir_eigenvalue, chevalley_basis,
                          hc_projection, twisted_poly)
 from .hpoly import HPoly
@@ -254,65 +255,14 @@ def check_rank2_multiplicity_two():
 HULL_TYPES = ("A1", "A2", "B2", "G2", "A3", "B3", "C3")
 
 
-def _dom_rep_int(rs, coords):
-    """Dominant orbit representative on raw integer coordinate tuples."""
-    x = list(coords)
-    rank = rs.rank
-    cartan = rs.cartan
-    while True:
-        for i in range(rank):
-            if x[i] < 0:
-                c = x[i]
-                for j in range(rank):
-                    x[j] -= c * cartan[j][i]
-                break
-        else:
-            return tuple(x)
-
-
-_DROP_MEMO = {}
-
-
-def _drop_member(label, lam_coords, drop):
-    """Whether lam minus the given nonnegative root-combination is a weight
-    of V(lam): its dominant representative stays under lam in the root cone."""
-    key = (label, lam_coords, drop)
-    hit = _DROP_MEMO.get(key)
-    if hit is not None:
-        return hit
-    rs = build_root_system(label)
-    rank = rs.rank
-    x = [lam_coords[i] - sum(rs.cartan[i][j] * drop[j] for j in range(rank))
-         for i in range(rank)]
-    rep = _dom_rep_int(rs, x)
-    diff = tuple(l - r for l, r in zip(lam_coords, rep))
-    ok = True
-    for row in rs.inv_num:
-        if sum(row[j] * diff[j] for j in range(rank)) < 0:
-            ok = False
-            break
-    _DROP_MEMO[key] = ok
-    return ok
-
-
 @lru_cache(maxsize=None)
 def _w0_cached(label):
     return longest_element(build_root_system(label))
 
 
-@lru_cache(maxsize=None)
-def _drop_set(label, mu_coords):
-    """Drops c with mu - sum c_i alpha_i a weight of V(mu), bucketed by
-    height; returns (height -> tuple of drops, max height)."""
-    rs = build_root_system(label)
-    mu = Weight(mu_coords)
-    span = rs.root_lattice_coords(mu - _w0_cached(label).apply(mu))
-    buckets = {}
-    for c in iproduct(*(range(b + 1) for b in span)):
-        if _drop_member(label, mu_coords, c):
-            buckets.setdefault(sum(c), []).append(c)
-    table = {h: tuple(sorted(v)) for h, v in buckets.items()}
-    return table, (sum(span) if span else 0)
+def _drop_span(rs, label, w):
+    """Root coordinates of w - w0(w): the box holding every drop of V(w)."""
+    return rs.root_lattice_coords(w - _w0_cached(label).apply(w))
 
 
 def check_weight_identities():
@@ -335,11 +285,16 @@ def check_weight_identities():
                 _fail(f"{label} dominance/hull split at ({lam},{mu})")
             if dom and not hull:
                 _fail(f"{label} dominance without hull at ({lam},{mu})")
+        drops = {w.coords: weight_drops(rs, w.coords) for w in grid}
+        below = {}  # top -> dominant_drops(rs, top), shared by equal sums
         for lam in grid:
             for mu in grid:
                 if mu.coords > lam.coords:
                     continue
-                bad = _sum_cover_gap(rs, label, lam, mu)
+                top = (lam + mu).coords
+                if top not in below:
+                    below[top] = dominant_drops(rs, top)
+                bad = _sum_cover_gap(rs, label, lam, mu, drops, below[top])
                 if bad is not None:
                     _fail(f"{label} weight-set identity fails at "
                           f"({lam},{mu}): {bad}")
@@ -347,19 +302,14 @@ def check_weight_identities():
     return f"{pairs_checked} pairs, grid bound {bound}"
 
 
-def _split_drop(label, lam_coords, mu_coords, dd, mu_span, ratio):
+def _split_drop(dd, mu_span, ratio, mu_drops, lam_drops):
     """Find z with z a drop of V(mu) and dd - z a drop of V(lam); tries the
     proportional point, then a small neighbourhood, then everything."""
     rank = len(dd)
 
     def ok(z):
-        if any(x < 0 or x > m for x, m in zip(z, mu_span)):
-            return False
-        rest = tuple(a - b for a, b in zip(dd, z))
-        if any(x < 0 for x in rest):
-            return False
-        return (_drop_member(label, mu_coords, z)
-                and _drop_member(label, lam_coords, rest))
+        return (z in mu_drops
+                and tuple(a - b for a, b in zip(dd, z)) in lam_drops)
 
     z0 = tuple(min(mu_span[i], round(dd[i] * ratio)) for i in range(rank))
     seen = {z0}
@@ -377,57 +327,21 @@ def _split_drop(label, lam_coords, mu_coords, dd, mu_span, ratio):
                         seen.add(z2)
                         nxt.append(z2)
         frontier = nxt
-    mu_buckets, _ = _drop_set(label, mu_coords)
     goal = sum(dd) * ratio
-    for h in sorted(mu_buckets, key=lambda h: abs(h - goal)):
-        for z in mu_buckets[h]:
-            if ok(z):
-                return True
-    return False
+    return any(ok(z) for z in sorted(
+        mu_drops, key=lambda z: (abs(sum(z) - goal), z)))
 
 
-@lru_cache(maxsize=None)
-def _dominant_drops(label, top):
-    """(drop, weight) pairs for the dominant weights of V(top), found by a
-    pruned search over the drop box."""
-    rs = build_root_system(label)
-    rank = rs.rank
-    w = Weight(top)
-    span = rs.root_lattice_coords(w - _w0_cached(label).apply(w))
-    cols = [tuple(rs.cartan[i][j] for i in range(rank)) for j in range(rank)]
-    # best possible future gain of each coordinate from levels >= j
-    gain = [[0] * rank for _ in range(rank + 1)]
-    for j in range(rank - 1, -1, -1):
-        for i in range(rank):
-            gain[j][i] = gain[j + 1][i] + max(0, -cols[j][i] * span[j])
-    out = []
-
-    def rec(j, nu, dd):
-        if j == rank:
-            if all(x >= 0 for x in nu):
-                out.append((tuple(dd), tuple(nu)))
-            return
-        col = cols[j]
-        g = gain[j + 1]
-        for d in range(span[j] + 1):
-            nu2 = tuple(nu[i] - d * col[i] for i in range(rank))
-            if all(nu2[i] + g[i] >= 0 for i in range(rank)):
-                rec(j + 1, nu2, dd + (d,))
-
-    rec(0, top, ())
-    return tuple(out)
-
-
-def _sum_cover_gap(rs, label, lam, mu):
+def _sum_cover_gap(rs, label, lam, mu, drops, below):
     """First dominant weight of V(lam+mu) that fails to split as a sum of
-    factor weights, or None."""
-    top = (lam + mu).coords
-    mu_ht = _drop_set(label, mu.coords)[1]
-    lam_ht = _drop_set(label, lam.coords)[1]
-    ratio = mu_ht / max(1, lam_ht + mu_ht)
-    mu_span = rs.root_lattice_coords(mu - _w0_cached(label).apply(mu))
-    for dd, nu in _dominant_drops(label, top):
-        if not _split_drop(label, lam.coords, mu.coords, dd, mu_span, ratio):
+    factor weights, or None; drops maps each factor to its weight_drops and
+    below lists the dominant_drops of lam+mu."""
+    mu_span = _drop_span(rs, label, mu)
+    mu_ht = sum(mu_span)
+    ratio = mu_ht / max(1, sum(_drop_span(rs, label, lam)) + mu_ht)
+    for dd, nu in below:
+        if not _split_drop(dd, mu_span, ratio, drops[mu.coords],
+                           drops[lam.coords]):
             return nu
     return None
 
@@ -676,14 +590,14 @@ def check_module_classification():
     return "grid laws, mirror witness, class-zero, coset counts exact"
 
 
-def _zero_weight_jmax(rs, nu, cap=400):
+def _zero_weight_jmax(rs, nu):
     """Largest root-string eigenvalue index on V(nu)_0 over the simple
-    roots, or None when the realization cap is hit."""
+    roots, or None when the default realization cap is hit."""
     from .errors import CapExceeded
     if freudenthal_multiplicity(rs, nu, rs.zero_weight()) == 0:
         return None
     try:
-        real = realize_cached(rs, nu, cap)
+        real = realize_cached(rs, nu)
     except CapExceeded:
         return None
     jmax = 0

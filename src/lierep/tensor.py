@@ -12,12 +12,12 @@ All four must agree; the last method is also exposed pointwise as
 components, generalized extreme components, minuscule closed form).
 """
 
+from .config import Caps
 from .errors import InvariantViolation
 from .rootsystem import Weight
-from .weyl import (dominant_representative, double_cosets, enumerate_weyl,
-                   longest_element)
+from .weyl import double_cosets, enumerate_weyl, longest_element
 from .characters import (Character, character_of, weyl_dimension,
-                         dominant_weight_table)
+                         dominant_weight_table, partition_weight_coords)
 from .irreps import v_extremes_dim
 
 __all__ = [
@@ -33,21 +33,22 @@ class Decomposition:
     """Audited map from dominant highest weights to positive multiplicities.
 
     Construction checks the dimension count, dominance/integrality of the
-    support, and the weight-multiplicity upper bound for every entry.
+    support, and the weight-multiplicity upper bound for every entry; the
+    bound needs the character of V(mu), built under caps.
     """
 
-    def __init__(self, rs, lam, mu, method, entries):
+    def __init__(self, rs, lam, mu, method, entries, caps=Caps()):
         self.rs = rs
         self.lam = lam
         self.mu = mu
         self.method = method
         self.entries = {k: v for k, v in entries.items() if v}
-        self._audit()
+        self._audit(caps)
 
-    def _audit(self):
+    def _audit(self, caps):
         rs = self.rs
         total = 0
-        bound_char = character_of(rs, self.mu)
+        bound_char = character_of(rs, self.mu, caps)
         for coords, m in self.entries.items():
             nu = Weight(coords)
             if m < 0 or not (nu.is_dominant and nu.is_integral):
@@ -85,30 +86,26 @@ class Decomposition:
         }
 
 
-def _make(rs, lam, mu, method, entries):
-    return Decomposition(rs, lam, mu, method, entries)
-
-
 def _require_dom(lam, mu):
     for w in (lam, mu):
         if not (w.is_integral and w.is_dominant):
             raise ValueError(f"{w} must be dominant integral")
 
 
-def _candidates(rs, lam, mu):
+def _candidates(rs, lam, mu, caps):
     """Dominant nu = lam + mu' over mu' in wt V(mu): every component's
     highest weight has this form, so these are the only candidates."""
     out = {}
-    for mu_c in character_of(rs, mu).entries:
+    for mu_c in character_of(rs, mu, caps).entries:
         nu = lam + Weight(mu_c)
         if nu.is_dominant:
             out[nu.coords] = nu
     return out
 
 
-def _char_product(rs, lam, mu):
-    ch1 = character_of(rs, lam).entries
-    ch2 = character_of(rs, mu).entries
+def _char_product(rs, lam, mu, caps):
+    ch1 = character_of(rs, lam, caps).entries
+    ch2 = character_of(rs, mu, caps).entries
     if len(ch1) < len(ch2):
         ch1, ch2 = ch2, ch1
     out = {}
@@ -122,15 +119,11 @@ def _char_product(rs, lam, mu):
 def _height_key(rs, coords):
     # total order refining the root order: lattice height first, then lex;
     # the constant inv_den scaling is dropped since only the order matters
-    hs = rs._height_rows
-    return (sum(h * c for h, c in zip(hs, coords)), coords)
+    return (sum(h * c for h, c in zip(rs.height_num, coords)), coords)
 
 
-def _decompose_character(rs, lam, mu):
-    if not hasattr(rs, "_height_rows"):
-        rs._height_rows = tuple(sum(rs.inv_num[i][j] for i in range(rs.rank))
-                                for j in range(rs.rank))
-    remaining = _char_product(rs, lam, mu)
+def _decompose_character(rs, lam, mu, caps):
+    remaining = _char_product(rs, lam, mu, caps)
     entries = {}
     # peeling only removes support, so one descending sweep visits every
     # highest weight in a dominance-compatible order
@@ -143,7 +136,7 @@ def _decompose_character(rs, lam, mu):
         if m < 0 or not nu.is_dominant:
             raise InvariantViolation("character peeling left a non-character")
         entries[top] = m
-        for c2, m2 in character_of(rs, nu).entries.items():
+        for c2, m2 in character_of(rs, nu, caps).entries.items():
             left = remaining.get(c2, 0) - m * m2
             if left:
                 remaining[c2] = left
@@ -152,15 +145,14 @@ def _decompose_character(rs, lam, mu):
     return entries
 
 
-def _decompose_steinberg(rs, lam, mu, max_weyl=None):
-    els = enumerate_weyl(rs, max_weyl)
+def _decompose_steinberg(rs, lam, mu, caps):
+    els = enumerate_weyl(rs, caps)
     rho = rs.rho
     rank = rs.rank
     entries = {}
     shifted = [(w.sign, w.apply(mu + rho).coords) for w in els]
     lam_c = lam.coords
-    from .characters import partition_weight_coords as pf
-    for coords in _candidates(rs, lam, mu):
+    for coords in _candidates(rs, lam, mu, caps):
         target = tuple(c + 1 for c in coords)
         total = 0
         for w in els:
@@ -171,7 +163,7 @@ def _decompose_steinberg(rs, lam, mu, max_weyl=None):
             sgn_w = w.sign
             for sgn_wp, wmr in shifted:
                 arg = tuple(a + b for a, b in zip(base, wmr))
-                p = pf(rs, arg)
+                p = partition_weight_coords(rs, arg)
                 if p:
                     total += sgn_w * sgn_wp * p
         if total:
@@ -179,25 +171,24 @@ def _decompose_steinberg(rs, lam, mu, max_weyl=None):
     return entries
 
 
-def _decompose_klimyk(rs, lam, mu):
-    rho = rs.rho
+def _decompose_klimyk(rs, lam, mu, caps):
+    shift = [c + 1 for c in lam.coords]   # lam + rho
     entries = {}
-    for mu_c, m in character_of(rs, mu).entries.items():
-        xi = lam + Weight(mu_c) + rho
-        dom, w = dominant_representative(rs, xi)
-        if any(c == 0 for c in dom.coords):
+    for mu_c, m in character_of(rs, mu, caps).entries.items():
+        dom, word = rs.dominant_ascent([a + b for a, b in zip(shift, mu_c)])
+        if 0 in dom:
             continue
-        key = (dom - rho).coords
-        entries[key] = entries.get(key, 0) + w.sign * m
+        key = tuple(c - 1 for c in dom)
+        entries[key] = entries.get(key, 0) + (-m if len(word) % 2 else m)
     return {k: v for k, v in entries.items() if v}
 
 
-def _decompose_extremes(rs, lam, mu, max_dim=None):
+def _decompose_extremes(rs, lam, mu, caps):
     # work inside the Verma model of the smaller factor
     if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
         lam, mu = mu, lam
     entries = {}
-    for coords in _candidates(rs, lam, mu):
+    for coords in _candidates(rs, lam, mu, caps):
         nu = Weight(coords)
         m = v_extremes_dim(rs, mu, nu - lam, lam)
         if m:
@@ -205,25 +196,25 @@ def _decompose_extremes(rs, lam, mu, max_dim=None):
     return entries
 
 
-def decompose(rs, lam, mu, method="character", max_weyl=None, max_dim=None):
+def decompose(rs, lam, mu, method="character", caps=Caps()):
     """Decomposition of V(lam) (x) V(mu) by the chosen algorithm."""
     _require_dom(lam, mu)
     if method == "character":
-        entries = _decompose_character(rs, lam, mu)
+        entries = _decompose_character(rs, lam, mu, caps)
     elif method == "steinberg":
-        entries = _decompose_steinberg(rs, lam, mu, max_weyl)
+        entries = _decompose_steinberg(rs, lam, mu, caps)
     elif method == "klimyk":
-        entries = _decompose_klimyk(rs, lam, mu)
+        entries = _decompose_klimyk(rs, lam, mu, caps)
     elif method in ("prv", "extremes"):
-        entries = _decompose_extremes(rs, lam, mu, max_dim)
+        entries = _decompose_extremes(rs, lam, mu, caps)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _make(rs, lam, mu, method, entries)
+    return Decomposition(rs, lam, mu, method, entries, caps)
 
 
-def decompose_all(rs, lam, mu, max_weyl=None, max_dim=None):
+def decompose_all(rs, lam, mu, caps=Caps()):
     """Run all four methods and insist on exact agreement."""
-    decs = {m: decompose(rs, lam, mu, m, max_weyl, max_dim) for m in METHODS}
+    decs = {m: decompose(rs, lam, mu, m, caps) for m in METHODS}
     first = decs[METHODS[0]].entries
     for m in METHODS[1:]:
         if decs[m].entries != first:
@@ -233,7 +224,7 @@ def decompose_all(rs, lam, mu, max_weyl=None, max_dim=None):
     return decs
 
 
-def multiplicity(rs, lam, mu, nu, max_dim=None, cross_check=True):
+def multiplicity(rs, lam, mu, nu, cross_check=True):
     """Single multiplicity of V(nu) in V(lam) (x) V(mu) without a full
     decomposition, via raising-operator kernels.  When cross_check is set the
     two kernel expressions (inside V(mu) and inside V(nu)) are both computed
@@ -263,14 +254,13 @@ def extreme_types(rs, lam, mu):
     return cartan, minimal
 
 
-def generalized_prv(rs, lam, mu, w, max_weyl=None, with_kprv=False,
-                    max_dim=None):
+def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
     """Report on the extreme component attached to w: its multiplicity, the
     double-coset lower bound, and optionally the generated-submodule count."""
     _require_dom(lam, mu)
     target = rs.dominant_in_orbit(lam + w.apply(mu))
     mult = multiplicity(rs, lam, mu, target, cross_check=False)
-    cosets = double_cosets(rs, lam, mu, max_weyl)
+    cosets = double_cosets(rs, lam, mu, caps)
     fibers = {}
     for rep in cosets.representatives:
         key = rs.dominant_in_orbit(lam + rep.apply(mu)).coords
@@ -291,7 +281,7 @@ def generalized_prv(rs, lam, mu, w, max_weyl=None, with_kprv=False,
         from .errors import CapExceeded
         from .irreps import kprv_multiplicity
         try:
-            report["kprv_mult"] = kprv_multiplicity(rs, lam, mu, w, max_dim)
+            report["kprv_mult"] = kprv_multiplicity(rs, lam, mu, w, caps)
         except CapExceeded:
             report["kprv_mult"] = None
         if report["kprv_mult"] not in (None, 1):
@@ -309,7 +299,7 @@ def is_minuscule(rs, mu):
     return len(table) == 1
 
 
-def minuscule_decompose(rs, lam, mu, max_weyl=None):
+def minuscule_decompose(rs, lam, mu, caps=Caps()):
     """Orbit-sum closed form, valid when mu is minuscule."""
     _require_dom(lam, mu)
     if not is_minuscule(rs, mu):
@@ -321,14 +311,14 @@ def minuscule_decompose(rs, lam, mu, max_weyl=None):
             entries[nu.coords] = entries.get(nu.coords, 0) + 1
     if any(v != 1 for v in entries.values()):
         raise InvariantViolation("minuscule components must be simple")
-    count = len(double_cosets(rs, lam, mu, max_weyl).representatives)
+    count = len(double_cosets(rs, lam, mu, caps).representatives)
     if count != len(entries):
         raise InvariantViolation(
             f"component count {len(entries)} != double coset count {count}")
-    return _make(rs, lam, mu, "minuscule", entries)
+    return Decomposition(rs, lam, mu, "minuscule", entries, caps)
 
 
-def component_tests(rs, lam, mu, max_dim=None):
+def component_tests(rs, lam, mu, caps=Caps()):
     """Positivity/equality certificates from root subtraction and from the
     (lam + mu')(h_i) >= -1 condition.
 
@@ -362,12 +352,12 @@ def component_tests(rs, lam, mu, max_dim=None):
                 raise InvariantViolation(
                     f"root-subtraction component {nu} missing")
             report["root_subtraction"][beta.coeffs] = m
-    mu_char = character_of(rs, mu)
+    mu_char = character_of(rs, mu, caps)
     cond = all(lam[i] + Weight(mu_c)[i] >= -1
                for mu_c in mu_char.entries for i in range(rs.rank))
     report["minus_one_applies"] = cond
     if cond:
-        dec = decompose(rs, lam, mu, "character")
+        dec = decompose(rs, lam, mu, "character", caps)
         for coords, m in dec.entries.items():
             if m != mu_char.mult(Weight(coords) - lam):
                 raise InvariantViolation(

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import CapExceeded
+from .config import Caps
+from .errors import InvariantViolation
 from .rootsystem import Weight, RootVector, build_root_system
 
 __all__ = [
@@ -35,16 +36,11 @@ def _root_sign(rs, weight_coords):
     """+1/-1 according to whether the root with these fundamental coordinates
     is positive; raises KeyError if not a root."""
     key = tuple(weight_coords)
-    if key in rs._root_by_wc:
+    if key in rs.root_weight_index:
         return 1
-    if tuple(-x for x in key) in rs._root_by_wc:
+    if tuple(-x for x in key) in rs.root_weight_index:
         return -1
     raise KeyError(key)
-
-
-def _ensure_root_lookup(rs):
-    if not hasattr(rs, "_root_by_wc"):
-        rs._root_by_wc = {wc: k for k, wc in enumerate(rs.root_weight_coords)}
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,6 @@ class WeylElement:
 
     def inversions(self):
         """Number of positive roots sent negative; equals word length."""
-        _ensure_root_lookup(self.rs)
         count = 0
         for rv in self.rs.positive_roots:
             if _root_sign(self.rs, self.apply(self.rs.root_to_weight(rv)).coords) < 0:
@@ -135,7 +130,6 @@ def _from_matrix(rs, matrix):
     Greedy peeling: the least i with w^{-1}(alpha_i) negative is the first
     letter of the lexicographically least reduced word; recurse on s_i w.
     """
-    _ensure_root_lookup(rs)
     n = rs.rank
     # maintain v = w^{-1} acting on weight coordinates
     # start from matrix inverse, which is an integer matrix for Weyl elements
@@ -176,11 +170,8 @@ def _int_inverse(matrix):
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(label, cap):
+def _enumerate_cached(label):
     rs = build_root_system(label)
-    if rs.weyl_group_order > cap:
-        raise CapExceeded(
-            f"|W({label})| = {rs.weyl_group_order} exceeds cap {cap}")
     gens = [_simple_matrix(rs, i) for i in range(rs.rank)]
     eye = identity_element(rs).matrix
     words = {eye: ()}
@@ -196,16 +187,18 @@ def _enumerate_cached(label, cap):
         frontier = nxt
     els = [WeylElement(rs, m, w) for m, w in words.items()]
     els.sort(key=lambda e: (e.length, e.word))
-    assert len(els) == rs.weyl_group_order
+    if len(els) != rs.weyl_group_order:
+        raise InvariantViolation(
+            f"enumerated {len(els)} elements of W({label}), "
+            f"expected {rs.weyl_group_order}")
     return tuple(els)
 
 
-def enumerate_weyl(rs, max_order=None):
+def enumerate_weyl(rs, caps=Caps()):
     """All Weyl group elements with canonical reduced words, sorted by
     (length, word); the last entry is the longest element."""
-    from .config import DEFAULT_CAPS
-    cap = DEFAULT_CAPS.max_weyl if max_order is None else max_order
-    return _enumerate_cached(rs.label, cap)
+    caps.check("max_weyl", rs.weyl_group_order, f"|W({rs.label})|")
+    return _enumerate_cached(rs.label)
 
 
 def longest_element(rs):
@@ -232,18 +225,8 @@ def dominant_representative(rs, lam):
     Deterministic ascent: reflect at the least index with a negative
     coordinate until dominant.
     """
-    cur = lam
-    m = identity_element(rs).matrix
-    while True:
-        i = next((k for k in range(rs.rank) if cur[k] < 0), None)
-        if i is None:
-            return cur, _from_matrix(rs, m)
-        cur = rs.reflect(i, cur)
-        m = _mat_mul_int(_simple_matrix(rs, i), m)
-
-
-def stabilizer(rs, lam, max_order=None):
-    return [w for w in enumerate_weyl(rs, max_order) if w.apply(lam) == lam]
+    dom, word = rs.dominant_ascent(lam.coords)
+    return Weight(dom), from_word(rs, reversed(word))
 
 
 class DoubleCosets:
@@ -259,10 +242,10 @@ class DoubleCosets:
         return len(self.representatives)
 
 
-def double_cosets(rs, lam, mu, max_order=None):
+def double_cosets(rs, lam, mu, caps=Caps()):
     """Double cosets for the stabilizers of lam and mu, minimal-length
     (then word-lexicographic) representatives."""
-    els = enumerate_weyl(rs, max_order)
+    els = enumerate_weyl(rs, caps)
     stab_l = [w for w in els if w.apply(lam) == lam]
     stab_r = [w for w in els if w.apply(mu) == mu]
     remaining = {w.matrix: w for w in els}

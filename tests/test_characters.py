@@ -3,13 +3,18 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, strategies as st
 
+from lierep.config import Caps
 from lierep.errors import CapExceeded
 from lierep.rootsystem import Weight, build_root_system
-from lierep.characters import (character_of, dominant_weight_table,
+from lierep.characters import (character_of, dominant_drops,
+                               dominant_weight_table,
                                freudenthal_multiplicity,
                                kostant_multiplicity, partition_function,
                                partition_function_bruteforce,
-                               weight_multiplicity, weyl_dimension)
+                               weight_drops, weight_multiplicity,
+                               weyl_dimension)
+from lierep.selfcheck import HULL_TYPES
+from lierep.weyl import longest_element
 
 
 def test_partition_of_zero(rs):
@@ -112,20 +117,43 @@ def test_multiplicity_routes_agree_corpus():
     # every module up to dim 1000 in rank 2, and on a spread of rank-one
     # highest weights up to 999; multiplicities are orbit-constant, so table
     # equality settles every weight
-    from lierep.characters import _dominant_table_fast, _RS_REGISTRY
+    from lierep.characters import _dominant_table_fast
     from lierep.selfcheck import dominant_weights_by_dim
     for label in ("A2", "B2", "G2"):
         rs = build_root_system(label)
-        _RS_REGISTRY[rs.label] = rs
         for lam, dim in dominant_weights_by_dim(rs, 1000)[::3]:
             assert _dominant_table_fast(rs.label, lam.coords) \
                 == dominant_weight_table(rs, lam), lam
     rs = build_root_system("A1")
-    _RS_REGISTRY[rs.label] = rs
     for n in list(range(25)) + [63, 128, 301, 999]:
         lam = Weight((n,))
         assert _dominant_table_fast(rs.label, lam.coords) \
             == dominant_weight_table(rs, lam)
+
+
+@pytest.mark.parametrize("label", HULL_TYPES)
+def test_dominant_drops_match_box_scan(label):
+    # brute force over the whole drop box of V(lam), which lam - w0(lam)
+    # bounds, against the pruned search
+    rs = build_root_system(label)
+    w0 = longest_element(rs)
+    for lam_c in iproduct(range(3), repeat=rs.rank):
+        lam = Weight(lam_c)
+        span = rs.root_lattice_coords(lam - w0.apply(lam))
+        want = []
+        for c in iproduct(*(range(b + 1) for b in span)):
+            nu = lam - rs.root_to_weight(c)
+            if nu.is_dominant:
+                want.append((c, nu.coords))
+        assert list(dominant_drops(rs, lam_c)) == want, lam
+
+
+def test_weight_drops_match_character_support(rs):
+    for lam_c in iproduct(range(3), repeat=rs.rank):
+        lam = Weight(lam_c)
+        support = {lam - rs.root_to_weight(z)
+                   for z in weight_drops(rs, lam_c)}
+        assert support == set(character_of(rs, lam).support())
 
 
 def test_character_total_is_dimension(rs):
@@ -175,7 +203,7 @@ def test_character_support_matches_hull(a2):
 
 def test_character_cap(a2):
     with pytest.raises(CapExceeded):
-        character_of(a2, Weight((30, 30)), max_dim=1000)
+        character_of(a2, Weight((30, 30)), Caps(max_char=1000))
 
 
 def test_non_dominant_rejected(a2):

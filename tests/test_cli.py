@@ -1,6 +1,15 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from lierep.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -100,9 +109,51 @@ def test_cap_exit_code(capsys):
     assert code == 2 and "cap" in err
 
 
-def test_threads_validation(capsys):
-    code, _, err = run(capsys, "roots", "A1", "--threads", "0")
+def test_threads_flag_rejected(capsys):
+    code, _, _ = run(capsys, "roots", "A1", "--threads", "2")
     assert code == 1
+
+
+def test_max_dim_raises_character_cap(capsys):
+    query = ["decompose", "G2", "3,3", "2,2", "--max-dim", "100000", "--json"]
+    code, out, err = run(capsys, *query, "--method=character")
+    assert code == 0, err
+    code, ref, _ = run(capsys, *query, "--method=klimyk")
+    assert code == 0
+    assert json.loads(out)["entries"] == json.loads(ref)["entries"]
+
+
+@pytest.mark.parametrize("argv,flag,refused,accepted", [
+    (("char", "G2", "1,1"), "--max-dim", "63", "64"),
+    (("prv-det", "A2", "2,2"), "--max-dim", "26", "27"),
+    (("weyl", "A4"), "--max-weyl", "119", "120"),
+    (("shapovalov-det", "A1", "8"), "--max-height", "7", "8"),
+])
+def test_cap_errors_name_their_flag(capsys, argv, flag, refused, accepted):
+    code, _, err = run(capsys, *argv, flag, refused)
+    assert code == 2 and flag in err
+    code, _, err = run(capsys, *argv, flag, accepted)
+    assert code == 0, err
+
+
+def test_library_has_no_assert_statements():
+    # invariants raise InvariantViolation; `python -O` strips asserts
+    found = []
+    for path in sorted((SRC / "lierep").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_selftest_under_optimize_flag():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "lierep.cli", "selftest", "--criteria",
+         "clebsch-gordan,rank2-multiplicity-two"],
+        env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("PASS") == 2
 
 
 def test_selftest_subset(capsys):

@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from lierep.config import Caps
 from lierep.errors import CapExceeded
 from lierep.rootsystem import Weight
 from lierep.weyl import enumerate_weyl, longest_element
@@ -148,7 +149,7 @@ def test_casimir_scalar_on_every_block(a2, b2):
 
 def test_cap(a2):
     with pytest.raises(CapExceeded):
-        realize(a2, Weight((10, 10)), max_dim=100)
+        realize(a2, Weight((10, 10)), Caps(max_dim=100))
 
 
 def test_extreme_subspace_trivial(rs):

@@ -146,6 +146,18 @@ def test_dominant_representative_orbit_constant(rs):
 
 
 @given(st.data())
+def test_dominant_ascent_matches_representative(rs, data):
+    coord = st.one_of(st.integers(-6, 6),
+                      st.fractions(-4, 4, max_denominator=3))
+    coords = tuple(data.draw(coord) for _ in range(rs.rank))
+    rep, word = rs.dominant_ascent(coords)
+    dom, w = dominant_representative(rs, Weight(coords))
+    assert Weight(rep) == dom and dom.is_dominant
+    assert (-1) ** len(word) == w.sign
+    assert w.apply(Weight(coords)) == dom
+
+
+@given(st.data())
 def test_twisted_action_composition(rs, data):
     els = enumerate_weyl(rs)
     a = data.draw(st.sampled_from(els))
