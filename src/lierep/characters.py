@@ -3,8 +3,9 @@
 Two independent routes compute dim V(lambda)_mu: the alternating-sum formula
 over the Weyl group driven by the vector partition function, and the
 Freudenthal recursion over root strings (which needs no group enumeration).
-Full characters use the Freudenthal table plus orbit expansion and are
-validated against the product dimension formula.
+Full characters expand a dominant table (alternating sum while the group is
+enumerable, else Freudenthal) over W-orbits and are validated against the
+product dimension formula; the tensor layer works on the dominant tables.
 """
 
 from dataclasses import dataclass, field
@@ -20,6 +21,7 @@ __all__ = [
     "partition_function", "weight_multiplicity", "kostant_multiplicity",
     "freudenthal_multiplicity", "character_of", "weyl_dimension", "Character",
     "dominant_weight_table", "dominant_drops", "weight_drops",
+    "character_table",
 ]
 
 
@@ -40,42 +42,65 @@ def partition_function(rs, beta):
         coords = tuple(int(x) for x in beta)
     if any(c < 0 for c in coords):
         return 0
-    return _pf(rs, coords, 0)
-
-
-def partition_weight_coords(rs, coords):
-    """Partition function on integer fundamental coordinates (fast path)."""
-    den = rs.inv_den
-    root = []
-    for row in rs.inv_num:
-        v = sum(row[j] * coords[j] for j in range(rs.rank))
-        if v % den or v < 0:
-            return 0
-        root.append(v // den)
-    return _pf(rs, tuple(root), 0)
+    return _pf(rs, coords, rs.rank)
 
 
 def _pf(rs, coords, k):
-    """Ways to express coords using roots k..end of the fixed height-lex order."""
-    if not any(coords):
+    """Ways to write coords, a nonnegative root-coordinate vector, as a sum of
+    positive roots whose non-simple members are among roots k..end of the
+    height-lex order (k >= rank: the simple roots come first).
+
+    Whatever the non-simple roots leave is nonnegative and has exactly one
+    expression in simple roots, so only the non-simple roots recurse.
+    """
+    nroots = rs.nroots
+    if k >= nroots:
         return 1
-    if k >= rs.nroots:
-        return 0
+    root = rs.positive_roots[k].coeffs
+    most = min(c // r for c, r in zip(coords, root) if r)
+    if k + 1 == nroots:
+        return most + 1
     memo = rs._pf_memo
     key = (coords, k)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    root = rs.positive_roots[k].coeffs
     total = 0
-    cur = coords
-    while True:
-        total += _pf(rs, cur, k + 1)
-        nxt = tuple(a - b for a, b in zip(cur, root))
-        if any(x < 0 for x in nxt):
-            break
-        cur = nxt
+    for j in range(most + 1):
+        total += _pf(rs, tuple(a - j * b for a, b in zip(coords, root)),
+                     k + 1)
     memo[key] = total
+    return total
+
+
+def rho_shifts(rs, els, x_coords):
+    """(sign of w, root coordinates of w(x + rho) - (x + rho)) for each w in
+    els, x given by fundamental coordinates.
+
+    An alternating-sum term p(w(x + rho) - (y + rho)) has the argument
+    drop + shift, where drop = x - y in root coordinates.
+    """
+    y = [c + 1 for c in x_coords]
+    rank, den = rs.rank, rs.inv_den
+    out = []
+    for w in els:
+        m = w.matrix
+        diff = [sum(m[i][j] * y[j] for j in range(rank)) - y[i]
+                for i in range(rank)]
+        out.append((w.sign, tuple(sum(r * d for r, d in zip(row, diff)) // den
+                                  for row in rs.inv_num)))
+    return out
+
+
+def signed_partition_sum(rs, shifts, drop):
+    """Sum of sign * p(drop + shift) over shifts from rho_shifts; arguments
+    with a negative coordinate, where p vanishes, are skipped."""
+    total = 0
+    start = rs.rank
+    for sgn, shift in shifts:
+        arg = tuple(d + s for d, s in zip(drop, shift))
+        if min(arg) >= 0:
+            total += sgn * _pf(rs, arg, start)
     return total
 
 
@@ -132,7 +157,7 @@ def dominant_drops(rs, lam_coords):
     rank = rs.rank
     span = [sum(r * c for r, c in zip(row, lam_coords)) // rs.inv_den
             for row in rs.inv_num]
-    cols = [tuple(rs.cartan[i][j] for i in range(rank)) for j in range(rank)]
+    cols = rs.simple_root_coords
     # rise[j][i]: the most coordinate i can gain from drops at levels >= j
     rise = [[0] * rank for _ in range(rank + 1)]
     for j in range(rank - 1, -1, -1):
@@ -162,9 +187,9 @@ def weight_drops(rs, lam_coords):
     test is one set lookup."""
     drops = set()
     for _, nu in dominant_drops(rs, lam_coords):
-        for x in rs.orbit(Weight(nu)):
+        for x in rs.orbit_coords(nu):
             drops.add(rs.root_lattice_coords(
-                tuple(a - b for a, b in zip(lam_coords, x.coords))))
+                tuple(a - b for a, b in zip(lam_coords, x))))
     return frozenset(drops)
 
 
@@ -224,14 +249,10 @@ def _dominant_table_fast(rs_id, lam_coords):
     is enumerable; cross-checked against Freudenthal in the test suite and by
     the total-dimension audit on every character."""
     rs = build_root_system(rs_id)
-    lam = Weight(lam_coords)
-    shifted = [(w.sign, w.apply(lam + rs.rho).coords) for w in enumerate_weyl(rs)]
+    shifts = rho_shifts(rs, enumerate_weyl(rs), lam_coords)
     table = {}
-    for _, mu in dominant_drops(rs, lam_coords):
-        total = 0
-        for sgn, top in shifted:
-            arg = tuple(t - m - 1 for t, m in zip(top, mu))
-            total += sgn * partition_weight_coords(rs, arg)
+    for drop, mu in dominant_drops(rs, lam_coords):
+        total = signed_partition_sum(rs, shifts, drop)
         if total:
             table[mu] = total
     return table
@@ -251,14 +272,13 @@ def freudenthal_multiplicity(rs, lam, mu):
 def kostant_multiplicity(rs, lam, mu, caps=Caps()):
     """dim V(lambda)_mu as the signed partition-function sum over W."""
     _require_dominant_integral(lam)
-    if not mu.is_integral or rs.root_lattice_coords(lam - mu) is None:
+    if not mu.is_integral:
         return 0
-    rho = rs.rho
-    target = mu + rho
-    total = 0
-    for w in enumerate_weyl(rs, caps):
-        arg = w.apply(lam + rho) - target
-        total += w.sign * partition_function(rs, arg)
+    drop = rs.root_lattice_coords(lam - mu)
+    if drop is None:
+        return 0
+    shifts = rho_shifts(rs, enumerate_weyl(rs, caps), lam.coords)
+    total = signed_partition_sum(rs, shifts, drop)
     if total < 0:
         raise InvariantViolation(
             f"alternating sum for V({lam})_{mu} is negative: {total}")
@@ -301,30 +321,51 @@ class Character:
         return {format_weight(Weight(k)): v for k, v in sorted(self.entries.items())}
 
 
+def _table(rs, lam_coords):
+    # a route choice, not a cap: the alternating sum needs the whole group
+    if rs.weyl_group_order <= DEFAULT_CAPS.max_weyl:
+        return _dominant_table_fast(rs.label, lam_coords)
+    return _dominant_table(rs.label, lam_coords)
+
+
+def table_mult(rs, table, coords):
+    """Multiplicity at integral fundamental coordinates in the module whose
+    dominant table this is: multiplicities are W-invariant, and a weight off
+    the module's root-lattice coset has its dominant representative off the
+    table too."""
+    return table.get(rs.dominant_ascent(coords)[0], 0)
+
+
 @lru_cache(maxsize=None)
 def _character_cached(rs_id, lam_coords):
     rs = build_root_system(rs_id)
-    lam = Weight(lam_coords)
-    dim = weyl_dimension(rs, lam)
-    # a route choice, not a cap: the alternating sum needs the whole group
-    if rs.weyl_group_order <= DEFAULT_CAPS.max_weyl:
-        table = _dominant_table_fast(rs.label, lam.coords)
-    else:
-        table = dominant_weight_table(rs, lam)
+    dim = weyl_dimension(rs, Weight(lam_coords))
     entries = {}
-    for dom_coords, m in table.items():
-        for w in rs.orbit(Weight(dom_coords)):
-            entries[w.coords] = m
+    for dom_coords, m in _table(rs, lam_coords).items():
+        for x in rs.orbit_coords(dom_coords):
+            entries[x] = m
     total = sum(entries.values())
     if total != dim:
         raise InvariantViolation(
-            f"character of {lam}: mass {total} != Weyl dimension {dim}")
+            f"character of {Weight(lam_coords)}: mass {total} "
+            f"!= Weyl dimension {dim}")
     return Character(entries, "formal", lam_coords)
+
+
+def _check_char_cap(rs, lam, caps):
+    _require_dominant_integral(lam)
+    caps.check("max_char", weyl_dimension(rs, lam), f"dim V({lam})")
 
 
 def character_of(rs, lam, caps=Caps()):
     """Full formal character of V(lambda); sparse, validated against the
     dimension formula."""
-    _require_dominant_integral(lam)
-    caps.check("max_char", weyl_dimension(rs, lam), f"dim V({lam})")
+    _check_char_cap(rs, lam, caps)
     return _character_cached(rs.label, lam.coords)
+
+
+def character_table(rs, lam, caps=Caps()):
+    """The dominant part of character_of(rs, lam, caps), under the same cap:
+    the multiplicities of V(lambda) on its dominant weights."""
+    _check_char_cap(rs, lam, caps)
+    return _table(rs, lam.coords)

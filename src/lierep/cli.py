@@ -291,12 +291,14 @@ def cmd_selftest(args):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    common.add_argument("--max-dim", type=int, default=None,
+    # the selftest criteria run at fixed corpus caps, so it takes no caps
+    capped = argparse.ArgumentParser(add_help=False, parents=[output])
+    capped.add_argument("--max-dim", type=int, default=None,
                         help="module dimension and character caps")
-    common.add_argument("--max-weyl", type=int, default=None,
+    capped.add_argument("--max-weyl", type=int, default=None,
                         help="Weyl group enumeration cap")
     top = argparse.ArgumentParser(
         prog="lierep",
@@ -304,7 +306,7 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     def system_cmd(name, fn, help_):
-        p = sub.add_parser(name, help=help_, parents=[common])
+        p = sub.add_parser(name, help=help_, parents=[capped])
         p.add_argument("system", help="root system spec, e.g. A2")
         p.set_defaults(fn=fn)
         return p
@@ -354,26 +356,26 @@ def build_parser():
     p = sub.add_parser("hc", help="two-parameter module calculus")
     p.add_argument("system")
     hsub = p.add_subparsers(dest="hc_cmd", required=True)
-    q = hsub.add_parser("invariants", parents=[common])
+    q = hsub.add_parser("invariants", parents=[capped])
     q.add_argument("lam")
     q.add_argument("nu")
-    q = hsub.add_parser("equivalent", parents=[common])
+    q = hsub.add_parser("equivalent", parents=[capped])
     q.add_argument("lam")
     q.add_argument("nu")
     q.add_argument("lam2")
     q.add_argument("nu2")
-    q = hsub.add_parser("class-zero", parents=[common])
+    q = hsub.add_parser("class-zero", parents=[capped])
     q.add_argument("lam")
-    q = hsub.add_parser("finite-dim", parents=[common])
+    q = hsub.add_parser("finite-dim", parents=[capped])
     q.add_argument("lam")
     q.add_argument("nu")
-    q = hsub.add_parser("count", parents=[common])
+    q = hsub.add_parser("count", parents=[capped])
     q.add_argument("lam")
     q.add_argument("nu")
     p.set_defaults(fn=cmd_hc)
 
     p = sub.add_parser("selftest", help="run the acceptance corpus",
-                       parents=[common])
+                       parents=[output])
     p.add_argument("--criteria", default=None,
                    help="comma-separated subset of criteria names")
     p.set_defaults(fn=cmd_selftest)
@@ -386,7 +388,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    args.caps = Caps.from_flags(args.max_dim, args.max_weyl)
+    args.caps = Caps.from_flags(getattr(args, "max_dim", None),
+                                getattr(args, "max_weyl", None))
     try:
         out = args.fn(args)
         return out if isinstance(out, int) else 0

@@ -90,7 +90,8 @@ def class_zero(rs, lam, with_mults=True, caps=Caps()):
     complete: no positive root pairs (lam + rho) into a nonzero integer;
     canonical: dot-orbit identifier of lam;
     mults: for dominant integral lam, the component multiplicities of
-           V(lam) (x) V(lam)^* (supported on the root lattice).
+           V(lam) (x) V(lam)^* (supported on the root lattice); a
+           decomposition past caps raises CapExceeded.
     """
     rho = rs.rho
     complete = True
@@ -105,13 +106,9 @@ def class_zero(rs, lam, with_mults=True, caps=Caps()):
         "mults": None,
     }
     if with_mults and lam.is_integral and lam.is_dominant:
-        from .errors import CapExceeded
         w0 = longest_element(rs)
         dual = -w0.apply(lam)
-        try:
-            report["mults"] = decompose(rs, lam, dual, "character", caps)
-        except CapExceeded:
-            report["mults"] = None  # recoverable: raise the cap and retry
+        report["mults"] = decompose(rs, lam, dual, "character", caps)
     return report
 
 

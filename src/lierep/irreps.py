@@ -431,8 +431,8 @@ def _build_realization(rs, mu, dim):
     table = dominant_weight_table(rs, mu)
     weight_mults = {}
     for dom, m in table.items():
-        for w in rs.orbit(Weight(dom)):
-            weight_mults[w.coords] = m
+        for w in rs.orbit_coords(dom):
+            weight_mults[w] = m
     weights = {}
     gram_pivot = {}
     for wcoords, mult in weight_mults.items():

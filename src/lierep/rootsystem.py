@@ -280,6 +280,10 @@ class RootSystem:
             for rv in self.positive_roots)
         self.root_weight_index = {wc: k for k, wc
                                   in enumerate(self.root_weight_coords)}
+        # fundamental coordinates of alpha_i: column i of the Cartan matrix
+        self.simple_root_coords = tuple(
+            tuple(self.cartan[j][i] for j in range(rank))
+            for i in range(rank))
 
     def _build_form(self):
         rank = self.rank
@@ -440,20 +444,27 @@ class RootSystem:
         coeffs[i] -= pair
         return RootVector(tuple(coeffs))
 
-    def orbit(self, w):
-        """Full W-orbit of a weight by closure under simple reflections."""
-        seen = {w.coords}
-        frontier = [w]
+    def orbit_coords(self, coords):
+        """Full W-orbit of raw fundamental coordinates, sorted, by closure
+        under simple reflections."""
+        start = tuple(coords)
+        seen = {start}
+        frontier = [start]
         while frontier:
             nxt = []
             for v in frontier:
-                for i in range(self.rank):
-                    img = self.reflect(i, v)
-                    if img.coords not in seen:
-                        seen.add(img.coords)
-                        nxt.append(img)
+                for c, col in zip(v, self.simple_root_coords):
+                    if c:
+                        img = tuple(x - c * a for x, a in zip(v, col))
+                        if img not in seen:
+                            seen.add(img)
+                            nxt.append(img)
             frontier = nxt
-        return [Weight(c) for c in sorted(seen)]
+        return sorted(seen)
+
+    def orbit(self, w):
+        """Full W-orbit of a weight, sorted by coordinates."""
+        return [Weight(c) for c in self.orbit_coords(w.coords)]
 
     def dominant_ascent(self, coords):
         """(dominant orbit representative, reflections applied) for raw

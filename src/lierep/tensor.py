@@ -1,6 +1,7 @@
 """Tensor product decomposition by four independent algorithms.
 
-* character: convolve formal characters, then peel highest weights;
+* character: convolve the formal characters at the dominant weights of the
+  product, then peel highest weights with dominant tables;
 * steinberg: the signed double sum over the Weyl group through the vector
   partition function;
 * klimyk: the one-orbit-per-weight signed count over wt V(mu);
@@ -16,8 +17,9 @@ from .config import Caps
 from .errors import InvariantViolation
 from .rootsystem import Weight
 from .weyl import double_cosets, enumerate_weyl, longest_element
-from .characters import (Character, character_of, weyl_dimension,
-                         dominant_weight_table, partition_weight_coords)
+from .characters import (Character, character_of, character_table,
+                         dominant_drops, dominant_weight_table, rho_shifts,
+                         signed_partition_sum, table_mult, weyl_dimension)
 from .irreps import v_extremes_dim
 
 __all__ = [
@@ -34,7 +36,7 @@ class Decomposition:
 
     Construction checks the dimension count, dominance/integrality of the
     support, and the weight-multiplicity upper bound for every entry; the
-    bound needs the character of V(mu), built under caps.
+    bound reads the dominant table of V(mu), built under caps.
     """
 
     def __init__(self, rs, lam, mu, method, entries, caps=Caps()):
@@ -48,13 +50,15 @@ class Decomposition:
     def _audit(self, caps):
         rs = self.rs
         total = 0
-        bound_char = character_of(rs, self.mu, caps)
+        table = character_table(rs, self.mu, caps)
+        lam_c = self.lam.coords
         for coords, m in self.entries.items():
             nu = Weight(coords)
             if m < 0 or not (nu.is_dominant and nu.is_integral):
                 raise InvariantViolation(
                     f"bad decomposition entry {coords}: {m}")
-            cap = bound_char.mult(nu - self.lam)
+            # m_mu(nu - lam) bounds the multiplicity of V(nu)
+            cap = table_mult(rs, table, [a - b for a, b in zip(coords, lam_c)])
             if m > cap:
                 raise InvariantViolation(
                     f"multiplicity {m} at {coords} exceeds weight bound {cap}")
@@ -93,26 +97,35 @@ def _require_dom(lam, mu):
 
 
 def _candidates(rs, lam, mu, caps):
-    """Dominant nu = lam + mu' over mu' in wt V(mu): every component's
-    highest weight has this form, so these are the only candidates."""
-    out = {}
+    """Coordinates of the dominant nu = lam + mu' over mu' in wt V(mu): every
+    component's highest weight has this form, so these are the only
+    candidates."""
+    lam_c = lam.coords
+    out = set()
     for mu_c in character_of(rs, mu, caps).entries:
-        nu = lam + Weight(mu_c)
-        if nu.is_dominant:
-            out[nu.coords] = nu
+        nu = tuple(a + b for a, b in zip(lam_c, mu_c))
+        if min(nu) >= 0:
+            out.add(nu)
     return out
 
 
 def _char_product(rs, lam, mu, caps):
+    """The character of V(lam) (x) V(mu) on its dominant weights, which
+    determine it: the product is W-invariant."""
     ch1 = character_of(rs, lam, caps).entries
     ch2 = character_of(rs, mu, caps).entries
     if len(ch1) < len(ch2):
         ch1, ch2 = ch2, ch1
+    top = tuple(a + b for a, b in zip(lam.coords, mu.coords))
     out = {}
-    for c1, m1 in ch1.items():
+    for _, nu in dominant_drops(rs, top):
+        total = 0
         for c2, m2 in ch2.items():
-            key = tuple(a + b for a, b in zip(c1, c2))
-            out[key] = out.get(key, 0) + m1 * m2
+            m1 = ch1.get(tuple(a - b for a, b in zip(nu, c2)))
+            if m1:
+                total += m1 * m2
+        if total:
+            out[nu] = total
     return out
 
 
@@ -132,11 +145,10 @@ def _decompose_character(rs, lam, mu, caps):
         m = remaining.get(top, 0)
         if m == 0:
             continue
-        nu = Weight(top)
-        if m < 0 or not nu.is_dominant:
+        if m < 0:
             raise InvariantViolation("character peeling left a non-character")
         entries[top] = m
-        for c2, m2 in character_of(rs, nu, caps).entries.items():
+        for c2, m2 in character_table(rs, Weight(top), caps).items():
             left = remaining.get(c2, 0) - m * m2
             if left:
                 remaining[c2] = left
@@ -146,26 +158,20 @@ def _decompose_character(rs, lam, mu, caps):
 
 
 def _decompose_steinberg(rs, lam, mu, caps):
+    # m_nu = sum over w, w' of sgn(w w') p(lam + w'(mu + rho) - w(nu + rho));
+    # in root coordinates the argument is the drop lam + mu - nu, plus the
+    # shift of w' at mu, minus the shift of w at nu
     els = enumerate_weyl(rs, caps)
-    rho = rs.rho
-    rank = rs.rank
+    mu_shifts = rho_shifts(rs, els, mu.coords)
+    top = [a + b for a, b in zip(lam.coords, mu.coords)]
     entries = {}
-    shifted = [(w.sign, w.apply(mu + rho).coords) for w in els]
-    lam_c = lam.coords
     for coords in _candidates(rs, lam, mu, caps):
-        target = tuple(c + 1 for c in coords)
+        drop = rs.root_lattice_coords(
+            tuple(t - c for t, c in zip(top, coords)))
         total = 0
-        for w in els:
-            m = w.matrix
-            wnr = tuple(sum(m[i][j] * target[j] for j in range(rank))
-                        for i in range(rank))
-            base = tuple(a - b for a, b in zip(lam_c, wnr))
-            sgn_w = w.sign
-            for sgn_wp, wmr in shifted:
-                arg = tuple(a + b for a, b in zip(base, wmr))
-                p = partition_weight_coords(rs, arg)
-                if p:
-                    total += sgn_w * sgn_wp * p
+        for sgn, shift in rho_shifts(rs, els, coords):
+            total += sgn * signed_partition_sum(
+                rs, mu_shifts, tuple(d - s for d, s in zip(drop, shift)))
         if total:
             entries[coords] = total
     return entries
@@ -256,7 +262,8 @@ def extreme_types(rs, lam, mu):
 
 def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
     """Report on the extreme component attached to w: its multiplicity, the
-    double-coset lower bound, and optionally the generated-submodule count."""
+    double-coset lower bound, and optionally the generated-submodule count,
+    whose tensor module past caps.max_dim raises CapExceeded."""
     _require_dom(lam, mu)
     target = rs.dominant_in_orbit(lam + w.apply(mu))
     mult = multiplicity(rs, lam, mu, target, cross_check=False)
@@ -278,13 +285,9 @@ def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
         "kprv_mult": None,
     }
     if with_kprv:
-        from .errors import CapExceeded
         from .irreps import kprv_multiplicity
-        try:
-            report["kprv_mult"] = kprv_multiplicity(rs, lam, mu, w, caps)
-        except CapExceeded:
-            report["kprv_mult"] = None
-        if report["kprv_mult"] not in (None, 1):
+        report["kprv_mult"] = kprv_multiplicity(rs, lam, mu, w, caps)
+        if report["kprv_mult"] != 1:
             raise InvariantViolation(
                 "generated submodule must contain the extreme component once")
     return report
@@ -353,7 +356,7 @@ def component_tests(rs, lam, mu, caps=Caps()):
                     f"root-subtraction component {nu} missing")
             report["root_subtraction"][beta.coeffs] = m
     mu_char = character_of(rs, mu, caps)
-    cond = all(lam[i] + Weight(mu_c)[i] >= -1
+    cond = all(lam[i] + mu_c[i] >= -1
                for mu_c in mu_char.entries for i in range(rs.rank))
     report["minus_one_applies"] = cond
     if cond:

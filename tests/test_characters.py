@@ -44,17 +44,27 @@ def test_partition_against_bruteforce(rs):
             == partition_function_bruteforce(rs, coords)
 
 
-def test_partition_convolution_consistency(a2):
-    # peeling the first root's exponent must reproduce the memoised value
+@pytest.mark.parametrize("label,bound",
+                         [("A3", 4), ("B3", 4), ("C3", 4), ("F4", 2)])
+def test_partition_against_bruteforce_higher_rank(label, bound):
+    rs = build_root_system(label)
+    for coords in iproduct(range(bound), repeat=rs.rank):
+        assert partition_function(rs, coords) \
+            == partition_function_bruteforce(rs, coords)
+
+
+def test_partition_convolution_consistency(a2, b2, g2):
+    # the recursion's identity: peeling the exponent of the first non-simple
+    # root (index rank of the height-lex order) reproduces the memoised value
     from lierep.characters import _pf
-    beta = (3, 2)
-    first = a2.positive_roots[0].coeffs
-    total = 0
-    cur = beta
-    while all(x >= 0 for x in cur):
-        total += _pf(a2, cur, 1)
-        cur = tuple(a - b for a, b in zip(cur, first))
-    assert total == partition_function(a2, beta)
+    for rs, beta in ((a2, (3, 2)), (b2, (3, 4)), (g2, (4, 6))):
+        first = rs.positive_roots[rs.rank].coeffs
+        total = 0
+        cur = beta
+        while all(x >= 0 for x in cur):
+            total += _pf(rs, cur, rs.rank + 1)
+            cur = tuple(a - b for a, b in zip(cur, first))
+        assert total == partition_function(rs, beta)
 
 
 def test_dimensions(a1, a2, g2):

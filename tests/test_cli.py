@@ -128,12 +128,31 @@ def test_max_dim_raises_character_cap(capsys):
     (("prv-det", "A2", "2,2"), "--max-dim", "26", "27"),
     (("weyl", "A4"), "--max-weyl", "119", "120"),
     (("shapovalov-det", "A1", "8"), "--max-height", "7", "8"),
+    (("prv", "A2", "2,2", "2,2", "--kprv", "--word", "1"),
+     "--max-dim", "728", "729"),
+    (("hc", "A2", "class-zero", "3,3"), "--max-dim", "10", "343"),
 ])
 def test_cap_errors_name_their_flag(capsys, argv, flag, refused, accepted):
     code, _, err = run(capsys, *argv, flag, refused)
     assert code == 2 and flag in err
     code, _, err = run(capsys, *argv, flag, accepted)
     assert code == 0, err
+
+
+def test_kprv_cap_refusal_reaches_the_exit_code(capsys):
+    query = ("prv", "A2", "2,2", "2,2", "--kprv", "--word", "1", "--json")
+    code, out, err = run(capsys, *query)
+    assert code == 2 and "--max-dim" in err and out == ""
+    code, out, err = run(capsys, *query, "--max-dim", "729")
+    assert code == 0, err
+    assert [r["kprv_mult"] for r in json.loads(out)["reports"]] == [1]
+
+
+@pytest.mark.parametrize("flag", ["--max-dim", "--max-weyl"])
+def test_selftest_rejects_cap_flags(capsys, flag):
+    code, out, err = run(capsys, "selftest", "--criteria", "clebsch-gordan",
+                         flag, "1")
+    assert code == 1 and flag in err and out == ""
 
 
 def test_library_has_no_assert_statements():

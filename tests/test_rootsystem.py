@@ -134,3 +134,29 @@ def test_orbit_sizes(a2, g2):
     assert len(a2.orbit(Weight((1, 1)))) == 6
     assert len(g2.orbit(Weight((1, 1)))) == 12
     assert len(a2.orbit(Weight((0, 0)))) == 1
+
+
+def _weight_bfs(rs, w):
+    """The orbit of w by closure under simple reflections on Weights."""
+    seen = {w.coords}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(rs.rank):
+                img = rs.reflect(i, v)
+                if img.coords not in seen:
+                    seen.add(img.coords)
+                    nxt.append(img)
+        frontier = nxt
+    return sorted(seen)
+
+
+@given(st.data())
+def test_orbit_coords_match_weight_bfs(rs, data):
+    coord = st.one_of(st.integers(-6, 6),
+                      st.fractions(-4, 4, max_denominator=3))
+    w = Weight(tuple(data.draw(coord) for _ in range(rs.rank)))
+    want = _weight_bfs(rs, w)
+    assert rs.orbit_coords(w.coords) == want
+    assert [v.coords for v in rs.orbit(w)] == want

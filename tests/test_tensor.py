@@ -1,15 +1,18 @@
-from itertools import product as iproduct
+from itertools import combinations_with_replacement, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lierep.config import Caps
 from lierep.errors import InvariantViolation
-from lierep.rootsystem import Weight
+from lierep.rootsystem import Weight, build_root_system
 from lierep.weyl import enumerate_weyl, longest_element
-from lierep.characters import character_of
-from lierep.tensor import (component_tests, decompose, decompose_all,
-                           extreme_types, generalized_prv, is_minuscule,
-                           minuscule_decompose, multiplicity)
+from lierep.characters import character_of, character_table, table_mult
+from lierep.selfcheck import (HULL_TYPES, METHOD_TYPES, PRODUCT_DIM_CAP,
+                              _pair_corpus)
+from lierep.tensor import (_char_product, component_tests, decompose,
+                           decompose_all, extreme_types, generalized_prv,
+                           is_minuscule, minuscule_decompose, multiplicity)
 
 
 def test_clebsch_gordan_small(a1):
@@ -229,3 +232,38 @@ def test_dimension_audit_rejects_bad_entries(a1):
 def test_non_dominant_rejected(a2):
     with pytest.raises(ValueError):
         decompose(a2, Weight((-1, 0)), Weight((1, 0)))
+
+
+def _full_convolution(rs, lam, mu):
+    """Every weight of the product character, by convolving both full
+    characters, restricted to the dominant ones."""
+    ch1 = character_of(rs, lam).entries
+    ch2 = character_of(rs, mu).entries
+    out = {}
+    for c1, m1 in ch1.items():
+        for c2, m2 in ch2.items():
+            key = tuple(a + b for a, b in zip(c1, c2))
+            out[key] = out.get(key, 0) + m1 * m2
+    return {k: v for k, v in out.items() if min(k) >= 0}
+
+
+@pytest.mark.parametrize("label", HULL_TYPES)
+def test_dominant_product_matches_full_convolution(label):
+    # every pair with coordinates <= 2, plus every 40th-or-so pair of the
+    # method-agreement corpus, which is in order of cost; at each dominant
+    # weight of the product the audit's bound, read from the dominant table
+    # of V(mu), equals the full character of V(mu), on and off its coset
+    rs = build_root_system(label)
+    weights = [Weight(c) for c in iproduct(range(3), repeat=rs.rank)]
+    pairs = list(combinations_with_replacement(weights, 2))
+    if label in METHOD_TYPES:
+        corpus = _pair_corpus(label, PRODUCT_DIM_CAP)
+        pairs += corpus[::max(1, len(corpus) // 40)]
+    for lam, mu in pairs:
+        want = _full_convolution(rs, lam, mu)
+        assert _char_product(rs, lam, mu, Caps()) == want, (lam, mu)
+        table, ch = character_table(rs, mu), character_of(rs, mu)
+        for nu in want:
+            x = [a - b for a, b in zip(nu, lam.coords)]
+            for y in (x, [x[0] + 1] + x[1:]):
+                assert table_mult(rs, table, y) == ch.mult(tuple(y))
