@@ -296,11 +296,8 @@ def weight_multiplicity(rs, lam, mu, caps=Caps()):
 
 @dataclass
 class Character:
-    """Finite weight -> multiplicity map.
-
-    kind is "formal" for the full character of one module (W-invariant) or
-    "decomposition" for highest weights with multiplicities (dominant support).
-    """
+    """Finite weight -> multiplicity map: the full formal character of one
+    module (W-invariant), so kind is always "formal"."""
 
     entries: dict
     kind: str = "formal"

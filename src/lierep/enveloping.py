@@ -283,6 +283,7 @@ class ChevalleyBasis:
         order = (tuple(range(m)) + tuple(m + i for i in range(rank))
                  + tuple(edx(k) for k in reversed(range(m))))
         self.algebra = PBWAlgebra(self.table, order)
+        self._reordered = {}  # order -> PBWAlgebra, filled by _reordered_algebra
 
     # index layout -----------------------------------------------------------
 
@@ -361,10 +362,13 @@ def _chevalley_cached(label):
     return ChevalleyBasis(build_root_system(label))
 
 
-def chevalley_basis(rs, max_rank=4):
-    if rs.rank > max_rank:
-        from .errors import CapExceeded
-        raise CapExceeded(f"enveloping engine capped at rank {max_rank}")
+MAX_RANK = 4
+
+
+def chevalley_basis(rs):
+    if rs.rank > MAX_RANK:
+        raise ValueError(f"the enveloping engine handles rank <= {MAX_RANK}; "
+                         f"{rs.label} has rank {rs.rank}")
     return _chevalley_cached(rs.label)
 
 
@@ -599,12 +603,9 @@ def hc_projection(basis, u, w=None):
 
 
 def _reordered_algebra(basis, order):
-    cache = getattr(basis, "_reordered", None)
-    if cache is None:
-        cache = basis._reordered = {}
-    alg = cache.get(order)
+    alg = basis._reordered.get(order)
     if alg is None:
-        alg = cache[order] = PBWAlgebra(basis.table, order)
+        alg = basis._reordered[order] = PBWAlgebra(basis.table, order)
     return alg
 
 
@@ -677,7 +678,3 @@ def twisted_poly(rs, w, poly):
     shift = winv.twisted(rs.zero_weight())  # w^{-1} * 0 = w^{-1} rho - rho
     consts = list(shift.coords)
     return poly.substitute_affine(rows, consts)
-
-
-def evaluate_at_weight(poly, lam):
-    return poly.evaluate(list(lam.coords))

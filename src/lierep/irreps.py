@@ -13,8 +13,8 @@ from functools import lru_cache
 
 from .config import Caps
 from .errors import InvariantViolation
-from .linalg import (SpanBasis, kernel_basis, nullity, pivot_columns,
-                     rank_int, solve)
+from .linalg import (SpanBasis, identity, kernel_basis, mat_mul, nullity,
+                     pivot_columns, rank_int, solve)
 from .rootsystem import Weight
 from .characters import dominant_weight_table, weyl_dimension
 from .enveloping import chevalley_basis
@@ -251,9 +251,9 @@ class VermaEngine:
         b = beta
         for _ in range(power):
             m = self.e_matrix(k, b)
-            cur = m if cur is None else _int_mat_mul(m, cur)
+            cur = m if cur is None else mat_mul(m, cur)
             b = tuple(x - y for x, y in zip(b, root))
-        return cur if cur is not None else _int_eye(len(monos))
+        return cur if cur is not None else identity(len(monos))
 
 
 def _bump(mono, k, delta=1):
@@ -270,27 +270,6 @@ def _depth(rs, mono):
             for i, c in enumerate(rs.positive_roots[k].coeffs):
                 tot[i] += e * c
     return tuple(tot)
-
-
-def _int_mat_mul(a, b):
-    if not a or not b:
-        return []
-    cols = len(b[0])
-    out = []
-    for row in a:
-        nz = [(k, v) for k, v in enumerate(row) if v]
-        acc = [0] * cols
-        for k, v in nz:
-            brow = b[k]
-            for c in range(cols):
-                if brow[c]:
-                    acc[c] += v * brow[c]
-        out.append(acc)
-    return out
-
-
-def _int_eye(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 @lru_cache(maxsize=None)
@@ -334,7 +313,7 @@ def v_extremes_dim(rs, mu, gamma, nu, sign="+"):
         tgt_beta = tuple(a - power * b for a, b in
                          zip(beta, rs.positive_roots[k].coeffs))
         gram = eng.gram(tgt_beta)
-        stacked.extend(_int_mat_mul(gram, em))
+        stacked.extend(mat_mul(gram, em))
     kernel = nullity(stacked, n)
     return kernel - eng.radical_dim(beta)
 
@@ -359,15 +338,6 @@ class IrrepRealization:
     def weight_dim(self, w):
         key = w.coords if isinstance(w, Weight) else tuple(w)
         return len(self.weights.get(key, ()))
-
-    def weight_list(self):
-        return [Weight(c) for c in sorted(self.weights)]
-
-    def action_matrix(self, kind, i, wcoords):
-        """Matrix of e_i/f_i from the block at wcoords (empty if either
-        block is missing)."""
-        mats = self.e_mats if kind == "e" else self.f_mats
-        return mats.get((i, wcoords), [])
 
     def express(self, wcoords, combo):
         """Coordinates of a monomial combination in the pivot basis at a
@@ -496,7 +466,7 @@ def v_extremes(rs, realization, gamma, nu, sign="+"):
             if step is None or not step:
                 alive = False
                 break
-            mat = step if mat is None else _rat_mat_mul(step, mat)
+            mat = step if mat is None else mat_mul(step, mat)
             delta = realization.rs.simple_root_weight(i)
             cur = (Weight(cur) + delta).coords if sign == "+" else \
                 (Weight(cur) - delta).coords
@@ -504,14 +474,6 @@ def v_extremes(rs, realization, gamma, nu, sign="+"):
             stacked.extend(mat)
     basis = kernel_basis(stacked, n)
     return len(basis), basis
-
-
-def _rat_mat_mul(a, b):
-    if not a or not b:
-        return []
-    cols = len(b[0])
-    return [[sum(a[i][k] * b[k][c] for k in range(len(b))) for c in range(cols)]
-            for i in range(len(a))]
 
 
 def zero_weight_spectrum(rs, realization, root_idx):
@@ -527,7 +489,7 @@ def zero_weight_spectrum(rs, realization, root_idx):
         return {0: d0}, 0
     alpha_w = rs.root_to_weight(rs.positive_roots[root_idx]).coords
     fmat, _ = realization.root_vector_matrix("f", root_idx, alpha_w)
-    fe = _rat_mat_mul(fmat, emat)
+    fe = mat_mul(fmat, emat)
     jmax = 0
     for wc in realization.weights:
         pair = rs.pairing(Weight(wc), root_idx)

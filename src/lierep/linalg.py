@@ -1,22 +1,26 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists holding ints or ``fractions.Fraction``.  Rank and
-kernel computations on integer matrices use fraction-free (Bareiss-style)
-elimination so the hot paths never touch Fraction at all.
+Matrices are lists of lists holding ints or ``fractions.Fraction``.  Rank of
+an integer matrix uses fraction-free (Bareiss) elimination; kernels, pivots,
+solving, inversion and ``SpanBasis`` run Gauss-Jordan over ``Fraction``.
 """
 
 from fractions import Fraction
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    bt = [[b[r][c] for r in range(k)] for c in range(m)]
-    return [[sum(row[i] * col[i] for i in range(k)) for col in bt] for row in a]
-
-
-def mat_vec(a, v):
-    return [sum(row[i] * v[i] for i in range(len(v))) for row in a]
+    """Product of int or Fraction matrices, skipping zero entries."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for k, v in enumerate(row):
+            if v:
+                for c, x in enumerate(b[k]):
+                    if x:
+                        acc[c] += v * x
+        out.append(acc)
+    return out
 
 
 def identity(n):
@@ -24,22 +28,13 @@ def identity(n):
 
 
 def mat_inv(a):
-    """Inverse of a square rational matrix via Gauss-Jordan."""
+    """Inverse of a square rational matrix: the right half of the reduced
+    echelon form of [A | I]."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
+    ech, pivots = row_echelon([list(row) + e for row, e in zip(a, identity(n))])
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return [row[n:] for row in ech]
 
 
 def row_echelon(rows):

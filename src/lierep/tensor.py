@@ -17,7 +17,7 @@ from .config import Caps
 from .errors import InvariantViolation
 from .rootsystem import Weight
 from .weyl import double_cosets, enumerate_weyl, longest_element
-from .characters import (Character, character_of, character_table,
+from .characters import (character_of, character_table,
                          dominant_drops, dominant_weight_table, rho_shifts,
                          signed_partition_sum, table_mult, weyl_dimension)
 from .irreps import v_extremes_dim
@@ -72,9 +72,6 @@ class Decomposition:
 
     def components(self):
         return [Weight(c) for c in sorted(self.entries)]
-
-    def as_character(self):
-        return Character(dict(self.entries), "decomposition")
 
     def __eq__(self, other):
         return isinstance(other, Decomposition) and self.entries == other.entries

@@ -1,8 +1,8 @@
 """Weyl group elements as exact integer matrices with canonical reduced words.
 
 An element acts on fundamental-weight coordinates.  The canonical word is the
-lexicographically least reduced word, recovered from the matrix by greedy
-left-descent peeling, so composition always yields canonical elements.
+lexicographically least reduced word, read from the dominant ascent of w(rho),
+so composition always yields canonical elements.
 """
 
 from dataclasses import dataclass, field
@@ -11,6 +11,7 @@ from itertools import combinations
 
 from .config import Caps
 from .errors import InvariantViolation
+from .linalg import identity, mat_mul
 from .rootsystem import Weight, RootVector, build_root_system
 
 __all__ = [
@@ -21,26 +22,24 @@ __all__ = [
 
 
 def _simple_matrix(rs, i):
+    if not 0 <= i < rs.rank:
+        raise ValueError(f"reflection index {i} (s{i + 1}) out of range: "
+                         f"{rs.label} has s1..s{rs.rank}")
     n = rs.rank
     return tuple(tuple((1 if j == k else 0) - (rs.cartan[j][i] if k == i else 0)
                        for k in range(n)) for j in range(n))
 
 
-def _mat_mul_int(a, b):
-    n = len(a)
-    return tuple(tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n))
-                 for r in range(n))
+def _mul(a, b):
+    # matrices are dict keys here, so their rows are tuples
+    return tuple(map(tuple, mat_mul(a, b)))
 
 
-def _root_sign(rs, weight_coords):
-    """+1/-1 according to whether the root with these fundamental coordinates
-    is positive; raises KeyError if not a root."""
-    key = tuple(weight_coords)
-    if key in rs.root_weight_index:
-        return 1
-    if tuple(-x for x in key) in rs.root_weight_index:
-        return -1
-    raise KeyError(key)
+def _word_matrix(rs, word):
+    m = identity_element(rs).matrix
+    for i in word:
+        m = _mul(m, _simple_matrix(rs, i))
+    return m
 
 
 @dataclass(frozen=True)
@@ -62,15 +61,10 @@ class WeylElement:
         return not self.word
 
     def __mul__(self, other):
-        return _from_matrix(self.rs, _mat_mul_int(self.matrix, other.matrix))
+        return _from_matrix(self.rs, _mul(self.matrix, other.matrix))
 
     def inverse(self):
-        if not self.word:
-            return self
-        inv = identity_element(self.rs).matrix
-        for i in reversed(self.word):
-            inv = _mat_mul_int(inv, _simple_matrix(self.rs, i))
-        return _from_matrix(self.rs, inv)
+        return from_word(self.rs, reversed(self.word))
 
     def apply(self, w):
         m = self.matrix
@@ -88,11 +82,8 @@ class WeylElement:
 
     def inversions(self):
         """Number of positive roots sent negative; equals word length."""
-        count = 0
-        for rv in self.rs.positive_roots:
-            if _root_sign(self.rs, self.apply(self.rs.root_to_weight(rv)).coords) < 0:
-                count += 1
-        return count
+        return sum(not self.apply_root(rv).is_positive
+                   for rv in self.rs.positive_roots)
 
     def __hash__(self):
         return hash(self.matrix)
@@ -106,67 +97,29 @@ class WeylElement:
 
 
 def identity_element(rs):
-    n = rs.rank
-    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return WeylElement(rs, eye, ())
+    return WeylElement(rs, tuple(map(tuple, identity(rs.rank))), ())
 
 
 def simple_reflection(rs, i):
-    if not 0 <= i < rs.rank:
-        raise ValueError(f"reflection index {i} out of range")
     return WeylElement(rs, _simple_matrix(rs, i), (i,))
 
 
 def from_word(rs, word):
-    m = identity_element(rs).matrix
-    for i in word:
-        m = _mat_mul_int(m, _simple_matrix(rs, i))
-    return _from_matrix(rs, m)
+    return _from_matrix(rs, _word_matrix(rs, word))
 
 
 def _from_matrix(rs, matrix):
     """Canonical element with the given action matrix.
 
-    Greedy peeling: the least i with w^{-1}(alpha_i) negative is the first
-    letter of the lexicographically least reduced word; recurse on s_i w.
+    The least left descent of w is the least i with (w rho)_i < 0, and it is
+    the first letter of the lexicographically least reduced word; so the
+    dominant ascent of w rho (the row sums of the matrix, as rho = (1,...,1))
+    applies the letters of that word in order.
     """
-    n = rs.rank
-    # maintain v = w^{-1} acting on weight coordinates
-    # start from matrix inverse, which is an integer matrix for Weyl elements
-    v = _int_inverse(matrix)
-    m = matrix
-    word = []
-    while True:
-        desc = None
-        for i in range(n):
-            alpha_wc = rs.root_weight_coords[rs.root_index[rs.simple_root(i).coeffs]]
-            img = tuple(sum(v[r][c] * alpha_wc[c] for c in range(n)) for r in range(n))
-            if _root_sign(rs, img) < 0:
-                desc = i
-                break
-        if desc is None:
-            break
-        s = _simple_matrix(rs, desc)
-        word.append(desc)
-        m = _mat_mul_int(s, m)
-        v = _mat_mul_int(v, s)
-    if any(m[i][j] != int(i == j) for i in range(n) for j in range(n)):
+    top, word = rs.dominant_ascent(tuple(sum(row) for row in matrix))
+    if any(c != 1 for c in top):
         raise ValueError("matrix is not a Weyl group element")
     return WeylElement(rs, matrix, tuple(word))
-
-
-def _int_inverse(matrix):
-    from .linalg import mat_inv
-    inv = mat_inv([list(r) for r in matrix])
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not a Weyl group element")
-            irow.append(x.numerator)
-        out.append(tuple(irow))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +133,7 @@ def _enumerate_cached(label):
         nxt = []
         for m in sorted(frontier, key=words.__getitem__):
             for i, g in enumerate(gens):
-                prod = _mat_mul_int(m, g)
+                prod = _mul(m, g)
                 if prod not in words:
                     words[prod] = words[m] + (i,)
                     nxt.append(prod)
@@ -255,9 +208,9 @@ def double_cosets(rs, lam, mu, caps=Caps()):
             continue
         cls = set()
         for a in stab_l:
-            am = _mat_mul_int(a.matrix, w.matrix)
+            am = _mul(a.matrix, w.matrix)
             for b in stab_r:
-                cls.add(_mat_mul_int(am, b.matrix))
+                cls.add(_mul(am, b.matrix))
         for m in cls:
             remaining.pop(m, None)
         reps.append(w)
@@ -273,12 +226,9 @@ def _bruhat_cached(label, word_big, word_small):
         return False
     if k == len(word_big):
         return word_big == word_small
-    target = from_word(rs, word_small).matrix
-    for pos in combinations(range(len(word_big)), k):
-        sub = tuple(word_big[p] for p in pos)
-        if from_word(rs, sub).matrix == target:
-            return True
-    return False
+    target = _word_matrix(rs, word_small)
+    return any(_word_matrix(rs, (word_big[p] for p in pos)) == target
+               for pos in combinations(range(len(word_big)), k))
 
 
 def bruhat_leq(u, w):

@@ -109,6 +109,18 @@ def test_cap_exit_code(capsys):
     assert code == 2 and "cap" in err
 
 
+@pytest.mark.parametrize("word", ["0", "3", "1,3"])
+def test_prv_rejects_out_of_range_reflection(capsys, word):
+    code, out, err = run(capsys, "prv", "A2", "1,0", "0,1", "--word", word)
+    assert code == 1 and out == "" and "out of range" in err
+
+
+def test_enveloping_rank_limit_is_a_usage_error(capsys):
+    # a limit of the engine, not a cap: no flag raises it
+    code, out, err = run(capsys, "prv-det", "E6", "0,0,0,0,0,0")
+    assert code == 1 and out == "" and "rank <= 4" in err
+
+
 def test_threads_flag_rejected(capsys):
     code, _, _ = run(capsys, "roots", "A1", "--threads", "2")
     assert code == 1

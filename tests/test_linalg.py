@@ -1,10 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
-from lierep.linalg import (SpanBasis, kernel_basis, mat_inv, mat_mul,
-                           nullity, pivot_columns, rank_int, row_echelon,
-                           solve)
+from lierep.linalg import (SpanBasis, identity, kernel_basis, mat_inv,
+                           mat_mul, nullity, pivot_columns, rank_int,
+                           row_echelon, solve)
 
 matrices = st.integers(1, 6).flatmap(
     lambda n: st.integers(1, 6).flatmap(
@@ -54,6 +55,22 @@ def test_solve_and_inverse():
     assert mat_mul(inv, a) == [[1, 0], [0, 1]]
 
 
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_mat_inv_exact_or_singular(a):
+    n = len(a)
+    if rank_int(a) == n:
+        inv = mat_inv(a)
+        assert mat_mul(inv, a) == identity(n) == mat_mul(a, inv)
+    else:
+        with pytest.raises(ValueError):
+            mat_inv(a)
+    # a repeated row (or a zero 1x1) is singular whatever a is
+    with pytest.raises(ValueError):
+        mat_inv(a[:-1] + [a[0]] if n > 1 else [[0]])
+
+
 def test_pivot_columns_order():
     mat = [[0, 1, 2], [0, 2, 4], [0, 0, 1]]
     assert pivot_columns(mat) == [1, 2]
@@ -67,7 +84,10 @@ def test_span_basis_incremental(mat):
     for row in mat:
         if span.add(row):
             grew += 1
-    assert grew == span.dim == reference_rank(mat)
+    rank = reference_rank(mat)
+    assert grew == span.dim == rank
     for row in mat:
         assert span.contains(row)
-    assert not span.contains([1] * (ncols - 1) + [10 ** 9]) or True
+    for c in range(ncols):
+        e_c = [int(j == c) for j in range(ncols)]
+        assert span.contains(e_c) == (reference_rank(mat + [e_c]) == rank)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lierep.errors import CapExceeded
+from lierep.linalg import mat_inv
 from lierep.rootsystem import Weight, build_root_system
 from lierep.weyl import (bruhat_leq, double_cosets, dominant_representative,
                          enumerate_weyl, from_word, identity_element,
@@ -56,6 +57,21 @@ def test_enumeration_cap():
 def test_lengths_equal_inversions(rs):
     for w in enumerate_weyl(rs):
         assert w.length == w.inversions()
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "B4", "C4", "F4"])
+def test_words_and_inverses_beyond_rank_two(label):
+    # the enumeration's breadth-first words are the reference for the words
+    # read from the dominant ascent, and mat_inv for inverse()
+    rs = build_root_system(label)
+    els = enumerate_weyl(rs)
+    by_matrix = {w.matrix: w for w in els}
+    for w in els:
+        v = from_word(rs, w.word)
+        assert v == w and v.word == w.word
+        assert w.length == w.inversions()
+        inv = by_matrix[tuple(map(tuple, mat_inv(w.matrix)))]
+        assert w.inverse() == inv and w.inverse().word == inv.word
 
 
 def test_canonical_words_are_minimal_and_lex_least(rs):
@@ -218,3 +234,22 @@ def test_bruhat_order_a2(a2):
     assert not bruhat_leq(els[(0, 1)], els[(0,)])
     assert bruhat_leq(els[(0,)], els[(0, 1)])
     assert not bruhat_leq(els[(0,)], els[(1,)])
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_bruhat_order_matches_reflection_closure(label):
+    # oracle: u <= w iff a chain u -> ut -> ... -> w exists, each step a
+    # reflection t that raises the length
+    rs = build_root_system(label)
+    els = enumerate_weyl(rs)
+    reflections = {w * simple_reflection(rs, i) * w.inverse()
+                   for w in els for i in range(rs.rank)}
+    above = {w: {w} for w in els}
+    for w in reversed(els):  # longest first, so every upper set is final
+        for t in reflections:
+            wt = w * t
+            if wt.length > w.length:
+                above[w] |= above[wt]
+    for u in els:
+        for w in els:
+            assert bruhat_leq(u, w) == (w in above[u])
