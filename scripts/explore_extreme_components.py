@@ -4,7 +4,9 @@
 For every dominant pair up to a coordinate bound, compare the multiplicity of
 each Weyl-translate component against the double-coset fiber bound, and flag
 the pairs where some translate exceeds multiplicity one (the rank-2
-phenomenon that motivated the refined bound).
+phenomenon that motivated the refined bound).  A translate whose
+multiplicity falls below max(1, coset bound) is reported on stderr and the
+script exits 3.
 
 Usage: python scripts/explore_extreme_components.py [--type A2] [--bound 2]
 """
@@ -38,7 +40,11 @@ def main():
                 fibers[t] = fibers.get(t, 0) + 1
             for t, bound in fibers.items():
                 m = dec.entries.get(t, 0)
-                assert m >= max(1, bound), (lam_c, mu_c, t)
+                if m < max(1, bound):
+                    print(f"{rs.label}: {lam_c} (x) {mu_c} -> {t}: mult {m} "
+                          f"is below the coset bound {max(1, bound)}",
+                          file=sys.stderr)
+                    return 3
                 if m >= 2:
                     exceptional.append((lam_c, mu_c, t, m, bound))
     print(f"{rs.label}: translates with multiplicity >= 2 "

@@ -8,7 +8,7 @@ enumerable, else Freudenthal) over W-orbits and are validated against the
 product dimension formula; the tensor layer works on the dominant tables.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 
@@ -297,11 +297,9 @@ def weight_multiplicity(rs, lam, mu, caps=Caps()):
 @dataclass
 class Character:
     """Finite weight -> multiplicity map: the full formal character of one
-    module (W-invariant), so kind is always "formal"."""
+    module (W-invariant)."""
 
     entries: dict
-    kind: str = "formal"
-    highest: tuple = field(default=None)
 
     def mult(self, w):
         key = w.coords if isinstance(w, Weight) else tuple(w)
@@ -346,7 +344,7 @@ def _character_cached(rs_id, lam_coords):
         raise InvariantViolation(
             f"character of {Weight(lam_coords)}: mass {total} "
             f"!= Weyl dimension {dim}")
-    return Character(entries, "formal", lam_coords)
+    return Character(entries)
 
 
 def _check_char_cap(rs, lam, caps):

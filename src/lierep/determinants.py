@@ -15,37 +15,49 @@ from .hpoly import HPoly
 from .rootsystem import Weight, RootVector
 from .characters import partition_function
 from .enveloping import UElement, chevalley_basis, shapovalov
-from .irreps import _monomials, realize_cached, zero_weight_spectrum
+from .irreps import _monomials, realize, zero_weight_spectrum
 
 __all__ = ["DetPolynomial", "shapovalov_det", "prv_det", "det_poly"]
 
 
-@dataclass
+@dataclass(eq=False)
 class DetPolynomial:
-    """Polynomial in the simple coroot coordinates, optionally in factored
-    form: scalar * prod (linear form)^exponent."""
+    """Polynomial in the simple coroot coordinates,
+    scalar * poly * prod (linear form)^exponent, where poly is an expanded
+    HPoly factor (None stands for 1).  Equality compares values."""
 
     nvars: int
     scalar: Fraction = 1
     factors: tuple = ()      # ((coeffs tuple, const, exponent), ...)
-    expanded_cache: HPoly = field(default=None, repr=False)
+    poly: HPoly = None
+    _expanded: HPoly = field(default=None, init=False, repr=False)
 
     def expand(self):
-        if self.expanded_cache is None:
+        if self._expanded is None:
             out = HPoly.constant(self.nvars, self.scalar)
+            if self.poly is not None:
+                out = out * self.poly
             for coeffs, const, exp in self.factors:
                 lin = HPoly.linear(list(coeffs), const)
                 for _ in range(exp):
                     out = out * lin
-            self.expanded_cache = out
-        return self.expanded_cache
+            self._expanded = out
+        return self._expanded
+
+    def __eq__(self, other):
+        if not isinstance(other, DetPolynomial):
+            return NotImplemented
+        return self.expand() == other.expand()
+
+    def __hash__(self):
+        return hash(self.expand())
 
     @classmethod
     def from_poly(cls, poly):
         return cls(poly.nvars, 1, (), poly)
 
     def degree(self):
-        if self.factors:
+        if self.poly is None and self.factors:
             return sum(e for _, _, e in self.factors)
         return self.expand().degree()
 
@@ -57,7 +69,7 @@ class DetPolynomial:
         return self.expand().ratio_to(other.expand())
 
     def to_json(self):
-        return {
+        out = {
             "scalar": str(self.scalar),
             "factors": [
                 {"coeffs": [str(c) for c in coeffs], "const": str(const),
@@ -65,6 +77,12 @@ class DetPolynomial:
                 for coeffs, const, exp in self.factors
             ],
         }
+        if self.poly is not None:
+            out["poly"] = [
+                {"exponents": list(exps), "coeff": str(c)}
+                for exps, c in sorted(self.poly.terms.items(),
+                                      key=lambda t: (-sum(t[0]), t[0]))]
+        return out
 
 
 def det_poly(matrix):
@@ -160,7 +178,7 @@ def prv_det(rs, mu, caps=Caps()):
     if rs.root_lattice_coords(mu) is None:
         return (DetPolynomial(rs.rank, 1, ()), DetPolynomial(rs.rank, 1, ()),
                 {})
-    real = realize_cached(rs, mu, caps)
+    real = realize(rs, mu, caps)
     rho = rs.rho
     factors = []
     lead = []

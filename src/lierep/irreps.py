@@ -13,9 +13,9 @@ from functools import lru_cache
 
 from .config import Caps
 from .errors import InvariantViolation
-from .linalg import (SpanBasis, identity, kernel_basis, mat_mul, nullity,
-                     pivot_columns, rank_int, solve)
-from .rootsystem import Weight
+from .linalg import (SpanBasis, identity, kernel_basis, mat_inv, mat_mul,
+                     nullity, pivot_columns, rank)
+from .rootsystem import Weight, build_root_system
 from .characters import dominant_weight_table, weyl_dimension
 from .enveloping import chevalley_basis
 
@@ -236,7 +236,7 @@ class VermaEngine:
 
     def radical_dim(self, beta):
         g = self.gram(beta)
-        return len(g) - rank_int(g) if g else 0
+        return len(g) - rank(g)
 
     def e_power_matrix(self, k, beta, power):
         """Composite e_{r_k}^power from level beta downward; None when the
@@ -274,7 +274,6 @@ def _depth(rs, mono):
 
 @lru_cache(maxsize=None)
 def _engine(rs_label, mu_coords):
-    from .rootsystem import build_root_system
     rs = build_root_system(rs_label)
     return VermaEngine(rs, Weight(mu_coords))
 
@@ -323,6 +322,8 @@ class IrrepRealization:
 
     weights: dict coords -> list of pivot monomials.
     e_mats/f_mats: dict (simple index, coords) -> matrix between weight blocks.
+    gram_pivot: dict coords -> (pivot columns of the level's Gram matrix,
+    inverse of its pivot-pivot block).
     """
 
     def __init__(self, rs, mu, weights, e_mats, f_mats, engine, gram_pivot):
@@ -339,21 +340,6 @@ class IrrepRealization:
         key = w.coords if isinstance(w, Weight) else tuple(w)
         return len(self.weights.get(key, ()))
 
-    def express(self, wcoords, combo):
-        """Coordinates of a monomial combination in the pivot basis at a
-        weight block; combo maps monomial -> coefficient."""
-        beta = self.rs.root_lattice_coords(self.highest - Weight(wcoords))
-        monos, index = self.engine.level(beta)
-        pivots, gp = self._gram_pivot[wcoords]
-        gram = self.engine.gram(beta)
-        rhs = []
-        for p in pivots:
-            acc = 0
-            for mono, c in combo.items():
-                acc += gram[p][index[mono]] * c
-            rhs.append(acc)
-        return solve(gp, rhs)
-
     def root_vector_matrix(self, kind, root_idx, wcoords):
         """Exact matrix of e_alpha or f_alpha (any positive root) on one
         weight block of the quotient."""
@@ -369,34 +355,31 @@ class IrrepRealization:
         tgt_w = (self.highest - rs.root_to_weight(tgt_beta)).coords
         if any(x < 0 for x in tgt_beta) or tgt_w not in self.weights:
             return [[] for _ in range(0)], tgt_w
-        monos, _ = self.engine.level(beta)
         pivots, _ = self._gram_pivot[wcoords]
-        cols = []
-        tgt_monos, tgt_index = self.engine.level(tgt_beta)
-        for p in pivots:
-            img = {}
-            for t in range(len(op)):
-                if op[t][p]:
-                    img[tgt_monos[t]] = op[t][p]
-            cols.append(self.express(tgt_w, img))
-        nrows = len(self.weights[tgt_w])
-        return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)], tgt_w
-
-
-def _realizable_dim(rs, mu, caps):
-    """dim V(mu) for dominant integral mu, refused past caps.max_dim."""
-    dim = weyl_dimension(rs, mu)
-    caps.check("max_dim", dim, f"dim V({mu})")
-    return dim
+        tgt_pivots, tgt_inv = self._gram_pivot[tgt_w]
+        # modulo the Gram radical, a target-level vector x is
+        # (G_PP)^-1 G_P. x in the pivot monomials P
+        gram = self.engine.gram(tgt_beta)
+        paired = mat_mul([gram[p] for p in tgt_pivots],
+                         [[row[p] for p in pivots] for row in op])
+        return mat_mul(tgt_inv, paired), tgt_w
 
 
 def realize(rs, mu, caps=Caps()):
-    """Build V(mu) with per-weight pivot-monomial bases and exact simple
-    generator matrices."""
-    return _build_realization(rs, mu, _realizable_dim(rs, mu, caps))
+    """V(mu) with per-weight pivot-monomial bases and exact simple generator
+    matrices, built once per (system, mu); refused past caps.max_dim before
+    the memo is consulted."""
+    caps.check("max_dim", weyl_dimension(rs, mu), f"dim V({mu})")
+    return _realize_cached(rs.label, mu.coords)
 
 
-def _build_realization(rs, mu, dim):
+@lru_cache(maxsize=None)
+def _realize_cached(label, mu_coords):
+    rs = build_root_system(label)
+    return _build_realization(rs, Weight(mu_coords))
+
+
+def _build_realization(rs, mu):
     engine = verma_engine(rs, mu)
     table = dominant_weight_table(rs, mu)
     weight_mults = {}
@@ -414,10 +397,10 @@ def _build_realization(rs, mu, dim):
             raise InvariantViolation(
                 f"Gram rank {len(piv)} != multiplicity {mult} at {wcoords}")
         weights[wcoords] = [monos[p] for p in piv]
-        gp = [[Fraction(gram[p][q]) for q in piv] for p in piv]
-        gram_pivot[wcoords] = (piv, gp)
+        gram_pivot[wcoords] = (
+            piv, mat_inv([[gram[p][q] for q in piv] for p in piv]))
     real = IrrepRealization(rs, mu, weights, {}, {}, engine, gram_pivot)
-    if real.dimension != dim:
+    if real.dimension != weyl_dimension(rs, mu):
         raise InvariantViolation("realization dimension mismatch")
     for wcoords in weights:
         for i in range(rs.rank):
@@ -429,18 +412,6 @@ def _build_realization(rs, mu, dim):
             if fm:
                 real.f_mats[(i, wcoords)] = fm
     return real
-
-
-@lru_cache(maxsize=None)
-def _realize_cached(label, mu_coords):
-    from .rootsystem import build_root_system
-    rs, mu = build_root_system(label), Weight(mu_coords)
-    return _build_realization(rs, mu, weyl_dimension(rs, mu))
-
-
-def realize_cached(rs, mu, caps=Caps()):
-    _realizable_dim(rs, mu, caps)
-    return _realize_cached(rs.label, mu.coords)
 
 
 def v_extremes(rs, realization, gamma, nu, sign="+"):
@@ -506,7 +477,6 @@ def zero_weight_spectrum(rs, realization, root_idx):
             spectrum[j] = m
             found += m
     if found != d0:
-        from .errors import InvariantViolation
         raise InvariantViolation(
             "zero-weight spectrum has a non-j(j+1) eigenvalue")
     return spectrum, sum(m for j, m in spectrum.items() if j > 0)
@@ -625,10 +595,9 @@ def highest_weight_count(tensor, spans, eta):
     # kernel of the stacked e_i restricted to the span, columns indexed by the
     # span's echelon basis, rows in ambient coordinates of the target blocks
     stacked = []
-    basis = _span_vectors(span)
     for i in range(tensor.rs.rank):
         images = []
-        for vec in basis:
+        for vec in span.rows:
             res = tensor.apply_simple("e", i, key, vec)
             images.append(res[1] if res is not None else None)
         if all(img is None for img in images):
@@ -636,18 +605,14 @@ def highest_weight_count(tensor, spans, eta):
         width = next(len(img) for img in images if img is not None)
         for r in range(width):
             stacked.append([img[r] if img is not None else 0 for img in images])
-    return nullity(stacked, ncols) if stacked else ncols
-
-
-def _span_vectors(span):
-    return [list(row) for row in span.rows]
+    return nullity(stacked, ncols)
 
 
 def kprv_multiplicity(rs, lam, mu, w, caps=Caps()):
     """Multiplicity of V(dominant(lam + w mu)) inside the submodule of
     V(lam) (x) V(mu) generated by v_lam (x) v'_{w mu}."""
-    real1 = realize_cached(rs, lam, caps)
-    real2 = realize_cached(rs, mu, caps)
+    real1 = realize(rs, lam, caps)
+    real2 = realize(rs, mu, caps)
     tensor = TensorModule(rs, real1, real2, caps)
     seeds = [tensor.extremal_vector(w)]
     spans = generated_submodule(tensor, seeds)

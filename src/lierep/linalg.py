@@ -1,11 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists holding ints or ``fractions.Fraction``.  Rank of
-an integer matrix uses fraction-free (Bareiss) elimination; kernels, pivots,
-solving, inversion and ``SpanBasis`` run Gauss-Jordan over ``Fraction``.
+Matrices are lists of lists holding ints or ``fractions.Fraction``.  One
+fraction-free elimination does all of it: ``SpanBasis`` keeps integer rows
+in echelon form with Bareiss's update (Math. Comp. 1968), one row at a time,
+and rank, pivot columns, nullity, kernel bases, inverses and determinants
+are read from its pivot rows.  A row with ``Fraction`` entries is first
+scaled by the lcm of its denominators, which changes neither its span nor
+its kernel.  Only back-substitution divides, so only it makes a ``Fraction``.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def mat_mul(a, b):
@@ -27,160 +32,131 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_inv(a):
-    """Inverse of a square rational matrix: the right half of the reduced
-    echelon form of [A | I]."""
-    n = len(a)
-    ech, pivots = row_echelon([list(row) + e for row, e in zip(a, identity(n))])
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return [row[n:] for row in ech]
-
-
-def row_echelon(rows):
-    """Reduce rational rows in place; returns (echelon rows, pivot columns).
-
-    Zero rows are dropped.  Rows are scaled so each pivot is 1.
-    """
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = Fraction(1, 1) / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
-def rank_int(rows):
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
-
-    Every row below the pivot is rescaled each step, zero leading entry or
-    not; that is what keeps the interior divisions exact.
-    """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pr = work[rank]
-        pc = pr[c]
-        for i in range(rank + 1, len(work)):
-            ri = work[i]
-            fc = ri[c]
-            if fc:
-                work[i] = [(pc * x - fc * y) // prev for x, y in zip(ri, pr)]
-            elif pc != prev:
-                work[i] = [(pc * x) // prev for x in ri]
-        prev = pc
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
-def kernel_basis(rows, ncols):
-    """Basis of the right kernel {x : M x = 0} as rational column vectors."""
-    if not rows:
-        return [[Fraction(int(i == j)) for i in range(ncols)] for j in range(ncols)]
-    ech, pivots = row_echelon([[Fraction(x) for x in r] for r in rows])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -ech[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def nullity(rows, ncols):
-    if not rows:
-        return ncols
-    if all(isinstance(x, int) for r in rows for x in r):
-        return ncols - rank_int(rows)
-    _, pivots = row_echelon(rows)
-    return ncols - len(pivots)
-
-
-def solve(a, b):
-    """Solve a x = b for square nonsingular rational a."""
-    n = len(a)
-    m = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(n)]
-    ech, pivots = row_echelon(m)
-    if pivots != list(range(n)):
-        raise ValueError("singular system")
-    return [ech[i][n] for i in range(n)]
-
-
-def pivot_columns(rows):
-    """Pivot column indices of a rational matrix, scanning columns left to right."""
-    if not rows:
-        return []
-    _, pivots = row_echelon([[Fraction(x) for x in r] for r in rows])
-    return pivots
+def _integral(row):
+    """(integer row, d): the row times the lcm d of its denominators."""
+    if all(type(x) is int for x in row):
+        return row, 1
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
 
 
 class SpanBasis:
-    """Incrementally maintained row space in echelon form, exact arithmetic."""
+    """Row space of rational rows, grown one row at a time.
+
+    ``rows`` holds integer rows in the order they were added, ``pivots`` the
+    pivot column of each.  Row k is zero in the pivot columns of rows
+    0..k-1.  A new row x is reduced against them in order by Bareiss's step
+    x -> (p_k x - x[c_k] row_k) / p_(k-1), with p_k the pivot of row k and
+    p_(-1) = 1.  Each entry is then a minor of the rows added so far, so the
+    division is exact, even when x[c_k] is zero and the step only rescales.
+    """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []      # echelon rows, pivot scaled to 1
-        self.pivots = []    # pivot column per row, increasing
+        self.rows = []
+        self.pivots = []
 
     @property
     def dim(self):
         return len(self.rows)
 
-    def reduce(self, vec):
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
+    def _reduce(self, vec):
+        v, _ = _integral(vec)
+        prev = 1
+        for row, c in zip(self.rows, self.pivots):
+            p = row[c]
+            x = v[c]
+            if x:
+                v = [(p * a - x * b) // prev for a, b in zip(v, row)]
+            elif p != prev:
+                v = [p * a // prev for a in v]
+            prev = p
         return v
 
     def add(self, vec):
         """Insert vec into the span; True if the dimension grew."""
-        v = self.reduce(vec)
-        p = next((c for c in range(self.ncols) if v[c] != 0), None)
-        if p is None:
+        if len(self.rows) == self.ncols:
             return False
-        inv = 1 / v[p]
-        v = [x * inv for x in v]
-        i = next((k for k, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(i, v)
-        self.pivots.insert(i, p)
-        # keep fully reduced above the new pivot
-        for k in range(len(self.rows)):
-            if k != i and self.rows[k][p] != 0:
-                f = self.rows[k][p]
-                self.rows[k] = [x - f * y for x, y in zip(self.rows[k], v)]
+        v = self._reduce(vec)
+        c = next((i for i, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        self.rows.append(list(v))  # v may be the caller's own row
+        self.pivots.append(c)
         return True
 
     def contains(self, vec):
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self._reduce(vec))
+
+    def kernel(self):
+        """Basis of {x : row . x = 0 for every row}: for each free column f
+        in increasing order, the vector that is 1 at f and 0 at the other
+        free columns, found by back-substitution."""
+        pivots = set(self.pivots)
+        basis = []
+        for f in range(self.ncols):
+            if f in pivots:
+                continue
+            x = [Fraction(0)] * self.ncols
+            x[f] = Fraction(1)
+            for row, c in zip(reversed(self.rows), reversed(self.pivots)):
+                s = sum((a * y for a, y in zip(row, x) if a), Fraction(0))
+                x[c] = -s / row[c]
+            basis.append(x)
+        return basis
+
+
+def _echelon(rows, ncols):
+    span = SpanBasis(ncols)
+    for row in rows:
+        span.add(row)
+    return span
+
+
+def rank(rows):
+    return _echelon(rows, len(rows[0]) if rows else 0).dim
+
+
+def nullity(rows, ncols):
+    return ncols - _echelon(rows, ncols).dim
+
+
+def pivot_columns(rows):
+    """Pivot columns of the reduced echelon form, in increasing order: each
+    column not in the span of the columns before it."""
+    return sorted(_echelon(rows, len(rows[0]) if rows else 0).pivots)
+
+
+def kernel_basis(rows, ncols):
+    """Basis of the right kernel {x : M x = 0} as rational column vectors."""
+    return _echelon(rows, ncols).kernel()
+
+
+def mat_inv(a):
+    """Inverse of a square rational matrix.  The kernel vector of [A | -I]
+    that is 1 at column n + j holds column j of the inverse in its first n
+    entries."""
+    n = len(a)
+    span = _echelon([list(row) + [-int(i == j) for j in range(n)]
+                     for i, row in enumerate(a)], 2 * n)
+    if sorted(span.pivots) != list(range(n)):
+        raise ValueError("singular matrix")
+    cols = span.kernel()
+    return [[col[i] for col in cols] for i in range(n)]
+
+
+def det(a):
+    """Determinant of a square rational matrix: the last pivot, signed by
+    the order in which the pivot columns were taken and divided by the
+    scale factors of the rows."""
+    span = SpanBasis(len(a))
+    den = 1
+    for row in a:
+        row, d = _integral(row)
+        den *= d
+        if not span.add(row):
+            return Fraction(0)
+    c = span.pivots
+    swaps = sum(c[j] > c[i] for i in range(len(c)) for j in range(i))
+    last = span.rows[-1][c[-1]] if c else 1
+    return Fraction((-1) ** swaps * last, den)

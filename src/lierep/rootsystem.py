@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InvariantViolation
-from .linalg import mat_inv
+from .linalg import det, mat_inv
 
 __all__ = [
     "Weight", "RootVector", "RootSystem", "build_root_system",
@@ -337,7 +337,7 @@ class RootSystem:
                     raise ValueError("Cartan off-diagonal must be <= 0")
         # finite type: leading principal minors positive
         for k in range(1, self.rank + 1):
-            if _minor([list(r[:k]) for r in a[:k]]) <= 0:
+            if det([list(r[:k]) for r in a[:k]]) <= 0:
                 raise ValueError("Cartan matrix not of finite type")
         if min(self.root_norms) != 2:
             raise ValueError("short-root normalisation broken")
@@ -346,8 +346,7 @@ class RootSystem:
                 if self.form[i][j] != self.form[j][i]:
                     raise ValueError("invariant form not symmetric")
         for k in range(1, self.rank + 1):
-            if _minor([[Fraction(self.form[i][j]) for j in range(k)]
-                       for i in range(k)]) <= 0:
+            if det([list(r[:k]) for r in self.form[:k]]) <= 0:
                 raise ValueError("invariant form not positive definite")
         # closure under simple reflections
         for rv in self.positive_roots:
@@ -498,25 +497,6 @@ class RootSystem:
         """mu in conv(W lam), both arguments dominant: lam - mu in Q>=0 Pi."""
         diff = self.weight_to_root_coords(lam - self.dominant_in_orbit(mu))
         return all(x >= 0 for x in diff)
-
-
-def _minor(m):
-    n = len(m)
-    m = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] / m[c][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
 
 
 @lru_cache(maxsize=None)

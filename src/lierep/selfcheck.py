@@ -20,8 +20,7 @@ from .enveloping import (casimir, casimir_eigenvalue, chevalley_basis,
                          hc_projection, twisted_poly)
 from .hpoly import HPoly
 from .irreps import (TensorModule, generated_submodule, highest_weight_count,
-                     realize_cached, v_extremes, v_extremes_dim,
-                     zero_weight_spectrum)
+                     realize, v_extremes, v_extremes_dim, zero_weight_spectrum)
 from .tensor import decompose, decompose_all, extreme_types
 from .centralchar import hc_inf_character, sl2_omega, twisted_orbit_id
 from .determinants import DetPolynomial, prv_det, shapovalov_det
@@ -134,7 +133,7 @@ def check_extreme_subspace_identity():
             small = mu if weyl_dimension(rs, mu) <= weyl_dimension(rs, lam) \
                 else lam
             big = lam if small is mu else mu
-            real = realize_cached(rs, small)
+            real = realize(rs, small)
             for nu_c, m in dec.entries.items():
                 nu = Weight(nu_c)
                 m1 = v_extremes_dim(rs, small, nu - big, big)
@@ -198,8 +197,8 @@ def check_generated_submodules():
         rs = build_root_system(label)
         els = enumerate_weyl(rs)
         for lam, mu in _kprv_corpus(label):
-            real1 = realize_cached(rs, lam)
-            real2 = realize_cached(rs, mu)
+            real1 = realize(rs, lam)
+            real2 = realize(rs, mu)
             tensor = TensorModule(rs, real1, real2)
             spans = {}
             for w in els:
@@ -597,7 +596,7 @@ def _zero_weight_jmax(rs, nu):
     if freudenthal_multiplicity(rs, nu, rs.zero_weight()) == 0:
         return None
     try:
-        real = realize_cached(rs, nu)
+        real = realize(rs, nu)
     except CapExceeded:
         return None
     jmax = 0

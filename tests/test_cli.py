@@ -10,6 +10,7 @@ import pytest
 from lierep.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCRIPT = SRC.parent / "scripts" / "explore_extreme_components.py"
 
 
 def run(capsys, *argv):
@@ -167,14 +168,48 @@ def test_selftest_rejects_cap_flags(capsys, flag):
     assert code == 1 and flag in err and out == ""
 
 
-def test_library_has_no_assert_statements():
-    # invariants raise InvariantViolation; `python -O` strips asserts
+def _assert_statements(folder):
     found = []
-    for path in sorted((SRC / "lierep").glob("*.py")):
+    for path in sorted(folder.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
-    assert found == []
+    return found
+
+
+def test_library_has_no_assert_statements():
+    # invariants raise InvariantViolation; `python -O` strips asserts
+    assert _assert_statements(SRC / "lierep") == []
+
+
+def test_scripts_have_no_assert_statements():
+    assert _assert_statements(SCRIPT.parent) == []
+
+
+def test_explore_script_under_optimize_flag():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-O", str(SCRIPT), "--type", "G2", "--bound", "1"],
+        env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("G2: translates with multiplicity >= 2")
+
+
+def test_explore_script_reports_a_broken_bound(monkeypatch, capsys):
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("explore", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    class Empty:
+        entries = {}
+
+    monkeypatch.setattr(script, "decompose", lambda rs, lam, mu: Empty())
+    monkeypatch.setattr(sys, "argv", ["explore", "--type", "A2",
+                                      "--bound", "0"])
+    assert script.main() == 3
+    err = capsys.readouterr().err
+    assert "A2: (0, 0) (x) (0, 0) -> (0, 0): mult 0" in err
 
 
 def test_selftest_under_optimize_flag():

@@ -7,7 +7,8 @@ from lierep.rootsystem import RootVector, Weight
 from lierep.characters import partition_function
 from lierep.hpoly import HPoly
 from lierep.irreps import verma_engine
-from lierep.determinants import det_poly, prv_det, shapovalov_det
+from lierep.determinants import (DetPolynomial, det_poly, prv_det,
+                                  shapovalov_det)
 
 
 def test_depth_zero_is_one(rs):
@@ -89,12 +90,12 @@ def test_zero_sets_match_singular_vectors(a1):
 
 def test_zero_sets_match_gram_ranks(a2):
     det = shapovalov_det(a2, (1, 1), "direct")
-    from lierep.linalg import rank_int
+    from lierep.linalg import rank
     for coords in [(0, 0), (1, 0), (0, 1), (2, 3), (-1, 0), (-2, -2)]:
         lam = Weight(coords)
         eng = verma_engine(a2, lam)
         gram = eng.gram((1, 1))
-        assert (det.evaluate(lam) == 0) == (rank_int(gram) < len(gram))
+        assert (det.evaluate(lam) == 0) == (rank(gram) < len(gram))
 
 
 def test_det_poly_helper():
@@ -163,3 +164,18 @@ def test_det_json_round_trip(a1):
     blob = det.to_json()
     assert blob["scalar"] == "1"
     assert len(blob["factors"]) == 2
+
+
+def test_det_fields_describe_the_value(a1):
+    # an unfactored determinant carries its terms: 2h^2 - 2h, not 1
+    direct = shapovalov_det(a1, (2,), "direct")
+    assert direct.to_json()["poly"] == [
+        {"exponents": [2], "coeff": "2"}, {"exponents": [1], "coeff": "-2"}]
+    formula = shapovalov_det(a1, (2,), "formula")
+    assert "poly" not in formula.to_json()
+    # equality compares values, whether expanded or factored
+    assert direct == DetPolynomial(1, 2, formula.factors)
+    assert direct != formula
+    first, second = (prv_det(a1, Weight((4,)))[0] for _ in range(2))
+    first.expand()
+    assert first == second and hash(first) == hash(second)

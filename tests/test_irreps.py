@@ -1,19 +1,22 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
 
 from lierep.config import Caps
 from lierep.errors import CapExceeded
-from lierep.rootsystem import Weight
+from lierep.rootsystem import Weight, build_root_system
 from lierep.weyl import enumerate_weyl, longest_element
 from lierep.characters import (dominant_weight_table, weyl_dimension,
                                freudenthal_multiplicity)
 from lierep.enveloping import casimir_eigenvalue
 from lierep.irreps import (TensorModule, generated_submodule,
                            highest_weight_count, kprv_multiplicity, realize,
-                           realize_cached, v_extremes, v_extremes_dim,
-                           verma_engine, zero_weight_spectrum)
+                           v_extremes, v_extremes_dim, verma_engine,
+                           zero_weight_spectrum)
+
+from test_linalg import reference_echelon, reference_solve
 
 
 def test_trivial_module(rs):
@@ -154,7 +157,7 @@ def test_cap(a2):
 
 def test_extreme_subspace_trivial(rs):
     lam = rs.rho
-    real = realize_cached(rs, lam)
+    real = realize(rs, lam)
     dim, basis = v_extremes(rs, real, lam, rs.zero_weight())
     assert dim == 1 and len(basis) == 1
 
@@ -162,14 +165,14 @@ def test_extreme_subspace_trivial(rs):
 def test_extreme_subspace_clebsch_example(a1):
     # the middle component of V(2) (x) V(1)
     assert v_extremes_dim(a1, Weight((1,)), Weight((-1,)), Weight((2,))) == 1
-    real = realize_cached(a1, Weight((1,)))
+    real = realize(a1, Weight((1,)))
     assert v_extremes(a1, real, Weight((-1,)), Weight((2,)))[0] == 1
 
 
 def test_extreme_subspace_symmetry(a2):
     w0 = longest_element(a2)
     mu = Weight((1, 1))
-    real = realize_cached(a2, mu)
+    real = realize(a2, mu)
     for gamma_c in [(0, 0), (1, 1), (-1, 2), (2, -1), (1, -2)]:
         for nu_c in [(0, 0), (1, 0), (1, 1), (2, 1)]:
             gamma, nu = Weight(gamma_c), Weight(nu_c)
@@ -189,22 +192,22 @@ def test_verma_gram_positive_at_dominant(a2):
 
 def test_zero_weight_spectrum_sl2(a1):
     for n in (2, 4, 6):
-        real = realize_cached(a1, Weight((n,)))
+        real = realize(a1, Weight((n,)))
         spec, msum = zero_weight_spectrum(a1, real, 0)
         assert spec == {n // 2: 1} and msum == 1
-    real = realize_cached(a1, Weight((3,)))
+    real = realize(a1, Weight((3,)))
     assert zero_weight_spectrum(a1, real, 0) == ({}, 0)
 
 
 def test_zero_weight_spectrum_a2_adjoint(a2):
-    real = realize_cached(a2, Weight((1, 1)))
+    real = realize(a2, Weight((1, 1)))
     for k in range(a2.nroots):
         spec, msum = zero_weight_spectrum(a2, real, k)
         assert spec == {0: 1, 1: 1} and msum == 1
 
 
 def test_zero_weight_spectrum_sums_to_dimension(g2):
-    real = realize_cached(g2, Weight((0, 1)))
+    real = realize(g2, Weight((0, 1)))
     d0 = freudenthal_multiplicity(g2, Weight((0, 1)), Weight((0, 0)))
     for k in range(g2.nroots):
         spec, _ = zero_weight_spectrum(g2, real, k)
@@ -219,8 +222,8 @@ def test_generated_submodule_identity_gives_cartan_component(a1):
 def test_generated_submodule_longest_is_everything(a1):
     lam, mu = Weight((2,)), Weight((1,))
     w0 = longest_element(a1)
-    real1 = realize_cached(a1, lam)
-    real2 = realize_cached(a1, mu)
+    real1 = realize(a1, lam)
+    real2 = realize(a1, mu)
     tensor = TensorModule(a1, real1, real2)
     spans = generated_submodule(tensor, [tensor.extremal_vector(w0)])
     assert sum(s.dim for s in spans.values()) == tensor.dimension
@@ -236,7 +239,7 @@ def test_generated_submodule_a2_reflection(a2):
 def test_generated_submodule_containment(a2):
     from lierep.weyl import bruhat_leq
     lam = mu = Weight((1, 1))
-    real = realize_cached(a2, lam)
+    real = realize(a2, lam)
     tensor = TensorModule(a2, real, real)
     els = enumerate_weyl(a2)
     spans = {w: generated_submodule(tensor, [tensor.extremal_vector(w)])
@@ -249,3 +252,44 @@ def test_generated_submodule_containment(a2):
                     assert target is not None
                     for row in span.rows:
                         assert target.contains(row)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+def test_blocks_solve_their_pivot_gram_systems(label):
+    # every e_i/f_i block of V(mu), dim <= 64: column s is the solution of
+    # G_PP x = G_P. (op column s), P the pivot columns of the target level's
+    # Gram matrix G, both found by the Fraction reference elimination
+    rs = build_root_system(label)
+    for coords in product(range(64), repeat=rs.rank):
+        mu = Weight(coords)
+        if weyl_dimension(rs, mu) > 64:
+            continue
+        real = realize(rs, mu)
+        eng = verma_engine(rs, mu)
+        pivots = {}
+        for wc in real.weights:
+            beta = rs.root_lattice_coords(mu - Weight(wc))
+            pivots[wc] = reference_echelon(eng.gram(beta))[1]
+            assert real.weights[wc] == [eng.level(beta)[0][p]
+                                        for p in pivots[wc]]
+        for wc in real.weights:
+            beta = rs.root_lattice_coords(mu - Weight(wc))
+            for i in range(rs.rank):
+                k = rs.root_index[rs.simple_root(i).coeffs]
+                root = rs.positive_roots[k].coeffs
+                delta = rs.simple_root_weight(i)
+                for mats, sign, op_of in ((real.e_mats, -1, eng.e_matrix),
+                                          (real.f_mats, 1, eng.f_matrix)):
+                    tgt = (Weight(wc) - sign * delta).coords
+                    if tgt not in real.weights:
+                        assert (i, wc) not in mats
+                        continue
+                    op = op_of(k, beta)
+                    gram = eng.gram(tuple(b + sign * r
+                                          for b, r in zip(beta, root)))
+                    tp = pivots[tgt]
+                    rhs = [[sum(gram[p][t] * op[t][s] for t in range(len(op)))
+                            for s in pivots[wc]] for p in tp]
+                    gp = [[gram[p][q] for q in tp] for p in tp]
+                    assert mats[(i, wc)] == reference_solve(gp, rhs), \
+                        (label, coords, wc, i)
