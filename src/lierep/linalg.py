@@ -6,7 +6,8 @@ in echelon form with Bareiss's update (Math. Comp. 1968), one row at a time,
 and rank, pivot columns, nullity, kernel bases, inverses and determinants
 are read from its pivot rows.  A row with ``Fraction`` entries is first
 scaled by the lcm of its denominators, which changes neither its span nor
-its kernel.  Only back-substitution divides, so only it makes a ``Fraction``.
+its kernel.  A ``Fraction`` is made only by back-substitution and by the
+determinant's last division by those scale factors.
 """
 
 from fractions import Fraction
