@@ -1,20 +1,29 @@
 """Explicit realizations of the finite-dimensional irreducibles.
 
-The workhorse is a per-highest-weight Verma engine: each weight level of
-M(mu) carries the lowering monomials as a basis, raising/lowering operators
-as integer matrices built level-by-level from the bracket table, and the
-contravariant Gram matrix computed recursively from one level up.  V(mu) is
-the quotient by the Gram radical; its per-weight bases are the pivot
-monomial columns, which keeps everything deterministic.
+V(mu) is built top down, one weight space at a time, from the simple
+generators alone (de Graaf, J. Pure Appl. Algebra 164, 2001): V(mu)_nu is
+spanned by the f_i images of the blocks above it, and a vector below the
+top is determined by its e-images.  Each block has a basis of f-words and
+exact e_i/f_i matrices; one lazily grown module per (system, mu) serves
+both ``realize``, which builds every block, and ``v_extremes_dim``, which
+builds only the blocks at and above the weight it asks about.
+
+``VermaEngine`` is the levelwise model of the Verma module M(mu): lowering
+monomials as a basis, operator and contravariant Gram matrices level by
+level.  Its levels have P(beta) monomials, not weight multiplicities, so no
+computation of V(mu) uses it; it is the independent model the tests check
+the builder against, and the Verma model at non-dominant weights.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import add, sub
 
 from .config import Caps
 from .errors import InvariantViolation
-from .linalg import (SpanBasis, identity, kernel_basis, mat_inv, mat_mul,
-                     nullity, pivot_columns, rank)
+from .linalg import (SpanBasis, kernel_basis, mat_inv, mat_mul, nullity,
+                     rank)
 from .rootsystem import Weight, build_root_system
 from .characters import dominant_weight_table, weyl_dimension
 from .enveloping import chevalley_basis
@@ -238,23 +247,6 @@ class VermaEngine:
         g = self.gram(beta)
         return len(g) - rank(g)
 
-    def e_power_matrix(self, k, beta, power):
-        """Composite e_{r_k}^power from level beta downward; None when the
-        power walks off the top of the module (so the map is zero)."""
-        monos, _ = self.level(beta)
-        root = self.rs.positive_roots[k].coeffs
-        reach = min((beta[i] // root[i] for i in range(len(root)) if root[i]),
-                    default=0)
-        if power > reach:
-            return None
-        cur = None
-        b = beta
-        for _ in range(power):
-            m = self.e_matrix(k, b)
-            cur = m if cur is None else mat_mul(m, cur)
-            b = tuple(x - y for x, y in zip(b, root))
-        return cur if cur is not None else identity(len(monos))
-
 
 def _bump(mono, k, delta=1):
     lst = list(mono)
@@ -272,24 +264,177 @@ def _depth(rs, mono):
     return tuple(tot)
 
 
-@lru_cache(maxsize=None)
-def _engine(rs_label, mu_coords):
-    rs = build_root_system(rs_label)
-    return VermaEngine(rs, Weight(mu_coords))
-
-
 def verma_engine(rs, mu):
-    return _engine(rs.label, mu.coords)
+    return VermaEngine(rs, mu)
+
+
+def _add(a, b):
+    return tuple(map(add, a, b))
+
+
+def _sub(a, b):
+    return tuple(map(sub, a, b))
+
+
+def _exact(rows):
+    """The matrix with every integral Fraction entry made an int."""
+    return [[x.numerator if type(x) is Fraction and x.denominator == 1 else x
+             for x in row] for row in rows]
+
+
+class IrrepRealization:
+    """Weight-graded model of V(mu) with exact generator matrices, built top
+    down from the simple generators one weight space at a time.
+
+    weights: dict coords -> f-word labels; the label (i_1, ..., i_h) names
+    the basis vector f_{i_1} ... f_{i_h} v_mu.  Only nonzero blocks appear.
+    e_mats/f_mats: dict (simple index, coords) -> matrix of e_i/f_i from the
+    block at coords to the block at coords +/- alpha_i, present when both
+    blocks are nonzero.
+
+    ``build_to`` builds the blocks at and above one depth; ``realize`` builds
+    them all and sets ``dimension``, which is None until then.
+    """
+
+    def __init__(self, rs, mu):
+        if not mu.is_integral:
+            raise ValueError("V(mu) is built for an integral highest weight")
+        self.rs = rs
+        self.highest = mu
+        self.weights = {mu.coords: [()]}
+        self.e_mats = {}
+        self.f_mats = {}
+        self.dimension = None
+        self._built = {(0,) * rs.rank}   # depths whose block is built
+        self._roots = {}                 # root_vector_matrix memo
+
+    def weight_dim(self, w):
+        key = w.coords if isinstance(w, Weight) else tuple(w)
+        return len(self.weights.get(key, ()))
+
+    def build_to(self, beta):
+        """Build the block at depth beta (root coordinates of mu - weight)
+        and every block above it, each after the blocks it is built from."""
+        todo = [] if beta in self._built else [beta]
+        seen = set(todo)
+        for b in todo:
+            for i, x in enumerate(b):
+                if not x:
+                    continue
+                up = _bump(b, i, -1)
+                if up not in self._built and up not in seen:
+                    seen.add(up)
+                    todo.append(up)
+        for b in sorted(todo, key=sum):
+            self._build(b)
+
+    def _build(self, beta):
+        """The block at depth beta > 0 from the blocks one and two above.
+
+        Its vectors are determined by their e-images, because a vector of
+        V(mu) below the top that every e_k kills would generate a proper
+        submodule.  Candidate f_i b (b in the basis at w + alpha_i) has the
+        image e_k f_i b = f_i e_k b + delta_ik (w + alpha_i)_i b at w + alpha_k;
+        a maximal independent set of candidates is the basis, their images
+        are the e-blocks, and the f-blocks into w express every candidate in
+        it through one inverse on the pivot rows of the chosen images."""
+        self._built.add(beta)
+        alpha = self.rs.simple_root_coords
+        w = self.highest.coords
+        for j, x in enumerate(beta):
+            w = _sub(w, tuple(x * a for a in alpha[j]))
+        ups = {}
+        for i, x in enumerate(beta):
+            up = _add(w, alpha[i])
+            if x and up in self.weights:
+                ups[i] = up
+        cands, images = [], []
+        for i, wi in ups.items():
+            di = len(self.weights[wi])
+            segs = []
+            for k, wk in ups.items():
+                em = self.e_mats.get((k, wi))
+                fm = self.f_mats.get((i, _add(wi, alpha[k])))
+                seg = _exact(mat_mul(fm, em)) if em and fm else \
+                    [[0] * di for _ in self.weights[wk]]
+                if k == i:
+                    for b in range(di):
+                        seg[b][b] += wi[i]
+                segs.extend(seg)
+            for b in range(di):
+                cands.append((i, b))
+                images.append([row[b] for row in segs])
+        if not cands:
+            return
+        span = SpanBasis(len(images[0]))
+        chosen = [j for j, img in enumerate(images) if span.add(img)]
+        if not chosen:
+            return
+        self.weights[w] = [(i,) + self.weights[ups[i]][b]
+                           for i, b in (cands[j] for j in chosen)]
+        top = 0
+        for k, wk in ups.items():
+            rows = range(top, top + len(self.weights[wk]))
+            self.e_mats[(k, w)] = [[images[j][r] for j in chosen] for r in rows]
+            top = rows.stop
+        inv = mat_inv([[images[j][p] for j in chosen] for p in span.pivots])
+        coords = _exact(mat_mul(inv, [[img[p] for img in images]
+                                      for p in span.pivots]))
+        first = 0
+        for i, wi in ups.items():
+            cols = range(first, first + len(self.weights[wi]))
+            self.f_mats[(i, wi)] = [[row[c] for c in cols] for row in coords]
+            first = cols.stop
+
+    def root_vector_matrix(self, kind, root_idx, wcoords):
+        """Exact matrix of e_alpha or f_alpha (kind "e"/"f", any positive
+        root) on one block, and the target coords; the matrix is empty when
+        the target is not a weight.  A non-simple root is reached through
+        its minimal decomposition, x_g = [x_a, x_b] / c with [x_a, x_b] =
+        c x_g in the Chevalley bracket table."""
+        rs = self.rs
+        shift = rs.root_weight_coords[root_idx]
+        tgt = _add(wcoords, shift) if kind == "e" else _sub(wcoords, shift)
+        root = rs.positive_roots[root_idx]
+        if root.height == 1:
+            i = root.coeffs.index(1)
+            mats = self.e_mats if kind == "e" else self.f_mats
+            return mats.get((i, wcoords), []), tgt
+        key = (kind, root_idx, wcoords)
+        hit = self._roots.get(key)
+        if hit is not None:
+            return hit, tgt
+        # read before the early return, so that a root system past the
+        # bracket table's rank limit is refused even on an empty block
+        cb = chevalley_basis(rs)
+        idx = cb.idx_e if kind == "e" else cb.idx_f
+        a, b = cb.special[root_idx]
+        (c,) = cb.table.bracket(idx(a), idx(b)).values()
+        if wcoords not in self.weights or tgt not in self.weights:
+            return [], tgt
+        out = [[0] * len(self.weights[wcoords]) for _ in self.weights[tgt]]
+        for first, second, sgn in ((b, a, 1), (a, b, -1)):
+            m1, mid = self.root_vector_matrix(kind, first, wcoords)
+            m2 = self.root_vector_matrix(kind, second, mid)[0] if m1 else []
+            if m2:
+                for row, term in zip(out, mat_mul(m2, m1)):
+                    for t, x in enumerate(term):
+                        row[t] += sgn * x
+        out = _exact([[Fraction(x, c) for x in row] for row in out])
+        self._roots[key] = out
+        return out, tgt
+
+
+@lru_cache(maxsize=None)
+def _module(label, mu_coords):
+    return IrrepRealization(build_root_system(label), Weight(mu_coords))
 
 
 def v_extremes_dim(rs, mu, gamma, nu, sign="+"):
-    """dim V^{+/-}(mu; gamma, nu) computed inside the Verma model.
-
-    The +"joint kernel of e_i^{nu(h_i)+1}" on the simple quotient equals
-    dim{x in M(mu)_gamma : e_i^{k_i} x in radical for all i} minus the
-    radical dimension at gamma.  The - version counts f-kernels and is
-    evaluated through the symmetry with the longest element.
-    """
+    """dim V^{+/-}(mu; gamma, nu), the joint kernel of the e_i^{nu(h_i)+1}
+    on V(mu)_gamma, built only down to gamma.  The - version counts
+    f-kernels and is evaluated through the symmetry with the longest
+    element."""
     if not (nu.is_integral and nu.is_dominant):
         raise ValueError("nu must be dominant integral")
     if sign == "-":
@@ -299,151 +444,71 @@ def v_extremes_dim(rs, mu, gamma, nu, sign="+"):
     diff = rs.root_lattice_coords(mu - gamma)
     if diff is None or any(c < 0 for c in diff):
         return 0
-    eng = verma_engine(rs, mu)
-    beta = diff
-    n = eng.level_dim(beta)
-    stacked = []
-    for i in range(rs.rank):
-        k = rs.root_index[rs.simple_root(i).coeffs]
-        power = nu[i] + 1
-        em = eng.e_power_matrix(k, beta, power)
-        if em is None:
-            continue  # e^power annihilates the whole Verma level
-        tgt_beta = tuple(a - power * b for a, b in
-                         zip(beta, rs.positive_roots[k].coeffs))
-        gram = eng.gram(tgt_beta)
-        stacked.extend(mat_mul(gram, em))
-    kernel = nullity(stacked, n)
-    return kernel - eng.radical_dim(beta)
-
-
-class IrrepRealization:
-    """Weight-graded model of V(mu) with exact generator matrices.
-
-    weights: dict coords -> list of pivot monomials.
-    e_mats/f_mats: dict (simple index, coords) -> matrix between weight blocks.
-    gram_pivot: dict coords -> (pivot columns of the level's Gram matrix,
-    inverse of its pivot-pivot block).
-    """
-
-    def __init__(self, rs, mu, weights, e_mats, f_mats, engine, gram_pivot):
-        self.rs = rs
-        self.highest = mu
-        self.weights = weights
-        self.e_mats = e_mats
-        self.f_mats = f_mats
-        self.engine = engine
-        self._gram_pivot = gram_pivot
-        self.dimension = sum(len(v) for v in weights.values())
-
-    def weight_dim(self, w):
-        key = w.coords if isinstance(w, Weight) else tuple(w)
-        return len(self.weights.get(key, ()))
-
-    def root_vector_matrix(self, kind, root_idx, wcoords):
-        """Exact matrix of e_alpha or f_alpha (any positive root) on one
-        weight block of the quotient."""
-        rs = self.rs
-        beta = rs.root_lattice_coords(self.highest - Weight(wcoords))
-        root = rs.positive_roots[root_idx].coeffs
-        if kind == "e":
-            tgt_beta = tuple(a - b for a, b in zip(beta, root))
-            op = self.engine.e_matrix(root_idx, beta)
-        else:
-            tgt_beta = tuple(a + b for a, b in zip(beta, root))
-            op = self.engine.f_matrix(root_idx, beta)
-        tgt_w = (self.highest - rs.root_to_weight(tgt_beta)).coords
-        if any(x < 0 for x in tgt_beta) or tgt_w not in self.weights:
-            return [[] for _ in range(0)], tgt_w
-        pivots, _ = self._gram_pivot[wcoords]
-        tgt_pivots, tgt_inv = self._gram_pivot[tgt_w]
-        # modulo the Gram radical, a target-level vector x is
-        # (G_PP)^-1 G_P. x in the pivot monomials P
-        gram = self.engine.gram(tgt_beta)
-        paired = mat_mul([gram[p] for p in tgt_pivots],
-                         [[row[p] for p in pivots] for row in op])
-        return mat_mul(tgt_inv, paired), tgt_w
+    real = _module(rs.label, mu.coords)
+    real.build_to(diff)
+    n = real.weight_dim(gamma)
+    return nullity(_power_rows(rs, real, gamma.coords, nu, "+"), n) if n else 0
 
 
 def realize(rs, mu, caps=Caps()):
-    """V(mu) with per-weight pivot-monomial bases and exact simple generator
-    matrices, built once per (system, mu); refused past caps.max_dim before
-    the memo is consulted."""
+    """V(mu) with per-weight f-word bases and exact simple generator
+    matrices, built once per (system, mu) and checked block by block against
+    the dominant table; refused past caps.max_dim before the memo is
+    consulted."""
     caps.check("max_dim", weyl_dimension(rs, mu), f"dim V({mu})")
-    return _realize_cached(rs.label, mu.coords)
-
-
-@lru_cache(maxsize=None)
-def _realize_cached(label, mu_coords):
-    rs = build_root_system(label)
-    return _build_realization(rs, Weight(mu_coords))
-
-
-def _build_realization(rs, mu):
-    engine = verma_engine(rs, mu)
-    table = dominant_weight_table(rs, mu)
-    weight_mults = {}
-    for dom, m in table.items():
-        for w in rs.orbit_coords(dom):
-            weight_mults[w] = m
-    weights = {}
-    gram_pivot = {}
-    for wcoords, mult in weight_mults.items():
-        beta = rs.root_lattice_coords(mu - Weight(wcoords))
-        monos, _ = engine.level(beta)
-        gram = engine.gram(beta)
-        piv = pivot_columns(gram)
-        if len(piv) != mult:
-            raise InvariantViolation(
-                f"Gram rank {len(piv)} != multiplicity {mult} at {wcoords}")
-        weights[wcoords] = [monos[p] for p in piv]
-        gram_pivot[wcoords] = (
-            piv, mat_inv([[gram[p][q] for q in piv] for p in piv]))
-    real = IrrepRealization(rs, mu, weights, {}, {}, engine, gram_pivot)
-    if real.dimension != weyl_dimension(rs, mu):
-        raise InvariantViolation("realization dimension mismatch")
-    for wcoords in weights:
-        for i in range(rs.rank):
-            k = rs.root_index[rs.simple_root(i).coeffs]
-            em, tgt = real.root_vector_matrix("e", k, wcoords)
-            if em:
-                real.e_mats[(i, wcoords)] = em
-            fm, tgt = real.root_vector_matrix("f", k, wcoords)
-            if fm:
-                real.f_mats[(i, wcoords)] = fm
+    real = _module(rs.label, mu.coords)
+    if real.dimension is None:
+        mults = {}
+        for dom, m in dominant_weight_table(rs, mu).items():
+            for w in rs.orbit_coords(dom):
+                mults[w] = m
+        for w in mults:
+            real.build_to(rs.root_lattice_coords(mu - Weight(w)))
+        for w, m in mults.items():
+            if real.weight_dim(w) != m:
+                raise InvariantViolation(
+                    f"block dimension {real.weight_dim(w)} != multiplicity "
+                    f"{m} at {w}")
+        if len(real.weights) != len(mults):
+            raise InvariantViolation("a block outside the weight table")
+        dim = sum(len(b) for b in real.weights.values())
+        if dim != weyl_dimension(rs, mu):
+            raise InvariantViolation("realization dimension mismatch")
+        real.dimension = dim
     return real
+
+
+def _power_rows(rs, real, key, nu, sign):
+    """The e_i^{nu(h_i)+1} (f_i for sign "-") on the block at key, stacked
+    over i; a power that leaves the module is zero and adds no rows."""
+    mats = real.e_mats if sign == "+" else real.f_mats
+    stacked = []
+    for i, a in enumerate(rs.simple_root_coords):
+        mat = None
+        cur = key
+        for _ in range(nu[i] + 1):
+            step = mats.get((i, cur))
+            if not step:
+                break
+            mat = step if mat is None else mat_mul(step, mat)
+            cur = _add(cur, a) if sign == "+" else _sub(cur, a)
+        else:
+            stacked.extend(mat)
+    return stacked
 
 
 def v_extremes(rs, realization, gamma, nu, sign="+"):
     """(dimension, basis vectors) of V^{+/-}(mu; gamma, nu) in the realization.
 
-    Basis vectors are coordinate lists over the pivot basis at gamma.
+    Basis vectors are coordinate lists over the f-word basis at gamma.
     """
     if not (nu.is_integral and nu.is_dominant):
         raise ValueError("nu must be dominant integral")
-    key = gamma.coords
     n = realization.weight_dim(gamma)
     if n == 0:
         return 0, []
-    stacked = []
-    for i in range(rs.rank):
-        power = nu[i] + 1
-        mat = None
-        cur = key
-        alive = True
-        for _ in range(power):
-            step = realization.e_mats.get((i, cur)) if sign == "+" else \
-                realization.f_mats.get((i, cur))
-            if step is None or not step:
-                alive = False
-                break
-            mat = step if mat is None else mat_mul(step, mat)
-            delta = realization.rs.simple_root_weight(i)
-            cur = (Weight(cur) + delta).coords if sign == "+" else \
-                (Weight(cur) - delta).coords
-        if alive and mat is not None:
-            stacked.extend(mat)
-    basis = kernel_basis(stacked, n)
+    basis = kernel_basis(_power_rows(rs, realization, gamma.coords, nu, sign),
+                         n)
     return len(basis), basis
 
 
@@ -497,49 +562,72 @@ class TensorModule:
         self.dimension = dim
         self.blocks = {}   # weight coords -> list of (w1, i1, w2, i2)
         self.index = {}
+        self._ops = {}     # (kind, i) -> _integral_op
         for w1, b1 in real1.weights.items():
             for w2, b2 in real2.weights.items():
-                tot = (Weight(w1) + Weight(w2)).coords
+                tot = _add(w1, w2)
                 blk = self.blocks.setdefault(tot, [])
                 for i1 in range(len(b1)):
                     for i2 in range(len(b2)):
                         self.index[(w1, i1, w2, i2)] = (tot, len(blk))
                         blk.append((w1, i1, w2, i2))
 
-    def apply_simple(self, kind, i, wcoords, vec):
-        """Apply e_i or f_i (diagonal action) to a vector in one weight block;
-        returns (target coords, vector) or None if it maps out of the module."""
-        rs = self.rs
-        delta = rs.simple_root_weight(i)
-        tgt = (Weight(wcoords) + delta).coords if kind == "e" else \
-            (Weight(wcoords) - delta).coords
+    def _integral_op(self, kind, i):
+        """(d, mats1, mats2): e_i or f_i on each factor's blocks, keyed by
+        weight, as integer matrices d times the exact ones, with d the lcm
+        of their denominators.  Made once per generator."""
+        hit = self._ops.get((kind, i))
+        if hit is None:
+            facs = [{w: m for (j, w), m in
+                     (r.e_mats if kind == "e" else r.f_mats).items() if j == i}
+                    for r in (self.r1, self.r2)]
+            d = lcm(1, *(x.denominator for fac in facs for m in fac.values()
+                         for row in m for x in row))
+            hit = self._ops[(kind, i)] = (d, *(
+                {w: [[int(x * d) for x in row] for row in m]
+                 for w, m in fac.items()} for fac in facs))
+        return hit
+
+    def _apply_scaled(self, kind, i, wcoords, vec):
+        """(target coords, d times the image, d) of a vector in one weight
+        block under e_i or f_i, d from ``_integral_op``, so an integer vector
+        has an integer image; None if it maps out of the module."""
+        delta = self.rs.simple_root_coords[i]
+        shift = _add if kind == "e" else _sub
+        tgt = shift(wcoords, delta)
         blk = self.blocks.get(tgt)
         if blk is None:
             return None
-        out = [Fraction(0)] * len(blk)
+        d, mats1, mats2 = self._integral_op(kind, i)
+        index = self.index
         src = self.blocks[wcoords]
-        tindex = {q: t for t, q in enumerate(blk)}
+        out = [0] * len(blk)
         for pos, c in enumerate(vec):
             if c == 0:
                 continue
             w1, i1, w2, i2 = src[pos]
-            mats = self.r1.e_mats if kind == "e" else self.r1.f_mats
-            m1 = mats.get((i, w1))
+            m1 = mats1.get(w1)
             if m1:
-                t1 = (Weight(w1) + delta).coords if kind == "e" else \
-                    (Weight(w1) - delta).coords
-                for r in range(len(m1)):
-                    if m1[r][i1]:
-                        out[tindex[(t1, r, w2, i2)]] += c * m1[r][i1]
-            mats = self.r2.e_mats if kind == "e" else self.r2.f_mats
-            m2 = mats.get((i, w2))
+                t1 = shift(w1, delta)
+                for r, row in enumerate(m1):
+                    if row[i1]:
+                        out[index[(t1, r, w2, i2)][1]] += c * row[i1]
+            m2 = mats2.get(w2)
             if m2:
-                t2 = (Weight(w2) + delta).coords if kind == "e" else \
-                    (Weight(w2) - delta).coords
-                for r in range(len(m2)):
-                    if m2[r][i2]:
-                        out[tindex[(w1, i1, t2, r)]] += c * m2[r][i2]
-        return tgt, out
+                t2 = shift(w2, delta)
+                for r, row in enumerate(m2):
+                    if row[i2]:
+                        out[index[(w1, i1, t2, r)][1]] += c * row[i2]
+        return tgt, out, d
+
+    def apply_simple(self, kind, i, wcoords, vec):
+        """Apply e_i or f_i (diagonal action) to a vector in one weight block;
+        returns (target coords, vector) or None if it maps out of the module."""
+        res = self._apply_scaled(kind, i, wcoords, vec)
+        if res is None:
+            return None
+        tgt, out, d = res
+        return tgt, out if d == 1 else [Fraction(x, d) for x in out]
 
     def extremal_vector(self, w):
         """v_lam (x) v'_{w mu}: the canonical generator used by the
@@ -552,14 +640,17 @@ class TensorModule:
             raise InvariantViolation(
                 f"extremal weights {w1}, {w2} are not multiplicity-free")
         tot, pos = self.index[(w1, 0, w2, 0)]
-        vec = [Fraction(0)] * len(self.blocks[tot])
-        vec[pos] = Fraction(1)
+        vec = [0] * len(self.blocks[tot])
+        vec[pos] = 1
         return tot, vec
 
 
 def generated_submodule(tensor, seeds):
     """Closure of weight-homogeneous seed vectors under all e_i, f_i.
 
+    Images are taken with ``_apply_scaled`` and divided by the gcd of their
+    entries: a constant multiple of a vector has the same span, and integer
+    seeds keep every vector integral and small.
     Returns dict weight coords -> SpanBasis.
     """
     spans = {}
@@ -572,12 +663,15 @@ def generated_submodule(tensor, seeds):
         wc, vec = frontier.pop()
         for kind in ("e", "f"):
             for i in range(tensor.rs.rank):
-                res = tensor.apply_simple(kind, i, wc, vec)
+                res = tensor._apply_scaled(kind, i, wc, vec)
                 if res is None:
                     continue
-                tgt, img = res
-                if all(x == 0 for x in img):
+                tgt, img, _ = res
+                g = gcd(*img)
+                if g == 0:
                     continue
+                if g > 1:
+                    img = [x // g for x in img]
                 span = spans.setdefault(tgt, SpanBasis(len(tensor.blocks[tgt])))
                 if span.add(img):
                     frontier.append((tgt, img))
@@ -593,12 +687,13 @@ def highest_weight_count(tensor, spans, eta):
         return 0
     ncols = span.dim
     # kernel of the stacked e_i restricted to the span, columns indexed by the
-    # span's echelon basis, rows in ambient coordinates of the target blocks
+    # span's echelon basis, rows in ambient coordinates of the target blocks;
+    # the rows of each e_i share one scale, which leaves the kernel alone
     stacked = []
     for i in range(tensor.rs.rank):
         images = []
         for vec in span.rows:
-            res = tensor.apply_simple("e", i, key, vec)
+            res = tensor._apply_scaled("e", i, key, vec)
             images.append(res[1] if res is not None else None)
         if all(img is None for img in images):
             continue

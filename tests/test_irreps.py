@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -11,10 +11,12 @@ from lierep.weyl import enumerate_weyl, longest_element
 from lierep.characters import (dominant_weight_table, weyl_dimension,
                                freudenthal_multiplicity)
 from lierep.enveloping import casimir_eigenvalue
-from lierep.irreps import (TensorModule, generated_submodule,
-                           highest_weight_count, kprv_multiplicity, realize,
+from lierep.irreps import (TensorModule, VermaEngine, _module,
+                           generated_submodule, kprv_multiplicity, realize,
                            v_extremes, v_extremes_dim, verma_engine,
                            zero_weight_spectrum)
+from lierep.linalg import nullity, rank
+from lierep.tensor import decompose
 
 from test_linalg import reference_echelon, reference_solve
 
@@ -254,42 +256,330 @@ def test_generated_submodule_containment(a2):
                         assert target.contains(row)
 
 
+class VermaQuotient:
+    """The Verma-level model of V(mu) that the builder replaced: M(mu) modulo
+    the radical of its Gram matrix, with the pivot monomials of each level as
+    basis.  A block of e_alpha/f_alpha is column s -> the solution x of
+    G_PP x = G_P. (op column s), P the pivot columns of the target level's
+    Gram matrix G, found by the Fraction reference elimination."""
+
+    def __init__(self, rs, mu):
+        self.rs = rs
+        self.mu = mu
+        self.eng = VermaEngine(rs, mu)
+        self._pivots = {}
+        self._blocks = {}
+
+    def depth(self, wc):
+        beta = self.rs.root_lattice_coords(self.mu - Weight(wc))
+        return beta if beta is not None and min(beta) >= 0 else None
+
+    def pivots(self, wc):
+        if wc not in self._pivots:
+            beta = self.depth(wc)
+            self._pivots[wc] = [] if beta is None else \
+                reference_echelon(self.eng.gram(beta))[1]
+        return self._pivots[wc]
+
+    def block(self, kind, k, wc):
+        """(matrix, target coords); the matrix is [] off the module."""
+        if (kind, k, wc) not in self._blocks:
+            self._blocks[(kind, k, wc)] = self._solve(kind, k, wc)
+        return self._blocks[(kind, k, wc)]
+
+    def _solve(self, kind, k, wc):
+        rs, eng = self.rs, self.eng
+        beta = self.depth(wc)
+        root = rs.positive_roots[k].coeffs
+        sign = -1 if kind == "e" else 1
+        tgt_beta = tuple(b + sign * r for b, r in zip(beta, root))
+        tgt = (self.mu - rs.root_to_weight(tgt_beta)).coords
+        if min(tgt_beta) < 0 or not self.pivots(tgt):
+            return [], tgt
+        op = (eng.e_matrix if kind == "e" else eng.f_matrix)(k, beta)
+        gram = eng.gram(tgt_beta)
+        tp = self.pivots(tgt)
+        rhs = [[sum(gram[p][t] * op[t][s] for t in range(len(op)))
+                for s in self.pivots(wc)] for p in tp]
+        return reference_solve([[gram[p][q] for q in tp] for p in tp],
+                               rhs), tgt
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _f_word_vectors(rs, real, oracle, wc):
+    """Columns: each f-word basis vector of real at wc in the oracle's
+    pivot-monomial coordinates, f_{i_1} ... f_{i_h} v_mu applied right to
+    left with the oracle's f-blocks."""
+    cols = []
+    for word in real.weights[wc]:
+        cur, vec = real.highest.coords, [[Fraction(1)]]
+        for i in reversed(word):
+            k = rs.root_index[rs.simple_root(i).coeffs]
+            fm, cur = oracle.block("f", k, cur)
+            vec = _matmul(fm, vec)
+        cols.append([row[0] for row in vec])
+    return [list(row) for row in zip(*cols)]
+
+
+def _small_weights(rs, cap):
+    return [Weight(c) for c in product(range(cap), repeat=rs.rank)
+            if weyl_dimension(rs, Weight(c)) <= cap]
+
+
 @pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
 def test_blocks_solve_their_pivot_gram_systems(label):
-    # every e_i/f_i block of V(mu), dim <= 64: column s is the solution of
-    # G_PP x = G_P. (op column s), P the pivot columns of the target level's
-    # Gram matrix G, both found by the Fraction reference elimination
+    # every e_alpha/f_alpha block of V(mu), dim <= 64, alpha any positive
+    # root, is the oracle's block (the solution of its pivot Gram system)
+    # written in the f-word basis: with P_w the f-words at w in
+    # pivot-monomial coordinates, of full rank,
+    # oracle block . P_w = P_tgt . block
     rs = build_root_system(label)
-    for coords in product(range(64), repeat=rs.rank):
-        mu = Weight(coords)
-        if weyl_dimension(rs, mu) > 64:
-            continue
+    for mu in _small_weights(rs, 64):
         real = realize(rs, mu)
-        eng = verma_engine(rs, mu)
-        pivots = {}
+        oracle = VermaQuotient(rs, mu)
+        change = {wc: _f_word_vectors(rs, real, oracle, wc)
+                  for wc in real.weights}
+        for wc, p in change.items():
+            assert len(oracle.pivots(wc)) == len(p) == rank(p)
         for wc in real.weights:
-            beta = rs.root_lattice_coords(mu - Weight(wc))
-            pivots[wc] = reference_echelon(eng.gram(beta))[1]
-            assert real.weights[wc] == [eng.level(beta)[0][p]
-                                        for p in pivots[wc]]
-        for wc in real.weights:
-            beta = rs.root_lattice_coords(mu - Weight(wc))
-            for i in range(rs.rank):
-                k = rs.root_index[rs.simple_root(i).coeffs]
-                root = rs.positive_roots[k].coeffs
-                delta = rs.simple_root_weight(i)
-                for mats, sign, op_of in ((real.e_mats, -1, eng.e_matrix),
-                                          (real.f_mats, 1, eng.f_matrix)):
-                    tgt = (Weight(wc) - sign * delta).coords
+            for k in range(rs.nroots):
+                for kind in ("e", "f"):
+                    old, tgt = oracle.block(kind, k, wc)
+                    new, _ = real.root_vector_matrix(kind, k, wc)
                     if tgt not in real.weights:
-                        assert (i, wc) not in mats
+                        assert not old and not new
                         continue
-                    op = op_of(k, beta)
-                    gram = eng.gram(tuple(b + sign * r
-                                          for b, r in zip(beta, root)))
-                    tp = pivots[tgt]
-                    rhs = [[sum(gram[p][t] * op[t][s] for t in range(len(op)))
-                            for s in pivots[wc]] for p in tp]
-                    gp = [[gram[p][q] for q in tp] for p in tp]
-                    assert mats[(i, wc)] == reference_solve(gp, rhs), \
-                        (label, coords, wc, i)
+                    assert _matmul(old, change[wc]) == \
+                        _matmul(change[tgt], new), (label, mu, wc, kind, k)
+
+
+def _op(rs, real, kind, i, wc):
+    """Matrix of e_i/f_i from the block at wc, zero when the pair is absent,
+    and the target coords."""
+    a = rs.simple_root_coords[i]
+    tgt = tuple(x + (y if kind == "e" else -y) for x, y in zip(wc, a))
+    mat = (real.e_mats if kind == "e" else real.f_mats).get((i, wc))
+    if mat is None:
+        mat = [[0] * real.weight_dim(wc) for _ in range(real.weight_dim(tgt))]
+    return mat, tgt
+
+
+def _word(rs, real, word, wc):
+    """Matrix of a product of generators, applied in the order listed."""
+    n = real.weight_dim(wc)
+    mat = [[int(r == c) for c in range(n)] for r in range(n)]
+    for kind, i in word:
+        step, wc = _op(rs, real, kind, i, wc)
+        mat = _matmul(step, mat) if step and mat else \
+            [[0] * n for _ in range(real.weight_dim(wc))]
+    return mat, wc
+
+
+def _check_relations(rs, real):
+    """[e_i, f_j] = delta_ij <nu, alpha_i^vee> and both Serre relations
+    (ad x_i)^{1 - a_ij} x_j = 0 on every block."""
+    for wc in real.weights:
+        n = real.weight_dim(wc)
+        for i in range(rs.rank):
+            for j in range(rs.rank):
+                ef, tgt = _word(rs, real, [("f", j), ("e", i)], wc)
+                fe, _ = _word(rs, real, [("e", i), ("f", j)], wc)
+                for r in range(real.weight_dim(tgt)):
+                    for c in range(n):
+                        want = wc[i] if i == j and r == c else 0
+                        assert ef[r][c] - fe[r][c] == want, (wc, i, j)
+                if i == j:
+                    continue
+                top = 1 - rs.simple_root_coords[j][i]
+                for kind in ("e", "f"):
+                    total = None
+                    for t in range(top + 1):
+                        word = [(kind, i)] * t + [(kind, j)] + \
+                            [(kind, i)] * (top - t)
+                        mat, _ = _word(rs, real, word, wc)
+                        sgn = (-1) ** t * comb(top, t)
+                        total = [[sgn * x for x in row] for row in mat] \
+                            if total is None else \
+                            [[a + sgn * x for a, x in zip(ra, rm)]
+                             for ra, rm in zip(total, mat)]
+                    assert all(x == 0 for row in total for x in row), \
+                        (wc, kind, i, j)
+
+
+def _oracle_spectrum(rs, oracle, k, jmax):
+    zero = (0,) * rs.rank
+    d0 = len(oracle.pivots(zero))
+    em, tgt = oracle.block("e", k, zero)
+    if not em:
+        return {0: d0}
+    fe = _matmul(oracle.block("f", k, tgt)[0], em)
+    spec = {}
+    for j in range(jmax + 1):
+        m = nullity([[fe[r][c] - (j * (j + 1) if r == c else 0)
+                      for c in range(d0)] for r in range(d0)], d0)
+        if m:
+            spec[j] = m
+    return spec
+
+
+_SAMPLE = {"A3": [(1, 0, 1), (0, 2, 0), (0, 1, 2)],
+           "B3": [(0, 1, 0), (2, 0, 0), (0, 0, 2)],
+           "C3": [(0, 1, 0), (2, 0, 0), (1, 0, 1)]}
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3", "C3"])
+def test_builder_against_verma_oracle(label):
+    # blocks match the dominant table, the defining relations hold on every
+    # block, and every positive root's zero-weight spectrum is the Verma
+    # quotient's: every mu of dim <= 64 in rank 2, a sample in rank 3
+    rs = build_root_system(label)
+    mus = [Weight(c) for c in _SAMPLE[label]] if label in _SAMPLE \
+        else _small_weights(rs, 64)
+    for mu in mus:
+        real = realize(rs, mu)
+        for dom, mult in dominant_weight_table(rs, mu).items():
+            for wc in rs.orbit_coords(dom):
+                assert real.weight_dim(wc) == mult
+        _check_relations(rs, real)
+        if (0,) * rs.rank not in real.weights:
+            continue
+        oracle = VermaQuotient(rs, mu)
+        jmax = max(abs(rs.pairing(Weight(wc), k)) for wc in real.weights
+                   for k in range(rs.nroots)) // 2
+        for k in range(rs.nroots):
+            spec, _ = zero_weight_spectrum(rs, real, k)
+            assert spec == _oracle_spectrum(rs, oracle, k, jmax), \
+                (label, mu, k)
+
+
+def _verma_extremes_dim(eng, rs, gamma, nu):
+    """The Verma-level count: dim{x in M(mu)_beta : e_i^{nu_i+1} x in the
+    radical for all i} minus the radical dimension at beta."""
+    beta = rs.root_lattice_coords(eng.mu - gamma)
+    if beta is None or min(beta) < 0:
+        return 0
+    stacked = []
+    for i in range(rs.rank):
+        k = rs.root_index[rs.simple_root(i).coeffs]
+        root = rs.positive_roots[k].coeffs
+        if any(b < (nu[i] + 1) * r for b, r in zip(beta, root)):
+            continue  # e_i^{nu_i+1} walks off the top of M(mu): the zero map
+        em, b = None, beta
+        for _ in range(nu[i] + 1):
+            step = eng.e_matrix(k, b)
+            em = step if em is None else _matmul(step, em)
+            b = tuple(x - r for x, r in zip(b, root))
+        stacked.extend(_matmul(eng.gram(b), em))
+    return nullity(stacked, eng.level_dim(beta)) - eng.radical_dim(beta)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+def test_v_extremes_dim_against_verma_levels(label):
+    # both kernel expressions of each candidate multiplicity, on every
+    # seventh corpus pair whose smaller factor has dimension <= 27
+    from lierep.selfcheck import PRODUCT_DIM_CAP, _pair_corpus
+    from lierep.tensor import _candidates
+    rs = build_root_system(label)
+    w0 = longest_element(rs)
+    pairs = [(lam, mu) for lam, mu in _pair_corpus(label, PRODUCT_DIM_CAP)
+             if weyl_dimension(rs, mu) <= 27][::7]
+    engines = {}
+
+    def verma(mu):
+        return engines.setdefault(mu.coords, VermaEngine(rs, mu))
+
+    assert pairs
+    for lam, mu in pairs:
+        for coords in _candidates(rs, lam, mu, Caps()):
+            nu = Weight(coords)
+            for args in ((mu, nu - lam, lam),
+                         (nu, lam + w0.apply(mu), -w0.apply(mu))):
+                assert v_extremes_dim(rs, *args) == \
+                    _verma_extremes_dim(verma(args[0]), rs, *args[1:]), \
+                    (label, lam, mu, nu)
+
+
+def test_v_extremes_dim_builds_only_what_it_needs(g2):
+    # a shallow gamma in a large V(mu) builds only the blocks above gamma
+    mu = Weight((7, 5))
+    gamma = mu - g2.simple_root_weight(0) - g2.simple_root_weight(1)
+    assert v_extremes_dim(g2, mu, gamma, Weight((0, 0))) == 0
+    real = _module(g2.label, mu.coords)
+    assert real.dimension is None
+    assert sorted(real._built) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert sorted(real.weights) == sorted(
+        (mu - g2.root_to_weight(b)).coords for b in real._built)
+
+
+def test_former_outliers(g2):
+    b3 = build_root_system("B3")
+    for rs, lam, mu, cap in ((g2, (3, 3), (2, 2), 100000),
+                             (b3, (1, 1, 1), (1, 1, 1), 1000000)):
+        lam, mu, caps = Weight(lam), Weight(mu), Caps(max_dim=cap)
+        assert decompose(rs, lam, mu, "prv", caps).entries == \
+            decompose(rs, lam, mu, "klimyk", caps).entries
+    real = realize(g2, Weight((2, 2)), Caps(max_dim=1000))
+    assert real.dimension == 729
+    for dom, mult in dominant_weight_table(g2, Weight((2, 2))).items():
+        for wc in g2.orbit_coords(dom):
+            assert real.weight_dim(wc) == mult
+
+
+def _apply_simple_reference(tensor, kind, i, wcoords, vec):
+    """TensorModule.apply_simple as it was, on Weight arithmetic with the
+    target index rebuilt on each call."""
+    rs = tensor.rs
+    delta = rs.simple_root_weight(i)
+    tgt = (Weight(wcoords) + delta).coords if kind == "e" else \
+        (Weight(wcoords) - delta).coords
+    blk = tensor.blocks.get(tgt)
+    if blk is None:
+        return None
+    out = [Fraction(0)] * len(blk)
+    src = tensor.blocks[wcoords]
+    tindex = {q: t for t, q in enumerate(blk)}
+    for pos, c in enumerate(vec):
+        if c == 0:
+            continue
+        w1, i1, w2, i2 = src[pos]
+        mats = tensor.r1.e_mats if kind == "e" else tensor.r1.f_mats
+        m1 = mats.get((i, w1))
+        if m1:
+            t1 = (Weight(w1) + delta).coords if kind == "e" else \
+                (Weight(w1) - delta).coords
+            for r in range(len(m1)):
+                if m1[r][i1]:
+                    out[tindex[(t1, r, w2, i2)]] += c * m1[r][i1]
+        mats = tensor.r2.e_mats if kind == "e" else tensor.r2.f_mats
+        m2 = mats.get((i, w2))
+        if m2:
+            t2 = (Weight(w2) + delta).coords if kind == "e" else \
+                (Weight(w2) - delta).coords
+            for r in range(len(m2)):
+                if m2[r][i2]:
+                    out[tindex[(w1, i1, t2, r)]] += c * m2[r][i2]
+    return tgt, out
+
+
+@pytest.mark.parametrize("label", ["A1", "A2"])
+def test_apply_simple_against_reference(label):
+    # the kprv corpus (tensor dimension <= 100), every Weyl element: every
+    # vector of each generated submodule, under every e_i and f_i
+    from lierep.selfcheck import _kprv_corpus
+    rs = build_root_system(label)
+    els = enumerate_weyl(rs)
+    for lam, mu in _kprv_corpus(label):
+        tensor = TensorModule(rs, realize(rs, lam), realize(rs, mu))
+        for w in els:
+            spans = generated_submodule(tensor, [tensor.extremal_vector(w)])
+            for wc, span in spans.items():
+                for vec in span.rows:
+                    for kind in ("e", "f"):
+                        for i in range(rs.rank):
+                            assert tensor.apply_simple(kind, i, wc, vec) == \
+                                _apply_simple_reference(tensor, kind, i, wc,
+                                                        vec)
