@@ -86,22 +86,38 @@ class DetPolynomial:
 
 
 def det_poly(matrix):
-    """Cofactor-expansion determinant of a small matrix of HPoly entries."""
+    """Determinant of a square matrix of HPoly entries.
+
+    Laplace expansion along the rows, bottom up, with each minor computed
+    once: the minor on the last k rows and a k-set S of columns is expanded
+    along its top row into minors on the last k - 1 rows, which are keyed by
+    their column sets (bit masks).  That is at most n * 2^(n-1) products in
+    place of the n! of a cofactor recursion.
+    """
     n = len(matrix)
     if n == 0:
-        return HPoly.constant(1, 1)
+        raise ValueError("det_poly needs a nonempty square matrix")
     nv = matrix[0][0].nvars
-    if n == 1:
-        return matrix[0][0]
-    out = HPoly.constant(nv, 0)
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero:
-            continue
-        minor = [[matrix[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = entry * det_poly(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
+    minors = {1 << j: entry for j, entry in enumerate(matrix[-1])}
+    for r in range(n - 2, -1, -1):
+        row = matrix[r]
+        level = {}
+        for mask, minor in minors.items():
+            if minor.is_zero:
+                continue
+            # column j enters the top row of mask | 1 << j; its sign is the
+            # parity of the columns of mask to its left
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit or row[j].is_zero:
+                    continue
+                term = row[j] * minor
+                if (mask & (bit - 1)).bit_count() % 2:
+                    term = -term
+                key = mask | bit
+                level[key] = level[key] + term if key in level else term
+        minors = level
+    return minors.get((1 << n) - 1, HPoly.constant(nv, 0))
 
 
 def _as_root_vector(rs, nu):
@@ -151,17 +167,21 @@ def shapovalov_det(rs, nu, mode="direct", max_height=None):
         return DetPolynomial(rs.rank, 1, tuple(factors))
     if mode != "direct":
         raise ValueError(f"unknown mode {mode!r}")
+    gram = _lowering_gram(rs, nu.coeffs)
+    return DetPolynomial.from_poly(det_poly(gram) if gram
+                                   else HPoly.constant(rs.rank, 1))
+
+
+def _lowering_gram(rs, depth):
+    """Contravariant-form Gram matrix on the lowering monomials of `depth`."""
     basis = chevalley_basis(rs)
-    monos = sorted(_monomials(rs, nu.coeffs))
     elements = []
-    for mono in monos:
+    for mono in sorted(_monomials(rs, depth)):
         exps = [0] * basis.dim
         for k, e in enumerate(mono):
             exps[k] = e  # f-block occupies the leading positions
         elements.append(UElement(basis.algebra, {tuple(exps): 1}))
-    gram = [[shapovalov(basis, bi, bj) for bj in elements] for bi in elements]
-    return DetPolynomial.from_poly(det_poly(gram) if gram
-                                   else HPoly.constant(rs.rank, 1))
+    return [[shapovalov(basis, bi, bj) for bj in elements] for bi in elements]
 
 
 def prv_det(rs, mu, caps=Caps()):

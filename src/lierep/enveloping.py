@@ -14,6 +14,7 @@ act monomial-by-monomial.
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .errors import InvariantViolation
 from .hpoly import HPoly
@@ -417,14 +418,6 @@ class PBWAlgebra:
         self._memo[word] = result
         return result
 
-    def mono_mul(self, e1, e2):
-        # concatenation is already sorted when the blocks do not interleave
-        last = max((p for p, e in enumerate(e1) if e), default=-1)
-        first = next((p for p, e in enumerate(e2) if e), self.dim)
-        if last <= first:
-            return {tuple(a + b for a, b in zip(e1, e2)): 1}
-        return self.straighten(self.monomial_word(e1) + self.monomial_word(e2))
-
     def weight_of(self, exps):
         w = self.table.weights
         if w is None:
@@ -488,14 +481,30 @@ class UElement:
             return UElement(self.algebra,
                             {e: c * other for e, c in self.terms.items()})
         alg = self.algebra
+        # once per term, not per pair: its word, and the PBW position of its
+        # last (left factor) or first (right factor) letter
+        pos = alg.pos
+        lefts = [(e, c, w, pos[w[-1]] if w else -1)
+                 for e, c in self.terms.items() for w in [alg.monomial_word(e)]]
+        rights = [(e, c, w, pos[w[0]] if w else alg.dim)
+                  for e, c in other.terms.items()
+                  for w in [alg.monomial_word(e)]]
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                for e, c in alg.mono_mul(e1, e2).items():
-                    out[e] = out.get(e, 0) + c1 * c2 * c
+        for e1, c1, w1, last in lefts:
+            for e2, c2, w2, first in rights:
+                c12 = c1 * c2
+                if last <= first:
+                    # the blocks do not interleave: concatenation is sorted
+                    key = tuple(map(add, e1, e2))
+                    out[key] = out.get(key, 0) + c12
+                    continue
+                for e, c in alg.straighten(w1 + w2).items():
+                    out[e] = out.get(e, 0) + c12 * c
         return UElement(alg, out)
 
     def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"exponent must be a nonnegative int, not {k!r}")
         out = UElement.one(self.algebra)
         for _ in range(k):
             out = out * self

@@ -1,6 +1,7 @@
 """Sparse exact polynomials in the coroot coordinates h_1..h_n."""
 
 from fractions import Fraction
+from operator import add
 
 from .rootsystem import _num
 
@@ -43,13 +44,17 @@ class HPoly:
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
+    def _same_ring(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError(f"polynomials in {self.nvars} and {other.nvars} "
+                             f"variables do not combine")
+
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return HPoly(self.nvars, out)
+        self._same_ring(other)
+        return HPoly(self.nvars, _add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
+        self._same_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) - c
@@ -62,14 +67,12 @@ class HPoly:
         return HPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return HPoly(self.nvars, out)
+        self._same_ring(other)
+        return HPoly(self.nvars, _mul_terms(self.terms, other.terms))
 
     def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"exponent must be a nonnegative int, not {k!r}")
         out = HPoly.constant(self.nvars, 1)
         for _ in range(k):
             out = out * self
@@ -93,16 +96,33 @@ class HPoly:
         return _num(total)
 
     def substitute_affine(self, rows, consts):
-        """Replace variable i by sum_j rows[i][j] x_j + consts[i]."""
-        images = [HPoly.linear(rows[i], consts[i]) for i in range(self.nvars)]
-        out = HPoly.constant(self.nvars, 0)
-        for exps, c in self.terms.items():
-            term = HPoly.constant(self.nvars, c)
-            for i, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * images[i]
-            out = out + term
-        return out
+        """Replace variable i by sum_j rows[i][j] x_j + consts[i].
+
+        Multivariate Horner scheme: the terms are grouped by the exponent of
+        variable i, each group is substituted in the remaining variables,
+        and the groups are combined by one multiplication with the image of
+        variable i per degree step.
+        """
+        n = self.nvars
+        images = [HPoly.linear(rows[i], consts[i]).terms for i in range(n)]
+        const_key = (0,) * n
+
+        def horner(terms, i):
+            # terms: {exponents of variables i..n-1: coefficient}, nonempty
+            if i == n:
+                return {const_key: terms[()]}
+            groups = {}
+            for e, c in terms.items():
+                groups.setdefault(e[0], {})[e[1:]] = c
+            top = max(groups)
+            out = horner(groups[top], i + 1)
+            for k in range(top - 1, -1, -1):
+                out = _mul_terms(out, images[i])
+                if k in groups:
+                    _add_into(out, horner(groups[k], i + 1))
+            return out
+
+        return HPoly(n, horner(self.terms, 0) if self.terms else None)
 
     def ratio_to(self, other):
         """If self == q * other for a nonzero rational q, return q, else None."""
@@ -125,3 +145,20 @@ class HPoly:
                             for i, e in enumerate(exps) if e)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def _add_into(out, terms):
+    """Add the terms of one polynomial into the dict `out`; return it."""
+    for e, c in terms.items():
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _mul_terms(t1, t2):
+    """Product of two term dicts; zero coefficients are dropped."""
+    out = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}

@@ -1,14 +1,35 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lierep.errors import CapExceeded
-from lierep.rootsystem import RootVector, Weight
+from lierep.rootsystem import RootVector, Weight, build_root_system
 from lierep.characters import partition_function
 from lierep.hpoly import HPoly
 from lierep.irreps import verma_engine
-from lierep.determinants import (DetPolynomial, det_poly, prv_det,
-                                  shapovalov_det)
+from lierep.linalg import det
+from lierep.determinants import (DetPolynomial, _lowering_gram, det_poly,
+                                  prv_det, shapovalov_det)
+
+
+def _cofactor_det(matrix):
+    """Cofactor expansion along the first row, n! products (the oracle of
+    det_poly)."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    out = HPoly.constant(matrix[0][0].nvars, 0)
+    for j in range(n):
+        entry = matrix[0][j]
+        if entry.is_zero:
+            continue
+        minor = [[matrix[r][c] for c in range(n) if c != j]
+                 for r in range(1, n)]
+        term = entry * _cofactor_det(minor)
+        out = out + term if j % 2 == 0 else out - term
+    return out
 
 
 def test_depth_zero_is_one(rs):
@@ -103,6 +124,54 @@ def test_det_poly_helper():
     one = HPoly.constant(1, 1)
     mat = [[x, one], [one, x]]
     assert det_poly(mat) == x * x - one
+    with pytest.raises(ValueError):
+        det_poly([])
+
+
+@pytest.mark.parametrize("label,cap", [("A2", 6), ("B2", 5), ("G2", 5)])
+def test_gram_determinants_match_cofactor_expansion(label, cap):
+    # every direct Gram matrix the module-algebra strata build
+    rs = build_root_system(label)
+    for a in range(cap + 1):
+        for b in range(cap + 1 - a):
+            if a + b:
+                gram = _lowering_gram(rs, (a, b))
+                assert det_poly(gram) == _cofactor_det(gram)
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_det_poly_matches_cofactor_expansion(data):
+    n = data.draw(st.integers(1, 6))
+    entry = st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                            st.integers(-2, 2), max_size=2)
+    matrix = [[HPoly(2, data.draw(entry)) for _ in range(n)]
+              for _ in range(n)]
+    assert det_poly(matrix) == _cofactor_det(matrix)
+
+
+def test_det_poly_products_are_not_factorial(monkeypatch):
+    # the cofactor expansion would need about 10! = 3.6 M products here
+    n = 10
+    rng = random.Random(0)
+    matrix = [[HPoly.linear([1, rng.randint(-9, 9)], rng.randint(-9, 9))
+               for _ in range(n)] for _ in range(n)]
+    calls = 0
+    mul = HPoly.__mul__
+
+    def counting_mul(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(HPoly, "__mul__", counting_mul)
+    got = det_poly(matrix)
+    monkeypatch.undo()
+    assert calls <= n * 2 ** (n - 1)
+    assert got.degree() == n
+    for point in [(1, 2), (-3, 1), (Fraction(1, 2), 5)]:
+        assert got.evaluate(point) == det(
+            [[e.evaluate(point) for e in row] for row in matrix])
 
 
 def test_prv_det_sl2_closed_form(a1):

@@ -1,12 +1,49 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lierep.rootsystem import Weight
+from lierep.rootsystem import Weight, build_root_system
 from lierep.weyl import enumerate_weyl
 from lierep.hpoly import HPoly
-from lierep.enveloping import (casimir, casimir_eigenvalue, chevalley_basis,
-                               hc_projection, is_central, normal_form,
-                               shapovalov, transpose, twisted_poly)
+from lierep.enveloping import (UElement, casimir, casimir_eigenvalue,
+                               chevalley_basis, hc_projection, is_central,
+                               normal_form, shapovalov, transpose,
+                               twisted_poly)
+
+RANK_LE_3 = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
+
+
+def _reference_mul(u, v):
+    """Product by the pair loop: both words and both block bounds are
+    rebuilt for every pair of terms (the oracle of UElement.__mul__)."""
+    alg = u.algebra
+    out = {}
+    for e1, c1 in u.terms.items():
+        for e2, c2 in v.terms.items():
+            last = max((p for p, e in enumerate(e1) if e), default=-1)
+            first = next((p for p, e in enumerate(e2) if e), alg.dim)
+            if last <= first:
+                prod = {tuple(a + b for a, b in zip(e1, e2)): 1}
+            else:
+                prod = alg.straighten(alg.monomial_word(e1)
+                                      + alg.monomial_word(e2))
+            for e, c in prod.items():
+                out[e] = out.get(e, 0) + c1 * c2 * c
+    return UElement(alg, out)
+
+
+def _reference_substitute(poly, rows, consts):
+    """Term-by-term substitution, one HPoly product per unit of exponent
+    (the oracle of HPoly.substitute_affine)."""
+    n = poly.nvars
+    images = [HPoly.linear(rows[i], consts[i]) for i in range(n)]
+    out = HPoly.constant(n, 0)
+    for exps, c in poly.terms.items():
+        term = HPoly.constant(n, c)
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                term = term * images[i]
+        out = out + term
+    return out
 
 
 def test_sl2_defining_relations(a1):
@@ -206,26 +243,17 @@ def test_shapovalov_symmetric(a2):
 
 
 def test_shapovalov_symmetric_on_full_bases(rs):
-    # every lowering-monomial basis up to height 4 gives a symmetric matrix
+    # every lowering-monomial Gram matrix up to height 4 is symmetric
     from itertools import product as iproduct
-    from lierep.irreps import _monomials
+    from lierep.determinants import _lowering_gram
     if rs.rank > 2:
         return
-    cb = chevalley_basis(rs)
     depths = [c for c in iproduct(range(5), repeat=rs.rank)
               if 0 < sum(c) <= 4]
     for beta in depths[:6]:
-        monos = sorted(_monomials(rs, beta))
-        els = []
-        for mono in monos:
-            exps = [0] * cb.dim
-            for k, e in enumerate(mono):
-                exps[k] = e
-            from lierep.enveloping import UElement
-            els.append(UElement(cb.algebra, {tuple(exps): 1}))
-        for i, b1 in enumerate(els):
-            for b2 in els[i:]:
-                assert shapovalov(cb, b1, b2) == shapovalov(cb, b2, b1)
+        gram = _lowering_gram(rs, beta)
+        assert all(row[j] == gram[j][i] for i, row in enumerate(gram)
+                   for j in range(i, len(gram)))
 
 
 def test_shapovalov_cross_weight_vanishes(a2):
@@ -240,3 +268,84 @@ def test_weight_grading(a2):
     assert (cb.e(0) * cb.f(0)).weight() == (0, 0)
     with pytest.raises(ValueError):
         (cb.e(0) + cb.f(0)).weight()
+
+
+@pytest.mark.parametrize("label", RANK_LE_3)
+def test_casimir_powers_match_pair_loop(label):
+    cb = chevalley_basis(build_root_system(label))
+    delta = casimir(cb)
+    want = cb.one()
+    for k in range(1, 4):
+        want = _reference_mul(want, delta)
+        assert delta ** k == want
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_products_match_pair_loop(rs, data):
+    cb = chevalley_basis(rs)
+    alg = cb.algebra
+
+    def element():
+        terms = {}
+        for _ in range(data.draw(st.integers(0, 3))):
+            exps = [0] * cb.dim
+            for b in data.draw(st.lists(st.integers(0, cb.dim - 1),
+                                        max_size=3)):
+                exps[alg.pos[b]] += 1
+            terms[tuple(exps)] = data.draw(
+                st.fractions(-3, 3, max_denominator=3))
+        return UElement(alg, terms)
+
+    u, v = element(), element()
+    assert u * v == _reference_mul(u, v)
+
+
+@pytest.mark.parametrize("label", RANK_LE_3)
+def test_twisted_projections_match_term_by_term(label, monkeypatch):
+    rs = build_root_system(label)
+    cb = chevalley_basis(rs)
+    polys = [hc_projection(cb, casimir(cb) ** k) for k in (1, 2, 3)]
+    polys.append(HPoly(rs.rank))
+    els = enumerate_weyl(rs)
+    got = [[twisted_poly(rs, w, p) for w in els] for p in polys]
+    monkeypatch.setattr(HPoly, "substitute_affine", _reference_substitute)
+    assert got == [[twisted_poly(rs, w, p) for w in els] for p in polys]
+    # and every projection, the zero polynomial too, is dot-invariant
+    assert all(q == p for p, row in zip(polys, got) for q in row)
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_substitute_affine_matches_term_by_term(data):
+    n = data.draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * n), small, max_size=6))
+    rows = [[data.draw(small) for _ in range(n)] for _ in range(n)]
+    consts = [data.draw(st.fractions(-2, 2, max_denominator=2))
+              for _ in range(n)]
+    poly = HPoly(n, terms)
+    assert (poly.substitute_affine(rows, consts)
+            == _reference_substitute(poly, rows, consts))
+
+
+def test_negative_powers_raise(a1):
+    cb = chevalley_basis(a1)
+    h = HPoly.variable(1, 0)
+    assert casimir(cb) ** 0 == cb.one()
+    assert h ** 0 == HPoly.constant(1, 1)
+    for k in (-1, 1.0, 2.5):
+        with pytest.raises(ValueError):
+            casimir(cb) ** k
+        with pytest.raises(ValueError):
+            h ** k
+
+
+def test_mismatched_variable_counts_raise():
+    x, y = HPoly.variable(2, 1), HPoly.variable(1, 0)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError):
+            op(x, y)
+        with pytest.raises(ValueError):
+            op(y, x)
