@@ -11,11 +11,12 @@ product dimension formula; the tensor layer works on the dominant tables.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from operator import add, mul
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InvariantViolation
-from .rootsystem import Weight, RootVector, build_root_system
-from .weyl import enumerate_weyl
+from .rootsystem import Weight, RootVector, _num, build_root_system
+from .weyl import shift_maps
 
 __all__ = [
     "partition_function", "weight_multiplicity", "kostant_multiplicity",
@@ -30,8 +31,10 @@ def partition_function(rs, beta):
 
     beta may be a RootVector, an integer coefficient tuple, or a Weight (in
     which case membership in the root lattice is checked first).  Returns 0
-    off the nonnegative cone.
+    off the nonnegative cone; a wrong length or a non-integer coefficient
+    raises ValueError.
     """
+    rs.require_rank(beta)
     if isinstance(beta, Weight):
         coords = rs.root_lattice_coords(beta)
         if coords is None:
@@ -39,7 +42,9 @@ def partition_function(rs, beta):
     elif isinstance(beta, RootVector):
         coords = beta.coeffs
     else:
-        coords = tuple(int(x) for x in beta)
+        coords = tuple(_num(x) for x in beta)
+        if not all(isinstance(c, int) for c in coords):
+            raise ValueError(f"root coordinates {beta} must be integers")
     if any(c < 0 for c in coords):
         return 0
     return _pf(rs, coords, rs.rank)
@@ -57,14 +62,14 @@ def _pf(rs, coords, k):
     if k >= nroots:
         return 1
     root = rs.positive_roots[k].coeffs
-    most = min(c // r for c, r in zip(coords, root) if r)
     if k + 1 == nroots:
-        return most + 1
+        return min(c // r for c, r in zip(coords, root) if r) + 1
     memo = rs._pf_memo
     key = (coords, k)
     hit = memo.get(key)
     if hit is not None:
         return hit
+    most = min(c // r for c, r in zip(coords, root) if r)
     total = 0
     for j in range(most + 1):
         total += _pf(rs, tuple(a - j * b for a, b in zip(coords, root)),
@@ -73,23 +78,17 @@ def _pf(rs, coords, k):
     return total
 
 
-def rho_shifts(rs, els, x_coords):
-    """(sign of w, root coordinates of w(x + rho) - (x + rho)) for each w in
-    els, x given by fundamental coordinates.
+def rho_shifts(maps, x_coords):
+    """(sign of w, root coordinates of w(x + rho) - (x + rho)) for each
+    (sign of w, S_w) in maps, from weyl.shift_maps; x is given by
+    fundamental coordinates.
 
     An alternating-sum term p(w(x + rho) - (y + rho)) has the argument
     drop + shift, where drop = x - y in root coordinates.
     """
     y = [c + 1 for c in x_coords]
-    rank, den = rs.rank, rs.inv_den
-    out = []
-    for w in els:
-        m = w.matrix
-        diff = [sum(m[i][j] * y[j] for j in range(rank)) - y[i]
-                for i in range(rank)]
-        out.append((w.sign, tuple(sum(r * d for r, d in zip(row, diff)) // den
-                                  for row in rs.inv_num)))
-    return out
+    return [(sgn, tuple([sum(map(mul, row, y)) for row in m]))
+            for sgn, m in maps]
 
 
 def signed_partition_sum(rs, shifts, drop):
@@ -98,7 +97,7 @@ def signed_partition_sum(rs, shifts, drop):
     total = 0
     start = rs.rank
     for sgn, shift in shifts:
-        arg = tuple(d + s for d, s in zip(drop, shift))
+        arg = tuple(map(add, drop, shift))
         if min(arg) >= 0:
             total += sgn * _pf(rs, arg, start)
     return total
@@ -127,21 +126,32 @@ def partition_function_bruteforce(rs, beta, bound=None):
 
 def weyl_dimension(rs, lam):
     """Product formula for dim V(lambda)."""
-    _require_dominant_integral(lam)
-    shifted = [c + 1 for c in lam.coords]
-    num = den = 1
-    for cv in rs.coroots:
-        num *= sum(a * b for a, b in zip(cv, shifted))
-        den *= sum(cv)
-    dim, rem = divmod(num, den)
+    require_dominant_integral(rs, lam)
+    return _weyl_dim(rs, lam.coords)
+
+
+def _weyl_dim(rs, coords):
+    """dim V(lambda) from the fundamental coordinates of lambda, which the
+    caller has checked to be rank nonnegative integers: the product of
+    <lambda + rho, alpha^vee> over the positive roots, over the product of
+    the <rho, alpha^vee>."""
+    num = 1
+    for cv, r in zip(rs.coroots, rs.rho_pairings):
+        num *= sum(map(mul, cv, coords)) + r
+    dim, rem = divmod(num, rs.weyl_den)
     if rem:
-        raise InvariantViolation(f"Weyl dimension of {lam} is {num}/{den}")
+        raise InvariantViolation(
+            f"Weyl dimension of {coords} is {num}/{rs.weyl_den}")
     return dim
 
 
-def _require_dominant_integral(lam):
-    if not (lam.is_integral and lam.is_dominant):
-        raise ValueError(f"weight {lam} must be dominant integral")
+def require_dominant_integral(rs, *weights):
+    """Raise ValueError unless every weight has rank coordinates, each a
+    nonnegative integer."""
+    rs.require_rank(*weights)
+    for lam in weights:
+        if not all(isinstance(c, int) and c >= 0 for c in lam.coords):
+            raise ValueError(f"weight {lam} must be dominant integral")
 
 
 def dominant_drops(rs, lam_coords):
@@ -238,7 +248,7 @@ def _dominant_table(rs_id, lam_coords):
 
 def dominant_weight_table(rs, lam):
     """Multiplicities of V(lambda) on dominant weights (Freudenthal)."""
-    _require_dominant_integral(lam)
+    require_dominant_integral(rs, lam)
     return _dominant_table(rs.label, lam.coords)
 
 
@@ -249,7 +259,7 @@ def _dominant_table_fast(rs_id, lam_coords):
     is enumerable; cross-checked against Freudenthal in the test suite and by
     the total-dimension audit on every character."""
     rs = build_root_system(rs_id)
-    shifts = rho_shifts(rs, enumerate_weyl(rs), lam_coords)
+    shifts = rho_shifts(shift_maps(rs), lam_coords)
     table = {}
     for drop, mu in dominant_drops(rs, lam_coords):
         total = signed_partition_sum(rs, shifts, drop)
@@ -260,7 +270,8 @@ def _dominant_table_fast(rs_id, lam_coords):
 
 def freudenthal_multiplicity(rs, lam, mu):
     """dim V(lambda)_mu by the Freudenthal recursion; no Weyl enumeration."""
-    _require_dominant_integral(lam)
+    require_dominant_integral(rs, lam)
+    rs.require_rank(mu)
     if not mu.is_integral:
         return 0
     if rs.root_lattice_coords(lam - mu) is None:
@@ -271,13 +282,14 @@ def freudenthal_multiplicity(rs, lam, mu):
 
 def kostant_multiplicity(rs, lam, mu, caps=Caps()):
     """dim V(lambda)_mu as the signed partition-function sum over W."""
-    _require_dominant_integral(lam)
+    require_dominant_integral(rs, lam)
+    rs.require_rank(mu)
     if not mu.is_integral:
         return 0
     drop = rs.root_lattice_coords(lam - mu)
     if drop is None:
         return 0
-    shifts = rho_shifts(rs, enumerate_weyl(rs, caps), lam.coords)
+    shifts = rho_shifts(shift_maps(rs, caps), lam.coords)
     total = signed_partition_sum(rs, shifts, drop)
     if total < 0:
         raise InvariantViolation(
@@ -334,7 +346,7 @@ def table_mult(rs, table, coords):
 @lru_cache(maxsize=None)
 def _character_cached(rs_id, lam_coords):
     rs = build_root_system(rs_id)
-    dim = weyl_dimension(rs, Weight(lam_coords))
+    dim = _weyl_dim(rs, lam_coords)
     entries = {}
     for dom_coords, m in _table(rs, lam_coords).items():
         for x in rs.orbit_coords(dom_coords):
@@ -348,8 +360,8 @@ def _character_cached(rs_id, lam_coords):
 
 
 def _check_char_cap(rs, lam, caps):
-    _require_dominant_integral(lam)
-    caps.check("max_char", weyl_dimension(rs, lam), f"dim V({lam})")
+    require_dominant_integral(rs, lam)
+    caps.check("max_char", _weyl_dim(rs, lam.coords), f"dim V({lam})")
 
 
 def character_of(rs, lam, caps=Caps()):

@@ -8,6 +8,7 @@ error, 2 resource cap exceeded, 3 internal invariant violation.
 
 import argparse
 import json
+import re
 import sys
 
 from .config import Caps
@@ -290,6 +291,21 @@ def cmd_selftest(args):
     return 0 if all(r.passed for r in results) else 3
 
 
+# a weight with a negative first coordinate, such as -1,2 or -1/2,2: no
+# option starts with a digit, so such a token is always an argument
+_NEGATIVE_WEIGHT = re.compile(r"-\d[-\d,./]*")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads negative weights as positionals; argparse alone accepts only
+    plain negative numbers there, and takes -1,2 for an unknown option."""
+
+    def _parse_optional(self, arg_string):
+        if _NEGATIVE_WEIGHT.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser():
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true",
@@ -300,7 +316,7 @@ def build_parser():
                         help="module dimension and character caps")
     capped.add_argument("--max-weyl", type=int, default=None,
                         help="Weyl group enumeration cap")
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="lierep",
         description="exact semisimple Lie representation computations")
     sub = top.add_subparsers(dest="command", required=True)

@@ -326,6 +326,10 @@ class RootSystem:
             coroots.append(cv)
         self.root_norms = tuple(norms)
         self.coroots = tuple(coroots)
+        # <rho, alpha^vee> per positive root (rho = (1, ..., 1)) and their
+        # product, the denominator of the Weyl dimension formula
+        self.rho_pairings = tuple(sum(cv) for cv in coroots)
+        self.weyl_den = math.prod(self.rho_pairings)
 
     def _check_invariants(self):
         a = self.cartan
@@ -367,6 +371,14 @@ class RootSystem:
     @property
     def weyl_group_order(self):
         return weyl_order(self.series, self.rank)
+
+    def require_rank(self, *weights):
+        """Raise ValueError unless every weight has rank coordinates."""
+        for w in weights:
+            if len(w) != self.rank:
+                raise ValueError(
+                    f"{','.join(map(str, w))} has {len(w)} coordinates; "
+                    f"{self.label} needs {self.rank}")
 
     def zero_weight(self):
         return Weight((0,) * self.rank)

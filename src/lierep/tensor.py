@@ -13,13 +13,16 @@ All four must agree; the last method is also exposed pointwise as
 components, generalized extreme components, minuscule closed form).
 """
 
+from operator import sub
+
 from .config import Caps
 from .errors import InvariantViolation
 from .rootsystem import Weight
-from .weyl import double_cosets, enumerate_weyl, longest_element
-from .characters import (character_of, character_table,
-                         dominant_drops, dominant_weight_table, rho_shifts,
-                         signed_partition_sum, table_mult, weyl_dimension)
+from .weyl import double_cosets, longest_element, shift_maps
+from .characters import (_weyl_dim, character_of, character_table,
+                         dominant_weight_table, require_dominant_integral,
+                         rho_shifts, signed_partition_sum, table_mult,
+                         weyl_dimension)
 from .irreps import v_extremes_dim
 
 __all__ = [
@@ -53,16 +56,16 @@ class Decomposition:
         table = character_table(rs, self.mu, caps)
         lam_c = self.lam.coords
         for coords, m in self.entries.items():
-            nu = Weight(coords)
-            if m < 0 or not (nu.is_dominant and nu.is_integral):
+            if m < 0 or len(coords) != rs.rank or not all(
+                    isinstance(c, int) and c >= 0 for c in coords):
                 raise InvariantViolation(
                     f"bad decomposition entry {coords}: {m}")
             # m_mu(nu - lam) bounds the multiplicity of V(nu)
-            cap = table_mult(rs, table, [a - b for a, b in zip(coords, lam_c)])
+            cap = table_mult(rs, table, list(map(sub, coords, lam_c)))
             if m > cap:
                 raise InvariantViolation(
                     f"multiplicity {m} at {coords} exceeds weight bound {cap}")
-            total += m * weyl_dimension(rs, nu)
+            total += m * _weyl_dim(rs, coords)
         if total != weyl_dimension(rs, self.lam) * weyl_dimension(rs, self.mu):
             raise InvariantViolation("decomposition dimension audit failed")
 
@@ -87,12 +90,6 @@ class Decomposition:
         }
 
 
-def _require_dom(lam, mu):
-    for w in (lam, mu):
-        if not (w.is_integral and w.is_dominant):
-            raise ValueError(f"{w} must be dominant integral")
-
-
 def _candidates(rs, lam, mu, caps):
     """Coordinates of the dominant nu = lam + mu' over mu' in wt V(mu): every
     component's highest weight has this form, so these are the only
@@ -108,17 +105,22 @@ def _candidates(rs, lam, mu, caps):
 
 def _char_product(rs, lam, mu, caps):
     """The character of V(lam) (x) V(mu) on its dominant weights, which
-    determine it: the product is W-invariant."""
+    determine it: the product is W-invariant.
+
+    Those weights lie below lam + mu in its root-lattice coset, so they are
+    among the dominant weights of V(lam + mu), read from its dominant table:
+    the peeling needs that table for its first component anyway.
+    """
     ch1 = character_of(rs, lam, caps).entries
     ch2 = character_of(rs, mu, caps).entries
     if len(ch1) < len(ch2):
         ch1, ch2 = ch2, ch1
-    top = tuple(a + b for a, b in zip(lam.coords, mu.coords))
+    get = ch1.get
     out = {}
-    for _, nu in dominant_drops(rs, top):
+    for nu in character_table(rs, lam + mu, caps):
         total = 0
         for c2, m2 in ch2.items():
-            m1 = ch1.get(tuple(a - b for a, b in zip(nu, c2)))
+            m1 = get(tuple(map(sub, nu, c2)))
             if m1:
                 total += m1 * m2
         if total:
@@ -158,17 +160,16 @@ def _decompose_steinberg(rs, lam, mu, caps):
     # m_nu = sum over w, w' of sgn(w w') p(lam + w'(mu + rho) - w(nu + rho));
     # in root coordinates the argument is the drop lam + mu - nu, plus the
     # shift of w' at mu, minus the shift of w at nu
-    els = enumerate_weyl(rs, caps)
-    mu_shifts = rho_shifts(rs, els, mu.coords)
+    maps = shift_maps(rs, caps)
+    mu_shifts = rho_shifts(maps, mu.coords)
     top = [a + b for a, b in zip(lam.coords, mu.coords)]
     entries = {}
     for coords in _candidates(rs, lam, mu, caps):
-        drop = rs.root_lattice_coords(
-            tuple(t - c for t, c in zip(top, coords)))
+        drop = rs.root_lattice_coords(tuple(map(sub, top, coords)))
         total = 0
-        for sgn, shift in rho_shifts(rs, els, coords):
+        for sgn, shift in rho_shifts(maps, coords):
             total += sgn * signed_partition_sum(
-                rs, mu_shifts, tuple(d - s for d, s in zip(drop, shift)))
+                rs, mu_shifts, tuple(map(sub, drop, shift)))
         if total:
             entries[coords] = total
     return entries
@@ -188,7 +189,7 @@ def _decompose_klimyk(rs, lam, mu, caps):
 
 def _decompose_extremes(rs, lam, mu, caps):
     # work inside the Verma model of the smaller factor
-    if weyl_dimension(rs, mu) > weyl_dimension(rs, lam):
+    if _weyl_dim(rs, mu.coords) > _weyl_dim(rs, lam.coords):
         lam, mu = mu, lam
     entries = {}
     for coords in _candidates(rs, lam, mu, caps):
@@ -201,7 +202,7 @@ def _decompose_extremes(rs, lam, mu, caps):
 
 def decompose(rs, lam, mu, method="character", caps=Caps()):
     """Decomposition of V(lam) (x) V(mu) by the chosen algorithm."""
-    _require_dom(lam, mu)
+    require_dominant_integral(rs, lam, mu)
     if method == "character":
         entries = _decompose_character(rs, lam, mu, caps)
     elif method == "steinberg":
@@ -232,8 +233,7 @@ def multiplicity(rs, lam, mu, nu, cross_check=True):
     decomposition, via raising-operator kernels.  When cross_check is set the
     two kernel expressions (inside V(mu) and inside V(nu)) are both computed
     and compared."""
-    _require_dom(lam, mu)
-    _require_dom(nu, nu)
+    require_dominant_integral(rs, lam, mu, nu)
     m1 = v_extremes_dim(rs, mu, nu - lam, lam)
     if cross_check:
         w0 = longest_element(rs)
@@ -247,7 +247,7 @@ def multiplicity(rs, lam, mu, nu, cross_check=True):
 def extreme_types(rs, lam, mu):
     """(largest, smallest) highest weights of the product: lam + mu and the
     dominant representative of lam + w0(mu); both multiplicity one."""
-    _require_dom(lam, mu)
+    require_dominant_integral(rs, lam, mu)
     w0 = longest_element(rs)
     cartan = lam + mu
     minimal = rs.dominant_in_orbit(lam + w0.apply(mu))
@@ -261,7 +261,7 @@ def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
     """Report on the extreme component attached to w: its multiplicity, the
     double-coset lower bound, and optionally the generated-submodule count,
     whose tensor module past caps.max_dim raises CapExceeded."""
-    _require_dom(lam, mu)
+    require_dominant_integral(rs, lam, mu)
     target = rs.dominant_in_orbit(lam + w.apply(mu))
     mult = multiplicity(rs, lam, mu, target, cross_check=False)
     cosets = double_cosets(rs, lam, mu, caps)
@@ -301,7 +301,7 @@ def is_minuscule(rs, mu):
 
 def minuscule_decompose(rs, lam, mu, caps=Caps()):
     """Orbit-sum closed form, valid when mu is minuscule."""
-    _require_dom(lam, mu)
+    require_dominant_integral(rs, lam, mu)
     if not is_minuscule(rs, mu):
         raise ValueError(f"{mu} is not minuscule")
     entries = {}
@@ -328,7 +328,7 @@ def component_tests(rs, lam, mu, caps=Caps()):
     every multiplicity equals the corresponding weight multiplicity of V(mu)
     (verified).
     """
-    _require_dom(lam, mu)
+    require_dominant_integral(rs, lam, mu)
     report = {"root_subtraction": {}, "minus_one_applies": None}
     for k, beta in enumerate(rs.positive_roots):
         beta_w = rs.root_to_weight(beta)

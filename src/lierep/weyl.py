@@ -8,6 +8,7 @@ so composition always yields canonical elements.
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from .config import Caps
 from .errors import InvariantViolation
@@ -16,8 +17,9 @@ from .rootsystem import Weight, RootVector, build_root_system
 
 __all__ = [
     "WeylElement", "identity_element", "simple_reflection", "from_word",
-    "enumerate_weyl", "longest_element", "apply_weyl", "twisted_action",
-    "dominant_representative", "double_cosets", "bruhat_leq",
+    "enumerate_weyl", "shift_maps", "longest_element", "apply_weyl",
+    "twisted_action", "dominant_representative", "double_cosets",
+    "bruhat_leq",
 ]
 
 
@@ -152,6 +154,38 @@ def enumerate_weyl(rs, caps=Caps()):
     (length, word); the last entry is the longest element."""
     caps.check("max_weyl", rs.weyl_group_order, f"|W({rs.label})|")
     return _enumerate_cached(rs.label)
+
+
+@lru_cache(maxsize=None)
+def _shift_maps_cached(label):
+    # along the canonical words, whose prefixes are canonical and come
+    # first: ws_i(y) - y = (w(s_i y) - s_i y) + (s_i y - y) and
+    # s_i y - y = -y_i alpha_i, so S_{ws_i} = S_w s_i - e_i e_i^T, which is
+    # S_w with column i replaced
+    rs = build_root_system(label)
+    rank, cartan = rs.rank, rs.cartan
+    maps = {(): ((0,) * rank,) * rank}
+    out = []
+    for w in _enumerate_cached(label):
+        if w.word:
+            i = w.word[-1]
+            col = [cartan[j][i] for j in range(rank)]
+            rows = []
+            for r, row in enumerate(maps[w.word[:-1]]):
+                row = list(row)
+                row[i] -= sum(map(mul, row, col)) + (r == i)
+                rows.append(tuple(row))
+            maps[w.word] = tuple(rows)
+        out.append((w.sign, maps[w.word]))
+    return tuple(out)
+
+
+def shift_maps(rs, caps=Caps()):
+    """(sign of w, S_w) for every w of enumerate_weyl(rs, caps), in the same
+    order, where S_w is the integer matrix taking fundamental coordinates y
+    to the root coordinates of w(y) - y.  Built once per type."""
+    enumerate_weyl(rs, caps)
+    return _shift_maps_cached(rs.label)
 
 
 def longest_element(rs):

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -6,14 +7,16 @@ from hypothesis import given, strategies as st
 from lierep.config import Caps
 from lierep.errors import CapExceeded
 from lierep.rootsystem import Weight, build_root_system
-from lierep.characters import (character_of, dominant_drops,
-                               dominant_weight_table,
+from lierep.characters import (character_of, character_table,
+                               dominant_drops, dominant_weight_table,
                                freudenthal_multiplicity,
                                kostant_multiplicity, partition_function,
                                partition_function_bruteforce,
                                weight_drops, weight_multiplicity,
                                weyl_dimension)
+from lierep.rootsystem import RootVector
 from lierep.selfcheck import HULL_TYPES
+from lierep.tensor import METHODS, decompose, multiplicity
 from lierep.weyl import longest_element
 
 
@@ -219,6 +222,46 @@ def test_character_cap(a2):
 def test_non_dominant_rejected(a2):
     with pytest.raises(ValueError):
         weight_multiplicity(a2, Weight((-1, 0)), Weight((0, 0)))
+
+
+W1, W2, W3 = Weight((1,)), Weight((1, 1)), Weight((1, 1, 1))
+BAD_INPUTS = {
+    # each of these used to return an answer on A2, or an IndexError
+    "weyl_dimension": lambda rs: weyl_dimension(rs, W3),
+    "weyl_dimension_fraction": lambda rs: weyl_dimension(
+        rs, Weight((Fraction(1, 2), 1))),
+    "weight_multiplicity": lambda rs: weight_multiplicity(
+        rs, W2, Weight((0, 0, 0))),
+    "weight_multiplicity_lambda": lambda rs: weight_multiplicity(
+        rs, W3, Weight((0, 0))),
+    "kostant_multiplicity": lambda rs: kostant_multiplicity(rs, W2, W1),
+    "freudenthal_multiplicity": lambda rs: freudenthal_multiplicity(
+        rs, W2, W3),
+    "partition_function_float": lambda rs: partition_function(rs, (1.5, 1)),
+    "partition_function_short": lambda rs: partition_function(rs, (1,)),
+    "partition_function_long": lambda rs: partition_function(rs, (1, 1, 0)),
+    "partition_function_weight": lambda rs: partition_function(rs, W3),
+    "partition_function_root": lambda rs: partition_function(
+        rs, RootVector((1,))),
+    "character_of": lambda rs: character_of(rs, W1),
+    "character_table": lambda rs: character_table(rs, W3),
+    "dominant_weight_table": lambda rs: dominant_weight_table(rs, W1),
+    "decompose_lambda": lambda rs: decompose(rs, W3, Weight((1, 0))),
+    "multiplicity_nu": lambda rs: multiplicity(rs, W2, W2, W1),
+    **{f"decompose_mu_{m}": (lambda rs, m=m: decompose(rs, W2, W1, m))
+       for m in METHODS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_wrong_rank_and_non_integer_inputs_raise(a2, name):
+    with pytest.raises(ValueError):
+        BAD_INPUTS[name](a2)
+
+
+def test_partition_function_accepts_integral_values(a2):
+    assert partition_function(a2, (Fraction(2), 1.0)) \
+        == partition_function(a2, (2, 1)) == 2
 
 
 @given(st.data())

@@ -83,6 +83,41 @@ def test_hc_subcommands(capsys):
     assert json.loads(out)["pair"] == ["3", "2"]
 
 
+def test_negative_weights_are_positionals(capsys):
+    code, out, err = run(capsys, "mult", "A2", "1,1", "-1,2")
+    assert code == 0 and out.strip() == "1", err
+    code, out, err = run(capsys, "mult", "A2", "1,1", "-3,0")
+    assert code == 0 and out.strip() == "0", err
+
+
+@pytest.mark.parametrize("argv", [
+    ("hc", "A2", "invariants", "-1,2", "1,1"),
+    ("hc", "A2", "invariants", "-1/2,2", "1,1"),
+    ("hc", "A1", "invariants", "-1/2", "3"),
+    ("hc", "A2", "finite-dim", "1,1", "-1,2"),
+    ("hc", "A2", "equivalent", "1,1", "-1,2", "1,1", "-1,2"),
+    ("hc", "A2", "count", "1,0", "-1,1"),
+    ("hc", "A2", "class-zero", "-1,2"),
+    ("mult", "A2", "2,0", "-2,2"),
+    ("central-char", "A2", "-1,-1"),
+])
+def test_negative_weights_need_no_separator(capsys, argv):
+    # the same answer as with "--" before the weights, which argparse
+    # needed to read them until now
+    cut = 3 if argv[0] == "hc" else 2
+    code, out, err = run(capsys, *argv, "--json")
+    assert code in (0, 1) and "arguments are required" not in err, err
+    ref = run(capsys, *argv[:cut], "--json", "--", *argv[cut:])
+    assert (code, out, err) == ref
+
+
+def test_unknown_options_still_rejected(capsys):
+    code, out, err = run(capsys, "mult", "A2", "1,1", "-x")
+    assert code == 1 and out == ""
+    code, out, err = run(capsys, "mult", "A2", "1,1", "0,0", "--bogus")
+    assert code == 1 and "--bogus" in err
+
+
 def test_shapovalov_det_command(capsys):
     code, out, _ = run(capsys, "shapovalov-det", "A1", "2", "--json")
     rec = json.loads(out)

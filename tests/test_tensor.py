@@ -3,16 +3,21 @@ from itertools import combinations_with_replacement, product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lierep import characters
 from lierep.config import Caps
-from lierep.errors import InvariantViolation
+from lierep.errors import CapExceeded, InvariantViolation
 from lierep.rootsystem import Weight, build_root_system
-from lierep.weyl import enumerate_weyl, longest_element
-from lierep.characters import character_of, character_table, table_mult
+from lierep.weyl import enumerate_weyl, longest_element, shift_maps
+from lierep.characters import (character_of, character_table,
+                               dominant_drops, rho_shifts,
+                               signed_partition_sum, table_mult,
+                               weyl_dimension)
 from lierep.selfcheck import (HULL_TYPES, METHOD_TYPES, PRODUCT_DIM_CAP,
                               _pair_corpus)
-from lierep.tensor import (_char_product, component_tests, decompose,
-                           decompose_all, extreme_types, generalized_prv,
-                           is_minuscule, minuscule_decompose, multiplicity)
+from lierep.tensor import (_candidates, _char_product, _decompose_steinberg,
+                           component_tests, decompose, decompose_all,
+                           extreme_types, generalized_prv, is_minuscule,
+                           minuscule_decompose, multiplicity)
 
 
 def test_clebsch_gordan_small(a1):
@@ -259,11 +264,118 @@ def test_dominant_product_matches_full_convolution(label):
     if label in METHOD_TYPES:
         corpus = _pair_corpus(label, PRODUCT_DIM_CAP)
         pairs += corpus[::max(1, len(corpus) // 40)]
+    # _char_product reads V(lam + mu)'s table under its cap; the largest
+    # such module here, V(4,4,4) of B3 and C3, has dimension 1,953,125
+    caps = Caps(max_char=2_000_000)
     for lam, mu in pairs:
         want = _full_convolution(rs, lam, mu)
-        assert _char_product(rs, lam, mu, Caps()) == want, (lam, mu)
+        assert _char_product(rs, lam, mu, caps) == want, (lam, mu)
         table, ch = character_table(rs, mu), character_of(rs, mu)
         for nu in want:
             x = [a - b for a, b in zip(nu, lam.coords)]
             for y in (x, [x[0] + 1] + x[1:]):
                 assert table_mult(rs, table, y) == ch.mult(tuple(y))
+
+
+# -- the former kernels, kept as oracles -------------------------------------
+
+def _reference_rho_shifts(rs, els, x_coords):
+    """Shifts w(x + rho) - (x + rho) in root coordinates, through the
+    inverse Cartan matrix, one element at a time."""
+    y = [c + 1 for c in x_coords]
+    rank, den = rs.rank, rs.inv_den
+    out = []
+    for w in els:
+        m = w.matrix
+        diff = [sum(m[i][j] * y[j] for j in range(rank)) - y[i]
+                for i in range(rank)]
+        out.append((w.sign, tuple(sum(r * d for r, d in zip(row, diff)) // den
+                                  for row in rs.inv_num)))
+    return out
+
+
+def _reference_steinberg(rs, lam, mu):
+    els = enumerate_weyl(rs)
+    mu_shifts = _reference_rho_shifts(rs, els, mu.coords)
+    top = [a + b for a, b in zip(lam.coords, mu.coords)]
+    entries = {}
+    for coords in _candidates(rs, lam, mu, Caps()):
+        drop = rs.root_lattice_coords(
+            tuple(t - c for t, c in zip(top, coords)))
+        total = 0
+        for sgn, shift in _reference_rho_shifts(rs, els, coords):
+            total += sgn * signed_partition_sum(
+                rs, mu_shifts, tuple(d - s for d, s in zip(drop, shift)))
+        if total:
+            entries[coords] = total
+    return entries
+
+
+def _reference_char_product(rs, lam, mu):
+    """The product on the dominant weights of a fresh dominant_drops(lam +
+    mu) scan."""
+    ch1 = character_of(rs, lam).entries
+    ch2 = character_of(rs, mu).entries
+    if len(ch1) < len(ch2):
+        ch1, ch2 = ch2, ch1
+    top = tuple(a + b for a, b in zip(lam.coords, mu.coords))
+    out = {}
+    for _, nu in dominant_drops(rs, top):
+        total = 0
+        for c2, m2 in ch2.items():
+            m1 = ch1.get(tuple(a - b for a, b in zip(nu, c2)))
+            if m1:
+                total += m1 * m2
+        if total:
+            out[nu] = total
+    return out
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3",
+                                   "G2", "F4"])
+def test_rho_shifts_match_inverse_cartan(label):
+    rs = build_root_system(label)
+    els, maps = enumerate_weyl(rs), shift_maps(rs)
+    bound = 2 if rs.rank == 4 else 3
+    for x in iproduct(range(bound), repeat=rs.rank):
+        assert rho_shifts(maps, x) == _reference_rho_shifts(rs, els, x), x
+
+
+def _corpus_sample(label, count):
+    """About count pairs spread evenly over the method-agreement corpus of
+    the type, which is in order of cost, with its dearest pair."""
+    corpus = _pair_corpus(label, PRODUCT_DIM_CAP)
+    return corpus[::max(1, len(corpus) // count)] + corpus[-1:]
+
+
+@pytest.mark.parametrize("label", METHOD_TYPES)
+def test_kernels_match_references_on_corpus_sample(label):
+    rs = build_root_system(label)
+    for lam, mu in _corpus_sample(label, 150):
+        assert _decompose_steinberg(rs, lam, mu, Caps()) \
+            == _reference_steinberg(rs, lam, mu), (lam, mu)
+        assert _char_product(rs, lam, mu, Caps()) \
+            == _reference_char_product(rs, lam, mu), (lam, mu)
+
+
+def test_character_cap_order_is_unchanged(rs, monkeypatch):
+    # max(dim V(lam), dim V(mu)) <= d < dim V(lam + mu): the refusal names
+    # V(lam + mu), and comes before its table is built
+    lam, mu = rs.rho, rs.fundamental(0)
+    d = weyl_dimension(rs, lam)
+    top = lam + mu
+    top_dim = weyl_dimension(rs, top)
+    assert weyl_dimension(rs, mu) <= d < top_dim
+    built = []
+    real_table = characters._table
+
+    def recording_table(rs_, coords):
+        built.append(coords)
+        return real_table(rs_, coords)
+
+    monkeypatch.setattr(characters, "_table", recording_table)
+    with pytest.raises(CapExceeded) as err:
+        decompose(rs, lam, mu, "character", Caps(max_char=d))
+    assert str(err.value) == (f"dim V({top}) = {top_dim} exceeds max_char "
+                              f"cap {d}; raise it with --max-dim")
+    assert top.coords not in built

@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from lierep.config import Caps
 from lierep.errors import CapExceeded
 from lierep.linalg import mat_inv
 from lierep.rootsystem import Weight, build_root_system
 from lierep.weyl import (bruhat_leq, double_cosets, dominant_representative,
                          enumerate_weyl, from_word, identity_element,
-                         longest_element, simple_reflection, twisted_action)
+                         longest_element, shift_maps, simple_reflection,
+                         twisted_action)
 
 
 def mulclose(mats, mul):
@@ -52,6 +54,31 @@ def test_enumeration_cap():
         enumerate_weyl(rs)
     # recoverable: orbit machinery still works past the cap
     assert len(rs.orbit(rs.fundamental(0))) == 27
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3",
+                                   "G2", "F4"])
+def test_shift_maps_match_apply(label):
+    # S_w sends y to the root coordinates of w(y) - y, so its column j is
+    # w(omega_j) - omega_j, and the signs follow enumerate_weyl's order
+    rs = build_root_system(label)
+    els = enumerate_weyl(rs)
+    maps = shift_maps(rs)
+    assert len(maps) == len(els)
+    probes = [rs.fundamental(j) for j in range(rs.rank)]
+    probes += [rs.rho, Weight(tuple(range(2, rs.rank + 2)))]
+    for w, (sign, m) in zip(els, maps):
+        assert sign == w.sign
+        for y in probes:
+            got = tuple(sum(a * b for a, b in zip(row, y)) for row in m)
+            assert got == rs.root_lattice_coords(w.apply(y) - y), (w, y)
+    assert shift_maps(rs) is maps  # built once per type
+
+
+def test_shift_maps_cap():
+    with pytest.raises(CapExceeded, match="--max-weyl"):
+        shift_maps(build_root_system("A3"), Caps(max_weyl=23))
+    assert len(shift_maps(build_root_system("A3"), Caps(max_weyl=24))) == 24
 
 
 def test_lengths_equal_inversions(rs):
