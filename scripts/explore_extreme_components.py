@@ -33,9 +33,8 @@ def main():
         for mu_c in product(range(args.bound + 1), repeat=2):
             lam, mu = Weight(lam_c), Weight(mu_c)
             dec = decompose(rs, lam, mu)
-            cosets = double_cosets(rs, lam, mu)
             fibers = {}
-            for rep in cosets.representatives:
+            for rep in double_cosets(rs, lam, mu):
                 t = rs.dominant_in_orbit(lam + rep.apply(mu)).coords
                 fibers[t] = fibers.get(t, 0) + 1
             for t, bound in fibers.items():

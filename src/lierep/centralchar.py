@@ -35,6 +35,7 @@ class CentralCharacterId:
 
 def twisted_orbit_id(rs, lam):
     """Canonical representative of the dot orbit of lam (a Weight)."""
+    rs.require_rank(lam)
     shifted = rs.dominant_in_orbit(lam + rs.rho)
     return shifted - rs.rho
 

@@ -53,6 +53,7 @@ class HCInvariants:
 def invariants(rs, p):
     """Minimal type, infinitesimal character, and the component bound
     mu -> dim V(mu)_nu."""
+    rs.require_rank(p.lam, p.nu)
     minimal = rs.dominant_in_orbit(p.nu)
     inf = hc_inf_character(rs, p.lam, p.nu)
     return HCInvariants(rs, p.nu, minimal, inf)
@@ -114,8 +115,12 @@ def class_zero(rs, lam, with_mults=True, caps=Caps()):
 
 def isoclass_count(rs, lam, mu, caps=Caps()):
     """Number of isomorphism classes with infinitesimal character
-    chi(lam, mu): the double coset count for the two stabilizers."""
-    return len(double_cosets(rs, lam, mu, caps).representatives)
+    chi(lam, mu): the double coset count for the two stabilizers.  The
+    stabilizer of lam is conjugate to that of its dominant representative,
+    and conjugating either side keeps the number of double cosets."""
+    rs.require_rank(lam, mu)
+    return len(double_cosets(rs, rs.dominant_in_orbit(lam),
+                             rs.dominant_in_orbit(mu), caps))
 
 
 def find_invariant_collision(rs, lam_grid, nu_grid, caps=Caps()):

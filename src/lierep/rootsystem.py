@@ -456,7 +456,7 @@ class RootSystem:
         return RootVector(tuple(coeffs))
 
     def orbit_coords(self, coords):
-        """Full W-orbit of raw fundamental coordinates, sorted, by closure
+        """Full W-orbit of raw fundamental coordinates, as a set, by closure
         under simple reflections."""
         start = tuple(coords)
         seen = {start}
@@ -471,11 +471,12 @@ class RootSystem:
                             seen.add(img)
                             nxt.append(img)
             frontier = nxt
-        return sorted(seen)
+        return seen
 
     def orbit(self, w):
         """Full W-orbit of a weight, sorted by coordinates."""
-        return [Weight(c) for c in self.orbit_coords(w.coords)]
+        self.require_rank(w)
+        return [Weight(c) for c in sorted(self.orbit_coords(w.coords))]
 
     def dominant_ascent(self, coords):
         """(dominant orbit representative, reflections applied) for raw
@@ -507,6 +508,7 @@ class RootSystem:
 
     def in_dominant_hull(self, lam, mu):
         """mu in conv(W lam), both arguments dominant: lam - mu in Q>=0 Pi."""
+        self.require_rank(lam, mu)
         diff = self.weight_to_root_coords(lam - self.dominant_in_orbit(mu))
         return all(x >= 0 for x in diff)
 
@@ -536,6 +538,7 @@ def dominance_hull_equiv(rs, lam, mu):
     The two tests agree whenever lam - mu lies in the root lattice; the hull
     test alone is insensitive to the lattice coset.
     """
+    rs.require_rank(lam, mu)
     for w in (lam, mu):
         if not (w.is_integral and w.is_dominant):
             raise ValueError("dominance_hull_equiv needs dominant integral weights")

@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 
 from .rootsystem import Weight, build_root_system, dominance_hull_equiv
 from .weyl import (bruhat_leq, double_cosets, enumerate_weyl, longest_element)
@@ -161,10 +161,9 @@ def check_extreme_components_bound():
         els = enumerate_weyl(rs)
         for lam, mu in _pair_corpus(label, PRODUCT_DIM_CAP):
             dec = _corpus_decomposition(label, lam.coords, mu.coords)
-            cosets = double_cosets(rs, lam, mu)
             fibers = {}
             targets = {}
-            for rep in cosets.representatives:
+            for rep in double_cosets(rs, lam, mu):
                 t = rs.dominant_in_orbit(lam + rep.apply(mu)).coords
                 fibers[t] = fibers.get(t, 0) + 1
                 targets[rep] = t
@@ -278,7 +277,8 @@ def check_weight_identities():
     for label in HULL_TYPES:
         rs = build_root_system(label)
         grid = [Weight(c) for c in iproduct(range(bound + 1), repeat=rs.rank)]
-        for lam, mu in combinations(grid, 2):
+        pairs = [(a, b) for k, a in enumerate(grid) for b in grid[k + 1:]]
+        for lam, mu in pairs:
             dom, hull = dominance_hull_equiv(rs, lam, mu)
             if rs.root_lattice_coords(lam - mu) is not None and dom != hull:
                 _fail(f"{label} dominance/hull split at ({lam},{mu})")

@@ -264,9 +264,8 @@ def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
     require_dominant_integral(rs, lam, mu)
     target = rs.dominant_in_orbit(lam + w.apply(mu))
     mult = multiplicity(rs, lam, mu, target, cross_check=False)
-    cosets = double_cosets(rs, lam, mu, caps)
     fibers = {}
-    for rep in cosets.representatives:
+    for rep in double_cosets(rs, lam, mu, caps):
         key = rs.dominant_in_orbit(lam + rep.apply(mu)).coords
         fibers[key] = fibers.get(key, 0) + 1
     bound = fibers[target.coords]
@@ -311,7 +310,7 @@ def minuscule_decompose(rs, lam, mu, caps=Caps()):
             entries[nu.coords] = entries.get(nu.coords, 0) + 1
     if any(v != 1 for v in entries.values()):
         raise InvariantViolation("minuscule components must be simple")
-    count = len(double_cosets(rs, lam, mu, caps).representatives)
+    count = len(double_cosets(rs, lam, mu, caps))
     if count != len(entries):
         raise InvariantViolation(
             f"component count {len(entries)} != double coset count {count}")

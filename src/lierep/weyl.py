@@ -7,7 +7,6 @@ so composition always yields canonical elements.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from operator import mul
 
 from .config import Caps
@@ -35,13 +34,6 @@ def _simple_matrix(rs, i):
 def _mul(a, b):
     # matrices are dict keys here, so their rows are tuples
     return tuple(map(tuple, mat_mul(a, b)))
-
-
-def _word_matrix(rs, word):
-    m = identity_element(rs).matrix
-    for i in word:
-        m = _mul(m, _simple_matrix(rs, i))
-    return m
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,10 @@ def simple_reflection(rs, i):
 
 
 def from_word(rs, word):
-    return _from_matrix(rs, _word_matrix(rs, word))
+    m = identity_element(rs).matrix
+    for i in word:
+        m = _mul(m, _simple_matrix(rs, i))
+    return _from_matrix(rs, m)
 
 
 def _from_matrix(rs, matrix):
@@ -196,8 +191,7 @@ def longest_element(rs):
 
 
 def apply_weyl(rs, w, lam):
-    if len(lam) != rs.rank:
-        raise ValueError("weight dimension does not match rank")
+    rs.require_rank(lam)
     return w.apply(lam)
 
 
@@ -212,59 +206,55 @@ def dominant_representative(rs, lam):
     Deterministic ascent: reflect at the least index with a negative
     coordinate until dominant.
     """
+    rs.require_rank(lam)
     dom, word = rs.dominant_ascent(lam.coords)
     return Weight(dom), from_word(rs, reversed(word))
 
 
-class DoubleCosets:
-    """Partition of W into W_lam \\ W / W_mu classes."""
-
-    def __init__(self, reps, classes, stab_left, stab_right):
-        self.representatives = reps
-        self.classes = classes
-        self.stab_left = stab_left
-        self.stab_right = stab_right
-
-    def __len__(self):
-        return len(self.representatives)
+def _reflect(rs, x, i):
+    """s_i on raw fundamental coordinates."""
+    c = x[i]
+    return tuple(a - c * b for a, b in zip(x, rs.simple_root_coords[i]))
 
 
 def double_cosets(rs, lam, mu, caps=Caps()):
-    """Double cosets for the stabilizers of lam and mu, minimal-length
-    (then word-lexicographic) representatives."""
-    els = enumerate_weyl(rs, caps)
-    stab_l = [w for w in els if w.apply(lam) == lam]
-    stab_r = [w for w in els if w.apply(mu) == mu]
-    remaining = {w.matrix: w for w in els}
-    reps, classes = [], []
-    for w in els:  # already sorted by (length, word)
-        if w.matrix not in remaining:
+    """Minimal-length representatives of W_lam \\ W / W_mu for dominant lam
+    and mu, in enumerate_weyl's (length, word) order: the w with no left
+    descent s_i, (w rho)_i < 0, where lam_i = 0 and no right descent s_j,
+    (w^-1 rho)_j < 0, where mu_j = 0 (Bjorner and Brenti, 2.4-2.5)."""
+    rs.require_rank(lam, mu)
+    if not (lam.is_dominant and mu.is_dominant):
+        raise ValueError("double_cosets needs dominant weights")
+    left = [i for i, c in enumerate(lam) if c == 0]
+    right = [j for j, c in enumerate(mu) if c == 0]
+    reps = []
+    for w in enumerate_weyl(rs, caps):
+        if any(sum(w.matrix[i]) < 0 for i in left):
             continue
-        cls = set()
-        for a in stab_l:
-            am = _mul(a.matrix, w.matrix)
-            for b in stab_r:
-                cls.add(_mul(am, b.matrix))
-        for m in cls:
-            remaining.pop(m, None)
+        if right:
+            y = rs.rho.coords  # w^-1(rho): along w's word, first letter first
+            for i in w.word:
+                y = _reflect(rs, y, i)
+            if any(y[j] < 0 for j in right):
+                continue
         reps.append(w)
-        classes.append(frozenset(cls))
-    return DoubleCosets(reps, classes, stab_l, stab_r)
-
-
-@lru_cache(maxsize=None)
-def _bruhat_cached(label, word_big, word_small):
-    rs = build_root_system(label)
-    k = len(word_small)
-    if k > len(word_big):
-        return False
-    if k == len(word_big):
-        return word_big == word_small
-    target = _word_matrix(rs, word_small)
-    return any(_word_matrix(rs, (word_big[p] for p in pos)) == target
-               for pos in combinations(range(len(word_big)), k))
+    return tuple(reps)
 
 
 def bruhat_leq(u, w):
-    """Bruhat order test via the subword property on w's canonical word."""
-    return _bruhat_cached(u.rs.label, w.word, u.word)
+    """u <= w in the Bruhat order, by Deodhar's descent test.
+
+    The first letter s of a reduced word of w is a left descent of w, and
+    then u <= w iff su <= sw when s is a left descent of u too, (u rho)_s
+    < 0, and iff u <= sw when it is not (property Z).  So walk w's
+    canonical word on x = u(rho), reflecting where x is negative: u <= w
+    iff x ends at rho, as only e lies below e.
+    """
+    rs = w.rs
+    if u.rs is not rs:
+        raise ValueError(f"{u} and {w} are from different root systems")
+    x = tuple(sum(row) for row in u.matrix)
+    for i in w.word:
+        if x[i] < 0:
+            x = _reflect(rs, x, i)
+    return x == rs.rho.coords

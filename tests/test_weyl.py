@@ -1,10 +1,16 @@
+import random
+from fractions import Fraction
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, strategies as st
 
+from lierep.centralchar import twisted_orbit_id
 from lierep.config import Caps
 from lierep.errors import CapExceeded
+from lierep.hcmodules import HCParams, invariants, isoclass_count
 from lierep.linalg import mat_inv
-from lierep.rootsystem import Weight, build_root_system
+from lierep.rootsystem import Weight, build_root_system, dominance_hull_equiv
 from lierep.weyl import (bruhat_leq, double_cosets, dominant_representative,
                          enumerate_weyl, from_word, identity_element,
                          longest_element, shift_maps, simple_reflection,
@@ -228,11 +234,32 @@ def test_twisted_orbit_size_divides_group_order(rs):
     assert len(enumerate_weyl(rs)) % len(orbit) == 0
 
 
+def class_double_cosets(rs, lam, mu):
+    """Oracle: (representatives, classes) of W_lam \\ W / W_mu, each class
+    built as the product set W_lam w W_mu from the stabilizers of any two
+    weights, its representative the first element in (length, word)
+    order."""
+    els = enumerate_weyl(rs)
+    stab_l = [w for w in els if w.apply(lam) == lam]
+    stab_r = [w for w in els if w.apply(mu) == mu]
+    remaining = set(els)
+    reps, classes = [], []
+    for w in els:
+        if w not in remaining:
+            continue
+        cls = frozenset(a * w * b for a in stab_l for b in stab_r)
+        remaining -= cls
+        reps.append(w)
+        classes.append(cls)
+    return tuple(reps), classes
+
+
 def test_double_cosets_full_group(a2):
     zero = a2.zero_weight()
     dc = double_cosets(a2, zero, zero)
-    assert len(dc) == 1
-    assert len(dc.classes[0]) == 6
+    assert dc == (identity_element(a2),)
+    reps, classes = class_double_cosets(a2, zero, zero)
+    assert reps == dc and len(classes[0]) == 6
 
 
 def test_double_cosets_regular(rs):
@@ -244,12 +271,48 @@ def test_double_cosets_a2_fundamental_pair(a2):
     dc = double_cosets(a2, Weight((1, 0)), Weight((0, 1)))
     assert len(dc) == 2
     # explicit partition of the six elements
-    assert sorted(len(c) for c in dc.classes) == [2, 4]
-    assert sum(len(c) for c in dc.classes) == 6
+    reps, classes = class_double_cosets(a2, Weight((1, 0)), Weight((0, 1)))
+    assert reps == dc
+    assert sorted(len(c) for c in classes) == [2, 4]
+    assert sum(len(c) for c in classes) == 6
     # representatives are minimal length in their class
-    for rep, cls in zip(dc.representatives, dc.classes):
-        assert rep.length == min(
-            w.length for w in enumerate_weyl(a2) if w.matrix in cls)
+    for rep, cls in zip(dc, classes):
+        assert rep.length == min(w.length for w in cls)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3",
+                                   "G2"])
+def test_double_cosets_match_classes_on_stabilizer_patterns(label):
+    # every 0/1 pattern is a stabilizer type: lam_i = 0 iff s_i fixes lam
+    rs = build_root_system(label)
+    patterns = [Weight(c) for c in product((0, 1), repeat=rs.rank)]
+    for lam in patterns:
+        for mu in patterns:
+            assert double_cosets(rs, lam, mu) == \
+                class_double_cosets(rs, lam, mu)[0], (lam, mu)
+
+
+@pytest.mark.parametrize("lam,mu", [
+    ((1, 1, 1, 1), (1, 1, 1, 1)), ((1, 0, 1, 1), (1, 1, 0, 1)),
+    ((0, 1, 1, 1), (1, 1, 1, 0)), ((1, 1, 0, 0), (0, 1, 1, 1))])
+def test_double_cosets_match_classes_f4(lam, mu):
+    rs = build_root_system("F4")
+    lam, mu = Weight(lam), Weight(mu)
+    assert double_cosets(rs, lam, mu) == class_double_cosets(rs, lam, mu)[0]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+@given(data=st.data())
+def test_isoclass_count_matches_classes_off_dominant(label, data):
+    # rational weights, zeros and cancelling pairings frequent, so that
+    # non-trivial stabilizers off the dominant chamber are common
+    rs = build_root_system(label)
+    coord = st.sampled_from([-2, -1, 0, 0, 1, 2, Fraction(1, 2),
+                             Fraction(-1, 2), Fraction(-3, 2)])
+    lam = Weight(tuple(data.draw(coord) for _ in range(rs.rank)))
+    mu = Weight(tuple(data.draw(coord) for _ in range(rs.rank)))
+    assert isoclass_count(rs, lam, mu) == \
+        len(class_double_cosets(rs, lam, mu)[0])
 
 
 def test_bruhat_order_a2(a2):
@@ -280,3 +343,77 @@ def test_bruhat_order_matches_reflection_closure(label):
     for u in els:
         for w in els:
             assert bruhat_leq(u, w) == (w in above[u])
+
+
+def subword_bruhat_leq(u, w):
+    """Oracle: the subword property, trying every subword of w's canonical
+    word with as many letters as u's."""
+    k = len(u.word)
+    if k > len(w.word):
+        return False
+    if k == len(w.word):
+        return u.word == w.word
+    return any(from_word(w.rs, (w.word[p] for p in pos)) == u
+               for pos in combinations(range(len(w.word)), k))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3",
+                                   "G2"])
+def test_bruhat_order_matches_subwords(label):
+    rs = build_root_system(label)
+    els = enumerate_weyl(rs)
+    for u in els:
+        for w in els:
+            assert bruhat_leq(u, w) == subword_bruhat_leq(u, w), (u, w)
+
+
+def test_bruhat_order_f4_long_sample():
+    # 120 pairs with l(w) = 20 and l(u) = 10, u spelled by a subword of w's
+    # word, so u <= w; elements of equal length are incomparable unless
+    # equal
+    rs = build_root_system("F4")
+    top = [w for w in enumerate_weyl(rs) if w.length == 20]
+    gen = random.Random(20)
+    pairs = []
+    while len(pairs) < 120:
+        w = gen.choice(top)
+        pos = sorted(gen.sample(range(20), 10))
+        u = from_word(rs, [w.word[p] for p in pos])
+        if u.length == 10:
+            pairs.append((u, w))
+    for u, w in pairs:
+        assert bruhat_leq(u, w)
+        assert not bruhat_leq(w, u)
+    for (u, w), (v, x) in zip(pairs, pairs[1:]):
+        if u != v:
+            assert not bruhat_leq(u, v)
+        if w != x:
+            assert not bruhat_leq(w, x)
+
+
+A2, B2 = build_root_system("A2"), build_root_system("B2")
+W1, W3 = Weight((1,)), Weight((1, 1, 1))
+BAD_INPUTS = {
+    # each of these used to return an answer on A2, or an IndexError
+    "bruhat_mixed_systems": lambda: bruhat_leq(from_word(A2, (0, 1)),
+                                               from_word(B2, (0, 1, 0))),
+    "double_cosets_short": lambda: double_cosets(A2, W1, A2.zero_weight()),
+    "double_cosets_long": lambda: double_cosets(A2, W3, A2.zero_weight()),
+    "double_cosets_mu": lambda: double_cosets(A2, A2.zero_weight(), W1),
+    "double_cosets_non_dominant": lambda: double_cosets(
+        A2, Weight((1, -1)), A2.zero_weight()),
+    "isoclass_count": lambda: isoclass_count(A2, W3, A2.zero_weight()),
+    "twisted_orbit_id": lambda: twisted_orbit_id(A2, W3),
+    "dominance_hull_equiv": lambda: dominance_hull_equiv(
+        A2, W3, Weight((0, 0))),
+    "in_dominant_hull": lambda: A2.in_dominant_hull(Weight((1, 1)), W3),
+    "dominant_representative": lambda: dominant_representative(A2, W1),
+    "orbit": lambda: A2.orbit(W1),
+    "invariants": lambda: invariants(A2, HCParams(W3, Weight((0, 0, 0)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_wrong_rank_and_mixed_systems_raise(name):
+    with pytest.raises(ValueError):
+        BAD_INPUTS[name]()
