@@ -10,6 +10,10 @@ string magnitudes, transpose compatibility) before use.
 PBW monomials are ordered f-block (roots ascending), Cartan block, e-block
 (roots descending).  The mirrored e-block makes the transpose anti-involution
 act monomial-by-monomial.
+
+Coefficients are ints or ``fractions.Fraction``.  A product scales each
+factor to integers once, by the lcm of its denominators, straightens and
+merges on ints, and divides once per output term.
 """
 
 from fractions import Fraction
@@ -18,7 +22,7 @@ from operator import add
 
 from .errors import InvariantViolation
 from .hpoly import HPoly
-from .linalg import mat_inv
+from .linalg import _integral, mat_inv
 from .rootsystem import _num
 
 __all__ = [
@@ -385,6 +389,10 @@ class PBWAlgebra:
         self.order = tuple(order)
         self.pos = {b: p for p, b in enumerate(order)}
         self._memo = {}
+        # (position, grading vector) of every position of nonzero weight
+        w = table.weights
+        self._graded = None if w is None else tuple(
+            (p, w[b]) for p, b in enumerate(self.order) if any(w[b]))
 
     def monomial_word(self, exps):
         word = []
@@ -419,15 +427,14 @@ class PBWAlgebra:
         return result
 
     def weight_of(self, exps):
-        w = self.table.weights
-        if w is None:
+        if self._graded is None:
             raise ValueError("algebra carries no grading")
-        n = len(w[0])
-        tot = [0] * n
-        for p, e in enumerate(exps):
+        tot = [0] * len(self.table.weights[0])
+        for p, wt in self._graded:
+            e = exps[p]
             if e:
-                for i in range(n):
-                    tot[i] += e * w[self.order[p]][i]
+                for i, x in enumerate(wt):
+                    tot[i] += e * x
         return tuple(tot)
 
 
@@ -458,13 +465,20 @@ class UElement:
     def is_zero(self):
         return not self.terms
 
+    def _same_algebra(self, other):
+        if other.algebra is not self.algebra:
+            raise ValueError("elements of different algebras do not combine")
+        return self.algebra
+
     def __add__(self, other):
+        self._same_algebra(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
         return UElement(self.algebra, out)
 
     def __sub__(self, other):
+        self._same_algebra(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) - c
@@ -480,14 +494,18 @@ class UElement:
         if not isinstance(other, UElement):
             return UElement(self.algebra,
                             {e: c * other for e, c in self.terms.items()})
-        alg = self.algebra
-        # once per term, not per pair: its word, and the PBW position of its
-        # last (left factor) or first (right factor) letter
+        alg = self._same_algebra(other)
+        # once per factor: its coefficients times the lcm of their
+        # denominators; once per term, not per pair: its word, and the PBW
+        # position of its last (left factor) or first (right factor) letter
+        lcoeffs, lden = _integral(list(self.terms.values()))
+        rcoeffs, rden = _integral(list(other.terms.values()))
         pos = alg.pos
         lefts = [(e, c, w, pos[w[-1]] if w else -1)
-                 for e, c in self.terms.items() for w in [alg.monomial_word(e)]]
+                 for e, c in zip(self.terms, lcoeffs)
+                 for w in [alg.monomial_word(e)]]
         rights = [(e, c, w, pos[w[0]] if w else alg.dim)
-                  for e, c in other.terms.items()
+                  for e, c in zip(other.terms, rcoeffs)
                   for w in [alg.monomial_word(e)]]
         out = {}
         for e1, c1, w1, last in lefts:
@@ -500,6 +518,9 @@ class UElement:
                     continue
                 for e, c in alg.straighten(w1 + w2).items():
                     out[e] = out.get(e, 0) + c12 * c
+        den = lden * rden
+        if den != 1:
+            out = {e: Fraction(c, den) for e, c in out.items() if c}
         return UElement(alg, out)
 
     def __pow__(self, k):

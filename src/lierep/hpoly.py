@@ -1,13 +1,22 @@
-"""Sparse exact polynomials in the coroot coordinates h_1..h_n."""
+"""Sparse exact polynomials in the coroot coordinates h_1..h_n.
+
+Coefficients are ints or ``fractions.Fraction``.  Products and affine
+substitution, and so evaluation, scale their inputs to integers once, by the
+lcm of the denominators, work on ints, and make one ``Fraction`` per output
+term.
+"""
 
 from fractions import Fraction
+from itertools import chain
 from operator import add
 
+from .linalg import _integral
 from .rootsystem import _num
 
 
 class HPoly:
-    """Polynomial with Fraction coefficients, keyed by exponent tuples."""
+    """Polynomial with int or Fraction coefficients, keyed by exponent
+    tuples."""
 
     __slots__ = ("nvars", "terms")
 
@@ -84,16 +93,18 @@ class HPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    def _require_nvars(self, values, what):
+        if len(values) != self.nvars:
+            raise ValueError(f"a polynomial in {self.nvars} variables needs "
+                             f"{self.nvars} {what}, not {len(values)}")
+
     def evaluate(self, values):
-        """Evaluate with values[i] substituted for variable i."""
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            term = Fraction(c)
-            for v, e in zip(values, exps):
-                if e:
-                    term *= Fraction(v) ** e
-            total += term
-        return _num(total)
+        """Evaluate with values[i] substituted for variable i, as the affine
+        substitution of constants."""
+        n = self.nvars
+        self._require_nvars(values, "values")
+        out = self.substitute_affine([[0] * n] * n, values)
+        return out.terms.get((0,) * n, 0)
 
     def substitute_affine(self, rows, consts):
         """Replace variable i by sum_j rows[i][j] x_j + consts[i].
@@ -102,13 +113,30 @@ class HPoly:
         variable i, each group is substituted in the remaining variables,
         and the groups are combined by one multiplication with the image of
         variable i per degree step.
+
+        It runs on ints.  With the images L_i / d for integral L_i and the
+        lcm d of their denominators, and coefficients C_e / c likewise,
+        each C_e is first multiplied by d^(deg - |e|).  The Horner scheme on
+        the L_i then gives c * d^deg times the result, and each output term
+        is divided once.
         """
         n = self.nvars
-        images = [HPoly.linear(rows[i], consts[i]).terms for i in range(n)]
+        self._require_nvars(consts, "constants")
+        self._require_nvars(rows, "rows")
+        for row in rows:
+            self._require_nvars(row, "entries in each row")
+        if not self.terms:
+            return HPoly(n)
+        ints, d = _integral([_num(x) for x in [*chain(*rows), *consts]])
+        images = [HPoly.linear(ints[i * n:i * n + n], ints[n * n + i]).terms
+                  for i in range(n)]
+        coeffs, den = _integral(list(self.terms.values()))
+        deg = self.degree()
+        den *= d ** deg
         const_key = (0,) * n
 
         def horner(terms, i):
-            # terms: {exponents of variables i..n-1: coefficient}, nonempty
+            # terms: {exponents of variables i..n-1: int coefficient}, nonempty
             if i == n:
                 return {const_key: terms[()]}
             groups = {}
@@ -117,12 +145,16 @@ class HPoly:
             top = max(groups)
             out = horner(groups[top], i + 1)
             for k in range(top - 1, -1, -1):
-                out = _mul_terms(out, images[i])
+                out = _mul_ints(out, images[i])
                 if k in groups:
                     _add_into(out, horner(groups[k], i + 1))
             return out
 
-        return HPoly(n, horner(self.terms, 0) if self.terms else None)
+        out = horner({e: c * d ** (deg - sum(e))
+                      for e, c in zip(self.terms, coeffs)}, 0)
+        if den != 1:
+            out = {e: Fraction(c, den) for e, c in out.items() if c}
+        return HPoly(n, out)
 
     def ratio_to(self, other):
         """If self == q * other for a nonzero rational q, return q, else None."""
@@ -154,11 +186,22 @@ def _add_into(out, terms):
     return out
 
 
-def _mul_terms(t1, t2):
-    """Product of two term dicts; zero coefficients are dropped."""
+def _mul_ints(t1, t2):
+    """Product of two term dicts with int coefficients; zeros are dropped."""
     out = {}
     for e1, c1 in t1.items():
         for e2, c2 in t2.items():
             key = tuple(map(add, e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def _mul_terms(t1, t2):
+    """Product of two term dicts: each factor is scaled to integers once,
+    and each output term divided once."""
+    c1s, d1 = _integral(list(t1.values()))
+    c2s, d2 = _integral(list(t2.values()))
+    out = _mul_ints(dict(zip(t1, c1s)) if d1 != 1 else t1,
+                    dict(zip(t2, c2s)) if d2 != 1 else t2)
+    den = d1 * d2
+    return out if den == 1 else {e: Fraction(c, den) for e, c in out.items()}

@@ -30,7 +30,7 @@ def _num(x):
     """Normalise an exact scalar: Fraction with denominator 1 becomes int."""
     if isinstance(x, int):
         return x
-    f = Fraction(x)
+    f = x if isinstance(x, Fraction) else Fraction(x)
     return f.numerator if f.denominator == 1 else f
 
 
@@ -53,10 +53,12 @@ class Weight:
         return self.coords[i]
 
     def __add__(self, other):
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords,
+                                                  strict=True)))
 
     def __sub__(self, other):
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords,
+                                                  strict=True)))
 
     def __neg__(self):
         return Weight(tuple(-a for a in self.coords))
@@ -99,10 +101,12 @@ class RootVector:
         return self.coeffs[i]
 
     def __add__(self, other):
-        return RootVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return RootVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs,
+                                                      strict=True)))
 
     def __sub__(self, other):
-        return RootVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return RootVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs,
+                                                      strict=True)))
 
     def __neg__(self):
         return RootVector(tuple(-a for a in self.coeffs))
@@ -402,12 +406,14 @@ class RootSystem:
 
     def weight_to_root_coords(self, w):
         """Coordinates of a weight in the simple-root basis (exact rationals)."""
+        self.require_rank(w)
         return tuple(_num(sum(Fraction(self.inv_cartan[i][j]) * w[j]
                               for j in range(self.rank)))
                      for i in range(self.rank))
 
     def root_lattice_coords(self, w):
         """Integer root coordinates, or None if w is not in the root lattice."""
+        self.require_rank(w)
         coords = w.coords if isinstance(w, Weight) else tuple(w)
         if all(isinstance(x, int) for x in coords):
             den = self.inv_den
@@ -425,6 +431,7 @@ class RootSystem:
 
     def inner(self, wa, wb):
         """Invariant form on weights, short roots normalised to length^2 = 2."""
+        self.require_rank(wa, wb)
         num = 0
         fa, fb = wa.coords, wb.coords
         for i in range(self.rank):
@@ -436,6 +443,7 @@ class RootSystem:
 
     def pairing(self, w, root):
         """w(h_alpha) for a root given as RootVector or root index."""
+        self.require_rank(w)
         cv = self.coroots[root] if isinstance(root, int) \
             else self.coroots[self.root_index[root.coeffs]]
         return _num(sum(cv[i] * w[i] for i in range(self.rank)))
@@ -444,6 +452,7 @@ class RootSystem:
 
     def reflect(self, i, w):
         """Simple reflection s_i(w) = w - w(h_i) alpha_i on weights."""
+        self.require_rank(w)
         c = w[i]
         if c == 0:
             return w
@@ -504,6 +513,7 @@ class RootSystem:
 
     def dominant_in_orbit(self, w):
         """The unique dominant orbit representative (no group element tracked)."""
+        self.require_rank(w)
         return Weight(self.dominant_ascent(w.coords)[0])
 
     def in_dominant_hull(self, lam, mu):

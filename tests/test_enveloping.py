@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,6 +46,19 @@ def _reference_substitute(poly, rows, consts):
                 term = term * images[i]
         out = out + term
     return out
+
+
+def _reference_evaluate(poly, values):
+    """Value by Fraction arithmetic, term by term (the oracle of
+    HPoly.evaluate)."""
+    total = Fraction(0)
+    for exps, c in poly.terms.items():
+        term = Fraction(c)
+        for v, e in zip(values, exps):
+            if e:
+                term *= Fraction(v) ** e
+        total += term
+    return total
 
 
 def test_sl2_defining_relations(a1):
@@ -315,14 +330,19 @@ def test_twisted_projections_match_term_by_term(label, monkeypatch):
     assert all(q == p for p, row in zip(polys, got) for q in row)
 
 
+SCALARS = st.one_of(st.integers(-2, 2),
+                    st.fractions(-2, 2, max_denominator=3))
+
+
 @given(st.data())
 @settings(max_examples=40)
 def test_substitute_affine_matches_term_by_term(data):
     n = data.draw(st.integers(1, 3))
     small = st.integers(-2, 2)
     terms = data.draw(st.dictionaries(
-        st.tuples(*[st.integers(0, 3)] * n), small, max_size=6))
-    rows = [[data.draw(small) for _ in range(n)] for _ in range(n)]
+        st.tuples(*[st.integers(0, 3)] * n), SCALARS, max_size=6))
+    rows = [[data.draw(SCALARS if data.draw(st.booleans()) else small)
+             for _ in range(n)] for _ in range(n)]
     consts = [data.draw(st.fractions(-2, 2, max_denominator=2))
               for _ in range(n)]
     poly = HPoly(n, terms)
@@ -349,3 +369,50 @@ def test_mismatched_variable_counts_raise():
             op(x, y)
         with pytest.raises(ValueError):
             op(y, x)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_evaluate_matches_fraction_loop(data):
+    n = data.draw(st.integers(1, 3))
+    terms = data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * n), SCALARS, max_size=6))
+    point = st.integers(-5, 5) if data.draw(st.booleans()) else st.one_of(
+        st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4))
+    values = [data.draw(point) for _ in range(n)]
+    poly = HPoly(n, terms)
+    got = poly.evaluate(values)
+    assert got == _reference_evaluate(poly, values)
+    # normalised like every other scalar: an integral value is an int
+    assert type(got) is int or got.denominator > 1
+
+
+def test_evaluate_arity_raises():
+    p = HPoly(2, {(1, 0): 1, (0, 1): 5})
+    for values in ([1], [1, 2, 3], []):
+        with pytest.raises(ValueError):
+            p.evaluate(values)
+    with pytest.raises(ValueError):
+        HPoly(2).evaluate([1])
+
+
+def test_substitute_affine_arity_raises():
+    p = HPoly(2, {(1, 0): 1, (0, 1): 5})
+    for rows, consts in (([[1, 0]], [0, 0]),            # one row short
+                         ([[1, 0], [0, 1]], [0]),       # one constant short
+                         ([[1, 0], [0]], [0, 0]),       # a short row
+                         ([[1, 0], [0, 1, 0]], [0, 0])):  # a long row
+        with pytest.raises(ValueError):
+            p.substitute_affine(rows, consts)
+        with pytest.raises(ValueError):
+            HPoly(2).substitute_affine(rows, consts)
+
+
+def test_elements_of_different_algebras_raise():
+    a2 = casimir(chevalley_basis(build_root_system("A2")))
+    b2 = casimir(chevalley_basis(build_root_system("B2")))
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ValueError):
+            op(a2, b2)
+        with pytest.raises(ValueError):
+            op(b2, a2)

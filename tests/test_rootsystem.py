@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from lierep.rootsystem import (Weight, build_root_system,
+from lierep.rootsystem import (RootVector, Weight, build_root_system,
                                dominance_hull_equiv, format_weight,
                                parse_weight)
 
@@ -160,3 +160,28 @@ def test_orbit_coords_match_weight_bfs(rs, data):
     want = _weight_bfs(rs, w)
     assert sorted(rs.orbit_coords(w.coords)) == want
     assert [v.coords for v in rs.orbit(w)] == want
+
+
+A2 = build_root_system("A2")
+W1, W3 = Weight((1,)), Weight((1, 1, 1))
+WRONG_RANK = {
+    # each of these used to truncate, pad or drop a coordinate on A2
+    "weight_add": lambda: W3 + Weight((1, 1)),
+    "weight_sub": lambda: Weight((1, 1)) - W3,
+    "root_add": lambda: RootVector((1, 0, 0)) + RootVector((1, 1)),
+    "root_sub": lambda: RootVector((1, 1)) - RootVector((1,)),
+    "dominant_in_orbit_long": lambda: A2.dominant_in_orbit(Weight((1, -1, 1))),
+    "dominant_in_orbit_short": lambda: A2.dominant_in_orbit(Weight((-1,))),
+    "reflect": lambda: A2.reflect(0, W3),
+    "inner_left": lambda: A2.inner(W3, Weight((1, 1))),
+    "inner_right": lambda: A2.inner(Weight((1, 1)), W1),
+    "pairing": lambda: A2.pairing(W3, 0),
+    "weight_to_root_coords": lambda: A2.weight_to_root_coords(W3),
+    "root_lattice_coords": lambda: A2.root_lattice_coords(W3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_RANK))
+def test_wrong_rank_weights_raise(name):
+    with pytest.raises(ValueError):
+        WRONG_RANK[name]()
