@@ -3,8 +3,7 @@
 from .rootsystem import (RootSystem, Weight, RootVector, build_root_system,
                          parse_weight, format_weight, dominance_hull_equiv)
 from .weyl import (WeylElement, enumerate_weyl, longest_element,
-                   dominant_representative, twisted_action, apply_weyl,
-                   double_cosets)
+                   dominant_representative, double_cosets)
 from .characters import (partition_function, weight_multiplicity,
                          freudenthal_multiplicity, character_of,
                          weyl_dimension, Character)

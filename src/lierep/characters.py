@@ -15,7 +15,7 @@ from operator import add, mul
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InvariantViolation
-from .rootsystem import Weight, RootVector, _num, build_root_system
+from .rootsystem import Weight, RootVector, _num
 from .weyl import shift_maps
 
 __all__ = [
@@ -204,9 +204,8 @@ def weight_drops(rs, lam_coords):
 
 
 @lru_cache(maxsize=None)
-def _dominant_table(rs_id, lam_coords):
+def _dominant_table(rs, lam_coords):
     """dict dominant-weight-coords -> multiplicity in V(lam), via Freudenthal."""
-    rs = build_root_system(rs_id)
     rank = rs.rank
     form = rs.form_num
 
@@ -249,16 +248,15 @@ def _dominant_table(rs_id, lam_coords):
 def dominant_weight_table(rs, lam):
     """Multiplicities of V(lambda) on dominant weights (Freudenthal)."""
     require_dominant_integral(rs, lam)
-    return _dominant_table(rs.label, lam.coords)
+    return _dominant_table(rs, lam.coords)
 
 
 @lru_cache(maxsize=None)
-def _dominant_table_fast(rs_id, lam_coords):
+def _dominant_table_fast(rs, lam_coords):
     """Same table as the Freudenthal route, via the alternating sum over the
     Weyl group; much faster for thin high weights.  Only used when the group
     is enumerable; cross-checked against Freudenthal in the test suite and by
     the total-dimension audit on every character."""
-    rs = build_root_system(rs_id)
     shifts = rho_shifts(shift_maps(rs), lam_coords)
     table = {}
     for drop, mu in dominant_drops(rs, lam_coords):
@@ -299,9 +297,9 @@ def kostant_multiplicity(rs, lam, mu, caps=Caps()):
 
 def weight_multiplicity(rs, lam, mu, caps=Caps()):
     """dim V(lambda)_mu.  Uses the alternating-sum formula while the Weyl
-    group is enumerable under caps.max_weyl, falling back to Freudenthal
-    past it."""
-    if rs.weyl_group_order <= caps.max_weyl:
+    group is enumerable, falling back to Freudenthal past it; a
+    caps.max_weyl below the group order refuses, it does not reroute."""
+    if rs.weyl_group_order <= DEFAULT_CAPS.max_weyl:
         return kostant_multiplicity(rs, lam, mu, caps)
     return freudenthal_multiplicity(rs, lam, mu)
 
@@ -331,8 +329,8 @@ class Character:
 def _table(rs, lam_coords):
     # a route choice, not a cap: the alternating sum needs the whole group
     if rs.weyl_group_order <= DEFAULT_CAPS.max_weyl:
-        return _dominant_table_fast(rs.label, lam_coords)
-    return _dominant_table(rs.label, lam_coords)
+        return _dominant_table_fast(rs, lam_coords)
+    return _dominant_table(rs, lam_coords)
 
 
 def table_mult(rs, table, coords):
@@ -344,8 +342,7 @@ def table_mult(rs, table, coords):
 
 
 @lru_cache(maxsize=None)
-def _character_cached(rs_id, lam_coords):
-    rs = build_root_system(rs_id)
+def _character_cached(rs, lam_coords):
     dim = _weyl_dim(rs, lam_coords)
     entries = {}
     for dom_coords, m in _table(rs, lam_coords).items():
@@ -368,7 +365,7 @@ def character_of(rs, lam, caps=Caps()):
     """Full formal character of V(lambda); sparse, validated against the
     dimension formula."""
     _check_char_cap(rs, lam, caps)
-    return _character_cached(rs.label, lam.coords)
+    return _character_cached(rs, lam.coords)
 
 
 def character_table(rs, lam, caps=Caps()):

@@ -288,7 +288,6 @@ class ChevalleyBasis:
         order = (tuple(range(m)) + tuple(m + i for i in range(rank))
                  + tuple(edx(k) for k in reversed(range(m))))
         self.algebra = PBWAlgebra(self.table, order)
-        self._reordered = {}  # order -> PBWAlgebra, filled by _reordered_algebra
 
     # index layout -----------------------------------------------------------
 
@@ -361,20 +360,15 @@ class ChevalleyBasis:
                     raise InvariantViolation("transpose signs inconsistent")
 
 
-@lru_cache(maxsize=None)
-def _chevalley_cached(label):
-    from .rootsystem import build_root_system
-    return ChevalleyBasis(build_root_system(label))
-
-
 MAX_RANK = 4
 
 
+@lru_cache(maxsize=None)
 def chevalley_basis(rs):
     if rs.rank > MAX_RANK:
         raise ValueError(f"the enveloping engine handles rank <= {MAX_RANK}; "
                          f"{rs.label} has rank {rs.rank}")
-    return _chevalley_cached(rs.label)
+    return ChevalleyBasis(rs)
 
 
 # --------------------------------------------------------------------------
@@ -471,6 +465,8 @@ class UElement:
         return self.algebra
 
     def __add__(self, other):
+        if not isinstance(other, UElement):
+            return NotImplemented
         self._same_algebra(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -478,6 +474,8 @@ class UElement:
         return UElement(self.algebra, out)
 
     def __sub__(self, other):
+        if not isinstance(other, UElement):
+            return NotImplemented
         self._same_algebra(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -632,11 +630,9 @@ def hc_projection(basis, u, w=None):
     return _h_poly_from_terms(basis, out)
 
 
+@lru_cache(maxsize=None)
 def _reordered_algebra(basis, order):
-    alg = basis._reordered.get(order)
-    if alg is None:
-        alg = basis._reordered[order] = PBWAlgebra(basis.table, order)
-    return alg
+    return PBWAlgebra(basis.table, order)
 
 
 def shapovalov(basis, b1, b2):
@@ -660,10 +656,12 @@ def is_central(basis, u):
 
 
 @lru_cache(maxsize=None)
-def _casimir_cached(label):
-    from .rootsystem import build_root_system
-    rs = build_root_system(label)
-    basis = chevalley_basis(rs)
+def casimir(basis):
+    """Quadratic Casimir, normalised so the rank-one case is 4fe + h^2 + 2h.
+
+    Acts on V(lambda) by 2*((lambda+rho, lambda+rho) - (rho, rho)).
+    """
+    rs = basis.rs
     rank = rs.rank
     # B(h_i, h_j) = cartan[i][j] / d_j for the short-2 normalisation
     bmat = [[Fraction(rs.cartan[i][j], rs.sym[j]) for j in range(rank)]
@@ -682,14 +680,6 @@ def _casimir_cached(label):
     if not is_central(basis, delta):
         raise InvariantViolation("Casimir element is not central")
     return delta
-
-
-def casimir(basis):
-    """Quadratic Casimir, normalised so the rank-one case is 4fe + h^2 + 2h.
-
-    Acts on V(lambda) by 2*((lambda+rho, lambda+rho) - (rho, rho)).
-    """
-    return _casimir_cached(basis.rs.label)
 
 
 CASIMIR_SCALE = 2  # eigenvalue = CASIMIR_SCALE * ((lam+rho,lam+rho) - (rho,rho))

@@ -85,7 +85,7 @@ def finite_dimensional(rs, p):
     return p.lam, mu
 
 
-def class_zero(rs, lam, with_mults=True, caps=Caps()):
+def class_zero(rs, lam, caps=Caps()):
     """Report on the nu = 0 member with character parameter lam.
 
     complete: no positive root pairs (lam + rho) into a nonzero integer;
@@ -106,7 +106,7 @@ def class_zero(rs, lam, with_mults=True, caps=Caps()):
         "canonical": twisted_orbit_id(rs, lam),
         "mults": None,
     }
-    if with_mults and lam.is_integral and lam.is_dominant:
+    if lam.is_integral and lam.is_dominant:
         w0 = longest_element(rs)
         dual = -w0.apply(lam)
         report["mults"] = decompose(rs, lam, dual, "character", caps)

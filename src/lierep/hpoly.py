@@ -59,10 +59,14 @@ class HPoly:
                              f"variables do not combine")
 
     def __add__(self, other):
+        if not isinstance(other, HPoly):
+            return NotImplemented
         self._same_ring(other)
         return HPoly(self.nvars, _add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
+        if not isinstance(other, HPoly):
+            return NotImplemented
         self._same_ring(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -76,6 +80,8 @@ class HPoly:
         return HPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        if not isinstance(other, HPoly):
+            return NotImplemented
         self._same_ring(other)
         return HPoly(self.nvars, _mul_terms(self.terms, other.terms))
 

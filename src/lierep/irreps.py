@@ -24,7 +24,7 @@ from .config import Caps
 from .errors import InvariantViolation
 from .linalg import (SpanBasis, kernel_basis, mat_inv, mat_mul, nullity,
                      rank)
-from .rootsystem import Weight, build_root_system
+from .rootsystem import Weight
 from .characters import dominant_weight_table, weyl_dimension
 from .enveloping import chevalley_basis
 
@@ -264,10 +264,6 @@ def _depth(rs, mono):
     return tuple(tot)
 
 
-def verma_engine(rs, mu):
-    return VermaEngine(rs, mu)
-
-
 def _add(a, b):
     return tuple(map(add, a, b))
 
@@ -426,25 +422,19 @@ class IrrepRealization:
 
 
 @lru_cache(maxsize=None)
-def _module(label, mu_coords):
-    return IrrepRealization(build_root_system(label), Weight(mu_coords))
+def _module(rs, mu):
+    return IrrepRealization(rs, mu)
 
 
-def v_extremes_dim(rs, mu, gamma, nu, sign="+"):
-    """dim V^{+/-}(mu; gamma, nu), the joint kernel of the e_i^{nu(h_i)+1}
-    on V(mu)_gamma, built only down to gamma.  The - version counts
-    f-kernels and is evaluated through the symmetry with the longest
-    element."""
+def v_extremes_dim(rs, mu, gamma, nu):
+    """dim V^+(mu; gamma, nu), the joint kernel of the e_i^{nu(h_i)+1}
+    on V(mu)_gamma, built only down to gamma."""
     if not (nu.is_integral and nu.is_dominant):
         raise ValueError("nu must be dominant integral")
-    if sign == "-":
-        from .weyl import longest_element
-        w0 = longest_element(rs)
-        return v_extremes_dim(rs, mu, w0.apply(gamma), -w0.apply(nu), "+")
     diff = rs.root_lattice_coords(mu - gamma)
     if diff is None or any(c < 0 for c in diff):
         return 0
-    real = _module(rs.label, mu.coords)
+    real = _module(rs, mu)
     real.build_to(diff)
     n = real.weight_dim(gamma)
     return nullity(_power_rows(rs, real, gamma.coords, nu, "+"), n) if n else 0
@@ -456,7 +446,7 @@ def realize(rs, mu, caps=Caps()):
     the dominant table; refused past caps.max_dim before the memo is
     consulted."""
     caps.check("max_dim", weyl_dimension(rs, mu), f"dim V({mu})")
-    real = _module(rs.label, mu.coords)
+    real = _module(rs, mu)
     if real.dimension is None:
         mults = {}
         for dom, m in dominant_weight_table(rs, mu).items():
@@ -619,15 +609,6 @@ class TensorModule:
                     if row[i2]:
                         out[index[(w1, i1, t2, r)][1]] += c * row[i2]
         return tgt, out, d
-
-    def apply_simple(self, kind, i, wcoords, vec):
-        """Apply e_i or f_i (diagonal action) to a vector in one weight block;
-        returns (target coords, vector) or None if it maps out of the module."""
-        res = self._apply_scaled(kind, i, wcoords, vec)
-        if res is None:
-            return None
-        tgt, out, d = res
-        return tgt, out if d == 1 else [Fraction(x, d) for x in out]
 
     def extremal_vector(self, w):
         """v_lam (x) v'_{w mu}: the canonical generator used by the

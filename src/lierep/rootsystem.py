@@ -53,10 +53,14 @@ class Weight:
         return self.coords[i]
 
     def __add__(self, other):
+        if not isinstance(other, Weight):
+            return NotImplemented
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords,
                                                   strict=True)))
 
     def __sub__(self, other):
+        if not isinstance(other, Weight):
+            return NotImplemented
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords,
                                                   strict=True)))
 
@@ -101,10 +105,14 @@ class RootVector:
         return self.coeffs[i]
 
     def __add__(self, other):
+        if not isinstance(other, RootVector):
+            return NotImplemented
         return RootVector(tuple(a + b for a, b in zip(self.coeffs, other.coeffs,
                                                       strict=True)))
 
     def __sub__(self, other):
+        if not isinstance(other, RootVector):
+            return NotImplemented
         return RootVector(tuple(a - b for a, b in zip(self.coeffs, other.coeffs,
                                                       strict=True)))
 

@@ -181,13 +181,6 @@ def check_extreme_components_bound():
     return f"{checked} pairs, all Weyl translates"
 
 
-def _kprv_corpus(label, cap=100):
-    rs = build_root_system(label)
-    ws = dominant_weights_by_dim(rs, cap)
-    return [(lam, mu) for i, (lam, dl) in enumerate(ws)
-            for mu, dm in ws[:i + 1] if dl * dm <= cap]
-
-
 def check_generated_submodules():
     """Generated-submodule multiplicities are 1; submodules grow along the
     Bruhat order; for regular pairs the target appears first at w."""
@@ -195,7 +188,7 @@ def check_generated_submodules():
     for label in ("A1", "A2"):
         rs = build_root_system(label)
         els = enumerate_weyl(rs)
-        for lam, mu in _kprv_corpus(label):
+        for lam, mu in _pair_corpus(label, 100):
             real1 = realize(rs, lam)
             real2 = realize(rs, mu)
             tensor = TensorModule(rs, real1, real2)
@@ -253,14 +246,9 @@ def check_rank2_multiplicity_two():
 HULL_TYPES = ("A1", "A2", "B2", "G2", "A3", "B3", "C3")
 
 
-@lru_cache(maxsize=None)
-def _w0_cached(label):
-    return longest_element(build_root_system(label))
-
-
-def _drop_span(rs, label, w):
+def _drop_span(rs, w):
     """Root coordinates of w - w0(w): the box holding every drop of V(w)."""
-    return rs.root_lattice_coords(w - _w0_cached(label).apply(w))
+    return rs.root_lattice_coords(w - longest_element(rs).apply(w))
 
 
 def check_weight_identities():
@@ -293,7 +281,7 @@ def check_weight_identities():
                 top = (lam + mu).coords
                 if top not in below:
                     below[top] = dominant_drops(rs, top)
-                bad = _sum_cover_gap(rs, label, lam, mu, drops, below[top])
+                bad = _sum_cover_gap(rs, lam, mu, drops, below[top])
                 if bad is not None:
                     _fail(f"{label} weight-set identity fails at "
                           f"({lam},{mu}): {bad}")
@@ -331,13 +319,13 @@ def _split_drop(dd, mu_span, ratio, mu_drops, lam_drops):
         mu_drops, key=lambda z: (abs(sum(z) - goal), z)))
 
 
-def _sum_cover_gap(rs, label, lam, mu, drops, below):
+def _sum_cover_gap(rs, lam, mu, drops, below):
     """First dominant weight of V(lam+mu) that fails to split as a sum of
     factor weights, or None; drops maps each factor to its weight_drops and
     below lists the dominant_drops of lam+mu."""
-    mu_span = _drop_span(rs, label, mu)
+    mu_span = _drop_span(rs, mu)
     mu_ht = sum(mu_span)
-    ratio = mu_ht / max(1, sum(_drop_span(rs, label, lam)) + mu_ht)
+    ratio = mu_ht / max(1, sum(_drop_span(rs, lam)) + mu_ht)
     for dd, nu in below:
         if not _split_drop(dd, mu_span, ratio, drops[mu.coords],
                            drops[lam.coords]):

@@ -5,7 +5,7 @@
 * steinberg: the signed double sum over the Weyl group through the vector
   partition function;
 * klimyk: the one-orbit-per-weight signed count over wt V(mu);
-* extremes: kernels of raising-operator powers inside the Verma model of the
+* prv: kernels of raising-operator powers on the weight spaces of the
   smaller factor.
 
 All four must agree; the last method is also exposed pointwise as
@@ -188,7 +188,7 @@ def _decompose_klimyk(rs, lam, mu, caps):
 
 
 def _decompose_extremes(rs, lam, mu, caps):
-    # work inside the Verma model of the smaller factor
+    # work inside the smaller factor
     if _weyl_dim(rs, mu.coords) > _weyl_dim(rs, lam.coords):
         lam, mu = mu, lam
     entries = {}
@@ -209,7 +209,7 @@ def decompose(rs, lam, mu, method="character", caps=Caps()):
         entries = _decompose_steinberg(rs, lam, mu, caps)
     elif method == "klimyk":
         entries = _decompose_klimyk(rs, lam, mu, caps)
-    elif method in ("prv", "extremes"):
+    elif method == "prv":
         entries = _decompose_extremes(rs, lam, mu, caps)
     else:
         raise ValueError(f"unknown method {method!r}")

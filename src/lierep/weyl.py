@@ -12,13 +12,12 @@ from operator import mul
 from .config import Caps
 from .errors import InvariantViolation
 from .linalg import identity, mat_mul
-from .rootsystem import Weight, RootVector, build_root_system
+from .rootsystem import Weight, RootVector
 
 __all__ = [
     "WeylElement", "identity_element", "simple_reflection", "from_word",
-    "enumerate_weyl", "shift_maps", "longest_element", "apply_weyl",
-    "twisted_action", "dominant_representative", "double_cosets",
-    "bruhat_leq",
+    "enumerate_weyl", "shift_maps", "longest_element",
+    "dominant_representative", "double_cosets", "bruhat_leq",
 ]
 
 
@@ -71,6 +70,7 @@ class WeylElement:
         return RootVector(coords)
 
     def twisted(self, w):
+        """Dot action w * lam = w(lam + rho) - rho."""
         rho = self.rs.rho
         return self.apply(w + rho) - rho
 
@@ -120,8 +120,7 @@ def _from_matrix(rs, matrix):
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(label):
-    rs = build_root_system(label)
+def _enumerate_cached(rs):
     gens = [_simple_matrix(rs, i) for i in range(rs.rank)]
     eye = identity_element(rs).matrix
     words = {eye: ()}
@@ -139,7 +138,7 @@ def _enumerate_cached(label):
     els.sort(key=lambda e: (e.length, e.word))
     if len(els) != rs.weyl_group_order:
         raise InvariantViolation(
-            f"enumerated {len(els)} elements of W({label}), "
+            f"enumerated {len(els)} elements of W({rs.label}), "
             f"expected {rs.weyl_group_order}")
     return tuple(els)
 
@@ -148,20 +147,19 @@ def enumerate_weyl(rs, caps=Caps()):
     """All Weyl group elements with canonical reduced words, sorted by
     (length, word); the last entry is the longest element."""
     caps.check("max_weyl", rs.weyl_group_order, f"|W({rs.label})|")
-    return _enumerate_cached(rs.label)
+    return _enumerate_cached(rs)
 
 
 @lru_cache(maxsize=None)
-def _shift_maps_cached(label):
+def _shift_maps_cached(rs):
     # along the canonical words, whose prefixes are canonical and come
     # first: ws_i(y) - y = (w(s_i y) - s_i y) + (s_i y - y) and
     # s_i y - y = -y_i alpha_i, so S_{ws_i} = S_w s_i - e_i e_i^T, which is
     # S_w with column i replaced
-    rs = build_root_system(label)
     rank, cartan = rs.rank, rs.cartan
     maps = {(): ((0,) * rank,) * rank}
     out = []
-    for w in _enumerate_cached(label):
+    for w in _enumerate_cached(rs):
         if w.word:
             i = w.word[-1]
             col = [cartan[j][i] for j in range(rank)]
@@ -180,24 +178,15 @@ def shift_maps(rs, caps=Caps()):
     order, where S_w is the integer matrix taking fundamental coordinates y
     to the root coordinates of w(y) - y.  Built once per type."""
     enumerate_weyl(rs, caps)
-    return _shift_maps_cached(rs.label)
+    return _shift_maps_cached(rs)
 
 
+@lru_cache(maxsize=None)
 def longest_element(rs):
     """w_circ, computed without full enumeration: the element sending -rho
     to rho via the deterministic dominance ascent."""
     _, w = dominant_representative(rs, -rs.rho)
     return w
-
-
-def apply_weyl(rs, w, lam):
-    rs.require_rank(lam)
-    return w.apply(lam)
-
-
-def twisted_action(rs, w, lam):
-    """Dot action w * lam = w(lam + rho) - rho."""
-    return w.twisted(lam)
 
 
 def dominant_representative(rs, lam):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lierep.rootsystem import Weight
-from lierep.weyl import enumerate_weyl, longest_element, twisted_action
+from lierep.weyl import enumerate_weyl, longest_element
 from lierep.enveloping import casimir, chevalley_basis
 from lierep.centralchar import (CentralCharacterId, central_character,
                                 hc_inf_character, sl2_omega, twisted_orbit_id)
@@ -45,7 +45,7 @@ def test_constant_on_dot_orbits(rs):
     base = central_character(rs, cb, lam, delta)
     powers = [delta, delta * delta]
     for w in enumerate_weyl(rs):
-        moved = twisted_action(rs, w, lam)
+        moved = w.twisted(lam)
         assert central_character(rs, cb, moved, delta) == base
         for p in powers:
             assert central_character(rs, cb, moved, p) \
@@ -56,7 +56,7 @@ def test_twisted_orbit_id(rs):
     lam = Weight(tuple((-1) ** i for i in range(rs.rank)))
     rep = twisted_orbit_id(rs, lam)
     for w in enumerate_weyl(rs):
-        assert twisted_orbit_id(rs, twisted_action(rs, w, lam)) == rep
+        assert twisted_orbit_id(rs, w.twisted(lam)) == rep
 
 
 def test_inf_character_finite_dimensional_case(a2):
@@ -77,7 +77,7 @@ def test_inf_character_equivariance(rs):
     nu = rs.rho
     base = hc_inf_character(rs, lam, nu)
     for w in enumerate_weyl(rs):
-        moved = hc_inf_character(rs, twisted_action(rs, w, lam), w.apply(nu))
+        moved = hc_inf_character(rs, w.twisted(lam), w.apply(nu))
         assert moved == base
 
 

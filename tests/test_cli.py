@@ -179,6 +179,7 @@ def test_max_dim_raises_character_cap(capsys):
     (("prv", "A2", "2,2", "2,2", "--kprv", "--word", "1"),
      "--max-dim", "728", "729"),
     (("hc", "A2", "class-zero", "3,3"), "--max-dim", "10", "343"),
+    (("mult", "A2", "1,1", "0,0"), "--max-weyl", "5", "6"),
 ])
 def test_cap_errors_name_their_flag(capsys, argv, flag, refused, accepted):
     code, _, err = run(capsys, *argv, flag, refused)

@@ -8,7 +8,7 @@ from lierep.errors import CapExceeded
 from lierep.rootsystem import RootVector, Weight, build_root_system
 from lierep.characters import partition_function
 from lierep.hpoly import HPoly
-from lierep.irreps import verma_engine
+from lierep.irreps import VermaEngine
 from lierep.linalg import det
 from lierep.determinants import (DetPolynomial, _lowering_gram, det_poly,
                                   prv_det, shapovalov_det)
@@ -98,7 +98,7 @@ def test_zero_sets_match_singular_vectors(a1):
     for z in range(-2, 6):
         lam = Weight((z,))
         value = det.evaluate(lam)
-        eng = verma_engine(a1, lam)
+        eng = VermaEngine(a1, lam)
         singular = False
         for depth in range(1, 4):
             em = eng.e_matrix(0, (depth,))
@@ -114,7 +114,7 @@ def test_zero_sets_match_gram_ranks(a2):
     from lierep.linalg import rank
     for coords in [(0, 0), (1, 0), (0, 1), (2, 3), (-1, 0), (-2, -2)]:
         lam = Weight(coords)
-        eng = verma_engine(a2, lam)
+        eng = VermaEngine(a2, lam)
         gram = eng.gram((1, 1))
         assert (det.evaluate(lam) == 0) == (rank(gram) < len(gram))
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lierep.rootsystem import Weight, build_root_system
+from lierep.rootsystem import RootVector, Weight, build_root_system
 from lierep.weyl import enumerate_weyl
 from lierep.hpoly import HPoly
 from lierep.enveloping import (UElement, casimir, casimir_eigenvalue,
@@ -416,3 +416,13 @@ def test_elements_of_different_algebras_raise():
             op(a2, b2)
         with pytest.raises(ValueError):
             op(b2, a2)
+
+
+def test_scalar_operands_raise_type_error():
+    delta = casimir(chevalley_basis(build_root_system("A1")))
+    for x in (delta, HPoly(1), Weight((1,)), RootVector((1,))):
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(TypeError):
+                op(x, 1)
+    with pytest.raises(TypeError):
+        HPoly(1) * 2

@@ -4,7 +4,7 @@ from itertools import product as iproduct
 import pytest
 
 from lierep.rootsystem import Weight
-from lierep.weyl import enumerate_weyl, longest_element, twisted_action
+from lierep.weyl import enumerate_weyl, longest_element
 from lierep.characters import freudenthal_multiplicity, weight_multiplicity
 from lierep.tensor import decompose, extreme_types
 from lierep.centralchar import hc_inf_character
@@ -90,7 +90,7 @@ def test_equivalent_implies_equal_invariants(a2):
     p = HCParams(lam, nu)
     ip = invariants(a2, p)
     for w in enumerate_weyl(a2):
-        q = HCParams(twisted_action(a2, w, lam), w.apply(nu))
+        q = HCParams(w.twisted(lam), w.apply(nu))
         iq = invariants(a2, q)
         assert iq.minimal_type == ip.minimal_type
         assert iq.inf_char == ip.inf_char

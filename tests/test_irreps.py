@@ -13,8 +13,7 @@ from lierep.characters import (dominant_weight_table, weyl_dimension,
 from lierep.enveloping import casimir_eigenvalue
 from lierep.irreps import (TensorModule, VermaEngine, _module,
                            generated_submodule, kprv_multiplicity, realize,
-                           v_extremes, v_extremes_dim, verma_engine,
-                           zero_weight_spectrum)
+                           v_extremes, v_extremes_dim, zero_weight_spectrum)
 from lierep.linalg import nullity, rank
 from lierep.tensor import decompose
 
@@ -186,7 +185,7 @@ def test_extreme_subspace_symmetry(a2):
 
 
 def test_verma_gram_positive_at_dominant(a2):
-    eng = verma_engine(a2, Weight((3, 2)))
+    eng = VermaEngine(a2, Weight((3, 2)))
     # radical vanishes strictly below the first wall crossings
     assert eng.radical_dim((1, 0)) == 0
     assert eng.radical_dim((1, 1)) == 0
@@ -508,7 +507,7 @@ def test_v_extremes_dim_builds_only_what_it_needs(g2):
     mu = Weight((7, 5))
     gamma = mu - g2.simple_root_weight(0) - g2.simple_root_weight(1)
     assert v_extremes_dim(g2, mu, gamma, Weight((0, 0))) == 0
-    real = _module(g2.label, mu.coords)
+    real = _module(g2, mu)
     assert real.dimension is None
     assert sorted(real._built) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert sorted(real.weights) == sorted(
@@ -565,14 +564,23 @@ def _apply_simple_reference(tensor, kind, i, wcoords, vec):
     return tgt, out
 
 
+def _apply_unscaled(tensor, kind, i, wcoords, vec):
+    """TensorModule._apply_scaled with the image divided by its scale."""
+    res = tensor._apply_scaled(kind, i, wcoords, vec)
+    if res is None:
+        return None
+    tgt, out, d = res
+    return tgt, [Fraction(x, d) for x in out]
+
+
 @pytest.mark.parametrize("label", ["A1", "A2"])
 def test_apply_simple_against_reference(label):
     # the kprv corpus (tensor dimension <= 100), every Weyl element: every
     # vector of each generated submodule, under every e_i and f_i
-    from lierep.selfcheck import _kprv_corpus
+    from lierep.selfcheck import _pair_corpus
     rs = build_root_system(label)
     els = enumerate_weyl(rs)
-    for lam, mu in _kprv_corpus(label):
+    for lam, mu in _pair_corpus(label, 100):
         tensor = TensorModule(rs, realize(rs, lam), realize(rs, mu))
         for w in els:
             spans = generated_submodule(tensor, [tensor.extremal_vector(w)])
@@ -580,6 +588,7 @@ def test_apply_simple_against_reference(label):
                 for vec in span.rows:
                     for kind in ("e", "f"):
                         for i in range(rs.rank):
-                            assert tensor.apply_simple(kind, i, wc, vec) == \
+                            assert _apply_unscaled(tensor, kind, i, wc,
+                                                   vec) == \
                                 _apply_simple_reference(tensor, kind, i, wc,
                                                         vec)

@@ -13,8 +13,7 @@ from lierep.linalg import mat_inv
 from lierep.rootsystem import Weight, build_root_system, dominance_hull_equiv
 from lierep.weyl import (bruhat_leq, double_cosets, dominant_representative,
                          enumerate_weyl, from_word, identity_element,
-                         longest_element, shift_maps, simple_reflection,
-                         twisted_action)
+                         longest_element, shift_maps, simple_reflection)
 
 
 def mulclose(mats, mul):
@@ -212,25 +211,24 @@ def test_twisted_action_composition(rs, data):
     a = data.draw(st.sampled_from(els))
     b = data.draw(st.sampled_from(els))
     lam = Weight(data.draw(st.tuples(*[st.integers(-3, 3)] * rs.rank)))
-    assert twisted_action(rs, a * b, lam) \
-        == twisted_action(rs, a, twisted_action(rs, b, lam))
-    assert twisted_action(rs, identity_element(rs), lam) == lam
+    assert (a * b).twisted(lam) == a.twisted(b.twisted(lam))
+    assert identity_element(rs).twisted(lam) == lam
 
 
 def test_twisted_action_sl2(a1):
     s = simple_reflection(a1, 0)
     for z in range(-4, 5):
-        assert twisted_action(a1, s, Weight((z,))) == Weight((-z - 2,))
+        assert s.twisted(Weight((z,))) == Weight((-z - 2,))
 
 
 def test_twisted_longest_at_zero(rs):
     w0 = longest_element(rs)
-    assert twisted_action(rs, w0, rs.zero_weight()) == -2 * rs.rho
+    assert w0.twisted(rs.zero_weight()) == -2 * rs.rho
 
 
 def test_twisted_orbit_size_divides_group_order(rs):
     lam = rs.fundamental(0)
-    orbit = {twisted_action(rs, w, lam).coords for w in enumerate_weyl(rs)}
+    orbit = {w.twisted(lam).coords for w in enumerate_weyl(rs)}
     assert len(enumerate_weyl(rs)) % len(orbit) == 0
 
 
