@@ -6,12 +6,17 @@ Freudenthal recursion over root strings (which needs no group enumeration).
 Full characters expand a dominant table (alternating sum while the group is
 enumerable, else Freudenthal) over W-orbits and are validated against the
 product dimension formula; the tensor layer works on the dominant tables.
+
+Tables and characters are memoised per (root system, highest weight) and
+handed out as read-only views, made once per memo entry, so no caller can
+change a later answer.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
 from operator import add, mul
+from types import MappingProxyType
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InvariantViolation
@@ -245,10 +250,16 @@ def _dominant_table(rs, lam_coords):
     return table
 
 
+@lru_cache(maxsize=None)
+def _dominant_table_view(rs, lam_coords):
+    return MappingProxyType(_dominant_table(rs, lam_coords))
+
+
 def dominant_weight_table(rs, lam):
-    """Multiplicities of V(lambda) on dominant weights (Freudenthal)."""
+    """Multiplicities of V(lambda) on dominant weights (Freudenthal), as a
+    read-only mapping."""
     require_dominant_integral(rs, lam)
-    return _dominant_table(rs, lam.coords)
+    return _dominant_table_view(rs, lam.coords)
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +286,7 @@ def freudenthal_multiplicity(rs, lam, mu):
     if rs.root_lattice_coords(lam - mu) is None:
         return 0
     dom = rs.dominant_in_orbit(mu)
-    return dominant_weight_table(rs, lam).get(dom.coords, 0)
+    return _dominant_table(rs, lam.coords).get(dom.coords, 0)
 
 
 def kostant_multiplicity(rs, lam, mu, caps=Caps()):
@@ -304,10 +315,10 @@ def weight_multiplicity(rs, lam, mu, caps=Caps()):
     return freudenthal_multiplicity(rs, lam, mu)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Character:
     """Finite weight -> multiplicity map: the full formal character of one
-    module (W-invariant)."""
+    module (W-invariant).  character_of hands out read-only entries."""
 
     entries: dict
 
@@ -343,6 +354,8 @@ def table_mult(rs, table, coords):
 
 @lru_cache(maxsize=None)
 def _character_cached(rs, lam_coords):
+    """The weight -> multiplicity dict of V(lam): the memo's own, which
+    callers read and never change."""
     dim = _weyl_dim(rs, lam_coords)
     entries = {}
     for dom_coords, m in _table(rs, lam_coords).items():
@@ -353,7 +366,17 @@ def _character_cached(rs, lam_coords):
         raise InvariantViolation(
             f"character of {Weight(lam_coords)}: mass {total} "
             f"!= Weyl dimension {dim}")
-    return Character(entries)
+    return entries
+
+
+@lru_cache(maxsize=None)
+def _character_view(rs, lam_coords):
+    return Character(MappingProxyType(_character_cached(rs, lam_coords)))
+
+
+@lru_cache(maxsize=None)
+def _table_view(rs, lam_coords):
+    return MappingProxyType(_table(rs, lam_coords))
 
 
 def _check_char_cap(rs, lam, caps):
@@ -363,13 +386,26 @@ def _check_char_cap(rs, lam, caps):
 
 def character_of(rs, lam, caps=Caps()):
     """Full formal character of V(lambda); sparse, validated against the
-    dimension formula."""
+    dimension formula, with read-only entries."""
     _check_char_cap(rs, lam, caps)
-    return _character_cached(rs, lam.coords)
+    return _character_view(rs, lam.coords)
 
 
 def character_table(rs, lam, caps=Caps()):
     """The dominant part of character_of(rs, lam, caps), under the same cap:
-    the multiplicities of V(lambda) on its dominant weights."""
+    the multiplicities of V(lambda) on its dominant weights, read-only."""
+    _check_char_cap(rs, lam, caps)
+    return _table_view(rs, lam.coords)
+
+
+def _character_entries(rs, lam, caps):
+    """character_of(rs, lam, caps).entries without the view, for hot loops
+    whose lookups a read-only view would slow down."""
+    _check_char_cap(rs, lam, caps)
+    return _character_cached(rs, lam.coords)
+
+
+def _checked_table(rs, lam, caps):
+    """character_table(rs, lam, caps) without the view, for hot loops."""
     _check_char_cap(rs, lam, caps)
     return _table(rs, lam.coords)

@@ -11,20 +11,11 @@ import json
 import re
 import sys
 
-from .config import Caps
+from .config import METHODS, Caps
 from .errors import CapExceeded, InvariantViolation
 from .rootsystem import build_root_system, format_weight, parse_weight
-from .weyl import enumerate_weyl, from_word
-from .characters import (character_of, freudenthal_multiplicity,
-                         weight_multiplicity, weyl_dimension)
-from .enveloping import casimir, chevalley_basis, hc_projection
-from .tensor import METHODS, decompose, decompose_all, extreme_types, \
-    generalized_prv
-from .centralchar import central_character, twisted_orbit_id
-from .determinants import prv_det, shapovalov_det
-from .hcmodules import (HCParams, class_zero, equivalent, finite_dimensional,
-                        invariants, isoclass_count)
-from . import selfcheck
+
+# each subcommand imports the modules it runs, so a query loads only those
 
 SCHEMA = "1"
 
@@ -68,6 +59,7 @@ def cmd_roots(args):
 
 
 def cmd_weyl(args):
+    from .weyl import enumerate_weyl
     rs = _system(args)
     els = enumerate_weyl(rs, args.caps)
     data = {
@@ -86,6 +78,7 @@ def cmd_weyl(args):
 
 
 def cmd_mult(args):
+    from .characters import freudenthal_multiplicity, weight_multiplicity
     rs = _system(args)
     lam = _weight(rs, args.highest)
     mu = _weight(rs, args.weight)
@@ -100,6 +93,7 @@ def cmd_mult(args):
 
 
 def cmd_char(args):
+    from .characters import character_of, weyl_dimension
     rs = _system(args)
     lam = _weight(rs, args.highest)
     ch = character_of(rs, lam, args.caps)
@@ -111,6 +105,7 @@ def cmd_char(args):
 
 
 def cmd_decompose(args):
+    from .tensor import decompose, decompose_all
     rs = _system(args)
     lam = _weight(rs, args.lam)
     mu = _weight(rs, args.mu)
@@ -132,6 +127,7 @@ def cmd_decompose(args):
 
 
 def cmd_minimal_type(args):
+    from .tensor import extreme_types
     rs = _system(args)
     lam = _weight(rs, args.lam)
     mu = _weight(rs, args.mu)
@@ -143,6 +139,8 @@ def cmd_minimal_type(args):
 
 
 def cmd_prv(args):
+    from .tensor import generalized_prv
+    from .weyl import enumerate_weyl, from_word
     rs = _system(args)
     lam = _weight(rs, args.lam)
     mu = _weight(rs, args.mu)
@@ -175,6 +173,7 @@ def cmd_prv(args):
 
 
 def cmd_shapovalov_det(args):
+    from .determinants import shapovalov_det
     rs = _system(args)
     depth = tuple(int(x) for x in args.depth.split(","))
     if len(depth) != rs.rank:
@@ -194,6 +193,7 @@ def cmd_shapovalov_det(args):
 
 
 def cmd_prv_det(args):
+    from .determinants import prv_det
     rs = _system(args)
     mu = _weight(rs, args.mu)
     det, lead, spectra = prv_det(rs, mu, args.caps)
@@ -211,6 +211,8 @@ def cmd_prv_det(args):
 
 
 def cmd_central_char(args):
+    from .centralchar import central_character, twisted_orbit_id
+    from .enveloping import casimir, chevalley_basis, hc_projection
     rs = _system(args)
     lam = _weight(rs, args.lam)
     basis = chevalley_basis(rs)
@@ -224,6 +226,8 @@ def cmd_central_char(args):
 
 
 def cmd_hc(args):
+    from .hcmodules import (HCParams, class_zero, equivalent,
+                            finite_dimensional, invariants, isoclass_count)
     rs = _system(args)
     if args.hc_cmd == "invariants":
         p = HCParams(_weight(rs, args.lam), _weight(rs, args.nu))
@@ -279,6 +283,7 @@ def cmd_hc(args):
 
 
 def cmd_selftest(args):
+    from . import selfcheck
     names = args.criteria.split(",") if args.criteria else None
     results = selfcheck.run(names, stream=None if args.json else sys.stdout)
     if args.json:

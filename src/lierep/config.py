@@ -4,6 +4,10 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded
 
+# the tensor product algorithms, in the order decompose_all compares them;
+# the CLI's --method choices come from here, so the parser needs no tensor
+METHODS = ("character", "steinberg", "klimyk", "prv")
+
 # the CLI flag that raises each cap
 _FLAGS = {"max_weyl": "--max-weyl", "max_dim": "--max-dim",
           "max_char": "--max-dim"}

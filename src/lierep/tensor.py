@@ -15,23 +15,20 @@ components, generalized extreme components, minuscule closed form).
 
 from operator import sub
 
-from .config import Caps
+from .config import METHODS, Caps
 from .errors import InvariantViolation
 from .rootsystem import Weight
 from .weyl import double_cosets, longest_element, shift_maps
-from .characters import (_weyl_dim, character_of, character_table,
-                         dominant_weight_table, require_dominant_integral,
-                         rho_shifts, signed_partition_sum, table_mult,
-                         weyl_dimension)
-from .irreps import v_extremes_dim
+from .characters import (_character_entries, _checked_table, _weyl_dim,
+                         character_of, dominant_weight_table,
+                         require_dominant_integral, rho_shifts,
+                         signed_partition_sum, table_mult, weyl_dimension)
 
 __all__ = [
     "Decomposition", "decompose", "decompose_all", "multiplicity",
     "extreme_types", "generalized_prv", "minuscule_decompose",
     "component_tests", "is_minuscule",
 ]
-
-METHODS = ("character", "steinberg", "klimyk", "prv")
 
 
 class Decomposition:
@@ -53,7 +50,7 @@ class Decomposition:
     def _audit(self, caps):
         rs = self.rs
         total = 0
-        table = character_table(rs, self.mu, caps)
+        table = _checked_table(rs, self.mu, caps)
         lam_c = self.lam.coords
         for coords, m in self.entries.items():
             if m < 0 or len(coords) != rs.rank or not all(
@@ -96,7 +93,7 @@ def _candidates(rs, lam, mu, caps):
     candidates."""
     lam_c = lam.coords
     out = set()
-    for mu_c in character_of(rs, mu, caps).entries:
+    for mu_c in _character_entries(rs, mu, caps):
         nu = tuple(a + b for a, b in zip(lam_c, mu_c))
         if min(nu) >= 0:
             out.add(nu)
@@ -111,13 +108,13 @@ def _char_product(rs, lam, mu, caps):
     among the dominant weights of V(lam + mu), read from its dominant table:
     the peeling needs that table for its first component anyway.
     """
-    ch1 = character_of(rs, lam, caps).entries
-    ch2 = character_of(rs, mu, caps).entries
+    ch1 = _character_entries(rs, lam, caps)
+    ch2 = _character_entries(rs, mu, caps)
     if len(ch1) < len(ch2):
         ch1, ch2 = ch2, ch1
     get = ch1.get
     out = {}
-    for nu in character_table(rs, lam + mu, caps):
+    for nu in _checked_table(rs, lam + mu, caps):
         total = 0
         for c2, m2 in ch2.items():
             m1 = get(tuple(map(sub, nu, c2)))
@@ -147,7 +144,7 @@ def _decompose_character(rs, lam, mu, caps):
         if m < 0:
             raise InvariantViolation("character peeling left a non-character")
         entries[top] = m
-        for c2, m2 in character_table(rs, Weight(top), caps).items():
+        for c2, m2 in _checked_table(rs, Weight(top), caps).items():
             left = remaining.get(c2, 0) - m * m2
             if left:
                 remaining[c2] = left
@@ -178,7 +175,7 @@ def _decompose_steinberg(rs, lam, mu, caps):
 def _decompose_klimyk(rs, lam, mu, caps):
     shift = [c + 1 for c in lam.coords]   # lam + rho
     entries = {}
-    for mu_c, m in character_of(rs, mu, caps).entries.items():
+    for mu_c, m in _character_entries(rs, mu, caps).items():
         dom, word = rs.dominant_ascent([a + b for a, b in zip(shift, mu_c)])
         if 0 in dom:
             continue
@@ -188,6 +185,7 @@ def _decompose_klimyk(rs, lam, mu, caps):
 
 
 def _decompose_extremes(rs, lam, mu, caps):
+    from .irreps import v_extremes_dim
     # work inside the smaller factor
     if _weyl_dim(rs, mu.coords) > _weyl_dim(rs, lam.coords):
         lam, mu = mu, lam
@@ -233,6 +231,7 @@ def multiplicity(rs, lam, mu, nu, cross_check=True):
     decomposition, via raising-operator kernels.  When cross_check is set the
     two kernel expressions (inside V(mu) and inside V(nu)) are both computed
     and compared."""
+    from .irreps import v_extremes_dim
     require_dominant_integral(rs, lam, mu, nu)
     m1 = v_extremes_dim(rs, mu, nu - lam, lam)
     if cross_check:

@@ -272,3 +272,27 @@ def test_weyl_invariance_of_multiplicities(rs, data):
     m = freudenthal_multiplicity(rs, lam, mu)
     for i in range(rs.rank):
         assert freudenthal_multiplicity(rs, lam, rs.reflect(i, mu)) == m
+
+
+def test_memo_results_are_read_only(a2):
+    lam, zero = Weight((1, 1)), Weight((0, 0))
+    table = dominant_weight_table(a2, lam)
+    with pytest.raises(TypeError):
+        table[(0, 0)] = 5
+    assert freudenthal_multiplicity(a2, lam, zero) == 2
+    with pytest.raises(TypeError):
+        character_table(a2, lam)[(0, 0)] = 5
+    assert weight_multiplicity(a2, lam, zero) == 2
+    ch = character_of(a2, Weight((1, 0)))
+    with pytest.raises(TypeError):
+        ch.entries[(1, 0)] = 7
+    with pytest.raises(AttributeError):
+        ch.entries.clear()
+    with pytest.raises(AttributeError):
+        ch.entries = {}
+    assert character_of(a2, Weight((1, 0))).total() == 3
+    assert decompose(a2, lam, Weight((1, 0))).entries \
+        == {(2, 1): 1, (0, 2): 1, (1, 0): 1}
+    # one view per memo entry, not one per call
+    assert dominant_weight_table(a2, lam) is table
+    assert character_of(a2, Weight((1, 0))) is ch

@@ -264,3 +264,60 @@ def test_selftest_subset(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["results"][0]["passed"] is True
+
+
+# the lierep modules a query has loaded once main() returns, each query in
+# a fresh interpreter
+_LOADED = ("import sys\n"
+           "from lierep.cli import main\n"
+           "main(sys.argv[1:])\n"
+           "print(' '.join(sorted(m for m in sys.modules\n"
+           "                      if m.startswith('lierep.'))))\n")
+
+_README_QUERIES = [
+    "roots G2", "weyl B2", "mult A2 1,1 0,0", "char A1 4",
+    "decompose A1 3 2", "decompose A2 1,0 0,1 --method=all",
+    "minimal-type A1 3 1", "prv A2 1,1 1,1", "shapovalov-det A1 2",
+    "prv-det A2 1,1", "central-char A1 3", "hc A1 invariants 1/2 3",
+    "hc A1 equivalent 3 1 -5 -1", "hc A1 class-zero 2",
+    "hc A2 count 1,0 0,1",
+]
+_SELFTEST = "selftest --criteria clebsch-gordan"
+
+
+def _loaded_modules(query):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED] + query.split(), env=env,
+        capture_output=True, text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    return {m.partition(".")[2] for m in lines[-1].split()}
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    return {q: _loaded_modules(q) for q in _README_QUERIES
+            + ["decompose B2 1,0 1,1 --method=klimyk", _SELFTEST]}
+
+
+def test_structure_queries_load_no_representation_modules(loaded):
+    assert loaded["roots G2"] <= {"cli", "config", "errors", "linalg",
+                                  "rootsystem"}
+    heavy = {"characters", "tensor", "irreps", "enveloping", "hpoly",
+             "selfcheck"}
+    for query in ("roots G2", "weyl B2"):
+        assert not loaded[query] & heavy, query
+
+
+def test_klimyk_decomposition_loads_no_module_engine(loaded):
+    got = loaded["decompose B2 1,0 1,1 --method=klimyk"]
+    assert "tensor" in got
+    assert not got & {"irreps", "enveloping", "selfcheck"}
+
+
+def test_only_selftest_loads_selfcheck(loaded):
+    assert "selfcheck" in loaded[_SELFTEST]
+    for query, got in loaded.items():
+        if query != _SELFTEST:
+            assert "selfcheck" not in got, query
