@@ -399,13 +399,8 @@ def character_table(rs, lam, caps=Caps()):
 
 
 def _character_entries(rs, lam, caps):
-    """character_of(rs, lam, caps).entries without the view, for hot loops
-    whose lookups a read-only view would slow down."""
+    """character_of(rs, lam, caps).entries without the view, for
+    _char_product's inner loop: a view's .get is a slower method call
+    (iterating a view costs what iterating the dict does)."""
     _check_char_cap(rs, lam, caps)
     return _character_cached(rs, lam.coords)
-
-
-def _checked_table(rs, lam, caps):
-    """character_table(rs, lam, caps) without the view, for hot loops."""
-    _check_char_cap(rs, lam, caps)
-    return _table(rs, lam.coords)

@@ -19,8 +19,8 @@ from .config import METHODS, Caps
 from .errors import InvariantViolation
 from .rootsystem import Weight
 from .weyl import double_cosets, longest_element, shift_maps
-from .characters import (_character_entries, _checked_table, _weyl_dim,
-                         character_of, dominant_weight_table,
+from .characters import (_character_entries, _weyl_dim, character_of,
+                         character_table, dominant_weight_table,
                          require_dominant_integral, rho_shifts,
                          signed_partition_sum, table_mult, weyl_dimension)
 
@@ -50,7 +50,7 @@ class Decomposition:
     def _audit(self, caps):
         rs = self.rs
         total = 0
-        table = _checked_table(rs, self.mu, caps)
+        table = character_table(rs, self.mu, caps)
         lam_c = self.lam.coords
         for coords, m in self.entries.items():
             if m < 0 or len(coords) != rs.rank or not all(
@@ -93,7 +93,7 @@ def _candidates(rs, lam, mu, caps):
     candidates."""
     lam_c = lam.coords
     out = set()
-    for mu_c in _character_entries(rs, mu, caps):
+    for mu_c in character_of(rs, mu, caps).entries:
         nu = tuple(a + b for a, b in zip(lam_c, mu_c))
         if min(nu) >= 0:
             out.add(nu)
@@ -114,7 +114,7 @@ def _char_product(rs, lam, mu, caps):
         ch1, ch2 = ch2, ch1
     get = ch1.get
     out = {}
-    for nu in _checked_table(rs, lam + mu, caps):
+    for nu in character_table(rs, lam + mu, caps):
         total = 0
         for c2, m2 in ch2.items():
             m1 = get(tuple(map(sub, nu, c2)))
@@ -144,7 +144,7 @@ def _decompose_character(rs, lam, mu, caps):
         if m < 0:
             raise InvariantViolation("character peeling left a non-character")
         entries[top] = m
-        for c2, m2 in _checked_table(rs, Weight(top), caps).items():
+        for c2, m2 in character_table(rs, Weight(top), caps).items():
             left = remaining.get(c2, 0) - m * m2
             if left:
                 remaining[c2] = left
@@ -175,7 +175,7 @@ def _decompose_steinberg(rs, lam, mu, caps):
 def _decompose_klimyk(rs, lam, mu, caps):
     shift = [c + 1 for c in lam.coords]   # lam + rho
     entries = {}
-    for mu_c, m in _character_entries(rs, mu, caps).items():
+    for mu_c, m in character_of(rs, mu, caps).entries.items():
         dom, word = rs.dominant_ascent([a + b for a, b in zip(shift, mu_c)])
         if 0 in dom:
             continue
