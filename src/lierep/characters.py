@@ -7,6 +7,12 @@ Full characters expand a dominant table (alternating sum while the group is
 enumerable, else Freudenthal) over W-orbits and are validated against the
 product dimension formula; the tensor layer works on the dominant tables.
 
+The partition function is one dense table per root system over a box of
+root coordinates, built by a coin-change pass per non-simple root and a
+prefix sum per simple root.  A caller asks for the box it will read before
+its loop; a request past the box replaces the table by one on the
+elementwise max of the two boxes, and a reader keeps the snapshot it got.
+
 Tables and characters are memoised per (root system, highest weight) and
 handed out as read-only views, made once per memo entry, so no caller can
 change a later answer.
@@ -14,8 +20,8 @@ change a later answer.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
-from operator import add, mul
+from itertools import accumulate, product as iproduct
+from operator import add, le, mul
 from types import MappingProxyType
 
 from .config import DEFAULT_CAPS, Caps
@@ -52,35 +58,79 @@ def partition_function(rs, beta):
             raise ValueError(f"root coordinates {beta} must be integers")
     if any(c < 0 for c in coords):
         return 0
-    return _pf(rs, coords, rs.rank)
+    values, strides, _ = _pf_covering(rs, coords)
+    return values[sum(map(mul, coords, strides))]
 
 
-def _pf(rs, coords, k):
-    """Ways to write coords, a nonnegative root-coordinate vector, as a sum of
-    positive roots whose non-simple members are among roots k..end of the
-    height-lex order (k >= rank: the simple roots come first).
+def _pf_covering(rs, need):
+    """The partition-function table of rs, (values, strides, box), whose box
+    covers the root-coordinate vector need.
 
-    Whatever the non-simple roots leave is nonnegative and has exactly one
-    expression in simple roots, so only the non-simple roots recurse.
+    A table is one snapshot and never changes: a request past the published
+    box builds a new one at the elementwise max of the two boxes, and a
+    reader keeps the snapshot it was handed.
     """
-    nroots = rs.nroots
-    if k >= nroots:
-        return 1
-    root = rs.positive_roots[k].coeffs
-    if k + 1 == nroots:
-        return min(c // r for c, r in zip(coords, root) if r) + 1
-    memo = rs._pf_memo
-    key = (coords, k)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    most = min(c // r for c, r in zip(coords, root) if r)
-    total = 0
-    for j in range(most + 1):
-        total += _pf(rs, tuple(a - j * b for a, b in zip(coords, root)),
-                     k + 1)
-    memo[key] = total
-    return total
+    table = rs._pf_table
+    box = table[2]
+    if all(map(le, need, box)):
+        return table
+    return _pf(rs, tuple(map(max, box, need)))
+
+
+def _pf(rs, box):
+    """Build and publish the table of P, the partition function of rs, on
+    the box 0 <= x <= box of root coordinates: (values, strides, box) with
+    P(x) = values[sum(x_i * strides_i)], the last axis contiguous.
+
+    First Q(x), the number of ways to write x as a sum of non-simple roots,
+    by one coin-change pass per non-simple root.  What the non-simple roots
+    leave of x is nonnegative and has exactly one expression in simple
+    roots, so P(x) is the sum of Q(y) over 0 <= y <= x: one prefix-sum pass
+    per simple-root axis turns Q into P.
+    """
+    rank = rs.rank
+    strides = [1] * rank
+    for i in range(rank - 1, 0, -1):
+        strides[i - 1] = strides[i] * (box[i] + 1)
+    values = [0] * (strides[0] * (box[0] + 1))
+    values[0] = 1
+    for root in rs.positive_roots[rank:]:
+        r = root.coeffs
+        # t is the last axis where r is nonzero: the cells x >= r that share
+        # x_0..x_{t-1} form one contiguous run, and the cell x - r that each
+        # adds has a smaller prefix (a non-simple root has two nonzero
+        # coordinates), so it already counts this root
+        t = max(i for i in range(rank) if r[i])
+        off = sum(map(mul, r, strides))
+        lo, hi = r[t] * strides[t], (box[t] + 1) * strides[t]
+        for base in _offsets(strides, [range(r[i], box[i] + 1)
+                                       for i in range(t)]):
+            a, b = base + lo, base + hi
+            values[a:b] = map(add, values[a:b], values[a - off:b - off])
+    # prefix sums: along axis i < rank - 1 in blocks of strides[i] cells,
+    # along the last axis one row at a time
+    for i in range(rank - 1):
+        block = strides[i]
+        for start in _offsets(strides, [range(box[j] + 1) for j in range(i)]):
+            for a in range(start + block, start + (box[i] + 1) * block,
+                           block):
+                values[a:a + block] = map(add, values[a:a + block],
+                                          values[a - block:a])
+    row = box[-1] + 1
+    for a in range(0, len(values), row):
+        values[a:a + row] = accumulate(values[a:a + row])
+    table = (values, tuple(strides), tuple(box))
+    rs._pf_table = table
+    return table
+
+
+def _offsets(strides, ranges):
+    """Flat offsets, in increasing order, of the coordinate prefixes whose
+    i-th coordinate runs over ranges[i]."""
+    out = [0]
+    for stride, rng in zip(strides, ranges):
+        out = [base + x * stride for base in out for x in rng]
+    return out
 
 
 def rho_shifts(maps, x_coords):
@@ -97,14 +147,16 @@ def rho_shifts(maps, x_coords):
 
 
 def signed_partition_sum(rs, shifts, drop):
-    """Sum of sign * p(drop + shift) over shifts from rho_shifts; arguments
-    with a negative coordinate, where p vanishes, are skipped."""
+    """Sum of sign * p(drop + shift) over shifts from rho_shifts at a
+    dominant x, so that every shift is <= 0 and the table covering drop
+    covers every argument; arguments with a negative coordinate, where p
+    vanishes, are skipped."""
+    values, strides, _ = _pf_covering(rs, drop)
     total = 0
-    start = rs.rank
     for sgn, shift in shifts:
         arg = tuple(map(add, drop, shift))
         if min(arg) >= 0:
-            total += sgn * _pf(rs, arg, start)
+            total += sgn * values[sum(map(mul, arg, strides))]
     return total
 
 
@@ -269,8 +321,10 @@ def _dominant_table_fast(rs, lam_coords):
     is enumerable; cross-checked against Freudenthal in the test suite and by
     the total-dimension audit on every character."""
     shifts = rho_shifts(shift_maps(rs), lam_coords)
+    drops = dominant_drops(rs, lam_coords)
+    _pf_covering(rs, [max(col) for col in zip(*[d for d, _ in drops])])
     table = {}
-    for drop, mu in dominant_drops(rs, lam_coords):
+    for drop, mu in drops:
         total = signed_partition_sum(rs, shifts, drop)
         if total:
             table[mu] = total
@@ -381,7 +435,7 @@ def _table_view(rs, lam_coords):
 
 def _check_char_cap(rs, lam, caps):
     require_dominant_integral(rs, lam)
-    caps.check("max_char", _weyl_dim(rs, lam.coords), f"dim V({lam})")
+    caps.check("max_char", _weyl_dim(rs, lam.coords), "dim V({})", lam)
 
 
 def character_of(rs, lam, caps=Caps()):

@@ -38,13 +38,14 @@ class Caps:
             given["max_weyl"] = max_weyl
         return cls(**given)
 
-    def check(self, name, value, what):
+    def check(self, name, value, what, *args):
         """Raise CapExceeded, naming the flag that raises cap `name`, when
-        value exceeds it."""
+        value exceeds it.  The message describes value as what.format(*args),
+        formatted only on refusal: most checks pass."""
         cap = getattr(self, name)
         if value > cap:
-            raise CapExceeded(f"{what} = {value} exceeds {name} cap {cap}; "
-                              f"raise it with {_FLAGS[name]}")
+            raise CapExceeded(f"{what.format(*args)} = {value} exceeds "
+                              f"{name} cap {cap}; raise it with {_FLAGS[name]}")
 
 
 DEFAULT_CAPS = Caps()

@@ -445,7 +445,7 @@ def realize(rs, mu, caps=Caps()):
     matrices, built once per (system, mu) and checked block by block against
     the dominant table; refused past caps.max_dim before the memo is
     consulted."""
-    caps.check("max_dim", weyl_dimension(rs, mu), f"dim V({mu})")
+    caps.check("max_dim", weyl_dimension(rs, mu), "dim V({})", mu)
     real = _module(rs, mu)
     if real.dimension is None:
         mults = {}

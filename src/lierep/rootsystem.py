@@ -259,7 +259,9 @@ class RootSystem:
         self._build_form()
         self.rho = Weight((1,) * rank)
         self._check_invariants()
-        self._pf_memo = {}
+        # the partition-function table (values, strides, box) on the box
+        # {0}; characters._pf replaces it whole by a table on a larger box
+        self._pf_table = ([1], (1,) * rank, (0,) * rank)
 
     # -- construction -----------------------------------------------------
 

@@ -19,8 +19,8 @@ from .config import METHODS, Caps
 from .errors import InvariantViolation
 from .rootsystem import Weight
 from .weyl import double_cosets, longest_element, shift_maps
-from .characters import (_character_entries, _weyl_dim, character_of,
-                         character_table, dominant_weight_table,
+from .characters import (_character_entries, _pf_covering, _weyl_dim,
+                         character_of, character_table, dominant_weight_table,
                          require_dominant_integral, rho_shifts,
                          signed_partition_sum, table_mult, weyl_dimension)
 
@@ -160,13 +160,19 @@ def _decompose_steinberg(rs, lam, mu, caps):
     maps = shift_maps(rs, caps)
     mu_shifts = rho_shifts(maps, mu.coords)
     top = [a + b for a, b in zip(lam.coords, mu.coords)]
-    entries = {}
+    terms = []
     for coords in _candidates(rs, lam, mu, caps):
         drop = rs.root_lattice_coords(tuple(map(sub, top, coords)))
+        terms.append((coords, [(sgn, tuple(map(sub, drop, shift)))
+                               for sgn, shift in rho_shifts(maps, coords)]))
+    # one partition-function table for every term, built before the sum
+    _pf_covering(rs, [max(col) for col in
+                      zip(*[arg for _, args in terms for _, arg in args])])
+    entries = {}
+    for coords, args in terms:
         total = 0
-        for sgn, shift in rho_shifts(maps, coords):
-            total += sgn * signed_partition_sum(
-                rs, mu_shifts, tuple(map(sub, drop, shift)))
+        for sgn, arg in args:
+            total += sgn * signed_partition_sum(rs, mu_shifts, arg)
         if total:
             entries[coords] = total
     return entries

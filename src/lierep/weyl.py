@@ -121,15 +121,18 @@ def _from_matrix(rs, matrix):
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(rs):
-    gens = [_simple_matrix(rs, i) for i in range(rs.rank)]
+    # s_i is the identity but for column i, e_i - alpha_i (alpha_i is
+    # column i of the Cartan matrix), so m s_i is m with column i replaced
+    # by m e_i - m alpha_i
     eye = identity_element(rs).matrix
     words = {eye: ()}
     frontier = [eye]
     while frontier:
         nxt = []
         for m in sorted(frontier, key=words.__getitem__):
-            for i, g in enumerate(gens):
-                prod = _mul(m, g)
+            for i, col in enumerate(rs.simple_root_coords):
+                prod = tuple([row[:i] + (row[i] - sum(map(mul, row, col)),)
+                              + row[i + 1:] for row in m])
                 if prod not in words:
                     words[prod] = words[m] + (i,)
                     nxt.append(prod)
@@ -146,7 +149,7 @@ def _enumerate_cached(rs):
 def enumerate_weyl(rs, caps=Caps()):
     """All Weyl group elements with canonical reduced words, sorted by
     (length, word); the last entry is the longest element."""
-    caps.check("max_weyl", rs.weyl_group_order, f"|W({rs.label})|")
+    caps.check("max_weyl", rs.weyl_group_order, "|W({})|", rs.label)
     return _enumerate_cached(rs)
 
 

@@ -1,19 +1,24 @@
+import sys
+import threading
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lierep import characters
 from lierep.config import Caps
 from lierep.errors import CapExceeded
-from lierep.rootsystem import Weight, build_root_system
-from lierep.characters import (character_of, character_table,
+from lierep.rootsystem import RootSystem, Weight, build_root_system
+from lierep.characters import (_pf_covering, character_of, character_table,
                                dominant_drops, dominant_weight_table,
                                freudenthal_multiplicity,
                                kostant_multiplicity, partition_function,
                                partition_function_bruteforce,
-                               weight_drops, weight_multiplicity,
-                               weyl_dimension)
+                               signed_partition_sum, weight_drops,
+                               weight_multiplicity, weyl_dimension)
 from lierep.rootsystem import RootVector
 from lierep.selfcheck import HULL_TYPES
 from lierep.tensor import METHODS, decompose, multiplicity
@@ -41,33 +46,158 @@ def test_partition_off_lattice_weight_is_zero(a2):
     assert partition_function(a2, Weight((1, 0))) == 0
 
 
+_ORACLE_MEMO = {}
+
+
+def pf_oracle(rs, coords, k):
+    """Ways to write coords, a nonnegative root-coordinate vector, as a sum
+    of positive roots whose non-simple members are among roots k..end of the
+    height-lex order (k >= rank: the simple roots come first).  The memoised
+    recursion that the dense table replaced, kept as its oracle.
+
+    Whatever the non-simple roots leave is nonnegative and has exactly one
+    expression in simple roots, so only the non-simple roots recurse.
+    """
+    nroots = rs.nroots
+    if k >= nroots:
+        return 1
+    root = rs.positive_roots[k].coeffs
+    if k + 1 == nroots:
+        return min(c // r for c, r in zip(coords, root) if r) + 1
+    key = (rs, coords, k)
+    hit = _ORACLE_MEMO.get(key)
+    if hit is not None:
+        return hit
+    most = min(c // r for c, r in zip(coords, root) if r)
+    total = 0
+    for j in range(most + 1):
+        total += pf_oracle(rs, tuple(a - j * b for a, b in zip(coords, root)),
+                           k + 1)
+    _ORACLE_MEMO[key] = total
+    return total
+
+
+def table_cells(rs, box):
+    """(x, P(x)) for every cell x of the box, read straight from the
+    partition-function table covering it."""
+    values, strides, _ = _pf_covering(rs, box)
+    for x in iproduct(*[range(b + 1) for b in box]):
+        yield x, values[sum(map(mul, x, strides))]
+
+
 def test_partition_against_bruteforce(rs):
-    for coords in iproduct(range(4), repeat=rs.rank):
-        assert partition_function(rs, coords) \
-            == partition_function_bruteforce(rs, coords)
+    for x, p in table_cells(rs, (3,) * rs.rank):
+        assert p == pf_oracle(rs, x, rs.rank) == partition_function(rs, x) \
+            == partition_function_bruteforce(rs, x)
 
 
 @pytest.mark.parametrize("label,bound",
                          [("A3", 4), ("B3", 4), ("C3", 4), ("F4", 2)])
 def test_partition_against_bruteforce_higher_rank(label, bound):
     rs = build_root_system(label)
-    for coords in iproduct(range(bound), repeat=rs.rank):
-        assert partition_function(rs, coords) \
-            == partition_function_bruteforce(rs, coords)
+    for x, p in table_cells(rs, (bound - 1,) * rs.rank):
+        assert p == pf_oracle(rs, x, rs.rank) == partition_function(rs, x) \
+            == partition_function_bruteforce(rs, x)
 
 
 def test_partition_convolution_consistency(a2, b2, g2):
     # the recursion's identity: peeling the exponent of the first non-simple
-    # root (index rank of the height-lex order) reproduces the memoised value
-    from lierep.characters import _pf
+    # root (index rank of the height-lex order) reproduces the table's value
     for rs, beta in ((a2, (3, 2)), (b2, (3, 4)), (g2, (4, 6))):
         first = rs.positive_roots[rs.rank].coeffs
         total = 0
         cur = beta
         while all(x >= 0 for x in cur):
-            total += _pf(rs, cur, rs.rank + 1)
+            total += pf_oracle(rs, cur, rs.rank + 1)
             cur = tuple(a - b for a, b in zip(cur, first))
         assert total == partition_function(rs, beta)
+
+
+def test_table_growth_reads_no_aliased_cell():
+    # an uninterned B3 starts from the one-cell table; in the layout of the
+    # box (6, 1, 0) the flat index of (0, 0, 5) is that of (2, 1, 0), so a
+    # read past a trailing axis must grow the table first
+    rs = RootSystem("B", 3)
+    assert partition_function(rs, (6, 1, 0)) == pf_oracle(rs, (6, 1, 0), 3)
+    assert rs._pf_table[2] == (6, 1, 0)
+    assert signed_partition_sum(rs, [(1, (0, 0, 0))], (0, 0, 5)) \
+        == pf_oracle(rs, (0, 0, 5), 3) != pf_oracle(rs, (2, 1, 0), 3)
+    assert rs._pf_table[2] == (6, 1, 5)
+    for x, p in table_cells(rs, (6, 1, 5)):
+        assert p == pf_oracle(rs, x, 3)
+
+
+def test_table_growth_under_threads():
+    # each thread grows one shared table along its own axis while reading
+    # it: a read that mixed the strides of one snapshot with the values of
+    # another would give a wrong count or an index past the values
+    rs = RootSystem("B", 3)
+    points = [tuple(k if i == axis else 1 for i in range(3))
+              for axis in range(3) for k in range(1, 9)]
+    expected = {x: pf_oracle(rs, x, 3) for x in points}
+    wrong = []
+    gate = threading.Barrier(6)
+
+    def work(axis):
+        gate.wait(timeout=60)
+        for x in points[8 * axis:] + points[:8 * axis]:
+            try:
+                if partition_function(rs, x) != expected[x]:
+                    wrong.append(x)
+            except IndexError:
+                wrong.append(x)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k % 3,))
+                   for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+
+
+def test_a_reader_keeps_the_table_it_was_handed(monkeypatch):
+    # another thread may publish its own, smaller table between a build and
+    # the reads that follow it; those reads must index the table they got
+    rs = RootSystem("B", 3)
+    build = characters._pf
+    small = build(rs, (1, 1, 1))
+
+    def build_then_lose_the_race(rs, box):
+        table = build(rs, box)
+        rs._pf_table = small
+        return table
+
+    monkeypatch.setattr(characters, "_pf", build_then_lose_the_race)
+    assert partition_function(rs, (0, 0, 6)) == pf_oracle(rs, (0, 0, 6), 3)
+    assert signed_partition_sum(rs, [(1, (0, 0, 0)), (-1, (-1, 0, -2))],
+                                (5, 0, 3)) \
+        == pf_oracle(rs, (5, 0, 3), 3) - pf_oracle(rs, (4, 0, 1), 3)
+    assert rs._pf_table is small
+
+
+def test_kostant_table_is_the_box_of_its_drop():
+    rs = RootSystem("F", 4)
+    lam = Weight((1, 1, 1, 1))
+    assert kostant_multiplicity(rs, lam, Weight((0, 0, 0, 0))) == 34432
+    drop = rs.root_lattice_coords(lam)
+    values, _, box = rs._pf_table
+    assert box == drop
+    assert len(values) == prod(d + 1 for d in drop)
+
+
+def test_f4_zero_weight_space_of_2222():
+    # the alternating sum reads one table of 17 * 31 * 43 * 23 cells
+    rs = build_root_system("F4")
+    lam, zero = Weight((2, 2, 2, 2)), Weight((0, 0, 0, 0))
+    assert weight_multiplicity(rs, lam, zero) == 85649121
+    assert freudenthal_multiplicity(rs, lam, zero) == 85649121
 
 
 def test_dimensions(a1, a2, g2):

@@ -11,9 +11,10 @@ from lierep.errors import CapExceeded
 from lierep.hcmodules import HCParams, invariants, isoclass_count
 from lierep.linalg import mat_inv
 from lierep.rootsystem import Weight, build_root_system, dominance_hull_equiv
-from lierep.weyl import (bruhat_leq, double_cosets, dominant_representative,
-                         enumerate_weyl, from_word, identity_element,
-                         longest_element, shift_maps, simple_reflection)
+from lierep.weyl import (_mul, bruhat_leq, double_cosets,
+                         dominant_representative, enumerate_weyl, from_word,
+                         identity_element, longest_element, shift_maps,
+                         simple_reflection)
 
 
 def mulclose(mats, mul):
@@ -51,6 +52,33 @@ def test_enumeration_against_generation_oracle(label, order, longest_len):
     assert len(els) == order
     assert len({w.matrix for w in els}) == order
     assert els[-1].length == longest_len
+
+
+def enumerate_by_mat_mul(rs):
+    """Breadth-first enumeration with a full matrix product per edge, as
+    weyl._enumerate_cached did before it replaced one column per step."""
+    gens = [simple_reflection(rs, i).matrix for i in range(rs.rank)]
+    eye = identity_element(rs).matrix
+    words = {eye: ()}
+    frontier = [eye]
+    while frontier:
+        nxt = []
+        for m in sorted(frontier, key=words.__getitem__):
+            for i, g in enumerate(gens):
+                prod = _mul(m, g)
+                if prod not in words:
+                    words[prod] = words[m] + (i,)
+                    nxt.append(prod)
+        frontier = nxt
+    return sorted(words.items(), key=lambda mw: (len(mw[1]), mw[1]))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                   "C2", "C3", "C4", "D4", "G2", "F4"])
+def test_column_replacement_enumeration_matches_mat_mul(label):
+    rs = build_root_system(label)
+    assert [(w.matrix, w.word) for w in enumerate_weyl(rs)] \
+        == enumerate_by_mat_mul(rs)
 
 
 def test_enumeration_cap():
