@@ -16,7 +16,7 @@ import sys
 from itertools import product
 
 from lierep.rootsystem import Weight, build_root_system
-from lierep.weyl import double_cosets, enumerate_weyl
+from lierep.weyl import coset_fibers
 from lierep.tensor import decompose
 
 
@@ -27,17 +27,12 @@ def main():
     args = ap.parse_args()
 
     rs = build_root_system(args.type)
-    els = enumerate_weyl(rs)
     exceptional = []
     for lam_c in product(range(args.bound + 1), repeat=2):
         for mu_c in product(range(args.bound + 1), repeat=2):
             lam, mu = Weight(lam_c), Weight(mu_c)
             dec = decompose(rs, lam, mu)
-            fibers = {}
-            for rep in double_cosets(rs, lam, mu):
-                t = rs.dominant_in_orbit(lam + rep.apply(mu)).coords
-                fibers[t] = fibers.get(t, 0) + 1
-            for t, bound in fibers.items():
+            for t, bound in coset_fibers(rs, lam, mu).items():
                 m = dec.entries.get(t, 0)
                 if m < max(1, bound):
                     print(f"{rs.label}: {lam_c} (x) {mu_c} -> {t}: mult {m} "

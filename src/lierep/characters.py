@@ -6,6 +6,7 @@ Freudenthal recursion over root strings (which needs no group enumeration).
 Full characters expand a dominant table (alternating sum while the group is
 enumerable, else Freudenthal) over W-orbits and are validated against the
 product dimension formula; the tensor layer works on the dominant tables.
+freudenthal_multiplicity alone reads the Freudenthal table on every type.
 
 The partition function is one dense table per root system over a box of
 root coordinates, built by a coin-change pass per non-simple root and a
@@ -13,11 +14,12 @@ prefix sum per simple root.  A caller asks for the box it will read before
 its loop; a request past the box replaces the table by one on the
 elementwise max of the two boxes, and a reader keeps the snapshot it got.
 
-Tables and characters are memoised per (root system, highest weight) and
-handed out as read-only views, made once per memo entry, so no caller can
-change a later answer.
+Tables and characters are memoised per (root system, highest weight), and
+each memo entry is what callers get: a table's read-only view, or a
+character's dict beside the Character on a read-only view of it.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product as iproduct
@@ -262,7 +264,8 @@ def weight_drops(rs, lam_coords):
 
 @lru_cache(maxsize=None)
 def _dominant_table(rs, lam_coords):
-    """dict dominant-weight-coords -> multiplicity in V(lam), via Freudenthal."""
+    """Read-only map dominant-weight-coords -> multiplicity in V(lam), via
+    Freudenthal."""
     rank = rs.rank
     form = rs.form_num
 
@@ -299,19 +302,7 @@ def _dominant_table(rs, lam_coords):
                 f"Freudenthal value at {mu} in V({lam_coords}) is "
                 f"{2 * acc}/{norm_top - norm(mu)}")
         table[mu] = val
-    return table
-
-
-@lru_cache(maxsize=None)
-def _dominant_table_view(rs, lam_coords):
-    return MappingProxyType(_dominant_table(rs, lam_coords))
-
-
-def dominant_weight_table(rs, lam):
-    """Multiplicities of V(lambda) on dominant weights (Freudenthal), as a
-    read-only mapping."""
-    require_dominant_integral(rs, lam)
-    return _dominant_table_view(rs, lam.coords)
+    return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None)
@@ -328,7 +319,7 @@ def _dominant_table_fast(rs, lam_coords):
         total = signed_partition_sum(rs, shifts, drop)
         if total:
             table[mu] = total
-    return table
+    return MappingProxyType(table)
 
 
 def freudenthal_multiplicity(rs, lam, mu):
@@ -360,11 +351,16 @@ def kostant_multiplicity(rs, lam, mu, caps=Caps()):
     return total
 
 
+def _enumerable(rs):
+    # a route choice, not a cap: the alternating sum needs the whole group
+    return rs.weyl_group_order <= DEFAULT_CAPS.max_weyl
+
+
 def weight_multiplicity(rs, lam, mu, caps=Caps()):
     """dim V(lambda)_mu.  Uses the alternating-sum formula while the Weyl
     group is enumerable, falling back to Freudenthal past it; a
     caps.max_weyl below the group order refuses, it does not reroute."""
-    if rs.weyl_group_order <= DEFAULT_CAPS.max_weyl:
+    if _enumerable(rs):
         return kostant_multiplicity(rs, lam, mu, caps)
     return freudenthal_multiplicity(rs, lam, mu)
 
@@ -372,9 +368,9 @@ def weight_multiplicity(rs, lam, mu, caps=Caps()):
 @dataclass(frozen=True)
 class Character:
     """Finite weight -> multiplicity map: the full formal character of one
-    module (W-invariant).  character_of hands out read-only entries."""
+    module (W-invariant), on read-only entries."""
 
-    entries: dict
+    entries: Mapping
 
     def mult(self, w):
         key = w.coords if isinstance(w, Weight) else tuple(w)
@@ -392,10 +388,18 @@ class Character:
 
 
 def _table(rs, lam_coords):
-    # a route choice, not a cap: the alternating sum needs the whole group
-    if rs.weyl_group_order <= DEFAULT_CAPS.max_weyl:
+    """The read-only dominant table of V(lam): by the alternating sum while
+    the group is enumerable, else by Freudenthal."""
+    if _enumerable(rs):
         return _dominant_table_fast(rs, lam_coords)
     return _dominant_table(rs, lam_coords)
+
+
+def dominant_weight_table(rs, lam):
+    """Multiplicities of V(lambda) on its dominant weights, as a read-only
+    mapping; the object character_table hands out, without its cap."""
+    require_dominant_integral(rs, lam)
+    return _table(rs, lam.coords)
 
 
 def table_mult(rs, table, coords):
@@ -407,9 +411,10 @@ def table_mult(rs, table, coords):
 
 
 @lru_cache(maxsize=None)
-def _character_cached(rs, lam_coords):
-    """The weight -> multiplicity dict of V(lam): the memo's own, which
-    callers read and never change."""
+def _character(rs, lam_coords):
+    """(entries, Character on a read-only view of entries) of V(lam).  The
+    weight -> multiplicity dict, which callers never change, is for inner
+    loops: a view's .get is a slower method call."""
     dim = _weyl_dim(rs, lam_coords)
     entries = {}
     for dom_coords, m in _table(rs, lam_coords).items():
@@ -420,17 +425,7 @@ def _character_cached(rs, lam_coords):
         raise InvariantViolation(
             f"character of {Weight(lam_coords)}: mass {total} "
             f"!= Weyl dimension {dim}")
-    return entries
-
-
-@lru_cache(maxsize=None)
-def _character_view(rs, lam_coords):
-    return Character(MappingProxyType(_character_cached(rs, lam_coords)))
-
-
-@lru_cache(maxsize=None)
-def _table_view(rs, lam_coords):
-    return MappingProxyType(_table(rs, lam_coords))
+    return entries, Character(MappingProxyType(entries))
 
 
 def _check_char_cap(rs, lam, caps):
@@ -442,19 +437,11 @@ def character_of(rs, lam, caps=Caps()):
     """Full formal character of V(lambda); sparse, validated against the
     dimension formula, with read-only entries."""
     _check_char_cap(rs, lam, caps)
-    return _character_view(rs, lam.coords)
+    return _character(rs, lam.coords)[1]
 
 
 def character_table(rs, lam, caps=Caps()):
     """The dominant part of character_of(rs, lam, caps), under the same cap:
     the multiplicities of V(lambda) on its dominant weights, read-only."""
     _check_char_cap(rs, lam, caps)
-    return _table_view(rs, lam.coords)
-
-
-def _character_entries(rs, lam, caps):
-    """character_of(rs, lam, caps).entries without the view, for
-    _char_product's inner loop: a view's .get is a slower method call
-    (iterating a view costs what iterating the dict does)."""
-    _check_char_cap(rs, lam, caps)
-    return _character_cached(rs, lam.coords)
+    return _table(rs, lam.coords)

@@ -38,6 +38,12 @@ def _weight(rs, text):
     return parse_weight(text, rs.rank)
 
 
+def _word_name(word):
+    """A Weyl group word as s1.s2, 0-based letters shown 1-based; e for the
+    empty word."""
+    return ".".join(f"s{i + 1}" for i in word) or "e"
+
+
 def cmd_roots(args):
     rs = _system(args)
     data = {
@@ -72,8 +78,8 @@ def cmd_weyl(args):
     lines = [f"|W({rs.label})| = {len(els)}"]
     for w in els:
         mark = "  <- longest" if w is els[-1] else ""
-        name = ".".join(f"s{i + 1}" for i in w.word) or "e"
-        lines.append(f"  {name:24s} length {w.length} sign {w.sign:+d}{mark}")
+        lines.append(f"  {_word_name(w.word):24s} length {w.length} "
+                     f"sign {w.sign:+d}{mark}")
     _emit(args, data, lines)
 
 
@@ -110,19 +116,15 @@ def cmd_decompose(args):
     lam = _weight(rs, args.lam)
     mu = _weight(rs, args.mu)
     if args.method == "all":
-        decs = decompose_all(rs, lam, mu, args.caps)
-        dec = decs["character"]
-        data = dec.to_json()
+        data = decompose_all(rs, lam, mu, args.caps)["character"].to_json()
         data["method"] = "all"
         data["agreement"] = {m: True for m in METHODS}
-        lines = [f"V({format_weight(lam)}) (x) V({format_weight(mu)}) ="]
-        lines += [f"  V({k}) x {v}" for k, v in sorted(data["entries"].items())]
-        lines.append("methods agree: " + " ".join(METHODS))
     else:
-        dec = decompose(rs, lam, mu, args.method, args.caps)
-        data = dec.to_json()
-        lines = [f"V({format_weight(lam)}) (x) V({format_weight(mu)}) ="]
-        lines += [f"  V({k}) x {v}" for k, v in sorted(data["entries"].items())]
+        data = decompose(rs, lam, mu, args.method, args.caps).to_json()
+    lines = [f"V({format_weight(lam)}) (x) V({format_weight(mu)}) ="]
+    lines += [f"  V({k}) x {v}" for k, v in sorted(data["entries"].items())]
+    if args.method == "all":
+        lines.append("methods agree: " + " ".join(METHODS))
     _emit(args, data, lines)
 
 
@@ -164,10 +166,9 @@ def cmd_prv(args):
             "mu": format_weight(mu), "reports": reports}
     lines = []
     for r in reports:
-        name = ".".join(f"s{i + 1}" for i in r["word"]) or "e"
         extra = f" submodule-count {r['kprv_mult']}" \
             if r["kprv_mult"] is not None else ""
-        lines.append(f"w={name:20s} target {r['target']:12s} "
+        lines.append(f"w={_word_name(r['word']):20s} target {r['target']:12s} "
                      f"mult {r['mult']} bound {r['lower_bound']}{extra}")
     _emit(args, data, lines)
 
@@ -225,61 +226,72 @@ def cmd_central_char(args):
                        f"dot-orbit id {data['orbit_id']}"])
 
 
-def cmd_hc(args):
-    from .hcmodules import (HCParams, class_zero, equivalent,
-                            finite_dimensional, invariants, isoclass_count)
+def cmd_hc_invariants(args):
+    from .hcmodules import HCParams, invariants
     rs = _system(args)
-    if args.hc_cmd == "invariants":
-        p = HCParams(_weight(rs, args.lam), _weight(rs, args.nu))
-        inv = invariants(rs, p)
-        data = {"system": rs.label, "params": p.to_json(),
-                "minimal_type": format_weight(inv.minimal_type),
-                "inf_char": [",".join(map(str, part))
-                             for part in inv.inf_char.parts]}
-        _emit(args, data, [f"minimal type {data['minimal_type']}",
-                           f"infinitesimal character {data['inf_char']}"])
-    elif args.hc_cmd == "equivalent":
-        p = HCParams(_weight(rs, args.lam), _weight(rs, args.nu))
-        q = HCParams(_weight(rs, args.lam2), _weight(rs, args.nu2))
-        ok, w = equivalent(rs, p, q, args.caps)
-        data = {"system": rs.label, "p": p.to_json(), "q": q.to_json(),
-                "equivalent": ok,
-                "witness": list(w.word) if ok else None}
-        _emit(args, data, ["equivalent via w = "
-                           + (".".join(f"s{i + 1}" for i in w.word) or "e")
-                           if ok else "not equivalent"])
-    elif args.hc_cmd == "class-zero":
-        lam = _weight(rs, args.lam)
-        rep = class_zero(rs, lam, caps=args.caps)
-        mults = rep["mults"].to_json()["entries"] if rep["mults"] else None
-        data = {"system": rs.label, "lambda": format_weight(lam),
-                "complete": rep["complete"],
-                "canonical": format_weight(rep["canonical"]),
-                "mults": mults}
-        lines = [f"complete: {rep['complete']}",
-                 f"canonical parameter: {data['canonical']}"]
-        if mults:
-            lines += [f"  V({k}) x {v}" for k, v in sorted(mults.items())]
-        _emit(args, data, lines)
-    elif args.hc_cmd == "finite-dim":
-        p = HCParams(_weight(rs, args.lam), _weight(rs, args.nu))
-        fd = finite_dimensional(rs, p)
-        data = {"system": rs.label, "params": p.to_json(),
-                "finite_dimensional": fd is not None,
-                "pair": [format_weight(fd[0]), format_weight(fd[1])]
-                if fd else None}
-        _emit(args, data,
-              [f"V({data['pair'][0]} , {data['pair'][1]})" if fd
-               else "not finite-dimensional"])
-    elif args.hc_cmd == "count":
-        lam = _weight(rs, args.lam)
-        mu = _weight(rs, args.nu)
-        n = isoclass_count(rs, lam, mu, args.caps)
-        data = {"system": rs.label, "lambda": format_weight(lam),
-                "mu": format_weight(mu), "classes": n}
-        _emit(args, data, [str(n)])
-    else:  # pragma: no cover
-        raise ValueError(f"unknown hc subcommand {args.hc_cmd!r}")
+    p = HCParams(_weight(rs, args.lam), _weight(rs, args.nu))
+    inv = invariants(rs, p)
+    data = {"system": rs.label, "params": p.to_json(),
+            "minimal_type": format_weight(inv.minimal_type),
+            "inf_char": [",".join(map(str, part))
+                         for part in inv.inf_char.parts]}
+    _emit(args, data, [f"minimal type {data['minimal_type']}",
+                       f"infinitesimal character {data['inf_char']}"])
+
+
+def cmd_hc_equivalent(args):
+    from .hcmodules import HCParams, equivalent
+    rs = _system(args)
+    p = HCParams(_weight(rs, args.lam), _weight(rs, args.nu))
+    q = HCParams(_weight(rs, args.lam2), _weight(rs, args.nu2))
+    ok, w = equivalent(rs, p, q, args.caps)
+    data = {"system": rs.label, "p": p.to_json(), "q": q.to_json(),
+            "equivalent": ok,
+            "witness": list(w.word) if ok else None}
+    _emit(args, data, [f"equivalent via w = {_word_name(w.word)}"
+                       if ok else "not equivalent"])
+
+
+def cmd_hc_class_zero(args):
+    from .hcmodules import class_zero
+    rs = _system(args)
+    lam = _weight(rs, args.lam)
+    rep = class_zero(rs, lam, caps=args.caps)
+    mults = rep["mults"].to_json()["entries"] if rep["mults"] else None
+    data = {"system": rs.label, "lambda": format_weight(lam),
+            "complete": rep["complete"],
+            "canonical": format_weight(rep["canonical"]),
+            "mults": mults}
+    lines = [f"complete: {rep['complete']}",
+             f"canonical parameter: {data['canonical']}"]
+    if mults:
+        lines += [f"  V({k}) x {v}" for k, v in sorted(mults.items())]
+    _emit(args, data, lines)
+
+
+def cmd_hc_finite_dim(args):
+    from .hcmodules import HCParams, finite_dimensional
+    rs = _system(args)
+    p = HCParams(_weight(rs, args.lam), _weight(rs, args.nu))
+    fd = finite_dimensional(rs, p)
+    data = {"system": rs.label, "params": p.to_json(),
+            "finite_dimensional": fd is not None,
+            "pair": [format_weight(fd[0]), format_weight(fd[1])]
+            if fd else None}
+    _emit(args, data,
+          [f"V({data['pair'][0]} , {data['pair'][1]})" if fd
+           else "not finite-dimensional"])
+
+
+def cmd_hc_count(args):
+    from .hcmodules import isoclass_count
+    rs = _system(args)
+    lam = _weight(rs, args.lam)
+    mu = _weight(rs, args.nu)
+    n = isoclass_count(rs, lam, mu, args.caps)
+    data = {"system": rs.label, "lambda": format_weight(lam),
+            "mu": format_weight(mu), "classes": n}
+    _emit(args, data, [str(n)])
 
 
 def cmd_selftest(args):
@@ -377,23 +389,18 @@ def build_parser():
     p = sub.add_parser("hc", help="two-parameter module calculus")
     p.add_argument("system")
     hsub = p.add_subparsers(dest="hc_cmd", required=True)
-    q = hsub.add_parser("invariants", parents=[capped])
-    q.add_argument("lam")
-    q.add_argument("nu")
-    q = hsub.add_parser("equivalent", parents=[capped])
-    q.add_argument("lam")
-    q.add_argument("nu")
-    q.add_argument("lam2")
-    q.add_argument("nu2")
-    q = hsub.add_parser("class-zero", parents=[capped])
-    q.add_argument("lam")
-    q = hsub.add_parser("finite-dim", parents=[capped])
-    q.add_argument("lam")
-    q.add_argument("nu")
-    q = hsub.add_parser("count", parents=[capped])
-    q.add_argument("lam")
-    q.add_argument("nu")
-    p.set_defaults(fn=cmd_hc)
+
+    def hc_cmd(name, fn, *params):
+        q = hsub.add_parser(name, parents=[capped])
+        for param in params:
+            q.add_argument(param)
+        q.set_defaults(fn=fn)
+
+    hc_cmd("invariants", cmd_hc_invariants, "lam", "nu")
+    hc_cmd("equivalent", cmd_hc_equivalent, "lam", "nu", "lam2", "nu2")
+    hc_cmd("class-zero", cmd_hc_class_zero, "lam")
+    hc_cmd("finite-dim", cmd_hc_finite_dim, "lam", "nu")
+    hc_cmd("count", cmd_hc_count, "lam", "nu")
 
     p = sub.add_parser("selftest", help="run the acceptance corpus",
                        parents=[output])

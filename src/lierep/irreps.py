@@ -25,7 +25,7 @@ from .errors import InvariantViolation
 from .linalg import (SpanBasis, kernel_basis, mat_inv, mat_mul, nullity,
                      rank)
 from .rootsystem import Weight
-from .characters import dominant_weight_table, weyl_dimension
+from .characters import _character, weyl_dimension
 from .enveloping import chevalley_basis
 
 __all__ = [
@@ -443,15 +443,12 @@ def v_extremes_dim(rs, mu, gamma, nu):
 def realize(rs, mu, caps=Caps()):
     """V(mu) with per-weight f-word bases and exact simple generator
     matrices, built once per (system, mu) and checked block by block against
-    the dominant table; refused past caps.max_dim before the memo is
-    consulted."""
+    the memoised character of V(mu); refused past caps.max_dim before the
+    memo is consulted."""
     caps.check("max_dim", weyl_dimension(rs, mu), "dim V({})", mu)
     real = _module(rs, mu)
     if real.dimension is None:
-        mults = {}
-        for dom, m in dominant_weight_table(rs, mu).items():
-            for w in rs.orbit_coords(dom):
-                mults[w] = m
+        mults = _character(rs, mu.coords)[0]
         for w in mults:
             real.build_to(rs.root_lattice_coords(mu - Weight(w)))
         for w, m in mults.items():

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 
 from .rootsystem import Weight, build_root_system, dominance_hull_equiv
-from .weyl import (bruhat_leq, double_cosets, enumerate_weyl, longest_element)
+from .weyl import (bruhat_leq, coset_fibers, enumerate_weyl, longest_element)
 from .characters import (dominant_drops, freudenthal_multiplicity,
                          weight_drops, weyl_dimension)
 from .enveloping import (casimir, casimir_eigenvalue, chevalley_basis,
@@ -161,17 +161,11 @@ def check_extreme_components_bound():
         els = enumerate_weyl(rs)
         for lam, mu in _pair_corpus(label, PRODUCT_DIM_CAP):
             dec = _corpus_decomposition(label, lam.coords, mu.coords)
-            fibers = {}
-            targets = {}
-            for rep in double_cosets(rs, lam, mu):
-                t = rs.dominant_in_orbit(lam + rep.apply(mu)).coords
-                fibers[t] = fibers.get(t, 0) + 1
-                targets[rep] = t
-            mults = {t: dec.entries.get(t, 0) for t in fibers}
-            for t, bound in fibers.items():
-                if mults[t] < max(1, bound):
+            for t, bound in coset_fibers(rs, lam, mu).items():
+                m = dec.entries.get(t, 0)
+                if m < max(1, bound):
                     _fail(f"{label} ({lam},{mu}) target {t}: "
-                          f"mult {mults[t]} < bound {bound}")
+                          f"mult {m} < bound {bound}")
             for w in els:
                 tgt = rs.dominant_in_orbit(lam + w.apply(mu))
                 if (lam + w.apply(mu)).is_dominant \

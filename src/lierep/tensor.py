@@ -18,11 +18,12 @@ from operator import sub
 from .config import METHODS, Caps
 from .errors import InvariantViolation
 from .rootsystem import Weight
-from .weyl import double_cosets, longest_element, shift_maps
-from .characters import (_character_entries, _pf_covering, _weyl_dim,
-                         character_of, character_table, dominant_weight_table,
-                         require_dominant_integral, rho_shifts,
-                         signed_partition_sum, table_mult, weyl_dimension)
+from .weyl import coset_fibers, double_cosets, longest_element, shift_maps
+from .characters import (_character, _check_char_cap, _pf_covering,
+                         _weyl_dim, character_of, character_table,
+                         dominant_weight_table, require_dominant_integral,
+                         rho_shifts, signed_partition_sum, table_mult,
+                         weyl_dimension)
 
 __all__ = [
     "Decomposition", "decompose", "decompose_all", "multiplicity",
@@ -108,8 +109,9 @@ def _char_product(rs, lam, mu, caps):
     among the dominant weights of V(lam + mu), read from its dominant table:
     the peeling needs that table for its first component anyway.
     """
-    ch1 = _character_entries(rs, lam, caps)
-    ch2 = _character_entries(rs, mu, caps)
+    _check_char_cap(rs, lam, caps)
+    _check_char_cap(rs, mu, caps)
+    ch1, ch2 = _character(rs, lam.coords)[0], _character(rs, mu.coords)[0]
     if len(ch1) < len(ch2):
         ch1, ch2 = ch2, ch1
     get = ch1.get
@@ -269,11 +271,7 @@ def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
     require_dominant_integral(rs, lam, mu)
     target = rs.dominant_in_orbit(lam + w.apply(mu))
     mult = multiplicity(rs, lam, mu, target, cross_check=False)
-    fibers = {}
-    for rep in double_cosets(rs, lam, mu, caps):
-        key = rs.dominant_in_orbit(lam + rep.apply(mu)).coords
-        fibers[key] = fibers.get(key, 0) + 1
-    bound = fibers[target.coords]
+    bound = coset_fibers(rs, lam, mu, caps)[target.coords]
     if mult < max(1, bound):
         raise InvariantViolation(
             f"extreme component bound violated at {target}: {mult} < {bound}")

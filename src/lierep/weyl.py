@@ -17,7 +17,7 @@ from .rootsystem import Weight, RootVector
 __all__ = [
     "WeylElement", "identity_element", "simple_reflection", "from_word",
     "enumerate_weyl", "shift_maps", "longest_element",
-    "dominant_representative", "double_cosets", "bruhat_leq",
+    "dominant_representative", "double_cosets", "coset_fibers", "bruhat_leq",
 ]
 
 
@@ -231,6 +231,17 @@ def double_cosets(rs, lam, mu, caps=Caps()):
                 continue
         reps.append(w)
     return tuple(reps)
+
+
+def coset_fibers(rs, lam, mu, caps=Caps()):
+    """{coords of the dominant representative of lam + w(mu): number of w
+    in double_cosets(rs, lam, mu, caps) giving it}; each count bounds the
+    multiplicity of that extreme component from below."""
+    fibers = {}
+    for rep in double_cosets(rs, lam, mu, caps):
+        key = rs.dominant_in_orbit(lam + rep.apply(mu)).coords
+        fibers[key] = fibers.get(key, 0) + 1
+    return fibers
 
 
 def bruhat_leq(u, w):

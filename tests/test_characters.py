@@ -237,7 +237,7 @@ def test_kostant_equals_freudenthal(rs):
     for lam in lams:
         if weyl_dimension(rs, lam) > 1000:
             continue
-        for dom, mult in dominant_weight_table(rs, lam).items():
+        for dom, mult in characters._dominant_table(rs, lam.coords).items():
             mu = Weight(dom)
             assert kostant_multiplicity(rs, lam, mu) == mult
             assert freudenthal_multiplicity(rs, lam, mu) == mult
@@ -251,7 +251,8 @@ def test_rank3_cross_check():
         for lam in (rs.fundamental(0), rs.rho):
             if weyl_dimension(rs, lam) > 1000:
                 continue
-            for dom, mult in dominant_weight_table(rs, lam).items():
+            table = characters._dominant_table(rs, lam.coords)
+            for dom, mult in table.items():
                 assert kostant_multiplicity(rs, lam, Weight(dom)) == mult
 
 
@@ -260,18 +261,16 @@ def test_multiplicity_routes_agree_corpus():
     # every module up to dim 1000 in rank 2, and on a spread of rank-one
     # highest weights up to 999; multiplicities are orbit-constant, so table
     # equality settles every weight
-    from lierep.characters import _dominant_table_fast
+    from lierep.characters import _dominant_table, _dominant_table_fast
     from lierep.selfcheck import dominant_weights_by_dim
     for label in ("A2", "B2", "G2"):
         rs = build_root_system(label)
         for lam, dim in dominant_weights_by_dim(rs, 1000)[::3]:
             assert _dominant_table_fast(rs, lam.coords) \
-                == dominant_weight_table(rs, lam), lam
+                == _dominant_table(rs, lam.coords), lam
     rs = build_root_system("A1")
     for n in list(range(25)) + [63, 128, 301, 999]:
-        lam = Weight((n,))
-        assert _dominant_table_fast(rs, lam.coords) \
-            == dominant_weight_table(rs, lam)
+        assert _dominant_table_fast(rs, (n,)) == _dominant_table(rs, (n,))
 
 
 @pytest.mark.parametrize("label", HULL_TYPES)
@@ -426,3 +425,21 @@ def test_memo_results_are_read_only(a2):
     # one view per memo entry, not one per call
     assert dominant_weight_table(a2, lam) is table
     assert character_of(a2, Weight((1, 0))) is ch
+
+
+def test_dominant_weight_table_is_the_character_table(rs):
+    lam = rs.rho
+    assert dominant_weight_table(rs, lam) is character_table(rs, lam)
+
+
+def test_clearing_a_memo_clears_its_view(a2):
+    # each memo entry holds what callers get, so no second table pins the
+    # old dict after a clear
+    lam = Weight((2, 1))
+    table, ch = character_table(a2, lam), character_of(a2, lam)
+    characters._dominant_table_fast.cache_clear()
+    fresh = character_table(a2, lam)
+    assert fresh is not table and fresh == table
+    characters._character.cache_clear()
+    again = character_of(a2, lam)
+    assert again is not ch and again.entries == ch.entries

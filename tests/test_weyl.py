@@ -11,7 +11,7 @@ from lierep.errors import CapExceeded
 from lierep.hcmodules import HCParams, invariants, isoclass_count
 from lierep.linalg import mat_inv
 from lierep.rootsystem import Weight, build_root_system, dominance_hull_equiv
-from lierep.weyl import (_mul, bruhat_leq, double_cosets,
+from lierep.weyl import (_mul, bruhat_leq, coset_fibers, double_cosets,
                          dominant_representative, enumerate_weyl, from_word,
                          identity_element, longest_element, shift_maps,
                          simple_reflection)
@@ -304,6 +304,13 @@ def test_double_cosets_a2_fundamental_pair(a2):
     # representatives are minimal length in their class
     for rep, cls in zip(dc, classes):
         assert rep.length == min(w.length for w in cls)
+
+
+def test_coset_fibers_a2_adjoint_square(a2):
+    # the six translates rho + w(rho) of 8 (x) 8: two land on the adjoint,
+    # which occurs there twice
+    assert coset_fibers(a2, a2.rho, a2.rho) == {
+        (2, 2): 1, (0, 3): 1, (3, 0): 1, (1, 1): 2, (0, 0): 1}
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3",
