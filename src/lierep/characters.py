@@ -10,8 +10,9 @@ freudenthal_multiplicity alone reads the Freudenthal table on every type.
 
 The partition function is one dense table per root system over a box of
 root coordinates, built by a coin-change pass per non-simple root and a
-prefix sum per simple root.  A caller asks for the box it will read before
-its loop; a request past the box replaces the table by one on the
+prefix sum per simple root.  No caller sizes it: partition_function and
+signed_partition_sums ask for the box they read, the latter for all of its
+drops at once; a request past the box replaces the table by one on the
 elementwise max of the two boxes, and a reader keeps the snapshot it got.
 
 Tables and characters are memoised per (root system, highest weight), and
@@ -23,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product as iproduct
-from operator import add, le, mul
+from operator import add, ge, le, mul
 from types import MappingProxyType
 
 from .config import DEFAULT_CAPS, Caps
@@ -148,18 +149,24 @@ def rho_shifts(maps, x_coords):
             for sgn, m in maps]
 
 
-def signed_partition_sum(rs, shifts, drop):
-    """Sum of sign * p(drop + shift) over shifts from rho_shifts at a
-    dominant x, so that every shift is <= 0 and the table covering drop
-    covers every argument; arguments with a negative coordinate, where p
-    vanishes, are skipped."""
-    values, strides, _ = _pf_covering(rs, drop)
-    total = 0
-    for sgn, shift in shifts:
-        arg = tuple(map(add, drop, shift))
-        if min(arg) >= 0:
-            total += sgn * values[sum(map(mul, arg, strides))]
-    return total
+def signed_partition_sums(rs, shifts, drops):
+    """[sum of sign * p(drop + shift) over shifts] for each drop, every
+    shift <= 0 (as rho_shifts gives at a dominant x), so the table covering
+    every drop covers every argument.  Each shift's flat offset and least
+    admissible drop, -shift, are taken once; below it p vanishes."""
+    values, strides, _ = _pf_covering(rs, [max(0, *col)
+                                           for col in zip(*drops)])
+    terms = [(sgn, sum(map(mul, shift, strides)), tuple(-c for c in shift))
+             for sgn, shift in shifts]
+    out = []
+    for drop in drops:
+        base = sum(map(mul, drop, strides))
+        total = 0
+        for sgn, off, least in terms:
+            if all(map(ge, drop, least)):
+                total += sgn * values[base + off]
+        out.append(total)
+    return out
 
 
 def partition_function_bruteforce(rs, beta, bound=None):
@@ -311,15 +318,11 @@ def _dominant_table_fast(rs, lam_coords):
     Weyl group; much faster for thin high weights.  Only used when the group
     is enumerable; cross-checked against Freudenthal in the test suite and by
     the total-dimension audit on every character."""
-    shifts = rho_shifts(shift_maps(rs), lam_coords)
     drops = dominant_drops(rs, lam_coords)
-    _pf_covering(rs, [max(col) for col in zip(*[d for d, _ in drops])])
-    table = {}
-    for drop, mu in drops:
-        total = signed_partition_sum(rs, shifts, drop)
-        if total:
-            table[mu] = total
-    return MappingProxyType(table)
+    sums = signed_partition_sums(rs, rho_shifts(shift_maps(rs), lam_coords),
+                                 [drop for drop, _ in drops])
+    return MappingProxyType({mu: total for (_, mu), total in zip(drops, sums)
+                             if total})
 
 
 def freudenthal_multiplicity(rs, lam, mu):
@@ -343,8 +346,8 @@ def kostant_multiplicity(rs, lam, mu, caps=Caps()):
     drop = rs.root_lattice_coords(lam - mu)
     if drop is None:
         return 0
-    shifts = rho_shifts(shift_maps(rs, caps), lam.coords)
-    total = signed_partition_sum(rs, shifts, drop)
+    (total,) = signed_partition_sums(
+        rs, rho_shifts(shift_maps(rs, caps), lam.coords), [drop])
     if total < 0:
         raise InvariantViolation(
             f"alternating sum for V({lam})_{mu} is negative: {total}")

@@ -121,14 +121,17 @@ def det_poly(matrix):
 
 
 def _as_root_vector(rs, nu):
-    if isinstance(nu, RootVector):
-        return nu
+    """The depth nu (a RootVector, a Weight or root coordinates) as a
+    RootVector; ValueError unless it has rank coordinates and lies in the
+    nonnegative root lattice."""
+    rs.require_rank(nu)
     if isinstance(nu, Weight):
-        coords = rs.root_lattice_coords(nu)
-        if coords is None or any(c < 0 for c in coords):
-            raise ValueError("depth must lie in the nonnegative root lattice")
-        return RootVector(coords)
-    return RootVector(tuple(nu))
+        nu = rs.root_lattice_coords(nu)
+    if nu is not None and not isinstance(nu, RootVector):
+        nu = RootVector(tuple(nu))
+    if nu is None or any(c < 0 for c in nu.coeffs):
+        raise ValueError("depth must lie in the nonnegative root lattice")
+    return nu
 
 
 def _ht_cap(rs, cap):

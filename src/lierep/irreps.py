@@ -25,7 +25,7 @@ from .errors import InvariantViolation
 from .linalg import (SpanBasis, kernel_basis, mat_inv, mat_mul, nullity,
                      rank)
 from .rootsystem import Weight
-from .characters import _character, weyl_dimension
+from .characters import dominant_weight_table, weyl_dimension
 from .enveloping import chevalley_basis
 
 __all__ = [
@@ -443,12 +443,13 @@ def v_extremes_dim(rs, mu, gamma, nu):
 def realize(rs, mu, caps=Caps()):
     """V(mu) with per-weight f-word bases and exact simple generator
     matrices, built once per (system, mu) and checked block by block against
-    the memoised character of V(mu); refused past caps.max_dim before the
-    memo is consulted."""
+    the dominant table of V(mu) expanded over W-orbits; refused past
+    caps.max_dim before the memo is consulted."""
     caps.check("max_dim", weyl_dimension(rs, mu), "dim V({})", mu)
     real = _module(rs, mu)
     if real.dimension is None:
-        mults = _character(rs, mu.coords)[0]
+        mults = {x: m for dom, m in dominant_weight_table(rs, mu).items()
+                 for x in rs.orbit_coords(dom)}
         for w in mults:
             real.build_to(rs.root_lattice_coords(mu - Weight(w)))
         for w, m in mults.items():
@@ -684,6 +685,7 @@ def highest_weight_count(tensor, spans, eta):
 def kprv_multiplicity(rs, lam, mu, w, caps=Caps()):
     """Multiplicity of V(dominant(lam + w mu)) inside the submodule of
     V(lam) (x) V(mu) generated by v_lam (x) v'_{w mu}."""
+    rs.require_weyl_element(w)
     real1 = realize(rs, lam, caps)
     real2 = realize(rs, mu, caps)
     tensor = TensorModule(rs, real1, real2, caps)

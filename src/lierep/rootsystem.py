@@ -88,12 +88,18 @@ class Weight:
 
 @dataclass(frozen=True, slots=True)
 class RootVector:
-    """Integer vector in the simple-root basis."""
+    """Integer vector in the simple-root basis; a non-integral coefficient
+    raises ValueError."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        coeffs = tuple(map(_num, self.coeffs))
+        for c in coeffs:
+            if not isinstance(c, int):
+                raise ValueError(
+                    f"root coordinates {self.coeffs} must be integers")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __iter__(self):
         return iter(self.coeffs)
@@ -292,8 +298,6 @@ class RootSystem:
             tuple(sum(self.cartan[i][j] * rv.coeffs[j] for j in range(rank))
                   for i in range(rank))
             for rv in self.positive_roots)
-        self.root_weight_index = {wc: k for k, wc
-                                  in enumerate(self.root_weight_coords)}
         # fundamental coordinates of alpha_i: column i of the Cartan matrix
         self.simple_root_coords = tuple(
             tuple(self.cartan[j][i] for j in range(rank))
@@ -393,6 +397,12 @@ class RootSystem:
                 raise ValueError(
                     f"{','.join(map(str, w))} has {len(w)} coordinates; "
                     f"{self.label} needs {self.rank}")
+
+    def require_weyl_element(self, w):
+        """Raise ValueError unless the Weyl element w is one of this
+        system's."""
+        if w.rs is not self:
+            raise ValueError(f"{w} and {self} are from different root systems")
 
     def zero_weight(self):
         return Weight((0,) * self.rank)

@@ -13,17 +13,16 @@ All four must agree; the last method is also exposed pointwise as
 components, generalized extreme components, minuscule closed form).
 """
 
-from operator import sub
+from operator import mul, sub
 
 from .config import METHODS, Caps
 from .errors import InvariantViolation
 from .rootsystem import Weight
 from .weyl import coset_fibers, double_cosets, longest_element, shift_maps
-from .characters import (_character, _check_char_cap, _pf_covering,
-                         _weyl_dim, character_of, character_table,
-                         dominant_weight_table, require_dominant_integral,
-                         rho_shifts, signed_partition_sum, table_mult,
-                         weyl_dimension)
+from .characters import (_character, _check_char_cap, _weyl_dim,
+                         character_of, character_table,
+                         require_dominant_integral, rho_shifts,
+                         signed_partition_sums, table_mult, weyl_dimension)
 
 __all__ = [
     "Decomposition", "decompose", "decompose_all", "multiplicity",
@@ -160,21 +159,18 @@ def _decompose_steinberg(rs, lam, mu, caps):
     # in root coordinates the argument is the drop lam + mu - nu, plus the
     # shift of w' at mu, minus the shift of w at nu
     maps = shift_maps(rs, caps)
-    mu_shifts = rho_shifts(maps, mu.coords)
     top = [a + b for a, b in zip(lam.coords, mu.coords)]
-    terms = []
-    for coords in _candidates(rs, lam, mu, caps):
+    cands = list(_candidates(rs, lam, mu, caps))
+    drops = []
+    for coords in cands:
         drop = rs.root_lattice_coords(tuple(map(sub, top, coords)))
-        terms.append((coords, [(sgn, tuple(map(sub, drop, shift)))
-                               for sgn, shift in rho_shifts(maps, coords)]))
-    # one partition-function table for every term, built before the sum
-    _pf_covering(rs, [max(col) for col in
-                      zip(*[arg for _, args in terms for _, arg in args])])
+        drops.extend(tuple(map(sub, drop, shift))
+                     for _, shift in rho_shifts(maps, coords))
+    sums = signed_partition_sums(rs, rho_shifts(maps, mu.coords), drops)
+    signs, n = [sgn for sgn, _ in maps], len(maps)
     entries = {}
-    for coords, args in terms:
-        total = 0
-        for sgn, arg in args:
-            total += sgn * signed_partition_sum(rs, mu_shifts, arg)
+    for k, coords in enumerate(cands):
+        total = sum(map(mul, signs, sums[k * n:(k + 1) * n]))
         if total:
             entries[coords] = total
     return entries
@@ -269,6 +265,7 @@ def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
     double-coset lower bound, and optionally the generated-submodule count,
     whose tensor module past caps.max_dim raises CapExceeded."""
     require_dominant_integral(rs, lam, mu)
+    rs.require_weyl_element(w)
     target = rs.dominant_in_orbit(lam + w.apply(mu))
     mult = multiplicity(rs, lam, mu, target, cross_check=False)
     bound = coset_fibers(rs, lam, mu, caps)[target.coords]
@@ -293,12 +290,12 @@ def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
 
 
 def is_minuscule(rs, mu):
-    """wt V(mu) is a single orbit iff mu is the only dominant weight below it
-    in the root-lattice order."""
+    """wt V(mu) is a single orbit iff <mu, alpha^vee> <= 1 for every
+    positive root alpha, mu dominant integral."""
+    rs.require_rank(mu)
     if not (mu.is_integral and mu.is_dominant):
         return False
-    table = dominant_weight_table(rs, mu)
-    return len(table) == 1
+    return all(sum(map(mul, cv, mu.coords)) <= 1 for cv in rs.coroots)
 
 
 def minuscule_decompose(rs, lam, mu, caps=Caps()):

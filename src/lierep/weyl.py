@@ -254,8 +254,7 @@ def bruhat_leq(u, w):
     iff x ends at rho, as only e lies below e.
     """
     rs = w.rs
-    if u.rs is not rs:
-        raise ValueError(f"{u} and {w} are from different root systems")
+    rs.require_weyl_element(u)
     x = tuple(sum(row) for row in u.matrix)
     for i in w.word:
         if x[i] < 0:

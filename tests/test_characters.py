@@ -1,9 +1,10 @@
+import random
 import sys
 import threading
 from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,12 +18,13 @@ from lierep.characters import (_pf_covering, character_of, character_table,
                                freudenthal_multiplicity,
                                kostant_multiplicity, partition_function,
                                partition_function_bruteforce,
-                               signed_partition_sum, weight_drops,
+                               rho_shifts, signed_partition_sums,
+                               weight_drops,
                                weight_multiplicity, weyl_dimension)
 from lierep.rootsystem import RootVector
 from lierep.selfcheck import HULL_TYPES
 from lierep.tensor import METHODS, decompose, multiplicity
-from lierep.weyl import longest_element
+from lierep.weyl import longest_element, shift_maps
 
 
 def test_partition_of_zero(rs):
@@ -120,8 +122,8 @@ def test_table_growth_reads_no_aliased_cell():
     rs = RootSystem("B", 3)
     assert partition_function(rs, (6, 1, 0)) == pf_oracle(rs, (6, 1, 0), 3)
     assert rs._pf_table[2] == (6, 1, 0)
-    assert signed_partition_sum(rs, [(1, (0, 0, 0))], (0, 0, 5)) \
-        == pf_oracle(rs, (0, 0, 5), 3) != pf_oracle(rs, (2, 1, 0), 3)
+    assert signed_partition_sums(rs, [(1, (0, 0, 0))], [(0, 0, 5)]) \
+        == [pf_oracle(rs, (0, 0, 5), 3)] != [pf_oracle(rs, (2, 1, 0), 3)]
     assert rs._pf_table[2] == (6, 1, 5)
     for x, p in table_cells(rs, (6, 1, 5)):
         assert p == pf_oracle(rs, x, 3)
@@ -176,10 +178,29 @@ def test_a_reader_keeps_the_table_it_was_handed(monkeypatch):
 
     monkeypatch.setattr(characters, "_pf", build_then_lose_the_race)
     assert partition_function(rs, (0, 0, 6)) == pf_oracle(rs, (0, 0, 6), 3)
-    assert signed_partition_sum(rs, [(1, (0, 0, 0)), (-1, (-1, 0, -2))],
-                                (5, 0, 3)) \
-        == pf_oracle(rs, (5, 0, 3), 3) - pf_oracle(rs, (4, 0, 1), 3)
+    assert signed_partition_sums(rs, [(1, (0, 0, 0)), (-1, (-1, 0, -2))],
+                                 [(5, 0, 3)]) \
+        == [pf_oracle(rs, (5, 0, 3), 3) - pf_oracle(rs, (4, 0, 1), 3)]
     assert rs._pf_table is small
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3"])
+def test_signed_partition_sums_match_bruteforce(label):
+    # one call for every drop, negative coordinates included, against the
+    # alternating sum taken term by term through the enumeration oracle
+    rs = RootSystem(label[0], int(label[1]))
+    rng = random.Random(label)
+    maps = shift_maps(rs)
+    for _ in range(3):
+        x = tuple(rng.randint(0, 2) for _ in range(rs.rank))
+        shifts = rho_shifts(maps, x)
+        drops = [tuple(rng.randint(-2, 5) for _ in range(rs.rank))
+                 for _ in range(12)]
+        want = [sum(sgn * partition_function_bruteforce(
+                        rs, tuple(map(add, drop, shift)))
+                    for sgn, shift in shifts) for drop in drops]
+        assert signed_partition_sums(rs, shifts, drops) == want, x
+        assert signed_partition_sums(rs, shifts, []) == []
 
 
 def test_kostant_table_is_the_box_of_its_drop():

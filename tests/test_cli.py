@@ -140,6 +140,12 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("depth", ["1", "-1,0", "1,0,0", "1.5,0"])
+def test_shapovalov_bad_depth_exit_code(capsys, depth):
+    code, out, err = run(capsys, "shapovalov-det", "A2", depth)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_cap_exit_code(capsys):
     code, _, err = run(capsys, "weyl", "E8")
     assert code == 2 and "cap" in err

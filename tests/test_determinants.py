@@ -91,6 +91,17 @@ def test_height_cap(a2):
     shapovalov_det(a2, (3, 2), "direct", max_height=5)
 
 
+@pytest.mark.parametrize("depth", [
+    (1,), (1, 0, 0), (-1, 0), (0, -2), (1.5, 0), (Fraction(1, 2), 1),
+    Weight((1, 0)), Weight((-1, -1)), RootVector((0, -1))])
+def test_bad_depths_raise(a2, depth):
+    # a wrong rank, a non-integer or a negative coordinate, and a weight off
+    # the root lattice or below it
+    for mode in ("direct", "formula"):
+        with pytest.raises(ValueError):
+            shapovalov_det(a2, depth, mode)
+
+
 def test_zero_sets_match_singular_vectors(a1):
     # lam(det) = 0 iff the Verma module at lam has a singular vector at
     # depth <= nu: check by direct kernel search on raising operators

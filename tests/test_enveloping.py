@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lierep.rootsystem import RootVector, Weight, build_root_system
-from lierep.weyl import enumerate_weyl
+from lierep.weyl import enumerate_weyl, longest_element
 from lierep.hpoly import HPoly
 from lierep.enveloping import (UElement, casimir, casimir_eigenvalue,
                                chevalley_basis, hc_projection, is_central,
@@ -206,6 +206,18 @@ def test_hc_projection_opposite_borel(a1):
     assert opp == HPoly(1, {(2,): 1, (1,): -2})
     for z in range(-3, 4):
         assert opp.evaluate([z]) == std.evaluate([-z])
+
+
+def test_hc_projection_rejects_a_foreign_element(a2, b2):
+    cb = chevalley_basis(a2)
+    with pytest.raises(ValueError, match="different root systems"):
+        hc_projection(cb, casimir(cb), longest_element(b2))
+
+
+def test_twisted_poly_rejects_a_foreign_element(a2, b2):
+    proj = hc_projection(chevalley_basis(a2), casimir(chevalley_basis(a2)))
+    with pytest.raises(ValueError, match="different root systems"):
+        twisted_poly(a2, longest_element(b2), proj)
 
 
 def test_dot_invariance_of_casimir_projection(rs):

@@ -6,7 +6,8 @@ import pytest
 
 from lierep.config import Caps
 from lierep.errors import CapExceeded
-from lierep.rootsystem import Weight, build_root_system
+from lierep import characters
+from lierep.rootsystem import RootSystem, Weight, build_root_system
 from lierep.weyl import enumerate_weyl, longest_element
 from lierep.characters import (dominant_weight_table, weyl_dimension,
                                freudenthal_multiplicity)
@@ -52,6 +53,15 @@ def test_dimensions_match_weight_table(rs):
     table = dominant_weight_table(rs, lam)
     for dom, mult in table.items():
         assert real.weight_dim(Weight(dom)) == mult
+
+
+def test_realize_pins_no_character():
+    # an uninterned system, so that V(2,1) is realized here for the first
+    # time; its blocks are checked without a full character in the memo
+    rs = RootSystem("A", 2)
+    before = characters._character.cache_info().currsize
+    assert realize(rs, Weight((2, 1))).dimension == 15
+    assert characters._character.cache_info().currsize == before
 
 
 def test_a2_fundamental_dimension(a2):
@@ -218,6 +228,11 @@ def test_zero_weight_spectrum_sums_to_dimension(g2):
 def test_generated_submodule_identity_gives_cartan_component(a1):
     els = enumerate_weyl(a1)
     assert kprv_multiplicity(a1, Weight((2,)), Weight((1,)), els[0]) == 1
+
+
+def test_kprv_rejects_a_foreign_element(a2, b2):
+    with pytest.raises(ValueError, match="different root systems"):
+        kprv_multiplicity(a2, a2.rho, a2.rho, longest_element(b2))
 
 
 def test_generated_submodule_longest_is_everything(a1):

@@ -185,3 +185,10 @@ WRONG_RANK = {
 def test_wrong_rank_weights_raise(name):
     with pytest.raises(ValueError):
         WRONG_RANK[name]()
+
+
+@pytest.mark.parametrize("coeffs", [(1.5, 0), (Fraction(1, 2),), ("1/3", 1)])
+def test_root_vector_rejects_non_integral_coefficients(coeffs):
+    with pytest.raises(ValueError, match="integers"):
+        RootVector(coeffs)
+    assert RootVector((Fraction(4, 2), 1.0)).coeffs == (2, 1)

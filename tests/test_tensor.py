@@ -9,9 +9,9 @@ from lierep.errors import CapExceeded, InvariantViolation
 from lierep.rootsystem import Weight, build_root_system
 from lierep.weyl import enumerate_weyl, longest_element, shift_maps
 from lierep.characters import (character_of, character_table,
-                               dominant_drops, rho_shifts,
-                               signed_partition_sum, table_mult,
-                               weyl_dimension)
+                               dominant_drops, dominant_weight_table,
+                               rho_shifts, signed_partition_sums,
+                               table_mult, weyl_dimension)
 from lierep.selfcheck import (HULL_TYPES, METHOD_TYPES, PRODUCT_DIM_CAP,
                               _pair_corpus)
 from lierep.tensor import (_candidates, _char_product, _decompose_steinberg,
@@ -153,6 +153,24 @@ def test_generalized_with_submodule_count(a1):
     w0 = longest_element(a1)
     rep = generalized_prv(a1, Weight((2,)), Weight((1,)), w0, with_kprv=True)
     assert rep["kprv_mult"] == 1
+
+
+def test_generalized_rejects_a_foreign_element(a2, b2):
+    with pytest.raises(ValueError, match="different root systems"):
+        generalized_prv(a2, a2.rho, a2.rho, longest_element(b2))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2",
+                                   "F4"])
+def test_minuscule_matches_the_dominant_table(label):
+    # the table definition, kept as the oracle: mu is the only dominant
+    # weight of V(mu)
+    rs = build_root_system(label)
+    top = 1 if label == "F4" else 2
+    for c in iproduct(range(top + 1), repeat=rs.rank):
+        mu = Weight(c)
+        assert is_minuscule(rs, mu) \
+            == (len(dominant_weight_table(rs, mu)) == 1), c
 
 
 def test_minuscule_detection(a1, a2, b2, g2):
@@ -302,10 +320,11 @@ def _reference_steinberg(rs, lam, mu):
     for coords in _candidates(rs, lam, mu, Caps()):
         drop = rs.root_lattice_coords(
             tuple(t - c for t, c in zip(top, coords)))
-        total = 0
-        for sgn, shift in _reference_rho_shifts(rs, els, coords):
-            total += sgn * signed_partition_sum(
-                rs, mu_shifts, tuple(d - s for d, s in zip(drop, shift)))
+        shifts = _reference_rho_shifts(rs, els, coords)
+        sums = signed_partition_sums(
+            rs, mu_shifts, [tuple(d - s for d, s in zip(drop, shift))
+                            for _, shift in shifts])
+        total = sum(sgn * s for (sgn, _), s in zip(shifts, sums))
         if total:
             entries[coords] = total
     return entries
