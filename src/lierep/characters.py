@@ -24,12 +24,13 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, product as iproduct
+from math import floor
 from operator import add, ge, le, mul
 from types import MappingProxyType
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InvariantViolation
-from .rootsystem import Weight, RootVector, _num
+from .rootsystem import Weight, RootVector
 from .weyl import shift_maps
 
 __all__ = [
@@ -43,23 +44,13 @@ __all__ = [
 def partition_function(rs, beta):
     """Number of multisets of positive roots summing to beta.
 
-    beta may be a RootVector, an integer coefficient tuple, or a Weight (in
-    which case membership in the root lattice is checked first).  Returns 0
-    off the nonnegative cone; a wrong length or a non-integer coefficient
-    raises ValueError.
+    beta is read by rs.root_coords: a RootVector, an integer coefficient
+    tuple, or a Weight.  Returns 0 off the root lattice and off the
+    nonnegative cone; a wrong length or a non-integer coefficient raises
+    ValueError.
     """
-    rs.require_rank(beta)
-    if isinstance(beta, Weight):
-        coords = rs.root_lattice_coords(beta)
-        if coords is None:
-            return 0
-    elif isinstance(beta, RootVector):
-        coords = beta.coeffs
-    else:
-        coords = tuple(_num(x) for x in beta)
-        if not all(isinstance(c, int) for c in coords):
-            raise ValueError(f"root coordinates {beta} must be integers")
-    if any(c < 0 for c in coords):
+    coords = rs.root_coords(beta)
+    if coords is None or any(c < 0 for c in coords):
         return 0
     values, strides, _ = _pf_covering(rs, coords)
     return values[sum(map(mul, coords, strides))]
@@ -231,8 +222,7 @@ def dominant_drops(rs, lam_coords):
     can still give it.
     """
     rank = rs.rank
-    span = [sum(r * c for r, c in zip(row, lam_coords)) // rs.inv_den
-            for row in rs.inv_num]
+    span = [floor(x) for x in rs.weight_to_root_coords(lam_coords)]
     cols = rs.simple_root_coords
     # rise[j][i]: the most coordinate i can gain from drops at levels >= j
     rise = [[0] * rank for _ in range(rank + 1)]

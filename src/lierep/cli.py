@@ -174,15 +174,17 @@ def cmd_prv(args):
 
 
 def cmd_shapovalov_det(args):
+    from fractions import Fraction
     from .determinants import shapovalov_det
     rs = _system(args)
-    depth = tuple(int(x) for x in args.depth.split(","))
+    # exact rationals: shapovalov_det refuses a non-integer entry itself
+    depth = tuple(Fraction(x) for x in args.depth.split(","))
     direct = shapovalov_det(rs, depth, "direct", args.max_height)
     formula = shapovalov_det(rs, depth, "formula", args.max_height)
     ratio = direct.ratio_to(formula)
     if ratio is None and sum(depth) > 0:
         raise InvariantViolation("determinant does not match the formula")
-    data = {"system": rs.label, "depth": list(depth),
+    data = {"system": rs.label, "depth": [int(x) for x in depth],
             "direct": repr(direct.expand()),
             "formula": formula.to_json(),
             "ratio": str(ratio) if ratio is not None else "1"}

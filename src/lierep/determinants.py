@@ -124,14 +124,10 @@ def _as_root_vector(rs, nu):
     """The depth nu (a RootVector, a Weight or root coordinates) as a
     RootVector; ValueError unless it has rank coordinates and lies in the
     nonnegative root lattice."""
-    rs.require_rank(nu)
-    if isinstance(nu, Weight):
-        nu = rs.root_lattice_coords(nu)
-    if nu is not None and not isinstance(nu, RootVector):
-        nu = RootVector(tuple(nu))
-    if nu is None or any(c < 0 for c in nu.coeffs):
+    coords = rs.root_coords(nu)
+    if coords is None or any(c < 0 for c in coords):
         raise ValueError("depth must lie in the nonnegative root lattice")
-    return nu
+    return RootVector(coords)
 
 
 def _ht_cap(rs, cap):

@@ -18,7 +18,7 @@ merges on ints, and divides once per output term.
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, mul
 
 from .errors import InvariantViolation
 from .hpoly import HPoly
@@ -115,19 +115,17 @@ def _build_constants(rs):
     index = rs.root_index
     norms = rs.root_norms  # (alpha, alpha), short = 2
 
-    def root_idx(coeffs):
-        return index.get(tuple(coeffs))
-
     def p_down(a, b):
-        # largest k with r_b - k r_a a root (any sign)
-        k = 0
-        ca, cb = rs.positive_roots[a].coeffs, list(rs.positive_roots[b].coeffs)
+        # largest k with r_b - k r_a a root: the r_a-string through r_b runs
+        # from r_b - p r_a to r_b + q r_a with p - q = r_b(h_{r_a})
+        q = 0
+        cb = rs.positive_roots[b].coeffs
         while True:
-            cb = [x - y for x, y in zip(cb, ca)]
-            key = tuple(cb)
-            if root_idx(key) is None and root_idx(tuple(-x for x in key)) is None:
-                return k
-            k += 1
+            cb = tuple(map(add, cb, rs.positive_roots[a].coeffs))
+            if cb not in index:
+                break
+            q += 1
+        return q + sum(map(mul, rs.coroots[a], rs.root_weight_coords[b]))
 
     special = {}  # gamma index -> (a, b) minimal decomposition
     npp = {}      # (a, b), unordered, a < b -> N(r_a, r_b)
@@ -141,15 +139,13 @@ def _build_constants(rs):
 
     def n_mixed(x, y):
         # N(x_{r_x}, x_{-r_y}) for x != y
-        diff = tuple(p - q for p, q in zip(rs.positive_roots[x].coeffs,
-                                           rs.positive_roots[y].coeffs))
-        d = root_idx(diff)
-        if d is not None:
+        found = rs.root_difference(x, y)
+        if found is None:
+            return 0
+        d, sign = found
+        if sign > 0:
             return Fraction(norms[d], norms[x]) * n_pp(d, y)
-        d = root_idx(tuple(-t for t in diff))
-        if d is not None:
-            return Fraction(norms[d], norms[y]) * n_pp(d, x)
-        return 0
+        return Fraction(norms[d], norms[y]) * n_pp(d, x)
 
     for g in range(m):
         gamma = rs.positive_roots[g].coeffs
@@ -157,11 +153,9 @@ def _build_constants(rs):
             continue
         decomps = []
         for a in range(m):
-            b = root_idx(tuple(x - y for x, y in
-                               zip(gamma, rs.positive_roots[a].coeffs)))
-            if b is not None and a < b:
-                decomps.append((a, b))
-        decomps.sort()
+            found = rs.root_difference(g, a)
+            if found is not None and found[1] > 0 and a < found[0]:
+                decomps.append((a, found[0]))
         a1, b1 = decomps[0]
         special[g] = (a1, b1)
         npp[(a1, b1)] = p_down(a1, b1) + 1
@@ -170,23 +164,11 @@ def _build_constants(rs):
             t1 = t2 = 0
             n1 = n_mixed(b, a1)
             if n1:
-                d = root_idx(tuple(x - y for x, y in
-                                   zip(rs.positive_roots[b].coeffs,
-                                       rs.positive_roots[a1].coeffs)))
-                if d is None:
-                    d = root_idx(tuple(y - x for x, y in
-                                       zip(rs.positive_roots[b].coeffs,
-                                           rs.positive_roots[a1].coeffs)))
+                d, _ = rs.root_difference(b, a1)
                 t1 = n1 * n_mixed(a, b1) / norms[d]
             n2 = n_mixed(a, a1)
             if n2:
-                d = root_idx(tuple(x - y for x, y in
-                                   zip(rs.positive_roots[a].coeffs,
-                                       rs.positive_roots[a1].coeffs)))
-                if d is None:
-                    d = root_idx(tuple(y - x for x, y in
-                                       zip(rs.positive_roots[a].coeffs,
-                                           rs.positive_roots[a1].coeffs)))
+                d, _ = rs.root_difference(a, a1)
                 t2 = -n2 * n_mixed(b, b1) / norms[d]
             val = Fraction(norms[g]) / base * (t1 + t2)
             ival = _num(val)
@@ -252,15 +234,9 @@ class ChevalleyBasis:
                 for x, y in ((a, b), (b, a)):
                     val = n_mixed(x, y)
                     if val:
-                        diff = tuple(p - q for p, q in
-                                     zip(rs.positive_roots[x].coeffs,
-                                         rs.positive_roots[y].coeffs))
-                        d = ridx.get(diff)
-                        if d is not None:
-                            put(edx(x), fdx(y), {edx(d): val})
-                        else:
-                            d = ridx[tuple(-t for t in diff)]
-                            put(edx(x), fdx(y), {fdx(d): val})
+                        d, sign = rs.root_difference(x, y)
+                        put(edx(x), fdx(y),
+                            {(edx if sign > 0 else fdx)(d): val})
 
         weights = []
         zero = (0,) * rank
@@ -313,11 +289,12 @@ class ChevalleyBasis:
         return UElement.generator(self.algebra, idx)
 
     def e(self, i):
-        """Simple generator e_i (i a simple-root index)."""
-        return self.gen(self.idx_e(self.rs.root_index[self.rs.simple_root(i).coeffs]))
+        """Simple generator e_i (i a simple-root index; alpha_i is root
+        rank - 1 - i)."""
+        return self.gen(self.idx_e(self.rank - 1 - i))
 
     def f(self, i):
-        return self.gen(self.idx_f(self.rs.root_index[self.rs.simple_root(i).coeffs]))
+        return self.gen(self.idx_f(self.rank - 1 - i))
 
     def h(self, i):
         return self.gen(self.idx_h(i))
@@ -639,15 +616,7 @@ def _reordered_algebra(basis, order):
 
 def shapovalov(basis, b1, b2):
     """Contravariant form beta(transpose(b1) * b2) as a polynomial in h_i."""
-    prod = transpose(basis, b1) * b2
-    poly = {}
-    m, rank = basis.m, basis.rank
-    for exps, c in prod.terms.items():
-        if any(exps[:m]) or any(exps[m + rank:]):
-            continue
-        key = tuple(exps[m:m + rank])
-        poly[key] = poly.get(key, 0) + c
-    return HPoly(rank, poly)
+    return _h_poly_from_terms(basis, (transpose(basis, b1) * b2).terms)
 
 
 def is_central(basis, u):

@@ -184,21 +184,15 @@ class VermaEngine:
             if scal:
                 out[tail] = out.get(tail, 0) + scal
         else:
-            diff = tuple(a - b for a, b in zip(rs.positive_roots[k].coeffs,
-                                               rs.positive_roots[first].coeffs))
-            d = rs.root_index.get(diff)
-            if d is not None:
-                val = self._mixed(k, first)
-                if val:
+            val = self._mixed(k, first)
+            if val:
+                d, sign = rs.root_difference(k, first)
+                if sign > 0:
                     for m2, c in self._e_apply(d, tail):
                         out[m2] = out.get(m2, 0) + val * c
-            else:
-                d = rs.root_index.get(tuple(-x for x in diff))
-                if d is not None:
-                    val = self._mixed(k, first)
-                    if val:
-                        for m3, c2 in self._f_insert(d, tail).items():
-                            out[m3] = out.get(m3, 0) + val * c2
+                else:
+                    for m3, c2 in self._f_insert(d, tail).items():
+                        out[m3] = out.get(m3, 0) + val * c2
         return [(m, c) for m, c in out.items() if c]
 
     def _mixed(self, a, b):

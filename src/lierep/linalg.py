@@ -3,11 +3,11 @@
 Matrices are lists of lists holding ints or ``fractions.Fraction``.  One
 fraction-free elimination does all of it: ``SpanBasis`` keeps integer rows
 in echelon form with Bareiss's update (Math. Comp. 1968), one row at a time,
-and rank, pivot columns, nullity, kernel bases, inverses and determinants
-are read from its pivot rows.  A row with ``Fraction`` entries is first
-scaled by the lcm of its denominators, which changes neither its span nor
-its kernel.  A ``Fraction`` is made only by back-substitution and by the
-determinant's last division by those scale factors.
+and rank, nullity, kernel bases, inverses and determinants are read from its
+pivot rows.  A row with ``Fraction`` entries is first scaled by the lcm of
+its denominators, which changes neither its span nor its kernel.  A
+``Fraction`` is made only by back-substitution and by the determinant's last
+division by those scale factors.
 """
 
 from fractions import Fraction
@@ -120,12 +120,6 @@ def rank(rows):
 
 def nullity(rows, ncols):
     return ncols - _echelon(rows, ncols).dim
-
-
-def pivot_columns(rows):
-    """Pivot columns of the reduced echelon form, in increasing order: each
-    column not in the span of the columns before it."""
-    return sorted(_echelon(rows, len(rows[0]) if rows else 0).pivots)
 
 
 def kernel_basis(rows, ncols):

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul, sub
 
 from .errors import InvariantViolation
 from .linalg import det, mat_inv
@@ -98,7 +99,8 @@ class RootVector:
         for c in coeffs:
             if not isinstance(c, int):
                 raise ValueError(
-                    f"root coordinates {self.coeffs} must be integers")
+                    f"root coordinates ({', '.join(map(str, self.coeffs))}) "
+                    f"must be integers")
         object.__setattr__(self, "coeffs", coeffs)
 
     def __iter__(self):
@@ -289,6 +291,8 @@ class RootSystem:
                         seen.add(img)
                         fresh.append(img)
             frontier = fresh
+        # by height, then coefficients: the simple roots are indices
+        # 0..rank-1, alpha_i at index rank - 1 - i
         roots = sorted(seen, key=lambda c: (sum(c), c))
         self.positive_roots = tuple(RootVector(c) for c in roots)
         self.nroots = len(roots)
@@ -305,30 +309,21 @@ class RootSystem:
 
     def _build_form(self):
         rank = self.rank
-        # (alpha_i, alpha_j) = d_i A[i][j]; fundamental-weight Gram matrix F
-        # satisfies F * C = diag(d) with C[i][j] = A[i][j].
+        # C^{-1} = inv_num / inv_den carries weights to root coordinates.
+        # (alpha_i, alpha_j) = d_i A[i][j]; the fundamental-weight Gram matrix
+        # F satisfies F * A = diag(d) with (w_i, alpha_j) = delta_ij d_j, so
+        # F = diag(d) A^{-1} = form_num / form_den
         c_inv = mat_inv([list(row) for row in self.cartan])
-        self.inv_cartan = tuple(tuple(_num(x) for x in row) for row in c_inv)
-        inv_den = 1
-        for row in c_inv:
-            for x in row:
-                inv_den = inv_den * x.denominator // math.gcd(inv_den, x.denominator)
-        self.inv_den = inv_den
-        self.inv_num = tuple(tuple(int(x * inv_den) for x in row) for row in c_inv)
+        self.inv_den = math.lcm(*(x.denominator for row in c_inv for x in row))
+        self.inv_num = tuple(tuple(int(x * self.inv_den) for x in row)
+                             for row in c_inv)
         # height (root-coordinate sum) of a weight, scaled by inv_den
         self.height_num = tuple(sum(row[j] for row in self.inv_num)
                                 for j in range(rank))
-        # F * A = diag(d) with (w_i, alpha_j) = delta_ij d_j, so F = diag(d) A^{-1}
-        form = [[_num(self.sym[i] * c_inv[i][j]) for j in range(rank)]
-                for i in range(rank)]
-        self.form = tuple(tuple(row) for row in form)
-        den = 1
-        for row in form:
-            for x in row:
-                if isinstance(x, Fraction):
-                    den = den * x.denominator // math.gcd(den, x.denominator)
-        self.form_den = den
-        self.form_num = tuple(tuple(int(x * den) for x in row) for row in form)
+        form = [[d * x for x in row] for d, row in zip(self.sym, c_inv)]
+        self.form_den = math.lcm(*(x.denominator for row in form for x in row))
+        self.form_num = tuple(tuple(int(x * self.form_den) for x in row)
+                              for row in form)
         # squared length 2*d_alpha and integer coroot coordinates per root
         norms = []
         coroots = []
@@ -365,10 +360,10 @@ class RootSystem:
             raise ValueError("short-root normalisation broken")
         for i in range(self.rank):
             for j in range(self.rank):
-                if self.form[i][j] != self.form[j][i]:
+                if self.form_num[i][j] != self.form_num[j][i]:
                     raise ValueError("invariant form not symmetric")
         for k in range(1, self.rank + 1):
-            if det([list(r[:k]) for r in self.form[:k]]) <= 0:
+            if det([list(r[:k]) for r in self.form_num[:k]]) <= 0:
                 raise ValueError("invariant form not positive definite")
         # closure under simple reflections
         for rv in self.positive_roots:
@@ -413,10 +408,6 @@ class RootSystem:
     def simple_root(self, i):
         return RootVector(tuple(int(i == j) for j in range(self.rank)))
 
-    def simple_root_weight(self, i):
-        """alpha_i in fundamental coordinates (column i of the Cartan matrix)."""
-        return Weight(tuple(self.cartan[j][i] for j in range(self.rank)))
-
     # -- coordinate algebra --------------------------------------------------
 
     def root_to_weight(self, rv):
@@ -427,27 +418,42 @@ class RootSystem:
     def weight_to_root_coords(self, w):
         """Coordinates of a weight in the simple-root basis (exact rationals)."""
         self.require_rank(w)
-        return tuple(_num(sum(Fraction(self.inv_cartan[i][j]) * w[j]
-                              for j in range(self.rank)))
-                     for i in range(self.rank))
+        return tuple(_num(Fraction(sum(map(mul, row, w)), self.inv_den))
+                     for row in self.inv_num)
 
     def root_lattice_coords(self, w):
         """Integer root coordinates, or None if w is not in the root lattice."""
         self.require_rank(w)
-        coords = w.coords if isinstance(w, Weight) else tuple(w)
-        if all(isinstance(x, int) for x in coords):
-            den = self.inv_den
-            out = []
-            for row in self.inv_num:
-                v = sum(row[j] * coords[j] for j in range(self.rank))
-                if v % den:
-                    return None
-                out.append(v // den)
-            return tuple(out)
-        c = self.weight_to_root_coords(w)
-        if all(isinstance(x, int) for x in c):
-            return c
-        return None
+        den = self.inv_den
+        out = []
+        for row in self.inv_num:
+            v = sum(map(mul, row, w))
+            if v % den:
+                return None
+            out.append(v // den)
+        return tuple(out)
+
+    def root_coords(self, x):
+        """Integer root coordinates of a root-lattice argument: a RootVector,
+        a Weight (None off the root lattice) or a sequence of integers.  A
+        wrong length or a non-integer entry raises ValueError."""
+        self.require_rank(x)
+        if isinstance(x, Weight):
+            return self.root_lattice_coords(x)
+        if isinstance(x, RootVector):
+            return x.coeffs
+        return RootVector(x).coeffs
+
+    def root_difference(self, a, b):
+        """(k, sign) with r_a - r_b = sign * r_k for positive-root indices a
+        and b, or None when the difference is not a root."""
+        diff = tuple(map(sub, self.positive_roots[a].coeffs,
+                         self.positive_roots[b].coeffs))
+        k = self.root_index.get(diff)
+        if k is not None:
+            return k, 1
+        k = self.root_index.get(tuple(-x for x in diff))
+        return None if k is None else (k, -1)
 
     def inner(self, wa, wb):
         """Invariant form on weights, short roots normalised to length^2 = 2."""
@@ -535,12 +541,6 @@ class RootSystem:
         """The unique dominant orbit representative (no group element tracked)."""
         self.require_rank(w)
         return Weight(self.dominant_ascent(w.coords)[0])
-
-    def in_dominant_hull(self, lam, mu):
-        """mu in conv(W lam), both arguments dominant: lam - mu in Q>=0 Pi."""
-        self.require_rank(lam, mu)
-        diff = self.weight_to_root_coords(lam - self.dominant_in_orbit(mu))
-        return all(x >= 0 for x in diff)
 
 
 @lru_cache(maxsize=None)

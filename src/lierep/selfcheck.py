@@ -582,8 +582,7 @@ def _zero_weight_jmax(rs, nu):
     except CapExceeded:
         return None
     jmax = 0
-    for i in range(rs.rank):
-        k = rs.root_index[rs.simple_root(i).coeffs]
+    for k in range(rs.rank):  # root indices 0..rank-1 are the simple roots
         spec, _ = zero_weight_spectrum(rs, real, k)
         jmax = max(jmax, max(spec))
     return jmax

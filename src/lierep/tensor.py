@@ -334,17 +334,12 @@ def component_tests(rs, lam, mu, caps=Caps()):
         nu = lam + mu - beta_w
         if not nu.is_dominant:
             continue
-        ok = True
-        for i in range(rs.rank):
-            if lam[i] == 0 or mu[i] == 0:
-                down = beta - rs.simple_root(i)
-                if not any(down.coeffs):
-                    ok = False
-                    break
-                key = down.coeffs if down.is_positive else None
-                if key is not None and key in rs.root_index:
-                    ok = False
-                    break
+        # beta - alpha_i, alpha_i being root rank - 1 - i, is zero or a root
+        # (never a negative one) at no i where lam or mu vanishes
+        ok = not any((lam[i] == 0 or mu[i] == 0)
+                     and (k == rs.rank - 1 - i
+                          or rs.root_difference(k, rs.rank - 1 - i))
+                     for i in range(rs.rank))
         if ok:
             m = multiplicity(rs, lam, mu, nu, cross_check=False)
             if m <= 0:

@@ -146,6 +146,12 @@ def test_shapovalov_bad_depth_exit_code(capsys, depth):
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+def test_shapovalov_non_integer_depth_is_a_typed_error(capsys):
+    code, out, err = run(capsys, "shapovalov-det", "A2", "1.5,0")
+    assert code == 1 and out == ""
+    assert err == "error: root coordinates (3/2, 0) must be integers\n"
+
+
 def test_cap_exit_code(capsys):
     code, _, err = run(capsys, "weyl", "E8")
     assert code == 2 and "cap" in err

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -100,6 +101,49 @@ def test_bad_depths_raise(a2, depth):
     for mode in ("direct", "formula"):
         with pytest.raises(ValueError):
             shapovalov_det(a2, depth, mode)
+
+
+@pytest.mark.parametrize("form", [tuple, RootVector, Weight])
+def test_root_lattice_arguments_read_alike(a2, form):
+    # alpha_1 + alpha_2 of A2 has root and fundamental coordinates (1, 1)
+    arg = form((1, 1))
+    assert partition_function(a2, arg) == 2
+    for mode in ("direct", "formula"):
+        assert shapovalov_det(a2, arg, mode) == shapovalov_det(
+            a2, RootVector((1, 1)), mode)
+
+
+SHORT = "1 has 1 coordinates; A2 needs 2"
+LONG = "1,1,0 has 3 coordinates; A2 needs 2"
+NOT_INTEGRAL = "root coordinates (1.5, 1) must be integers"
+OFF_CONE = "depth must lie in the nonnegative root lattice"
+
+
+@pytest.mark.parametrize("arg, pf_error, det_error", [
+    pytest.param((1,), SHORT, SHORT, id="tuple_short"),
+    pytest.param((1, 1, 0), LONG, LONG, id="tuple_long"),
+    pytest.param(Weight((1,)), SHORT, SHORT, id="weight_short"),
+    pytest.param(RootVector((1, 1, 0)), LONG, LONG, id="root_long"),
+    pytest.param((1.5, 1), NOT_INTEGRAL, NOT_INTEGRAL, id="tuple_float"),
+    pytest.param(Weight((1, 0)), 0, OFF_CONE, id="weight_off_lattice"),
+    pytest.param(Weight((Fraction(1, 2), 1)), 0, OFF_CONE,
+                 id="weight_fraction"),
+    pytest.param((-1, 2), 0, OFF_CONE, id="tuple_negative"),
+    pytest.param(RootVector((0, -1)), 0, OFF_CONE, id="root_negative"),
+    pytest.param(Weight((-1, -1)), 0, OFF_CONE, id="weight_negative"),
+])
+def test_bad_root_lattice_arguments(a2, arg, pf_error, det_error):
+    # partition_function answers 0 off the lattice or the cone, where a
+    # depth is refused; a wrong length or a non-integer entry is refused by
+    # both with the same message
+    if pf_error == 0:
+        assert partition_function(a2, arg) == 0
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(pf_error)}$"):
+            partition_function(a2, arg)
+    for mode in ("direct", "formula"):
+        with pytest.raises(ValueError, match=f"^{re.escape(det_error)}$"):
+            shapovalov_det(a2, arg, mode)
 
 
 def test_zero_sets_match_singular_vectors(a1):

@@ -81,7 +81,7 @@ def test_serre_relations_on_realization(rs):
     for wc in real.weights:
         nb = len(real.weights[wc])
         for i in range(rs.rank):
-            delta = rs.simple_root_weight(i)
+            delta = Weight(rs.simple_root_coords[i])
             fm = real.f_mats.get((i, wc))
             em_lo = real.e_mats.get((i, (Weight(wc) - delta).coords))
             ef = matmul(em_lo, fm) if fm and em_lo else None
@@ -112,7 +112,7 @@ def test_highest_vector_killed_and_radical_generators_vanish(a2):
                 break
             vec = [sum(fm[r][c] * vec[c] for c in range(len(vec)))
                    for r in range(len(fm))]
-            wc = (Weight(wc) - a2.simple_root_weight(i)).coords
+            wc = (Weight(wc) - Weight(a2.simple_root_coords[i])).coords
         assert not alive or all(x == 0 for x in vec)
 
 
@@ -520,7 +520,8 @@ def test_v_extremes_dim_against_verma_levels(label):
 def test_v_extremes_dim_builds_only_what_it_needs(g2):
     # a shallow gamma in a large V(mu) builds only the blocks above gamma
     mu = Weight((7, 5))
-    gamma = mu - g2.simple_root_weight(0) - g2.simple_root_weight(1)
+    gamma = mu - Weight(g2.simple_root_coords[0]) \
+        - Weight(g2.simple_root_coords[1])
     assert v_extremes_dim(g2, mu, gamma, Weight((0, 0))) == 0
     real = _module(g2, mu)
     assert real.dimension is None
@@ -547,7 +548,7 @@ def _apply_simple_reference(tensor, kind, i, wcoords, vec):
     """TensorModule.apply_simple as it was, on Weight arithmetic with the
     target index rebuilt on each call."""
     rs = tensor.rs
-    delta = rs.simple_root_weight(i)
+    delta = Weight(rs.simple_root_coords[i])
     tgt = (Weight(wcoords) + delta).coords if kind == "e" else \
         (Weight(wcoords) - delta).coords
     blk = tensor.blocks.get(tgt)

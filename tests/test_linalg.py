@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lierep.linalg import (SpanBasis, det, identity, kernel_basis, mat_inv,
-                           mat_mul, nullity, pivot_columns, rank)
+                           mat_mul, nullity, rank)
+
+
+def _pivot_columns(rows):
+    """Pivot columns of the reduced echelon form, in increasing order."""
+    span = SpanBasis(len(rows[0]))
+    for row in rows:
+        span.add(row)
+    return sorted(span.pivots)
 
 
 def reference_echelon(rows):
@@ -98,7 +106,7 @@ matrices = st.one_of(
 @given(matrices)
 def test_rank_matches_reference_elimination(mat):
     assert rank(mat) == reference_rank(mat)
-    assert pivot_columns(mat) == reference_echelon(mat)[1]
+    assert _pivot_columns(mat) == reference_echelon(mat)[1]
 
 
 @given(st.integers(1, 5).flatmap(lambda r: st.tuples(
@@ -155,7 +163,7 @@ def test_mat_inv_exact_or_singular(a):
 
 def test_pivot_columns_order():
     mat = [[0, 1, 2], [0, 2, 4], [0, 0, 1]]
-    assert pivot_columns(mat) == [1, 2]
+    assert _pivot_columns(mat) == [1, 2]
 
 
 @given(matrices)

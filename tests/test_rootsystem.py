@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lierep.linalg import mat_inv
 from lierep.rootsystem import (RootVector, Weight, build_root_system,
                                dominance_hull_equiv, format_weight,
                                parse_weight)
@@ -72,7 +74,7 @@ def test_simple_reflection_formula(rs):
     # s_i(w_i) = w_i - alpha_i, forced by the pairing normalisation
     for i in range(rs.rank):
         w = rs.fundamental(i)
-        assert rs.reflect(i, w) == w - rs.simple_root_weight(i)
+        assert rs.reflect(i, w) == w - Weight(rs.simple_root_coords[i])
 
 
 @given(st.data())
@@ -178,6 +180,7 @@ WRONG_RANK = {
     "pairing": lambda: A2.pairing(W3, 0),
     "weight_to_root_coords": lambda: A2.weight_to_root_coords(W3),
     "root_lattice_coords": lambda: A2.root_lattice_coords(W3),
+    "root_coords": lambda: A2.root_coords(W3),
 }
 
 
@@ -192,3 +195,30 @@ def test_root_vector_rejects_non_integral_coefficients(coeffs):
     with pytest.raises(ValueError, match="integers"):
         RootVector(coeffs)
     assert RootVector((Fraction(4, 2), 1.0)).coeffs == (2, 1)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3",
+                                   "D4", "G2", "F4", "E6"])
+def test_root_coordinates_match_inverse_cartan(label):
+    # C^{-1} from mat_inv carries fundamental to root coordinates
+    rs = build_root_system(label)
+    inv = mat_inv([list(row) for row in rs.cartan])
+    rng = random.Random(label)
+    weights = [rs.fundamental(i) for i in range(rs.rank)]
+    weights += [Weight(col) for col in rs.simple_root_coords]
+    weights += [Weight([rng.randint(-6, 6) for _ in range(rs.rank)])
+                for _ in range(20)]
+    weights += [Weight([Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+                        for _ in range(rs.rank)]) for _ in range(20)]
+    for w in weights:
+        want = tuple(sum(inv[i][j] * w[j] for j in range(rs.rank))
+                     for i in range(rs.rank))
+        got = rs.weight_to_root_coords(w)
+        assert got == want, w
+        assert all(type(x) is int for x, y in zip(got, want)
+                   if y.denominator == 1)
+        lattice = (tuple(map(int, want))
+                   if all(y.denominator == 1 for y in want) else None)
+        assert rs.root_lattice_coords(w) == lattice, w
+        assert rs.root_lattice_coords(w.coords) == lattice, w
+        assert rs.root_coords(w) == lattice, w

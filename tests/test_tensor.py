@@ -258,16 +258,25 @@ def test_non_dominant_rejected(a2):
 
 
 def _full_convolution(rs, lam, mu):
-    """Every weight of the product character, by convolving both full
-    characters, restricted to the dominant ones."""
+    """Every dominant weight of the product character, by convolving both
+    full characters.  A sum c1 + c2 is dominant only if c1[i] >= -c2[i] on
+    every axis, so each c2 takes its most negative axis i and visits the
+    weights c1 of the first character in descending order of c1[i], stopping
+    at the first c1[i] < -c2[i]."""
     ch1 = character_of(rs, lam).entries
     ch2 = character_of(rs, mu).entries
+    by_axis = [sorted(ch1.items(), key=lambda t, i=i: -t[0][i])
+               for i in range(rs.rank)]
     out = {}
-    for c1, m1 in ch1.items():
-        for c2, m2 in ch2.items():
+    for c2, m2 in ch2.items():
+        i = min(range(rs.rank), key=c2.__getitem__)
+        for c1, m1 in by_axis[i]:
+            if c1[i] < -c2[i]:
+                break
             key = tuple(a + b for a, b in zip(c1, c2))
-            out[key] = out.get(key, 0) + m1 * m2
-    return {k: v for k, v in out.items() if min(k) >= 0}
+            if min(key) >= 0:
+                out[key] = out.get(key, 0) + m1 * m2
+    return out
 
 
 @pytest.mark.parametrize("label", HULL_TYPES)

@@ -439,7 +439,8 @@ BAD_INPUTS = {
     "twisted_orbit_id": lambda: twisted_orbit_id(A2, W3),
     "dominance_hull_equiv": lambda: dominance_hull_equiv(
         A2, W3, Weight((0, 0))),
-    "in_dominant_hull": lambda: A2.in_dominant_hull(Weight((1, 1)), W3),
+    "dominance_hull_equiv_orbit": lambda: dominance_hull_equiv(
+        A2, Weight((1, 1)), A2.dominant_in_orbit(W3)),
     "dominant_representative": lambda: dominant_representative(A2, W1),
     "orbit": lambda: A2.orbit(W1),
     "invariants": lambda: invariants(A2, HCParams(W3, Weight((0, 0, 0)))),
