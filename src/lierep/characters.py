@@ -15,29 +15,31 @@ signed_partition_sums ask for the box they read, the latter for all of its
 drops at once; a request past the box replaces the table by one on the
 elementwise max of the two boxes, and a reader keeps the snapshot it got.
 
-Tables and characters are memoised per (root system, highest weight), and
-each memo entry is what callers get: a table's read-only view, or a
-character's dict beside the Character on a read-only view of it.
+Dominant tables are memoised per (root system, highest weight), each memo
+entry the read-only view that callers get.  W-orbits are memoised per
+(root system, dominant weight), where every character, the tensor layer and
+the realizations share them.  No full character is kept: character_of
+expands a table over those orbits on each call.
 """
 
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product as iproduct
+from itertools import accumulate
 from math import floor
 from operator import add, ge, le, mul
 from types import MappingProxyType
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import InvariantViolation
-from .rootsystem import Weight, RootVector
+from .rootsystem import Weight
 from .weyl import shift_maps
 
 __all__ = [
     "partition_function", "weight_multiplicity", "kostant_multiplicity",
     "freudenthal_multiplicity", "character_of", "weyl_dimension", "Character",
     "dominant_weight_table", "dominant_drops", "weight_drops",
-    "character_table",
+    "character_table", "dominant_orbit",
 ]
 
 
@@ -160,27 +162,6 @@ def signed_partition_sums(rs, shifts, drops):
     return out
 
 
-def partition_function_bruteforce(rs, beta, bound=None):
-    """Independent enumeration oracle for the partition function (small beta)."""
-    coords = beta.coeffs if isinstance(beta, RootVector) else tuple(beta)
-    if any(c < 0 for c in coords):
-        return 0
-    roots = [rv.coeffs for rv in rs.positive_roots]
-    ranges = []
-    for r in roots:
-        m = min((coords[i] // r[i] for i in range(len(coords)) if r[i]), default=0)
-        ranges.append(range(m + 1))
-    count = 0
-    for combo in iproduct(*ranges):
-        tot = [0] * len(coords)
-        for c, r in zip(combo, roots):
-            for i, x in enumerate(r):
-                tot[i] += c * x
-        if tuple(tot) == coords:
-            count += 1
-    return count
-
-
 def weyl_dimension(rs, lam):
     """Product formula for dim V(lambda)."""
     require_dominant_integral(rs, lam)
@@ -219,7 +200,9 @@ def dominant_drops(rs, lam_coords):
     A dominant nu has nonnegative root coordinates, so drop_j is at most the
     j-th root coordinate of lam.  A prefix of the drop is abandoned once some
     coordinate stays negative after the largest rise the later simple roots
-    can still give it.
+    can still give it.  At the last level nothing rises later, so the
+    admissible drops form one interval, read from the signs of the simple
+    root's column.
     """
     rank = rs.rank
     span = [floor(x) for x in rs.weight_to_root_coords(lam_coords)]
@@ -230,12 +213,24 @@ def dominant_drops(rs, lam_coords):
         for i in range(rank):
             rise[j][i] = rise[j + 1][i] + max(0, -cols[j][i] * span[j])
     out = []
+    last = rank - 1
 
     def rec(j, nu, drop):
-        if j == rank:
-            out.append((drop, nu))
-            return
         col, later = cols[j], rise[j + 1]
+        if j == last:
+            # x - d * c >= 0 for every coordinate x, c of nu and col
+            lo, hi = 0, span[j]
+            for x, c in zip(nu, col):
+                if c > 0:
+                    hi = min(hi, x // c)
+                elif c < 0:
+                    lo = max(lo, -(x // -c))
+                elif x < 0:
+                    return
+            for d in range(lo, hi + 1):
+                out.append((drop + (d,),
+                            tuple([x - d * c for x, c in zip(nu, col)])))
+            return
         for d in range(span[j] + 1):
             nu2 = tuple(x - d * c for x, c in zip(nu, col))
             if nu2[j] + later[j] < 0:
@@ -253,7 +248,7 @@ def weight_drops(rs, lam_coords):
     test is one set lookup."""
     drops = set()
     for _, nu in dominant_drops(rs, lam_coords):
-        for x in rs.orbit_coords(nu):
+        for x in dominant_orbit(rs, nu):
             drops.add(rs.root_lattice_coords(
                 tuple(a - b for a, b in zip(lam_coords, x))))
     return frozenset(drops)
@@ -404,21 +399,12 @@ def table_mult(rs, table, coords):
 
 
 @lru_cache(maxsize=None)
-def _character(rs, lam_coords):
-    """(entries, Character on a read-only view of entries) of V(lam).  The
-    weight -> multiplicity dict, which callers never change, is for inner
-    loops: a view's .get is a slower method call."""
-    dim = _weyl_dim(rs, lam_coords)
-    entries = {}
-    for dom_coords, m in _table(rs, lam_coords).items():
-        for x in rs.orbit_coords(dom_coords):
-            entries[x] = m
-    total = sum(entries.values())
-    if total != dim:
-        raise InvariantViolation(
-            f"character of {Weight(lam_coords)}: mass {total} "
-            f"!= Weyl dimension {dim}")
-    return entries, Character(MappingProxyType(entries))
+def dominant_orbit(rs, dom_coords):
+    """The W-orbit of the weight with fundamental coordinates dom_coords, as
+    a tuple.  Memoised per (root system, coordinates), where every caller
+    shares it; callers pass the dominant representative, so that an orbit
+    has one entry."""
+    return tuple(rs.orbit_coords(dom_coords))
 
 
 def _check_char_cap(rs, lam, caps):
@@ -428,9 +414,16 @@ def _check_char_cap(rs, lam, caps):
 
 def character_of(rs, lam, caps=Caps()):
     """Full formal character of V(lambda); sparse, validated against the
-    dimension formula, with read-only entries."""
+    dimension formula, with read-only entries.  Built on each call from the
+    dominant table and the shared orbits; nothing keeps it."""
     _check_char_cap(rs, lam, caps)
-    return _character(rs, lam.coords)[1]
+    entries = {x: m for dom, m in _table(rs, lam.coords).items()
+               for x in dominant_orbit(rs, dom)}
+    total, dim = sum(entries.values()), _weyl_dim(rs, lam.coords)
+    if total != dim:
+        raise InvariantViolation(
+            f"character of {lam}: mass {total} != Weyl dimension {dim}")
+    return Character(MappingProxyType(entries))
 
 
 def character_table(rs, lam, caps=Caps()):

@@ -25,7 +25,8 @@ from .errors import InvariantViolation
 from .linalg import (SpanBasis, kernel_basis, mat_inv, mat_mul, nullity,
                      rank)
 from .rootsystem import Weight
-from .characters import dominant_weight_table, weyl_dimension
+from .characters import (dominant_orbit, dominant_weight_table,
+                         weyl_dimension)
 from .enveloping import chevalley_basis
 
 __all__ = [
@@ -443,7 +444,7 @@ def realize(rs, mu, caps=Caps()):
     real = _module(rs, mu)
     if real.dimension is None:
         mults = {x: m for dom, m in dominant_weight_table(rs, mu).items()
-                 for x in rs.orbit_coords(dom)}
+                 for x in dominant_orbit(rs, dom)}
         for w in mults:
             real.build_to(rs.root_lattice_coords(mu - Weight(w)))
         for w, m in mults.items():

@@ -1,7 +1,8 @@
 """Tensor product decomposition by four independent algorithms.
 
 * character: convolve the formal characters at the dominant weights of the
-  product, then peel highest weights with dominant tables;
+  product, one W-orbit sum per dominant weight of the factor with fewer
+  weights, then peel highest weights with dominant tables;
 * steinberg: the signed double sum over the Weyl group through the vector
   partition function;
 * klimyk: the one-orbit-per-weight signed count over wt V(mu);
@@ -19,8 +20,7 @@ from .config import METHODS, Caps
 from .errors import InvariantViolation
 from .rootsystem import Weight
 from .weyl import coset_fibers, double_cosets, longest_element, shift_maps
-from .characters import (_character, _check_char_cap, _weyl_dim,
-                         character_of, character_table,
+from .characters import (_weyl_dim, character_table, dominant_orbit,
                          require_dominant_integral, rho_shifts,
                          signed_partition_sums, table_mult, weyl_dimension)
 
@@ -93,10 +93,11 @@ def _candidates(rs, lam, mu, caps):
     candidates."""
     lam_c = lam.coords
     out = set()
-    for mu_c in character_of(rs, mu, caps).entries:
-        nu = tuple(a + b for a, b in zip(lam_c, mu_c))
-        if min(nu) >= 0:
-            out.add(nu)
+    for dom in character_table(rs, mu, caps):
+        for mu_c in dominant_orbit(rs, dom):
+            nu = tuple(a + b for a, b in zip(lam_c, mu_c))
+            if min(nu) >= 0:
+                out.add(nu)
     return out
 
 
@@ -107,20 +108,31 @@ def _char_product(rs, lam, mu, caps):
     Those weights lie below lam + mu in its root-lattice coset, so they are
     among the dominant weights of V(lam + mu), read from its dominant table:
     the peeling needs that table for its first component anyway.
+
+    The factor with fewer weights is read as (orbit, multiplicity) pairs,
+    one per dominant weight, and the other through a lookup dict expanded
+    for this call: both from the shared orbit memo.
     """
-    _check_char_cap(rs, lam, caps)
-    _check_char_cap(rs, mu, caps)
-    ch1, ch2 = _character(rs, lam.coords)[0], _character(rs, mu.coords)[0]
-    if len(ch1) < len(ch2):
-        ch1, ch2 = ch2, ch1
-    get = ch1.get
+    factors = []
+    for w in (lam, mu):
+        orbits = [(dominant_orbit(rs, dom), m)
+                  for dom, m in character_table(rs, w, caps).items()]
+        factors.append((sum(len(orb) for orb, _ in orbits), orbits))
+    (n_big, big), (n_small, small) = factors
+    if n_big < n_small:
+        big, small = small, big
+    get = {x: m for orb, m in big for x in orb}.get
     out = {}
     for nu in character_table(rs, lam + mu, caps):
         total = 0
-        for c2, m2 in ch2.items():
-            m1 = get(tuple(map(sub, nu, c2)))
-            if m1:
-                total += m1 * m2
+        for orb, m2 in small:
+            s = 0
+            for x in orb:
+                m1 = get(tuple(map(sub, nu, x)))
+                if m1:
+                    s += m1
+            if s:
+                total += s * m2
         if total:
             out[nu] = total
     return out
@@ -179,12 +191,14 @@ def _decompose_steinberg(rs, lam, mu, caps):
 def _decompose_klimyk(rs, lam, mu, caps):
     shift = [c + 1 for c in lam.coords]   # lam + rho
     entries = {}
-    for mu_c, m in character_of(rs, mu, caps).entries.items():
-        dom, word = rs.dominant_ascent([a + b for a, b in zip(shift, mu_c)])
-        if 0 in dom:
-            continue
-        key = tuple(c - 1 for c in dom)
-        entries[key] = entries.get(key, 0) + (-m if len(word) % 2 else m)
+    for mu_dom, m in character_table(rs, mu, caps).items():
+        for mu_c in dominant_orbit(rs, mu_dom):
+            dom, word = rs.dominant_ascent(
+                [a + b for a, b in zip(shift, mu_c)])
+            if 0 in dom:
+                continue
+            key = tuple(c - 1 for c in dom)
+            entries[key] = entries.get(key, 0) + (-m if len(word) % 2 else m)
     return {k: v for k, v in entries.items() if v}
 
 
@@ -346,14 +360,14 @@ def component_tests(rs, lam, mu, caps=Caps()):
                 raise InvariantViolation(
                     f"root-subtraction component {nu} missing")
             report["root_subtraction"][beta.coeffs] = m
-    mu_char = character_of(rs, mu, caps)
-    cond = all(lam[i] + mu_c[i] >= -1
-               for mu_c in mu_char.entries for i in range(rs.rank))
+    table = character_table(rs, mu, caps)
+    cond = all(lam[i] + mu_c[i] >= -1 for dom in table
+               for mu_c in dominant_orbit(rs, dom) for i in range(rs.rank))
     report["minus_one_applies"] = cond
     if cond:
         dec = decompose(rs, lam, mu, "character", caps)
         for coords, m in dec.entries.items():
-            if m != mu_char.mult(Weight(coords) - lam):
+            if m != table_mult(rs, table, list(map(sub, coords, lam.coords))):
                 raise InvariantViolation(
                     "saturated multiplicities must equal weight multiplicities")
         report["decomposition"] = dec

@@ -18,7 +18,6 @@ from lierep.characters import (_pf_covering, character_of, character_table,
                                dominant_drops, dominant_weight_table,
                                freudenthal_multiplicity,
                                kostant_multiplicity, partition_function,
-                               partition_function_bruteforce,
                                rho_shifts, signed_partition_sums,
                                weight_drops,
                                weight_multiplicity, weyl_dimension)
@@ -26,6 +25,9 @@ from lierep.rootsystem import RootVector
 from lierep.selfcheck import HULL_TYPES
 from lierep.tensor import METHODS, decompose, multiplicity
 from lierep.weyl import longest_element, shift_maps
+
+from oracles import (character_by_closure, dominant_drops_by_recursion,
+                     partition_function_bruteforce)
 
 
 def test_partition_of_zero(rs):
@@ -312,6 +314,40 @@ def test_dominant_drops_match_box_scan(label):
         assert list(dominant_drops(rs, lam_c)) == want, lam
 
 
+# (type, largest coordinate) of the highest weights checked against oracles
+ORACLE_GRID = [(label, 3) for label in
+               ("A1", "A2", "B2", "G2", "A3", "B3", "C3")] \
+    + [("D4", 2), ("F4", 2)]
+
+
+@pytest.mark.parametrize("label,top", ORACLE_GRID)
+def test_dominant_drops_match_recursion_oracle(label, top):
+    rs = build_root_system(label)
+    for lam_c in iproduct(range(top + 1), repeat=rs.rank):
+        assert dominant_drops(rs, lam_c) \
+            == dominant_drops_by_recursion(rs, lam_c), lam_c
+
+
+@pytest.mark.parametrize("label,top", ORACLE_GRID)
+def test_character_of_matches_closure_oracle(label, top):
+    # the 40 F4 weights past dimension 10**7 are left out: building their
+    # tables takes about 8 s
+    rs = build_root_system(label)
+    caps = Caps(max_char=10 ** 7)
+    for lam_c in iproduct(range(top + 1), repeat=rs.rank):
+        lam = Weight(lam_c)
+        if weyl_dimension(rs, lam) <= caps.max_char:
+            assert character_of(rs, lam, caps).entries \
+                == character_by_closure(rs, lam), lam
+
+
+def test_character_of_matches_closure_oracle_on_freudenthal_route():
+    rs = build_root_system("E6")
+    lam = Weight((1, 0, 0, 0, 0, 1))
+    assert not characters._enumerable(rs)
+    assert character_of(rs, lam).entries == character_by_closure(rs, lam)
+
+
 def test_weight_drops_match_character_support(rs):
     for lam_c in iproduct(range(3), repeat=rs.rank):
         lam = Weight(lam_c)
@@ -445,9 +481,10 @@ def test_memo_results_are_read_only(a2):
     assert character_of(a2, Weight((1, 0))).total() == 3
     assert decompose(a2, lam, Weight((1, 0))).entries \
         == {(2, 1): 1, (0, 2): 1, (1, 0): 1}
-    # one view per memo entry, not one per call
+    # one view per memo entry, not one per call; a character is not
+    # memoised, so each call builds an equal one
     assert dominant_weight_table(a2, lam) is table
-    assert character_of(a2, Weight((1, 0))) is ch
+    assert character_of(a2, Weight((1, 0))) == ch
 
 
 def test_dominant_weight_table_is_the_character_table(rs):
@@ -463,6 +500,6 @@ def test_clearing_a_memo_clears_its_view(a2):
     characters._dominant_table_fast.cache_clear()
     fresh = character_table(a2, lam)
     assert fresh is not table and fresh == table
-    characters._character.cache_clear()
+    characters.dominant_orbit.cache_clear()
     again = character_of(a2, lam)
-    assert again is not ch and again.entries == ch.entries
+    assert again is not ch and again == ch

@@ -9,8 +9,8 @@ from lierep.errors import CapExceeded
 from lierep import characters
 from lierep.rootsystem import RootSystem, Weight, build_root_system
 from lierep.weyl import enumerate_weyl, longest_element
-from lierep.characters import (dominant_weight_table, weyl_dimension,
-                               freudenthal_multiplicity)
+from lierep.characters import (character_of, dominant_weight_table,
+                               weyl_dimension, freudenthal_multiplicity)
 from lierep.enveloping import casimir_eigenvalue
 from lierep.irreps import (TensorModule, VermaEngine, _module,
                            generated_submodule, kprv_multiplicity, realize,
@@ -57,11 +57,25 @@ def test_dimensions_match_weight_table(rs):
 
 def test_realize_pins_no_character():
     # an uninterned system, so that V(2,1) is realized here for the first
-    # time; its blocks are checked without a full character in the memo
+    # time; realizing it, expanding its character and peeling its square
+    # keep one orbit per dominant weight and one table per highest weight,
+    # and no full character
     rs = RootSystem("A", 2)
-    before = characters._character.cache_info().currsize
-    assert realize(rs, Weight((2, 1))).dimension == 15
-    assert characters._character.cache_info().currsize == before
+    memos = {name: f for name, f in vars(characters).items()
+             if hasattr(f, "cache_info")}
+    before = {name: f.cache_info().currsize for name, f in memos.items()}
+    lam = Weight((2, 1))
+    assert realize(rs, lam).dimension == 15
+    assert character_of(rs, lam).total() == 15
+    dec = decompose(rs, lam, lam, "character")
+    grown = {name: f.cache_info().currsize - before[name]
+             for name, f in memos.items()}
+    assert grown.pop("dominant_orbit") \
+        <= len(dominant_weight_table(rs, lam))
+    # V(2,1), V(4,2) for the product, and each component peeled
+    tops = {lam.coords, (lam + lam).coords, *dec.entries}
+    assert grown.pop("_dominant_table_fast") == len(tops)
+    assert all(n == 0 for n in grown.values()), grown
 
 
 def test_a2_fundamental_dimension(a2):

@@ -50,3 +50,11 @@ def test_import_loads_no_library_module():
     assert before == "[]"
     assert after == str(["lierep.errors", "lierep.linalg",
                          "lierep.rootsystem"])
+
+
+def test_memo_tables_do_not_multiply():
+    # every unbounded memo lives for the whole process; a new one must
+    # replace an old one, not join it
+    count = sum(path.read_text().count("lru_cache(maxsize=None)")
+                for path in (SRC / "lierep").glob("*.py"))
+    assert count <= 14, count
