@@ -5,7 +5,8 @@ over the Weyl group driven by the vector partition function, and the
 Freudenthal recursion over root strings (which needs no group enumeration).
 Full characters expand a dominant table (alternating sum while the group is
 enumerable, else Freudenthal) over W-orbits and are validated against the
-product dimension formula; the tensor layer works on the dominant tables.
+product dimension formula; the tensor layer works on the dominant tables,
+which both routes list in dominant_drops order (it extends dominance).
 freudenthal_multiplicity alone reads the Freudenthal table on every type.
 
 The partition function is one dense table per root system over a box of
@@ -197,6 +198,10 @@ def dominant_drops(rs, lam_coords):
     integral drop >= 0, in lexicographic drop order: the dominant weights of
     V(lam), lam dominant integral.
 
+    The order extends dominance: a weight above nu has a componentwise
+    smaller drop, so a lexicographically smaller one.  The Freudenthal
+    recursion and the tensor layer's peeling read it unsorted.
+
     A dominant nu has nonnegative root coordinates, so drop_j is at most the
     j-th root coordinate of lam.  A prefix of the drop is abandoned once some
     coordinate stays negative after the largest rise the later simple roots
@@ -257,7 +262,7 @@ def weight_drops(rs, lam_coords):
 @lru_cache(maxsize=None)
 def _dominant_table(rs, lam_coords):
     """Read-only map dominant-weight-coords -> multiplicity in V(lam), via
-    Freudenthal."""
+    Freudenthal in dominant_drops order: what mu reads lies above mu."""
     rank = rs.rank
     form = rs.form_num
 
@@ -274,9 +279,8 @@ def _dominant_table(rs, lam_coords):
              for a in rs.root_weight_coords]
     norm_top = norm(lam_coords)
     table = {}
-    for depth, mu in sorted((sum(d), nu)
-                            for d, nu in dominant_drops(rs, lam_coords)):
-        if depth == 0:
+    for drop, mu in dominant_drops(rs, lam_coords):
+        if not any(drop):
             table[mu] = 1
             continue
         acc = 0
@@ -299,10 +303,10 @@ def _dominant_table(rs, lam_coords):
 
 @lru_cache(maxsize=None)
 def _dominant_table_fast(rs, lam_coords):
-    """Same table as the Freudenthal route, via the alternating sum over the
-    Weyl group; much faster for thin high weights.  Only used when the group
-    is enumerable; cross-checked against Freudenthal in the test suite and by
-    the total-dimension audit on every character."""
+    """Same table as the Freudenthal route, in its order, via the alternating
+    sum over the Weyl group; much faster for thin high weights.  Only used
+    when the group is enumerable; cross-checked against Freudenthal in the
+    test suite and by the total-dimension audit on every character."""
     drops = dominant_drops(rs, lam_coords)
     sums = signed_partition_sums(rs, rho_shifts(shift_maps(rs), lam_coords),
                                  [drop for drop, _ in drops])
@@ -316,10 +320,7 @@ def freudenthal_multiplicity(rs, lam, mu):
     rs.require_rank(mu)
     if not mu.is_integral:
         return 0
-    if rs.root_lattice_coords(lam - mu) is None:
-        return 0
-    dom = rs.dominant_in_orbit(mu)
-    return _dominant_table(rs, lam.coords).get(dom.coords, 0)
+    return table_mult(rs, _dominant_table(rs, lam.coords), mu.coords)
 
 
 def kostant_multiplicity(rs, lam, mu, caps=Caps()):

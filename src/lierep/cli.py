@@ -147,8 +147,12 @@ def cmd_prv(args):
     lam = _weight(rs, args.lam)
     mu = _weight(rs, args.mu)
     if args.word is not None:
-        word = tuple() if args.word == "e" else \
-            tuple(int(x) - 1 for x in args.word.split(","))
+        try:
+            word = () if args.word == "e" else \
+                tuple(int(x) - 1 for x in args.word.split(","))
+        except ValueError:
+            raise ValueError(f"word {args.word!r} is not e or 1-based "
+                             "reflection indices like 1,2") from None
         els = [from_word(rs, word)]
     else:
         els = list(enumerate_weyl(rs, args.caps))

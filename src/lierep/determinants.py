@@ -175,7 +175,7 @@ def _lowering_gram(rs, depth):
     """Contravariant-form Gram matrix on the lowering monomials of `depth`."""
     basis = chevalley_basis(rs)
     elements = []
-    for mono in sorted(_monomials(rs, depth)):
+    for mono in _monomials(rs, depth):
         exps = [0] * basis.dim
         for k, e in enumerate(mono):
             exps[k] = e  # f-block occupies the leading positions

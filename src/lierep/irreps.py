@@ -80,7 +80,7 @@ class VermaEngine:
         """Sorted lowering monomials of depth beta (exponents over R+)."""
         hit = self._levels.get(beta)
         if hit is None:
-            monos = sorted(_monomials(self.rs, beta))
+            monos = _monomials(self.rs, beta)
             hit = self._levels[beta] = (monos, {m: i for i, m in enumerate(monos)})
         return hit
 

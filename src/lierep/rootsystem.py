@@ -317,9 +317,6 @@ class RootSystem:
         self.inv_den = math.lcm(*(x.denominator for row in c_inv for x in row))
         self.inv_num = tuple(tuple(int(x * self.inv_den) for x in row)
                              for row in c_inv)
-        # height (root-coordinate sum) of a weight, scaled by inv_den
-        self.height_num = tuple(sum(row[j] for row in self.inv_num)
-                                for j in range(rank))
         form = [[d * x for x in row] for d, row in zip(self.sym, c_inv)]
         self.form_den = math.lcm(*(x.denominator for row in form for x in row))
         self.form_num = tuple(tuple(int(x * self.form_den) for x in row)
@@ -412,6 +409,7 @@ class RootSystem:
 
     def root_to_weight(self, rv):
         c = rv.coeffs if isinstance(rv, RootVector) else tuple(rv)
+        self.require_rank(c)
         return Weight(tuple(sum(self.cartan[i][j] * c[j] for j in range(self.rank))
                             for i in range(self.rank)))
 

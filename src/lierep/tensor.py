@@ -2,7 +2,8 @@
 
 * character: convolve the formal characters at the dominant weights of the
   product, one W-orbit sum per dominant weight of the factor with fewer
-  weights, then peel highest weights with dominant tables;
+  weights, then peel highest weights with dominant tables, in the order of
+  the table of V(lambda+mu), whose drop order extends dominance;
 * steinberg: the signed double sum over the Weyl group through the vector
   partition function;
 * klimyk: the one-orbit-per-weight signed count over wt V(mu);
@@ -138,19 +139,12 @@ def _char_product(rs, lam, mu, caps):
     return out
 
 
-def _height_key(rs, coords):
-    # total order refining the root order: lattice height first, then lex;
-    # the constant inv_den scaling is dropped since only the order matters
-    return (sum(h * c for h, c in zip(rs.height_num, coords)), coords)
-
-
 def _decompose_character(rs, lam, mu, caps):
     remaining = _char_product(rs, lam, mu, caps)
     entries = {}
-    # peeling only removes support, so one descending sweep visits every
-    # highest weight in a dominance-compatible order
-    for top in sorted(remaining, key=lambda c: _height_key(rs, c),
-                      reverse=True):
+    # remaining comes in the drop order below lam + mu, which extends
+    # dominance, and peeling only removes support: one sweep suffices
+    for top in list(remaining):
         m = remaining.get(top, 0)
         if m == 0:
             continue

@@ -60,9 +60,8 @@ class WeylElement:
         return from_word(self.rs, reversed(self.word))
 
     def apply(self, w):
-        m = self.matrix
-        return Weight(tuple(sum(m[i][j] * w[j] for j in range(len(w)))
-                            for i in range(len(m))))
+        self.rs.require_rank(w)
+        return Weight(tuple(sum(map(mul, row, w)) for row in self.matrix))
 
     def apply_root(self, rv):
         img = self.apply(self.rs.root_to_weight(rv))
@@ -123,22 +122,20 @@ def _from_matrix(rs, matrix):
 def _enumerate_cached(rs):
     # s_i is the identity but for column i, e_i - alpha_i (alpha_i is
     # column i of the Cartan matrix), so m s_i is m with column i replaced
-    # by m e_i - m alpha_i
+    # by m e_i - m alpha_i.  The queue is walked in (length, word) order,
+    # trying s_1..s_r in turn, so each element is first met through its
+    # least reduced word and words fills in (length, word) order unsorted
     eye = identity_element(rs).matrix
     words = {eye: ()}
-    frontier = [eye]
-    while frontier:
-        nxt = []
-        for m in sorted(frontier, key=words.__getitem__):
-            for i, col in enumerate(rs.simple_root_coords):
-                prod = tuple([row[:i] + (row[i] - sum(map(mul, row, col)),)
-                              + row[i + 1:] for row in m])
-                if prod not in words:
-                    words[prod] = words[m] + (i,)
-                    nxt.append(prod)
-        frontier = nxt
+    queue = [eye]
+    for m in queue:  # grows as it goes: one breadth-first pass
+        for i, col in enumerate(rs.simple_root_coords):
+            prod = tuple([row[:i] + (row[i] - sum(map(mul, row, col)),)
+                          + row[i + 1:] for row in m])
+            if prod not in words:
+                words[prod] = words[m] + (i,)
+                queue.append(prod)
     els = [WeylElement(rs, m, w) for m, w in words.items()]
-    els.sort(key=lambda e: (e.length, e.word))
     if len(els) != rs.weyl_group_order:
         raise InvariantViolation(
             f"enumerated {len(els)} elements of W({rs.label}), "

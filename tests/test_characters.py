@@ -4,7 +4,7 @@ import threading
 from fractions import Fraction
 from itertools import product as iproduct
 from math import prod
-from operator import add, mul
+from operator import add, le, mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -312,6 +312,30 @@ def test_dominant_drops_match_box_scan(label):
             if nu.is_dominant:
                 want.append((c, nu.coords))
         assert list(dominant_drops(rs, lam_c)) == want, lam
+
+
+@pytest.mark.parametrize("label", HULL_TYPES + ("D4",))
+def test_dominant_drops_order_extends_dominance(label):
+    # lexicographic drop order, and no weight comes after one below it
+    rs = build_root_system(label)
+    for lam_c in iproduct(range(3 if rs.rank < 4 else 2), repeat=rs.rank):
+        drops = [d for d, _ in dominant_drops(rs, lam_c)]
+        assert drops == sorted(drops), lam_c
+        for k, lo in enumerate(drops):
+            assert not any(all(map(le, hi, lo)) for hi in drops[k + 1:]), \
+                lam_c
+
+
+@pytest.mark.parametrize("label", HULL_TYPES + ("D4",))
+def test_dominant_tables_follow_drop_order(label):
+    # both table routes hand out dominant_drops order, which the Freudenthal
+    # recursion and the tensor layer's peeling read without sorting
+    from lierep.characters import _dominant_table, _dominant_table_fast
+    rs = build_root_system(label)
+    for lam_c in iproduct(range(3 if rs.rank < 4 else 2), repeat=rs.rank):
+        want = [nu for _, nu in dominant_drops(rs, lam_c)]
+        assert list(_dominant_table(rs, lam_c)) == want, lam_c
+        assert list(_dominant_table_fast(rs, lam_c)) == want, lam_c
 
 
 # (type, largest coordinate) of the highest weights checked against oracles

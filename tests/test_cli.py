@@ -163,6 +163,14 @@ def test_prv_rejects_out_of_range_reflection(capsys, word):
     assert code == 1 and out == "" and "out of range" in err
 
 
+@pytest.mark.parametrize("word", ["1,,2", "x", "1.5"])
+def test_prv_rejects_malformed_word(capsys, word):
+    code, out, err = run(capsys, "prv", "A2", "1,0", "0,1", "--word", word)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: word {word!r}")
+    assert "invalid literal" not in err
+
+
 def test_enveloping_rank_limit_is_a_usage_error(capsys):
     # a limit of the engine, not a cap: no flag raises it
     code, out, err = run(capsys, "prv-det", "E6", "0,0,0,0,0,0")

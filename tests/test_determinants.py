@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from lierep.errors import CapExceeded
 from lierep.rootsystem import RootVector, Weight, build_root_system
 from lierep.characters import partition_function
 from lierep.hpoly import HPoly
-from lierep.irreps import VermaEngine
+from lierep.irreps import VermaEngine, _monomials
 from lierep.linalg import det
 from lierep.determinants import (DetPolynomial, _lowering_gram, det_poly,
                                   prv_det, shapovalov_det)
@@ -192,6 +193,21 @@ def test_gram_determinants_match_cofactor_expansion(label, cap):
             if a + b:
                 gram = _lowering_gram(rs, (a, b))
                 assert det_poly(gram) == _cofactor_det(gram)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_lowering_monomials_come_sorted(label):
+    # _lowering_gram and VermaEngine.level index their bases in this order
+    rs = build_root_system(label)
+    roots = [r.coeffs for r in rs.positive_roots]
+    for depth in product(range(4), repeat=rs.rank):
+        monos = _monomials(rs, depth)
+        assert monos == sorted(set(monos)), depth
+        assert len(monos) == partition_function(rs, depth), depth
+        for mono in monos:
+            total = [sum(e * r[i] for e, r in zip(mono, roots))
+                     for i in range(rs.rank)]
+            assert tuple(total) == depth, mono
 
 
 @given(st.data())

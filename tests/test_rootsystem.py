@@ -181,6 +181,8 @@ WRONG_RANK = {
     "weight_to_root_coords": lambda: A2.weight_to_root_coords(W3),
     "root_lattice_coords": lambda: A2.root_lattice_coords(W3),
     "root_coords": lambda: A2.root_coords(W3),
+    "root_to_weight_long": lambda: A2.root_to_weight(RootVector((1, 1, 1))),
+    "root_to_weight_short": lambda: A2.root_to_weight((1,)),
 }
 
 

@@ -8,9 +8,11 @@ from hypothesis import given, strategies as st
 from lierep.centralchar import twisted_orbit_id
 from lierep.config import Caps
 from lierep.errors import CapExceeded
-from lierep.hcmodules import HCParams, invariants, isoclass_count
+from lierep.hcmodules import (HCParams, finite_dimensional, invariants,
+                              isoclass_count)
 from lierep.linalg import mat_inv
-from lierep.rootsystem import Weight, build_root_system, dominance_hull_equiv
+from lierep.rootsystem import (RootVector, Weight, build_root_system,
+                               dominance_hull_equiv)
 from lierep.weyl import (_mul, bruhat_leq, coset_fibers, double_cosets,
                          dominant_representative, enumerate_weyl, from_word,
                          identity_element, longest_element, shift_maps,
@@ -444,6 +446,11 @@ BAD_INPUTS = {
     "dominant_representative": lambda: dominant_representative(A2, W1),
     "orbit": lambda: A2.orbit(W1),
     "invariants": lambda: invariants(A2, HCParams(W3, Weight((0, 0, 0)))),
+    "apply_short": lambda: longest_element(A2).apply(W1),
+    "apply_long": lambda: longest_element(A2).apply(W3),
+    "apply_root_long": lambda: simple_reflection(A2, 0).apply_root(
+        RootVector((1, 1, 1))),
+    "finite_dimensional": lambda: finite_dimensional(A2, HCParams(W1, W1)),
 }
 
 
