@@ -11,9 +11,16 @@ PBW monomials are ordered f-block (roots ascending), Cartan block, e-block
 (roots descending).  The mirrored e-block makes the transpose anti-involution
 act monomial-by-monomial.
 
-Coefficients are ints or ``fractions.Fraction``.  A product scales each
-factor to integers once, by the lcm of its denominators, straightens and
-merges on ints, and divides once per output term.
+Each ``PBWAlgebra`` interns its PBW monomials: an exponent tuple gets a
+small int id, private to that algebra, and its grading vector is computed
+once per id.  The one memo maps each straightened word to its normal form as
+an {id: coeff} dict, so sub-results and products merge on int keys; a
+product turns ids back into exponent tuples once per output term.
+
+Coefficients are ints or ``fractions.Fraction``, and so are scalars:
+anything else, a float or a bool included, raises ``TypeError``.  A product
+scales each factor to integers once, by the lcm of its denominators,
+straightens and merges on ints, and divides once per output term.
 """
 
 from fractions import Fraction
@@ -21,9 +28,9 @@ from functools import lru_cache
 from operator import add, mul
 
 from .errors import InvariantViolation
-from .hpoly import HPoly
+from .hpoly import HPoly, _require_exponent
 from .linalg import _integral, mat_inv
-from .rootsystem import _num
+from .rootsystem import _is_scalar, _num
 
 __all__ = [
     "ChevalleyBasis", "chevalley_basis", "UElement", "PBWAlgebra",
@@ -352,7 +359,12 @@ def chevalley_basis(rs):
 # PBW normal form
 
 class PBWAlgebra:
-    """Straightening engine for U(g) over an ordered Lie basis."""
+    """Straightening engine for U(g) over an ordered Lie basis.
+
+    ``_ids`` and ``_exps`` intern the PBW monomials (exponent tuple -> id
+    and back); ``_memo`` maps each word of basis indices to its normal form
+    as an {id: coeff} dict.
+    """
 
     def __init__(self, table, order):
         self.table = table
@@ -360,19 +372,29 @@ class PBWAlgebra:
         self.order = tuple(order)
         self.pos = {b: p for p, b in enumerate(order)}
         self._memo = {}
+        self._ids = {}
+        self._exps = []
+        self._weights = []  # grading vector per id, None until asked for
         # (position, grading vector) of every position of nonzero weight
         w = table.weights
         self._graded = None if w is None else tuple(
             (p, w[b]) for p, b in enumerate(self.order) if any(w[b]))
 
+    def intern(self, exps):
+        """Id of the monomial with exponent tuple `exps`."""
+        i = self._ids.get(exps)
+        if i is None:
+            i = self._ids[exps] = len(self._exps)
+            self._exps.append(exps)
+            self._weights.append(None)
+        return i
+
     def monomial_word(self, exps):
-        word = []
-        for p, e in enumerate(exps):
-            word.extend([self.order[p]] * e)
-        return tuple(word)
+        return tuple([b for b, e in zip(self.order, exps) if e
+                      for _ in range(e)])
 
     def straighten(self, word):
-        """Normal form of a product of Lie basis elements."""
+        """Normal form of a product of Lie basis elements, {id: coeff}."""
         word = tuple(word)
         hit = self._memo.get(word)
         if hit is not None:
@@ -384,29 +406,34 @@ class PBWAlgebra:
             exps = [0] * self.dim
             for b in word:
                 exps[pos[b]] += 1
-            result = {tuple(exps): 1}
+            result = {self.intern(tuple(exps)): 1}
         else:
             x, y = word[desc], word[desc + 1]
             swapped = word[:desc] + (y, x) + word[desc + 2:]
             result = dict(self.straighten(swapped))
             for z, c in self.table.bracket(x, y).items():
                 sub = self.straighten(word[:desc] + (z,) + word[desc + 2:])
-                for e, c2 in sub.items():
-                    result[e] = result.get(e, 0) + c * c2
-            result = {e: c for e, c in result.items() if c != 0}
+                for i, c2 in sub.items():
+                    result[i] = result.get(i, 0) + c * c2
+            result = {i: c for i, c in result.items() if c != 0}
         self._memo[word] = result
         return result
 
     def weight_of(self, exps):
+        """Grading vector of a monomial, computed once per id."""
         if self._graded is None:
             raise ValueError("algebra carries no grading")
-        tot = [0] * len(self.table.weights[0])
-        for p, wt in self._graded:
-            e = exps[p]
-            if e:
-                for i, x in enumerate(wt):
-                    tot[i] += e * x
-        return tuple(tot)
+        i = self.intern(exps)
+        tot = self._weights[i]
+        if tot is None:
+            tot = [0] * len(self.table.weights[0])
+            for p, wt in self._graded:
+                e = exps[p]
+                if e:
+                    for k, x in enumerate(wt):
+                        tot[k] += e * x
+            tot = self._weights[i] = tuple(tot)
+        return tot
 
 
 class UElement:
@@ -417,6 +444,14 @@ class UElement:
     def __init__(self, algebra, terms):
         self.algebra = algebra
         self.terms = {e: _num(c) for e, c in terms.items() if c != 0}
+
+    @classmethod
+    def _normalised(cls, algebra, terms):
+        """The element with `terms`, whose coefficients are already nonzero
+        and normalised."""
+        u = cls.__new__(cls)
+        u.algebra, u.terms = algebra, terms
+        return u
 
     @classmethod
     def one(cls, algebra):
@@ -463,12 +498,13 @@ class UElement:
         return UElement(self.algebra, {e: -c for e, c in self.terms.items()})
 
     def __rmul__(self, scalar):
+        if not _is_scalar(scalar):
+            return NotImplemented
         return UElement(self.algebra, {e: scalar * c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, UElement):
-            return UElement(self.algebra,
-                            {e: c * other for e, c in self.terms.items()})
+            return self.__rmul__(other)
         alg = self._same_algebra(other)
         # once per factor: its coefficients times the lcm of their
         # denominators; once per term, not per pair: its word, and the PBW
@@ -482,25 +518,29 @@ class UElement:
         rights = [(e, c, w, pos[w[0]] if w else alg.dim)
                   for e, c in zip(other.terms, rcoeffs)
                   for w in [alg.monomial_word(e)]]
-        out = {}
+        by_id = {}
+        memo, intern = alg._memo, alg.intern
         for e1, c1, w1, last in lefts:
             for e2, c2, w2, first in rights:
                 c12 = c1 * c2
                 if last <= first:
                     # the blocks do not interleave: concatenation is sorted
-                    key = tuple(map(add, e1, e2))
-                    out[key] = out.get(key, 0) + c12
+                    i = intern(tuple(map(add, e1, e2)))
+                    by_id[i] = by_id.get(i, 0) + c12
                     continue
-                for e, c in alg.straighten(w1 + w2).items():
-                    out[e] = out.get(e, 0) + c12 * c
-        den = lden * rden
-        if den != 1:
-            out = {e: Fraction(c, den) for e, c in out.items() if c}
-        return UElement(alg, out)
+                word = w1 + w2
+                nf = memo.get(word)
+                if nf is None:
+                    nf = alg.straighten(word)
+                for i, c in nf.items():
+                    by_id[i] = by_id.get(i, 0) + c12 * c
+        exps, den = alg._exps, lden * rden
+        return UElement._normalised(alg, {
+            exps[i]: c if den == 1 else _num(Fraction(c, den))
+            for i, c in by_id.items() if c})
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a nonnegative int, not {k!r}")
+        _require_exponent(k)
         out = UElement.one(self.algebra)
         for _ in range(k):
             out = out * self
@@ -600,13 +640,14 @@ def hc_projection(basis, u, w=None):
     order = (tuple(neg) + tuple(basis.idx_h(i) for i in range(basis.rank))
              + tuple(reversed(pos)))
     alg = _reordered_algebra(basis, order)
-    out = {}
+    by_id = {}
     for exps, c in u.terms.items():
         word = u.algebra.monomial_word(exps)
-        for e2, c2 in alg.straighten(word).items():
-            out[e2] = out.get(e2, 0) + c * c2
+        for i, c2 in alg.straighten(word).items():
+            by_id[i] = by_id.get(i, 0) + c * c2
     # in the reordered algebra the h-block occupies the same positions
-    return _h_poly_from_terms(basis, out)
+    return _h_poly_from_terms(
+        basis, {alg._exps[i]: c for i, c in by_id.items()})
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """Sparse exact polynomials in the coroot coordinates h_1..h_n.
 
-Coefficients are ints or ``fractions.Fraction``.  Products and affine
-substitution, and so evaluation, scale their inputs to integers once, by the
-lcm of the denominators, work on ints, and make one ``Fraction`` per output
-term.
+Coefficients are ints or ``fractions.Fraction``, and so are scalars,
+values and exponents (ints only): anything else, a float or a bool included,
+raises ``TypeError``.  Products, affine substitution and evaluation scale
+their inputs to integers once, by the lcm of the denominators, work on ints,
+and make one ``Fraction`` per output term.
 """
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ from itertools import chain
 from operator import add
 
 from .linalg import _integral
-from .rootsystem import _num
+from .rootsystem import _is_scalar, _num
 
 
 class HPoly:
@@ -77,6 +78,7 @@ class HPoly:
         return HPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def scale(self, s):
+        _require_scalar(s, "scale")
         return HPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -86,8 +88,7 @@ class HPoly:
         return HPoly(self.nvars, _mul_terms(self.terms, other.terms))
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a nonnegative int, not {k!r}")
+        _require_exponent(k)
         out = HPoly.constant(self.nvars, 1)
         for _ in range(k):
             out = out * self
@@ -105,12 +106,29 @@ class HPoly:
                              f"{self.nvars} {what}, not {len(values)}")
 
     def evaluate(self, values):
-        """Evaluate with values[i] substituted for variable i, as the affine
-        substitution of constants."""
-        n = self.nvars
+        """Evaluate with values[i] substituted for variable i.
+
+        With the values V_i / d for integral V_i and the lcm d of their
+        denominators, and coefficients C_e / c likewise, the int sum of
+        C_e * V^e * d^(deg - |e|) is c * d^deg times the value; it is
+        divided once.
+        """
         self._require_nvars(values, "values")
-        out = self.substitute_affine([[0] * n] * n, values)
-        return out.terms.get((0,) * n, 0)
+        for v in values:
+            _require_scalar(v, "value")
+        if not self.terms:
+            return 0
+        ints, d = _integral(list(values))
+        coeffs, den = _integral(list(self.terms.values()))
+        deg = self.degree()
+        total = 0
+        for e, c in zip(self.terms, coeffs):
+            for v, k in zip(ints, e):
+                if k:
+                    c *= v ** k
+            total += c if d == 1 else c * d ** (deg - sum(e))
+        den *= d ** deg
+        return total if den == 1 else _num(Fraction(total, den))
 
     def substitute_affine(self, rows, consts):
         """Replace variable i by sum_j rows[i][j] x_j + consts[i].
@@ -183,6 +201,18 @@ class HPoly:
                             for i, e in enumerate(exps) if e)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def _require_scalar(x, what):
+    if not _is_scalar(x):
+        raise TypeError(f"a {what} must be an int or a Fraction, not {x!r}")
+
+
+def _require_exponent(k):
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"exponent must be an int, not {k!r}")
+    if k < 0:
+        raise ValueError(f"exponent must be nonnegative, not {k}")
 
 
 def _add_into(out, terms):

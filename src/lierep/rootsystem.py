@@ -35,6 +35,12 @@ def _num(x):
     return f.numerator if f.denominator == 1 else f
 
 
+def _is_scalar(x):
+    """Whether x is an exact scalar: an int other than a bool, or a
+    Fraction."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class Weight:
     """Vector of exact rationals in the fundamental-weight basis."""

@@ -1,8 +1,8 @@
 """Tensor product decomposition by four independent algorithms.
 
 * character: convolve the formal characters at the dominant weights of the
-  product, one W-orbit sum per dominant weight of the factor with fewer
-  weights, then peel highest weights with dominant tables, in the order of
+  product, one W-orbit sum per dominant weight of the factor of smaller
+  dimension, then peel highest weights with dominant tables, in the order of
   the table of V(lambda+mu), whose drop order extends dominance;
 * steinberg: the signed double sum over the Weyl group through the vector
   partition function;
@@ -110,19 +110,15 @@ def _char_product(rs, lam, mu, caps):
     among the dominant weights of V(lam + mu), read from its dominant table:
     the peeling needs that table for its first component anyway.
 
-    The factor with fewer weights is read as (orbit, multiplicity) pairs,
-    one per dominant weight, and the other through a lookup dict expanded
-    for this call: both from the shared orbit memo.
+    The factor of smaller Weyl dimension is read as (orbit, multiplicity)
+    pairs, one per dominant weight, and the other through a lookup dict
+    expanded for this call: both from the shared orbit memo.
     """
-    factors = []
-    for w in (lam, mu):
-        orbits = [(dominant_orbit(rs, dom), m)
-                  for dom, m in character_table(rs, w, caps).items()]
-        factors.append((sum(len(orb) for orb, _ in orbits), orbits))
-    (n_big, big), (n_small, small) = factors
-    if n_big < n_small:
+    big, small = (character_table(rs, w, caps) for w in (lam, mu))
+    if _weyl_dim(rs, lam.coords) < _weyl_dim(rs, mu.coords):
         big, small = small, big
-    get = {x: m for orb, m in big for x in orb}.get
+    get = {x: m for dom, m in big.items() for x in dominant_orbit(rs, dom)}.get
+    small = [(dominant_orbit(rs, dom), m) for dom, m in small.items()]
     out = {}
     for nu in character_table(rs, lam + mu, caps):
         total = 0

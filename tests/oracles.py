@@ -6,6 +6,8 @@ from itertools import product as iproduct
 from math import floor
 
 from lierep.characters import dominant_weight_table, weyl_dimension
+from lierep.enveloping import PBWAlgebra
+from lierep.hpoly import HPoly
 from lierep.rootsystem import RootVector
 
 
@@ -71,3 +73,60 @@ def character_by_closure(rs, lam):
     if total != dim:
         raise AssertionError(f"V({lam}): mass {total} != dimension {dim}")
     return entries
+
+
+def straighten_by_exponents(alg, word, memo):
+    """PBW normal form of a word of Lie basis indices in the algebra `alg`,
+    as an {exponent tuple: coeff} dict: the memoised recursion on exponent
+    tuples that interned monomial ids replaced.  It reads only the bracket
+    table and the order of `alg`; `memo` is the caller's dict of normal
+    forms already found in `alg`."""
+    pos = alg.pos
+
+    def rec(word):
+        hit = memo.get(word)
+        if hit is not None:
+            return hit
+        desc = next((k for k in range(len(word) - 1)
+                     if pos[word[k]] > pos[word[k + 1]]), None)
+        if desc is None:
+            exps = [0] * alg.dim
+            for b in word:
+                exps[pos[b]] += 1
+            result = {tuple(exps): 1}
+        else:
+            x, y = word[desc], word[desc + 1]
+            result = dict(rec(word[:desc] + (y, x) + word[desc + 2:]))
+            for z, c in alg.table.bracket(x, y).items():
+                sub = rec(word[:desc] + (z,) + word[desc + 2:])
+                for e, c2 in sub.items():
+                    result[e] = result.get(e, 0) + c * c2
+            result = {e: c for e, c in result.items() if c != 0}
+        memo[word] = result
+        return result
+
+    return rec(tuple(word))
+
+
+def hc_projection_by_exponents(basis, u, w):
+    """Cartan part of u along the w-Borel decomposition: each monomial of u
+    straightened by straighten_by_exponents in a new algebra whose order
+    puts the root vectors of w(R-) first, the Cartan block next and those of
+    w(R+) last."""
+    rs, m, rank = basis.rs, basis.m, basis.rank
+    winv = w.inverse()
+    lower, upper = [], []
+    for k in range(m):
+        f_lower = winv.apply_root(rs.positive_roots[k]).is_positive
+        lower.append(basis.idx_f(k) if f_lower else basis.idx_e(k))
+        upper.append(basis.idx_e(k) if f_lower else basis.idx_f(k))
+    alg = PBWAlgebra(basis.table,
+                     lower + [basis.idx_h(i) for i in range(rank)] + upper)
+    poly, memo = {}, {}
+    for exps, c in u.terms.items():
+        word = u.algebra.monomial_word(exps)
+        for e, c2 in straighten_by_exponents(alg, word, memo).items():
+            if not any(e[:m]) and not any(e[m + rank:]):
+                key = e[m:m + rank]
+                poly[key] = poly.get(key, 0) + c * c2
+    return HPoly(rank, poly)

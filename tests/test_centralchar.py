@@ -4,9 +4,10 @@ import pytest
 
 from lierep.rootsystem import Weight
 from lierep.weyl import enumerate_weyl, longest_element
-from lierep.enveloping import casimir, chevalley_basis
-from lierep.centralchar import (CentralCharacterId, central_character,
-                                hc_inf_character, sl2_omega, twisted_orbit_id)
+from lierep.enveloping import UElement, casimir, chevalley_basis
+from lierep.centralchar import (CentralCharacterId, _sl2_product_algebra,
+                                central_character, hc_inf_character,
+                                sl2_omega, twisted_orbit_id)
 from lierep.hpoly import HPoly
 
 
@@ -111,6 +112,24 @@ def test_sl2_omega_closed_forms():
     assert res.polys["delta2"] == HPoly(
         2, {(2, 0): 1, (1, 0): -2, (1, 1): -2, (0, 2): 1, (0, 1): 2})
     assert res.values == {"delta1": 35, "delta2": 8, "delta_bar": 15}
+
+
+def test_sl2_omega_values_on_a_grid():
+    # the closed forms of test_sl2_omega_closed_forms, value by value
+    for lam in range(-3, 4):
+        for nu in range(-3, 4):
+            res = sl2_omega(Weight((lam,)), Weight((nu,)))
+            assert res.values == {
+                "delta1": lam * lam + 2 * lam,
+                "delta2": nu * nu - 2 * nu - 2 * nu * lam + lam * lam + 2 * lam,
+                "delta_bar": nu * nu + 2 * nu}
+
+
+def test_product_algebra_is_ungraded():
+    alg, gens = _sl2_product_algebra()
+    for u in (gens["fbar"], gens["h1"] * gens["e1"], UElement.one(alg)):
+        with pytest.raises(ValueError, match="no grading"):
+            u.weight()
 
 
 def test_sl2_omega_separates_parameters():

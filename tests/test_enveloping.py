@@ -6,19 +6,22 @@ from hypothesis import given, settings, strategies as st
 from lierep.rootsystem import RootVector, Weight, build_root_system
 from lierep.weyl import enumerate_weyl, longest_element
 from lierep.hpoly import HPoly
-from lierep.enveloping import (UElement, casimir, casimir_eigenvalue,
-                               chevalley_basis, hc_projection, is_central,
-                               normal_form, shapovalov, transpose,
-                               twisted_poly)
+from lierep.enveloping import (UElement, _h_poly_from_terms, casimir,
+                               casimir_eigenvalue, chevalley_basis,
+                               hc_projection, is_central, normal_form,
+                               shapovalov, transpose, twisted_poly)
+
+from oracles import hc_projection_by_exponents, straighten_by_exponents
 
 RANK_LE_3 = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
 
 
 def _reference_mul(u, v):
     """Product by the pair loop: both words and both block bounds are
-    rebuilt for every pair of terms (the oracle of UElement.__mul__)."""
+    rebuilt for every pair of terms, and each word is straightened on
+    exponent tuples (the oracle of UElement.__mul__)."""
     alg = u.algebra
-    out = {}
+    out, memo = {}, {}
     for e1, c1 in u.terms.items():
         for e2, c2 in v.terms.items():
             last = max((p for p, e in enumerate(e1) if e), default=-1)
@@ -26,8 +29,8 @@ def _reference_mul(u, v):
             if last <= first:
                 prod = {tuple(a + b for a, b in zip(e1, e2)): 1}
             else:
-                prod = alg.straighten(alg.monomial_word(e1)
-                                      + alg.monomial_word(e2))
+                prod = straighten_by_exponents(
+                    alg, alg.monomial_word(e1) + alg.monomial_word(e2), memo)
             for e, c in prod.items():
                 out[e] = out.get(e, 0) + c1 * c2 * c
     return UElement(alg, out)
@@ -307,6 +310,52 @@ def test_casimir_powers_match_pair_loop(label):
         assert delta ** k == want
 
 
+@pytest.mark.parametrize("label", RANK_LE_3)
+def test_generator_products_match_exponent_oracle(label):
+    # every product of two and of three Chevalley generators
+    cb = chevalley_basis(build_root_system(label))
+    alg, memo = cb.algebra, {}
+    gens = [cb.gen(b) for b in range(cb.dim)]
+    for a, x in enumerate(gens):
+        for b, y in enumerate(gens):
+            xy = x * y
+            assert xy.terms == straighten_by_exponents(alg, (a, b), memo)
+            for c, z in enumerate(gens):
+                assert (xy * z).terms == straighten_by_exponents(
+                    alg, (a, b, c), memo)
+
+
+# every depth of the module-algebra benchmark's Shapovalov strata
+SHAPOVALOV_DEPTHS = [(label, (a, b)) for label, cap in
+                     (("A2", 6), ("B2", 5), ("G2", 5))
+                     for a in range(cap + 1) for b in range(cap + 1 - a)
+                     if a + b]
+
+
+@pytest.mark.parametrize("label,depth", SHAPOVALOV_DEPTHS)
+def test_shapovalov_grams_match_exponent_oracle(label, depth):
+    from lierep.determinants import _lowering_gram
+    from lierep.irreps import _monomials
+    rs = build_root_system(label)
+    cb = chevalley_basis(rs)
+    pad = (0,) * (cb.dim - rs.nroots)  # the f-block leads
+    els = [UElement(cb.algebra, {tuple(mono) + pad: 1})
+           for mono in _monomials(rs, depth)]
+    want = [[_h_poly_from_terms(cb, _reference_mul(transpose(cb, b1), b2).terms)
+             for b2 in els] for b1 in els]
+    assert _lowering_gram(rs, depth) == want
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_twisted_hc_projections_match_exponent_oracle(label):
+    # each w-adapted order straightens in its own algebra with its own ids
+    rs = build_root_system(label)
+    cb = chevalley_basis(rs)
+    u = casimir(cb) ** 2
+    for w in enumerate_weyl(rs):
+        assert hc_projection(cb, u, w) == hc_projection_by_exponents(cb, u, w)
+
+
 @given(st.data())
 @settings(max_examples=40)
 def test_products_match_pair_loop(rs, data):
@@ -367,11 +416,10 @@ def test_negative_powers_raise(a1):
     h = HPoly.variable(1, 0)
     assert casimir(cb) ** 0 == cb.one()
     assert h ** 0 == HPoly.constant(1, 1)
-    for k in (-1, 1.0, 2.5):
-        with pytest.raises(ValueError):
-            casimir(cb) ** k
-        with pytest.raises(ValueError):
-            h ** k
+    with pytest.raises(ValueError):
+        casimir(cb) ** -1
+    with pytest.raises(ValueError):
+        h ** -1
 
 
 def test_mismatched_variable_counts_raise():
@@ -406,6 +454,11 @@ def test_evaluate_arity_raises():
             p.evaluate(values)
     with pytest.raises(ValueError):
         HPoly(2).evaluate([1])
+    for values in ([Fraction(1, 2), 0.5], [True, 1], ["1", 1]):
+        with pytest.raises(TypeError):
+            p.evaluate(values)
+    with pytest.raises(TypeError):
+        HPoly(1, {(1,): 1}).evaluate([0.1])
 
 
 def test_substitute_affine_arity_raises():
@@ -438,3 +491,25 @@ def test_scalar_operands_raise_type_error():
                 op(x, 1)
     with pytest.raises(TypeError):
         HPoly(1) * 2
+    # scalars and exponents are ints (not bools) or Fractions, and
+    # exponents ints: a float, a bool or a string is refused, not converted
+    h = HPoly(1, {(1,): 1})
+    for bad in (0.1, True, "a", 1.0, None):
+        with pytest.raises(TypeError):
+            delta * bad
+        with pytest.raises(TypeError):
+            bad * delta
+        with pytest.raises(TypeError):
+            h.scale(bad)
+        with pytest.raises(TypeError):
+            h.evaluate([bad])
+    for bad in (0.1, True, False, "a", 1.0, 2.5, Fraction(2)):
+        with pytest.raises(TypeError):
+            delta ** bad
+        with pytest.raises(TypeError):
+            h ** bad
+    half = Fraction(1, 2)
+    assert delta * half == half * delta == UElement(
+        delta.algebra, {e: c * half for e, c in delta.terms.items()})
+    assert h.scale(half) == HPoly(1, {(1,): half})
+    assert h.evaluate([half]) == half
