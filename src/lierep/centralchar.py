@@ -51,6 +51,7 @@ def central_character(rs, basis, lam, z):
 def hc_inf_character(rs, lam, nu):
     """Infinitesimal character id of the module with parameters (lam, nu):
     the pair chi(lam, nu - lam - 2 rho) up to the componentwise dot action."""
+    rs.require_rank(lam, nu)
     if not nu.is_integral:
         raise ValueError("nu must be integral")
     second = nu - lam - 2 * rs.rho

@@ -12,9 +12,8 @@ freudenthal_multiplicity alone reads the Freudenthal table on every type.
 The partition function is one dense table per root system over a box of
 root coordinates, built by a coin-change pass per non-simple root and a
 prefix sum per simple root.  No caller sizes it: partition_function and
-signed_partition_sums ask for the box they read, the latter for all of its
-drops at once; a request past the box replaces the table by one on the
-elementwise max of the two boxes, and a reader keeps the snapshot it got.
+signed_partition_sums ask for the box they read, the latter one box for all
+of its drops, and a request past the table's box gets a table on its own.
 
 Dominant tables are memoised per (root system, highest weight), each memo
 entry the read-only view that callers get.  W-orbits are memoised per
@@ -61,17 +60,14 @@ def partition_function(rs, beta):
 
 def _pf_covering(rs, need):
     """The partition-function table of rs, (values, strides, box), whose box
-    covers the root-coordinate vector need.
-
-    A table is one snapshot and never changes: a request past the published
-    box builds a new one at the elementwise max of the two boxes, and a
-    reader keeps the snapshot it was handed.
+    covers the root-coordinate vector need: the published one, else a new
+    one on the box of need itself, so a table is never larger than the
+    largest single request.  A reader keeps the snapshot it was handed.
     """
     table = rs._pf_table
-    box = table[2]
-    if all(map(le, need, box)):
+    if all(map(le, need, table[2])):
         return table
-    return _pf(rs, tuple(map(max, box, need)))
+    return _pf(rs, need)
 
 
 def _pf(rs, box):
@@ -165,7 +161,7 @@ def signed_partition_sums(rs, shifts, drops):
 
 def weyl_dimension(rs, lam):
     """Product formula for dim V(lambda)."""
-    require_dominant_integral(rs, lam)
+    rs.require_dominant_integral(lam)
     return _weyl_dim(rs, lam.coords)
 
 
@@ -182,15 +178,6 @@ def _weyl_dim(rs, coords):
         raise InvariantViolation(
             f"Weyl dimension of {coords} is {num}/{rs.weyl_den}")
     return dim
-
-
-def require_dominant_integral(rs, *weights):
-    """Raise ValueError unless every weight has rank coordinates, each a
-    nonnegative integer."""
-    rs.require_rank(*weights)
-    for lam in weights:
-        if not all(isinstance(c, int) and c >= 0 for c in lam.coords):
-            raise ValueError(f"weight {lam} must be dominant integral")
 
 
 def dominant_drops(rs, lam_coords):
@@ -316,7 +303,7 @@ def _dominant_table_fast(rs, lam_coords):
 
 def freudenthal_multiplicity(rs, lam, mu):
     """dim V(lambda)_mu by the Freudenthal recursion; no Weyl enumeration."""
-    require_dominant_integral(rs, lam)
+    rs.require_dominant_integral(lam)
     rs.require_rank(mu)
     if not mu.is_integral:
         return 0
@@ -325,7 +312,7 @@ def freudenthal_multiplicity(rs, lam, mu):
 
 def kostant_multiplicity(rs, lam, mu, caps=Caps()):
     """dim V(lambda)_mu as the signed partition-function sum over W."""
-    require_dominant_integral(rs, lam)
+    rs.require_dominant_integral(lam)
     rs.require_rank(mu)
     if not mu.is_integral:
         return 0
@@ -387,7 +374,7 @@ def _table(rs, lam_coords):
 def dominant_weight_table(rs, lam):
     """Multiplicities of V(lambda) on its dominant weights, as a read-only
     mapping; the object character_table hands out, without its cap."""
-    require_dominant_integral(rs, lam)
+    rs.require_dominant_integral(lam)
     return _table(rs, lam.coords)
 
 
@@ -409,7 +396,7 @@ def dominant_orbit(rs, dom_coords):
 
 
 def _check_char_cap(rs, lam, caps):
-    require_dominant_integral(rs, lam)
+    rs.require_dominant_integral(lam)
     caps.check("max_char", _weyl_dim(rs, lam.coords), "dim V({})", lam)
 
 

@@ -192,8 +192,7 @@ def prv_det(rs, mu, caps=Caps()):
     positive root.  For an empty zero weight space the determinant is the
     constant 1 (empty matrix) and spectra are empty.
     """
-    if not (mu.is_integral and mu.is_dominant):
-        raise ValueError("mu must be dominant integral")
+    rs.require_dominant_integral(mu)
     if rs.root_lattice_coords(mu) is None:
         return (DetPolynomial(rs.rank, 1, ()), DetPolynomial(rs.rank, 1, ()),
                 {})

@@ -17,10 +17,10 @@ once per id.  The one memo maps each straightened word to its normal form as
 an {id: coeff} dict, so sub-results and products merge on int keys; a
 product turns ids back into exponent tuples once per output term.
 
-Coefficients are ints or ``fractions.Fraction``, and so are scalars:
-anything else, a float or a bool included, raises ``TypeError``.  A product
-scales each factor to integers once, by the lcm of its denominators,
-straightens and merges on ints, and divides once per output term.
+Coefficients and scalars pass ``rootsystem._num`` (TypeError unless an int
+or a ``Fraction``).  A product scales each factor to integers once, by the
+lcm of its denominators, straightens and merges on ints, and divides once
+per output term.
 """
 
 from fractions import Fraction
@@ -30,7 +30,7 @@ from operator import add, mul
 from .errors import InvariantViolation
 from .hpoly import HPoly, _require_exponent
 from .linalg import _integral, mat_inv
-from .rootsystem import _is_scalar, _num
+from .rootsystem import _num
 
 __all__ = [
     "ChevalleyBasis", "chevalley_basis", "UElement", "PBWAlgebra",
@@ -443,7 +443,7 @@ class UElement:
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        self.terms = {e: _num(c) for e, c in terms.items() if c != 0}
+        self.terms = {e: v for e, c in terms.items() if (v := _num(c))}
 
     @classmethod
     def _normalised(cls, algebra, terms):
@@ -498,7 +498,9 @@ class UElement:
         return UElement(self.algebra, {e: -c for e, c in self.terms.items()})
 
     def __rmul__(self, scalar):
-        if not _is_scalar(scalar):
+        try:
+            scalar = _num(scalar)
+        except TypeError:
             return NotImplemented
         return UElement(self.algebra, {e: scalar * c for e, c in self.terms.items()})
 

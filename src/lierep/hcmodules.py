@@ -53,7 +53,6 @@ class HCInvariants:
 def invariants(rs, p):
     """Minimal type, infinitesimal character, and the component bound
     mu -> dim V(mu)_nu."""
-    rs.require_rank(p.lam, p.nu)
     minimal = rs.dominant_in_orbit(p.nu)
     inf = hc_inf_character(rs, p.lam, p.nu)
     return HCInvariants(rs, p.nu, minimal, inf)
@@ -62,6 +61,7 @@ def invariants(rs, p):
 def equivalent(rs, p, q, caps=Caps()):
     """(bool, witness): whether some w sends (lam, nu) to (lam', nu') by the
     simultaneous dot/plain action."""
+    rs.require_rank(p.lam, p.nu, q.lam, q.nu)
     for w in enumerate_weyl(rs, caps):
         if w.twisted(p.lam) == q.lam and w.apply(p.nu) == q.nu:
             return True, w
@@ -94,6 +94,7 @@ def class_zero(rs, lam, caps=Caps()):
            V(lam) (x) V(lam)^* (supported on the root lattice); a
            decomposition past caps raises CapExceeded.
     """
+    rs.require_rank(lam)
     rho = rs.rho
     complete = True
     for k in range(rs.nroots):
@@ -118,7 +119,6 @@ def isoclass_count(rs, lam, mu, caps=Caps()):
     chi(lam, mu): the double coset count for the two stabilizers.  The
     stabilizer of lam is conjugate to that of its dominant representative,
     and conjugating either side keeps the number of double cosets."""
-    rs.require_rank(lam, mu)
     return len(double_cosets(rs, rs.dominant_in_orbit(lam),
                              rs.dominant_in_orbit(mu), caps))
 

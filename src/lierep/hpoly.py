@@ -1,10 +1,10 @@
 """Sparse exact polynomials in the coroot coordinates h_1..h_n.
 
-Coefficients are ints or ``fractions.Fraction``, and so are scalars,
-values and exponents (ints only): anything else, a float or a bool included,
-raises ``TypeError``.  Products, affine substitution and evaluation scale
-their inputs to integers once, by the lcm of the denominators, work on ints,
-and make one ``Fraction`` per output term.
+Coefficients, scalars and values pass ``rootsystem._num`` (TypeError unless
+an int or a ``Fraction``), and exponents must be ints.  Products, affine
+substitution and evaluation scale their inputs to integers once, by the lcm
+of the denominators, work on ints, and make one ``Fraction`` per output
+term.
 """
 
 from fractions import Fraction
@@ -12,7 +12,7 @@ from itertools import chain
 from operator import add
 
 from .linalg import _integral
-from .rootsystem import _is_scalar, _num
+from .rootsystem import _num
 
 
 class HPoly:
@@ -78,7 +78,7 @@ class HPoly:
         return HPoly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def scale(self, s):
-        _require_scalar(s, "scale")
+        s = _num(s)
         return HPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     def __mul__(self, other):
@@ -114,11 +114,10 @@ class HPoly:
         divided once.
         """
         self._require_nvars(values, "values")
-        for v in values:
-            _require_scalar(v, "value")
+        values = [_num(v) for v in values]
         if not self.terms:
             return 0
-        ints, d = _integral(list(values))
+        ints, d = _integral(values)
         coeffs, den = _integral(list(self.terms.values()))
         deg = self.degree()
         total = 0
@@ -201,11 +200,6 @@ class HPoly:
                             for i, e in enumerate(exps) if e)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
-
-
-def _require_scalar(x, what):
-    if not _is_scalar(x):
-        raise TypeError(f"a {what} must be an int or a Fraction, not {x!r}")
 
 
 def _require_exponent(k):

@@ -288,8 +288,7 @@ class IrrepRealization:
     """
 
     def __init__(self, rs, mu):
-        if not mu.is_integral:
-            raise ValueError("V(mu) is built for an integral highest weight")
+        rs.require_dominant_integral(mu)
         self.rs = rs
         self.highest = mu
         self.weights = {mu.coords: [()]}
@@ -424,8 +423,8 @@ def _module(rs, mu):
 def v_extremes_dim(rs, mu, gamma, nu):
     """dim V^+(mu; gamma, nu), the joint kernel of the e_i^{nu(h_i)+1}
     on V(mu)_gamma, built only down to gamma."""
-    if not (nu.is_integral and nu.is_dominant):
-        raise ValueError("nu must be dominant integral")
+    rs.require_dominant_integral(mu, nu)
+    rs.require_rank(gamma)
     diff = rs.root_lattice_coords(mu - gamma)
     if diff is None or any(c < 0 for c in diff):
         return 0
@@ -485,8 +484,8 @@ def v_extremes(rs, realization, gamma, nu, sign="+"):
 
     Basis vectors are coordinate lists over the f-word basis at gamma.
     """
-    if not (nu.is_integral and nu.is_dominant):
-        raise ValueError("nu must be dominant integral")
+    rs.require_dominant_integral(nu)
+    rs.require_rank(gamma)
     n = realization.weight_dim(gamma)
     if n == 0:
         return 0, []
@@ -498,6 +497,7 @@ def v_extremes(rs, realization, gamma, nu, sign="+"):
 def zero_weight_spectrum(rs, realization, root_idx):
     """Multiplicities of the j(j+1) eigenvalues of f_alpha e_alpha on the
     zero weight space; returns ({j: m_j for m_j > 0}, m_mu = sum_{j>0} m_j)."""
+    rs.require_root_index(root_idx)
     zero = (0,) * rs.rank
     d0 = realization.weight_dim(Weight(zero))
     if d0 == 0:

@@ -10,6 +10,9 @@ Conventions used throughout the package:
 
 The Cartan matrix convention is ``cartan[i][j] = alpha_j(h_i)``, so the
 fundamental coordinates of alpha_j are the j-th column.
+
+Arguments are checked here: scalars by ``_num`` (TypeError), weights, root
+indices and Weyl elements by the ``RootSystem.require_*`` methods (ValueError).
 """
 
 import math
@@ -28,17 +31,13 @@ __all__ = [
 
 
 def _num(x):
-    """Normalise an exact scalar: Fraction with denominator 1 becomes int."""
-    if isinstance(x, int):
+    """An exact scalar, an int (not a bool) or a Fraction, normalised: an
+    integral Fraction becomes an int.  Anything else raises TypeError."""
+    if type(x) is int:
         return x
-    f = x if isinstance(x, Fraction) else Fraction(x)
-    return f.numerator if f.denominator == 1 else f
-
-
-def _is_scalar(x):
-    """Whether x is an exact scalar: an int other than a bool, or a
-    Fraction."""
-    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"a scalar must be an int or a Fraction, not {x!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +74,11 @@ class Weight:
         return Weight(tuple(-a for a in self.coords))
 
     def __rmul__(self, scalar):
-        return Weight(tuple(_num(scalar * a) for a in self.coords))
+        try:
+            scalar = _num(scalar)
+        except TypeError:
+            return NotImplemented
+        return Weight(tuple(scalar * a for a in self.coords))
 
     @property
     def is_integral(self):
@@ -95,19 +98,19 @@ class Weight:
 
 @dataclass(frozen=True, slots=True)
 class RootVector:
-    """Integer vector in the simple-root basis; a non-integral coefficient
-    raises ValueError."""
+    """Integer vector in the simple-root basis.  Coefficients go through
+    Fraction, not _num, so 1.0 is accepted; a non-integer raises ValueError."""
 
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(map(_num, self.coeffs))
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise ValueError(
-                    f"root coordinates ({', '.join(map(str, self.coeffs))}) "
-                    f"must be integers")
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = tuple(c if type(c) is int else Fraction(c)
+                       for c in self.coeffs)
+        if any(type(c) is not int and c.denominator != 1 for c in coeffs):
+            raise ValueError(
+                f"root coordinates ({', '.join(map(str, self.coeffs))}) "
+                f"must be integers")
+        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
 
     def __iter__(self):
         return iter(self.coeffs)
@@ -396,6 +399,18 @@ class RootSystem:
                     f"{','.join(map(str, w))} has {len(w)} coordinates; "
                     f"{self.label} needs {self.rank}")
 
+    def require_dominant_integral(self, *weights):
+        """Raise ValueError unless every weight is some V(lam)'s highest."""
+        self.require_rank(*weights)
+        for lam in weights:
+            if not all(isinstance(c, int) and c >= 0 for c in lam.coords):
+                raise ValueError(f"weight {lam} must be dominant integral")
+
+    def require_root_index(self, k):
+        """Raise ValueError unless k indexes a positive root."""
+        if not (type(k) is int and 0 <= k < self.nroots):
+            raise ValueError(f"root index {k!r} not in 0..{self.nroots - 1}")
+
     def require_weyl_element(self, w):
         """Raise ValueError unless the Weyl element w is one of this
         system's."""
@@ -572,10 +587,7 @@ def dominance_hull_equiv(rs, lam, mu):
     The two tests agree whenever lam - mu lies in the root lattice; the hull
     test alone is insensitive to the lattice coset.
     """
-    rs.require_rank(lam, mu)
-    for w in (lam, mu):
-        if not (w.is_integral and w.is_dominant):
-            raise ValueError("dominance_hull_equiv needs dominant integral weights")
+    rs.require_dominant_integral(lam, mu)
     diff = rs.weight_to_root_coords(lam - mu)
     dom = all(isinstance(x, int) and x >= 0 for x in diff)
     hull = all(x >= 0 for x in diff)

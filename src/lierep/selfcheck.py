@@ -10,12 +10,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
+from operator import ge, mul
 
 from .rootsystem import Weight, build_root_system, dominance_hull_equiv
 from .weyl import (bruhat_leq, coset_fibers, enumerate_weyl, longest_element)
-from .characters import (dominant_drops, freudenthal_multiplicity,
-                         weight_drops, weyl_dimension)
+from .characters import (dominant_drops, dominant_orbit,
+                         freudenthal_multiplicity, weight_drops,
+                         weyl_dimension)
 from .enveloping import (casimir, casimir_eigenvalue, chevalley_basis,
                          hc_projection, twisted_poly)
 from .hpoly import HPoly
@@ -82,9 +84,10 @@ def _pair_corpus(label, dim_cap):
     ws = dominant_weights_by_dim(rs, dim_cap)
     pairs = []
     for i, (lam, dl) in enumerate(ws):
-        for mu, dm in ws[:i + 1]:
-            if dl * dm <= dim_cap:
-                pairs.append((lam, mu))
+        for mu, dm in islice(ws, i + 1):
+            if dl * dm > dim_cap:
+                break  # ws is sorted by dimension: no later mu qualifies
+            pairs.append((lam, mu))
     return pairs
 
 
@@ -245,9 +248,23 @@ def _drop_span(rs, w):
     return rs.root_lattice_coords(w - longest_element(rs).apply(w))
 
 
+def _support(rs, coords):
+    """The support function of conv(W w), w dominant with coordinates
+    coords, at each fundamental weight varpi_i: max over x in W w of
+    (x, varpi_i), scaled by form_den.  conv(W mu) lies in conv(W lam) iff
+    mu's values are at most lam's: on the dominant chamber both functions
+    are linear, and the varpi_i span it."""
+    orbit = dominant_orbit(rs, coords)
+    return tuple(max(sum(map(mul, x, row)) for x in orbit)
+                 for row in rs.form_num)
+
+
 def check_weight_identities():
     """wt(V(lam) (x) V(mu)) = wt V(lam+mu), and the dominance<->hull
     equivalence, over the coordinate-bounded grid in rank <= 3.
+
+    The hull side is read from the orbits (_support), not from the root
+    coordinates that the dominance side reads.
 
     Containment of the product weight set in wt V(lam+mu) is structural
     (weights of each factor drop from the highest weight by nonnegative root
@@ -260,8 +277,10 @@ def check_weight_identities():
         rs = build_root_system(label)
         grid = [Weight(c) for c in iproduct(range(bound + 1), repeat=rs.rank)]
         pairs = [(a, b) for k, a in enumerate(grid) for b in grid[k + 1:]]
+        support = {w.coords: _support(rs, w.coords) for w in grid}
         for lam, mu in pairs:
-            dom, hull = dominance_hull_equiv(rs, lam, mu)
+            dom = dominance_hull_equiv(rs, lam, mu)[0]
+            hull = all(map(ge, support[lam.coords], support[mu.coords]))
             if rs.root_lattice_coords(lam - mu) is not None and dom != hull:
                 _fail(f"{label} dominance/hull split at ({lam},{mu})")
             if dom and not hull:

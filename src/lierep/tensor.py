@@ -22,8 +22,8 @@ from .errors import InvariantViolation
 from .rootsystem import Weight
 from .weyl import coset_fibers, double_cosets, longest_element, shift_maps
 from .characters import (_weyl_dim, character_table, dominant_orbit,
-                         require_dominant_integral, rho_shifts,
-                         signed_partition_sums, table_mult, weyl_dimension)
+                         rho_shifts, signed_partition_sums, table_mult,
+                         weyl_dimension)
 
 __all__ = [
     "Decomposition", "decompose", "decompose_all", "multiplicity",
@@ -208,7 +208,7 @@ def _decompose_extremes(rs, lam, mu, caps):
 
 def decompose(rs, lam, mu, method="character", caps=Caps()):
     """Decomposition of V(lam) (x) V(mu) by the chosen algorithm."""
-    require_dominant_integral(rs, lam, mu)
+    rs.require_dominant_integral(lam, mu)
     if method == "character":
         entries = _decompose_character(rs, lam, mu, caps)
     elif method == "steinberg":
@@ -240,7 +240,7 @@ def multiplicity(rs, lam, mu, nu, cross_check=True):
     two kernel expressions (inside V(mu) and inside V(nu)) are both computed
     and compared."""
     from .irreps import v_extremes_dim
-    require_dominant_integral(rs, lam, mu, nu)
+    rs.require_dominant_integral(lam, mu, nu)
     m1 = v_extremes_dim(rs, mu, nu - lam, lam)
     if cross_check:
         w0 = longest_element(rs)
@@ -254,7 +254,7 @@ def multiplicity(rs, lam, mu, nu, cross_check=True):
 def extreme_types(rs, lam, mu):
     """(largest, smallest) highest weights of the product: lam + mu and the
     dominant representative of lam + w0(mu); both multiplicity one."""
-    require_dominant_integral(rs, lam, mu)
+    rs.require_dominant_integral(lam, mu)
     w0 = longest_element(rs)
     cartan = lam + mu
     minimal = rs.dominant_in_orbit(lam + w0.apply(mu))
@@ -268,7 +268,7 @@ def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
     """Report on the extreme component attached to w: its multiplicity, the
     double-coset lower bound, and optionally the generated-submodule count,
     whose tensor module past caps.max_dim raises CapExceeded."""
-    require_dominant_integral(rs, lam, mu)
+    rs.require_dominant_integral(lam, mu)
     rs.require_weyl_element(w)
     target = rs.dominant_in_orbit(lam + w.apply(mu))
     mult = multiplicity(rs, lam, mu, target, cross_check=False)
@@ -304,7 +304,7 @@ def is_minuscule(rs, mu):
 
 def minuscule_decompose(rs, lam, mu, caps=Caps()):
     """Orbit-sum closed form, valid when mu is minuscule."""
-    require_dominant_integral(rs, lam, mu)
+    rs.require_dominant_integral(lam, mu)
     if not is_minuscule(rs, mu):
         raise ValueError(f"{mu} is not minuscule")
     entries = {}
@@ -331,7 +331,7 @@ def component_tests(rs, lam, mu, caps=Caps()):
     every multiplicity equals the corresponding weight multiplicity of V(mu)
     (verified).
     """
-    require_dominant_integral(rs, lam, mu)
+    rs.require_dominant_integral(lam, mu)
     report = {"root_subtraction": {}, "minus_one_applies": None}
     for k, beta in enumerate(rs.positive_roots):
         beta_w = rs.root_to_weight(beta)

@@ -121,15 +121,26 @@ def test_partition_convolution_consistency(a2, b2, g2):
 def test_table_growth_reads_no_aliased_cell():
     # an uninterned B3 starts from the one-cell table; in the layout of the
     # box (6, 1, 0) the flat index of (0, 0, 5) is that of (2, 1, 0), so a
-    # read past a trailing axis must grow the table first
+    # read past a trailing axis must build a table on its own box first
     rs = RootSystem("B", 3)
     assert partition_function(rs, (6, 1, 0)) == pf_oracle(rs, (6, 1, 0), 3)
     assert rs._pf_table[2] == (6, 1, 0)
     assert signed_partition_sums(rs, [(1, (0, 0, 0))], [(0, 0, 5)]) \
         == [pf_oracle(rs, (0, 0, 5), 3)] != [pf_oracle(rs, (2, 1, 0), 3)]
-    assert rs._pf_table[2] == (6, 1, 5)
+    assert rs._pf_table[2] == (0, 0, 5)
     for x, p in table_cells(rs, (6, 1, 5)):
         assert p == pf_oracle(rs, x, 3)
+
+
+def test_thin_requests_build_thin_tables():
+    # a request past the table's box gets a table on its own box, not on
+    # the union of the two: four requests of 24 along the four axes of D4
+    # would otherwise end on 25^4 = 390,625 cells
+    rs = RootSystem("D", 4)
+    for axis in range(4):
+        x = tuple(24 * (i == axis) for i in range(4))
+        assert partition_function(rs, x) == 1
+        assert len(rs._pf_table[0]) <= 25
 
 
 def test_table_growth_under_threads():

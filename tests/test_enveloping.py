@@ -508,7 +508,20 @@ def test_scalar_operands_raise_type_error():
             delta ** bad
         with pytest.raises(TypeError):
             h ** bad
+    # the constructors read every coefficient through the same gate: a
+    # float zero is refused too, not dropped as a zero term
+    e = next(iter(delta.terms))
+    for bad in (0.1, "1/2", True, 0.0):
+        with pytest.raises(TypeError):
+            Weight((bad,))
+        with pytest.raises(TypeError):
+            HPoly(1, {(1,): bad})
+        with pytest.raises(TypeError):
+            UElement(delta.algebra, {e: bad})
+    with pytest.raises(TypeError):
+        0.5 * Weight((1, 1))
     half = Fraction(1, 2)
+    assert half * Weight((1, 1)) == Weight((half, half))
     assert delta * half == half * delta == UElement(
         delta.algebra, {e: c * half for e, c in delta.terms.items()})
     assert h.scale(half) == HPoly(1, {(1,): half})

@@ -13,11 +13,22 @@ from lierep.characters import (character_of, character_table,
                                rho_shifts, signed_partition_sums,
                                table_mult, weyl_dimension)
 from lierep.selfcheck import (HULL_TYPES, METHOD_TYPES, PRODUCT_DIM_CAP,
-                              _pair_corpus)
+                              _pair_corpus, dominant_weights_by_dim)
 from lierep.tensor import (_candidates, _char_product, _decompose_steinberg,
                            component_tests, decompose, decompose_all,
                            extreme_types, generalized_prv, is_minuscule,
                            minuscule_decompose, multiplicity)
+
+
+@pytest.mark.parametrize("label,cap", [(t, 2000) for t in METHOD_TYPES]
+                         + [("A1", 100), ("A2", 100)])
+def test_pair_corpus_is_the_full_triangle_scan(label, cap):
+    # the corpus stops each row at the first pair past the cap; the full
+    # scan of the lower triangle gives the same pairs in the same order
+    ws = dominant_weights_by_dim(build_root_system(label), cap)
+    assert _pair_corpus(label, cap) == [
+        (lam, mu) for i, (lam, dl) in enumerate(ws)
+        for mu, dm in ws[:i + 1] if dl * dm <= cap]
 
 
 def test_clebsch_gordan_small(a1):

@@ -5,11 +5,13 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from lierep.centralchar import twisted_orbit_id
+from lierep.centralchar import hc_inf_character, twisted_orbit_id
 from lierep.config import Caps
 from lierep.errors import CapExceeded
-from lierep.hcmodules import (HCParams, finite_dimensional, invariants,
-                              isoclass_count)
+from lierep.hcmodules import (HCParams, class_zero, equivalent,
+                              finite_dimensional, invariants, isoclass_count)
+from lierep.irreps import (realize, v_extremes, v_extremes_dim,
+                           zero_weight_spectrum)
 from lierep.linalg import mat_inv
 from lierep.rootsystem import (RootVector, Weight, build_root_system,
                                dominance_hull_equiv)
@@ -427,7 +429,8 @@ def test_bruhat_order_f4_long_sample():
 
 
 A2, B2 = build_root_system("A2"), build_root_system("B2")
-W1, W3 = Weight((1,)), Weight((1, 1, 1))
+W0, W1, W3 = A2.zero_weight(), Weight((1,)), Weight((1, 1, 1))
+W11 = Weight((1, 1))
 BAD_INPUTS = {
     # each of these used to return an answer on A2, or an IndexError
     "bruhat_mixed_systems": lambda: bruhat_leq(from_word(A2, (0, 1)),
@@ -451,10 +454,33 @@ BAD_INPUTS = {
     "apply_root_long": lambda: simple_reflection(A2, 0).apply_root(
         RootVector((1, 1, 1))),
     "finite_dimensional": lambda: finite_dimensional(A2, HCParams(W1, W1)),
+    "v_extremes_dim_nu_long": lambda: v_extremes_dim(A2, W11, W0, W3),
+    "v_extremes_dim_nu_short": lambda: v_extremes_dim(A2, W11, W0, W1),
+    "v_extremes_dim_mu_non_dominant": lambda: v_extremes_dim(
+        A2, Weight((-1, 0)), Weight((-1, 0)), W0),
+    "v_extremes_gamma_long": lambda: v_extremes(
+        A2, realize(A2, W11), W3, W0),
+    "v_extremes_nu_long": lambda: v_extremes(A2, realize(A2, W11), W0, W3),
+    "equivalent_short": lambda: equivalent(
+        A2, HCParams(W11, W0), HCParams(W1, W1)),
+    "class_zero": lambda: class_zero(A2, W1),
+    "hc_inf_character": lambda: hc_inf_character(A2, W1, W0),
+    "zero_weight_spectrum_past_last_root": lambda: zero_weight_spectrum(
+        A2, realize(A2, W11), 7),
+    "zero_weight_spectrum_negative_root": lambda: zero_weight_spectrum(
+        A2, realize(A2, W11), -1),
+}
+# RootSystem's message, which these cases must carry, not Python's
+BAD_INPUT_MESSAGES = {
+    "v_extremes_dim_mu_non_dominant": "must be dominant integral",
+    "class_zero": "1 coordinates; A2 needs 2",
+    "hc_inf_character": "1 coordinates; A2 needs 2",
+    "zero_weight_spectrum_past_last_root": "root index 7 not in 0..2",
+    "zero_weight_spectrum_negative_root": "root index -1 not in 0..2",
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_wrong_rank_and_mixed_systems_raise(name):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=BAD_INPUT_MESSAGES.get(name)):
         BAD_INPUTS[name]()
