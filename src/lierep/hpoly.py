@@ -5,6 +5,10 @@ an int or a ``Fraction``), and exponents must be ints.  Products, affine
 substitution and evaluation scale their inputs to integers once, by the lcm
 of the denominators, work on ints, and make one ``Fraction`` per output
 term.
+
+``.terms`` is keyed by exponent tuples.  Inside ``substitute_affine`` (the
+dot action of ``enveloping.twisted_poly``) a monomial is one packed int,
+exponent j as digit j in base deg + 1, unpacked once for the result.
 """
 
 from fractions import Fraction
@@ -142,6 +146,13 @@ class HPoly:
         each C_e is first multiplied by d^(deg - |e|).  The Horner scheme on
         the L_i then gives c * d^deg times the result, and each output term
         is divided once.
+
+        The partial results are keyed by packed monomials: exponent j is
+        digit j of one int in base deg + 1.  Every partial result has total
+        degree <= deg, so no digit overflows into the next, and multiplying
+        by x_j is adding (deg + 1)^j to a key.  Each image is a list of
+        (shift, coefficient) pairs, and the keys are unpacked into exponent
+        tuples once, at the end.
         """
         n = self.nvars
         self._require_nvars(consts, "constants")
@@ -151,32 +162,39 @@ class HPoly:
         if not self.terms:
             return HPoly(n)
         ints, d = _integral([_num(x) for x in [*chain(*rows), *consts]])
-        images = [HPoly.linear(ints[i * n:i * n + n], ints[n * n + i]).terms
-                  for i in range(n)]
         coeffs, den = _integral(list(self.terms.values()))
         deg = self.degree()
         den *= d ** deg
-        const_key = (0,) * n
+        base = deg + 1
+        shifts = [base ** j for j in range(n)] + [0]
+        images = [[(s, x) for s, x in zip(shifts, [*ints[i * n:i * n + n],
+                                                    ints[n * n + i]]) if x]
+                  for i in range(n)]
 
         def horner(terms, i):
             # terms: {exponents of variables i..n-1: int coefficient}, nonempty
             if i == n:
-                return {const_key: terms[()]}
+                return {0: terms[()]}
             groups = {}
             for e, c in terms.items():
                 groups.setdefault(e[0], {})[e[1:]] = c
             top = max(groups)
             out = horner(groups[top], i + 1)
             for k in range(top - 1, -1, -1):
-                out = _mul_ints(out, images[i])
+                out = _mul_packed(out, images[i])
                 if k in groups:
                     _add_into(out, horner(groups[k], i + 1))
             return out
 
-        out = horner({e: c * d ** (deg - sum(e))
-                      for e, c in zip(self.terms, coeffs)}, 0)
-        if den != 1:
-            out = {e: Fraction(c, den) for e, c in out.items() if c}
+        out = {}
+        for key, c in horner({e: c * d ** (deg - sum(e))
+                              for e, c in zip(self.terms, coeffs)}, 0).items():
+            if c:
+                exps = []
+                for _ in range(n):
+                    key, x = divmod(key, base)
+                    exps.append(x)
+                out[tuple(exps)] = c if den == 1 else Fraction(c, den)
         return HPoly(n, out)
 
     def ratio_to(self, other):
@@ -224,6 +242,17 @@ def _mul_ints(t1, t2):
             key = tuple(map(add, e1, e2))
             out[key] = out.get(key, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def _mul_packed(terms, image):
+    """Product of a term dict keyed by packed monomials with a linear
+    image given as (shift, coefficient) pairs; int coefficients."""
+    out = {}
+    get = out.get
+    for k, c in terms.items():
+        for s, x in image:
+            out[k + s] = get(k + s, 0) + c * x
+    return out
 
 
 def _mul_terms(t1, t2):

@@ -13,6 +13,14 @@ monomials as a basis, operator and contravariant Gram matrices level by
 level.  Its levels have P(beta) monomials, not weight multiplicities, so no
 computation of V(mu) uses it; it is the independent model the tests check
 the builder against, and the Verma model at non-dominant weights.
+
+``TensorModule`` is V(lam) (x) V(mu) with the diagonal action.
+``generated_submodule`` closes seed vectors under every e_i and f_i.
+``kprv_multiplicity`` needs U(g) v, v = v_lam (x) v'_{w mu}, only at eta
+and above, and reads it through U(g) = U(n^-) U(h) U(n^+): v closed under
+the e_i alone, then its vectors at weights nu >= eta closed under the f_i
+alone, at weights >= eta.  An f-word only lowers weights, so nothing below
+eta reaches eta.  Both run one closure loop, ``_close``.
 """
 
 from fractions import Fraction
@@ -619,72 +627,108 @@ class TensorModule:
         return tot, vec
 
 
-def generated_submodule(tensor, seeds):
-    """Closure of weight-homogeneous seed vectors under all e_i, f_i.
+def _close(tensor, spans, frontier, kinds, keep=None):
+    """Grow spans (weight coords -> SpanBasis), which already hold the
+    frontier's vectors, to their closure under e_i and/or f_i (kinds, a
+    string of "e" and "f"); with keep, a set of weight coords, an image at
+    any other weight is dropped.  The frontier list is extended in place by
+    every vector that grew a span, so it ends as a basis of the closure.
 
     Images are taken with ``_apply_scaled`` and divided by the gcd of their
     entries: a constant multiple of a vector has the same span, and integer
-    seeds keep every vector integral and small.
-    Returns dict weight coords -> SpanBasis.
-    """
-    spans = {}
-    frontier = []
-    for wc, vec in seeds:
-        span = spans.setdefault(wc, SpanBasis(len(tensor.blocks[wc])))
-        if span.add(vec):
-            frontier.append((wc, vec))
-    while frontier:
-        wc, vec = frontier.pop()
-        for kind in ("e", "f"):
-            for i in range(tensor.rs.rank):
+    seeds keep every vector integral and small."""
+    rank = tensor.rs.rank
+    for wc, vec in frontier:
+        for kind in kinds:
+            for i in range(rank):
                 res = tensor._apply_scaled(kind, i, wc, vec)
                 if res is None:
                     continue
                 tgt, img, _ = res
+                if keep is not None and tgt not in keep:
+                    continue
                 g = gcd(*img)
                 if g == 0:
                     continue
                 if g > 1:
                     img = [x // g for x in img]
-                span = spans.setdefault(tgt, SpanBasis(len(tensor.blocks[tgt])))
+                span = spans.get(tgt)
+                if span is None:
+                    span = spans[tgt] = SpanBasis(len(tensor.blocks[tgt]))
                 if span.add(img):
                     frontier.append((tgt, img))
     return spans
 
 
-def highest_weight_count(tensor, spans, eta):
-    """Number of independent highest-weight vectors of weight eta inside the
-    generated submodule."""
+def _seeded(tensor, seeds, kinds):
+    """(spans, frontier) of the closure of the seeds under kinds."""
+    spans, frontier = {}, []
+    for wc, vec in seeds:
+        span = spans.setdefault(wc, SpanBasis(len(tensor.blocks[wc])))
+        if span.add(vec):
+            frontier.append((wc, vec))
+    _close(tensor, spans, frontier, kinds)
+    return spans, frontier
+
+
+def generated_submodule(tensor, seeds):
+    """Closure of weight-homogeneous seed vectors under all e_i, f_i: the
+    whole submodule they generate.  Returns dict weight coords ->
+    SpanBasis."""
+    return _seeded(tensor, seeds, "ef")[0]
+
+
+def highest_weight_count(tensor, basis, eta):
+    """Number of independent highest-weight vectors of weight eta in the
+    span of basis, independent integer vectors of the block at eta: the
+    nullity of the e_i stacked on the basis, in ambient coordinates of the
+    target blocks (the rows of each e_i share one scale, which leaves the
+    kernel alone).  Elimination cost grows with the entries, so the
+    closure's own gcd-reduced vectors make a cheaper basis than a
+    ``SpanBasis``'s echelon rows, whose entries are minors."""
     key = eta.coords
-    span = spans.get(key)
-    if span is None or span.dim == 0:
-        return 0
-    ncols = span.dim
-    # kernel of the stacked e_i restricted to the span, columns indexed by the
-    # span's echelon basis, rows in ambient coordinates of the target blocks;
-    # the rows of each e_i share one scale, which leaves the kernel alone
     stacked = []
     for i in range(tensor.rs.rank):
-        images = []
-        for vec in span.rows:
-            res = tensor._apply_scaled("e", i, key, vec)
-            images.append(res[1] if res is not None else None)
-        if all(img is None for img in images):
-            continue
-        width = next(len(img) for img in images if img is not None)
-        for r in range(width):
-            stacked.append([img[r] if img is not None else 0 for img in images])
-    return nullity(stacked, ncols)
+        images = [tensor._apply_scaled("e", i, key, vec) for vec in basis]
+        if images and images[0] is not None:
+            stacked.extend(zip(*(img for _, img, _ in images)))
+    return nullity(stacked, len(basis))
+
+
+def _generated_above(tensor, seed, eta):
+    """(spans, vectors): the submodule generated by the weight vector seed
+    at every weight >= eta, as dict weight coords -> SpanBasis, and the
+    (coords, vector) pairs that grew the spans, a basis of them.  The seed
+    is closed under the e_i, then what that reaches at weights >= eta under
+    the f_i, at weights >= eta (see ``kprv_multiplicity``)."""
+    rs = tensor.rs
+    above = {wc for wc in tensor.blocks
+             if min(rs.root_lattice_coords(_sub(wc, eta.coords))) >= 0}
+    raised, found = _seeded(tensor, [seed], "e")
+    spans = {wc: span for wc, span in raised.items() if wc in above}
+    vectors = [(wc, vec) for wc, vec in found if wc in above]
+    _close(tensor, spans, vectors, "f", above)
+    return spans, vectors
 
 
 def kprv_multiplicity(rs, lam, mu, w, caps=Caps()):
-    """Multiplicity of V(dominant(lam + w mu)) inside the submodule of
-    V(lam) (x) V(mu) generated by v_lam (x) v'_{w mu}."""
+    """Multiplicity of V(eta), eta = dominant(lam + w mu), inside the
+    submodule of V(lam) (x) V(mu) generated by v = v_lam (x) v'_{w mu}.
+
+    Only the weight spaces at and above eta are built.  By the triangular
+    decomposition U(g) = U(n^-) U(h) U(n^+), and since v is a weight vector,
+    U(g) v = U(n^-) E with E = U(n^+) v, the closure of v under the e_i.
+    An f-word carries a vector of weight nu to a weight >= eta only when
+    nu >= eta (nu - eta in the nonnegative root lattice), and every weight
+    it passes on the way is >= eta too.  So the part of E at weights >= eta,
+    closed under the f_i with images kept only at weights >= eta, is the
+    generated submodule at every weight >= eta; the highest-weight count
+    reads it at eta and at the eta + alpha_i."""
     rs.require_weyl_element(w)
     real1 = realize(rs, lam, caps)
     real2 = realize(rs, mu, caps)
     tensor = TensorModule(rs, real1, real2, caps)
-    seeds = [tensor.extremal_vector(w)]
-    spans = generated_submodule(tensor, seeds)
     eta = rs.dominant_in_orbit(lam + w.apply(mu))
-    return highest_weight_count(tensor, spans, eta)
+    _, vectors = _generated_above(tensor, tensor.extremal_vector(w), eta)
+    return highest_weight_count(
+        tensor, [vec for wc, vec in vectors if wc == eta.coords], eta)

@@ -11,8 +11,9 @@ Conventions used throughout the package:
 The Cartan matrix convention is ``cartan[i][j] = alpha_j(h_i)``, so the
 fundamental coordinates of alpha_j are the j-th column.
 
-Arguments are checked here: scalars by ``_num`` (TypeError), weights, root
-indices and Weyl elements by the ``RootSystem.require_*`` methods (ValueError).
+Arguments are checked here: scalars by ``_num`` (TypeError), weights, simple
+and positive root indices and Weyl elements by the ``RootSystem.require_*``
+methods (ValueError).
 """
 
 import math
@@ -411,6 +412,12 @@ class RootSystem:
         if not (type(k) is int and 0 <= k < self.nroots):
             raise ValueError(f"root index {k!r} not in 0..{self.nroots - 1}")
 
+    def require_simple_index(self, i):
+        """Raise ValueError unless i indexes a simple root."""
+        if not (type(i) is int and 0 <= i < self.rank):
+            raise ValueError(f"simple root index {i!r} not in "
+                             f"0..{self.rank - 1}")
+
     def require_weyl_element(self, w):
         """Raise ValueError unless the Weyl element w is one of this
         system's."""
@@ -421,9 +428,11 @@ class RootSystem:
         return Weight((0,) * self.rank)
 
     def fundamental(self, i):
+        self.require_simple_index(i)
         return Weight(tuple(int(i == j) for j in range(self.rank)))
 
     def simple_root(self, i):
+        self.require_simple_index(i)
         return RootVector(tuple(int(i == j) for j in range(self.rank)))
 
     # -- coordinate algebra --------------------------------------------------
@@ -466,6 +475,8 @@ class RootSystem:
     def root_difference(self, a, b):
         """(k, sign) with r_a - r_b = sign * r_k for positive-root indices a
         and b, or None when the difference is not a root."""
+        self.require_root_index(a)
+        self.require_root_index(b)
         diff = tuple(map(sub, self.positive_roots[a].coeffs,
                          self.positive_roots[b].coeffs))
         k = self.root_index.get(diff)
@@ -489,14 +500,18 @@ class RootSystem:
     def pairing(self, w, root):
         """w(h_alpha) for a root given as RootVector or root index."""
         self.require_rank(w)
-        cv = self.coroots[root] if isinstance(root, int) \
-            else self.coroots[self.root_index[root.coeffs]]
+        if isinstance(root, int):
+            self.require_root_index(root)
+            cv = self.coroots[root]
+        else:
+            cv = self.coroots[self.root_index[root.coeffs]]
         return _num(sum(cv[i] * w[i] for i in range(self.rank)))
 
     # -- reflections and orbits ----------------------------------------------
 
     def reflect(self, i, w):
         """Simple reflection s_i(w) = w - w(h_i) alpha_i on weights."""
+        self.require_simple_index(i)
         self.require_rank(w)
         c = w[i]
         if c == 0:

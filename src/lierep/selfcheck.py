@@ -178,6 +178,11 @@ def check_extreme_components_bound():
     return f"{checked} pairs, all Weyl translates"
 
 
+def _count_at(tensor, spans, eta):
+    span = spans.get(eta.coords)
+    return highest_weight_count(tensor, span.rows if span else [], eta)
+
+
 def check_generated_submodules():
     """Generated-submodule multiplicities are 1; submodules grow along the
     Bruhat order; for regular pairs the target appears first at w."""
@@ -194,7 +199,7 @@ def check_generated_submodules():
                 spans[w] = generated_submodule(
                     tensor, [tensor.extremal_vector(w)])
                 eta = rs.dominant_in_orbit(lam + w.apply(mu))
-                got = highest_weight_count(tensor, spans[w], eta)
+                got = _count_at(tensor, spans[w], eta)
                 if got != 1:
                     _fail(f"{label} ({lam},{mu}) w={w.word}: count {got}")
                 count += 1
@@ -215,7 +220,7 @@ def check_generated_submodules():
                     for w in els:
                         if u is not w and bruhat_leq(u, w):
                             eta = rs.dominant_in_orbit(lam + w.apply(mu))
-                            if highest_weight_count(tensor, spans[u], eta):
+                            if _count_at(tensor, spans[u], eta):
                                 _fail(f"{label} ({lam},{mu}): {eta} occurs "
                                       f"early at {u.word} < {w.word}")
     return f"{count} generated-submodule counts"

@@ -398,10 +398,17 @@ SCALARS = st.one_of(st.integers(-2, 2),
 @given(st.data())
 @settings(max_examples=40)
 def test_substitute_affine_matches_term_by_term(data):
-    n = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 4))
     small = st.integers(-2, 2)
     terms = data.draw(st.dictionaries(
-        st.tuples(*[st.integers(0, 3)] * n), SCALARS, max_size=6))
+        st.tuples(*[st.integers(0, 6)] * n), SCALARS, max_size=6))
+    # one variable carries the whole degree (up to 24): the largest digit
+    # of a packed monomial key
+    deg = max((sum(e) for e in terms), default=0) or data.draw(
+        st.integers(1, 6))
+    j = data.draw(st.integers(0, n - 1))
+    terms[tuple(deg if k == j else 0 for k in range(n))] = data.draw(
+        SCALARS.filter(bool))
     rows = [[data.draw(SCALARS if data.draw(st.booleans()) else small)
              for _ in range(n)] for _ in range(n)]
     consts = [data.draw(st.fractions(-2, 2, max_denominator=2))

@@ -12,9 +12,10 @@ from lierep.weyl import enumerate_weyl, longest_element
 from lierep.characters import (character_of, dominant_weight_table,
                                weyl_dimension, freudenthal_multiplicity)
 from lierep.enveloping import casimir_eigenvalue
-from lierep.irreps import (TensorModule, VermaEngine, _module,
-                           generated_submodule, kprv_multiplicity, realize,
-                           v_extremes, v_extremes_dim, zero_weight_spectrum)
+from lierep.irreps import (TensorModule, VermaEngine, _generated_above,
+                           _module, generated_submodule, highest_weight_count,
+                           kprv_multiplicity, realize, v_extremes,
+                           v_extremes_dim, zero_weight_spectrum)
 from lierep.linalg import nullity, rank
 from lierep.tensor import decompose
 
@@ -264,6 +265,45 @@ def test_generated_submodule_a2_reflection(a2):
     rho = Weight((1, 1))
     w = enumerate_weyl(a2)[1]  # s1
     assert kprv_multiplicity(a2, rho, rho, w) == 1
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2"])
+def test_triangular_route_matches_full_closure(label):
+    # the kprv corpus (tensor dimension <= 100), every Weyl element: at every
+    # weight >= eta the e-then-f closure spans what the full closure spans,
+    # and the count at eta is the full closure's
+    from lierep.selfcheck import _pair_corpus
+    rs = build_root_system(label)
+    els = enumerate_weyl(rs)
+    for lam, mu in _pair_corpus(label, 100):
+        tensor = TensorModule(rs, realize(rs, lam), realize(rs, mu))
+        for w in els:
+            eta = rs.dominant_in_orbit(lam + w.apply(mu))
+            seed = tensor.extremal_vector(w)
+            full = generated_submodule(tensor, [seed])
+            part, vectors = _generated_above(tensor, seed, eta)
+            above = [wc for wc in full if min(
+                rs.root_lattice_coords(Weight(wc) - eta)) >= 0]
+            assert sorted(part) == sorted(above)
+            for wc in above:
+                assert part[wc].dim == full[wc].dim
+                assert all(full[wc].contains(row) for row in part[wc].rows)
+                assert all(part[wc].contains(row) for row in full[wc].rows)
+            at_eta = [vec for wc, vec in vectors if wc == eta.coords]
+            assert len(at_eta) == part[eta.coords].dim
+            assert highest_weight_count(tensor, at_eta, eta) == \
+                highest_weight_count(tensor, full[eta.coords].rows, eta)
+            assert kprv_multiplicity(rs, lam, mu, w) == 1
+
+
+@pytest.mark.parametrize("label, lam, mu", [("A2", (3, 3), (3, 3)),
+                                            ("B2", (2, 2), (1, 1))])
+def test_kprv_on_large_tensor_products(label, lam, mu):
+    # tensor dimensions 4,096 and 1,296, past the reach of the full closure
+    rs = build_root_system(label)
+    lam, mu = Weight(lam), Weight(mu)
+    for w in enumerate_weyl(rs):
+        assert kprv_multiplicity(rs, lam, mu, w, Caps(max_dim=100000)) == 1
 
 
 def test_generated_submodule_containment(a2):

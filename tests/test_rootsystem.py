@@ -192,6 +192,24 @@ def test_wrong_rank_weights_raise(name):
         WRONG_RANK[name]()
 
 
+BAD_INDEX = {
+    # each of these used to wrap around, answer or raise IndexError on A2
+    "pairing_negative": lambda: A2.pairing(Weight((1, 0)), -1),
+    "pairing_past_end": lambda: A2.pairing(Weight((1, 0)), 5),
+    "root_difference_negative": lambda: A2.root_difference(-1, 0),
+    "fundamental_past_end": lambda: A2.fundamental(5),
+    "fundamental_negative": lambda: A2.fundamental(-1),
+    "simple_root_past_end": lambda: A2.simple_root(7),
+    "reflect_negative": lambda: A2.reflect(-1, Weight((1, 0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INDEX))
+def test_bad_root_indices_raise(name):
+    with pytest.raises(ValueError, match="index"):
+        BAD_INDEX[name]()
+
+
 @pytest.mark.parametrize("coeffs", [(1.5, 0), (Fraction(1, 2),), ("1/3", 1)])
 def test_root_vector_rejects_non_integral_coefficients(coeffs):
     with pytest.raises(ValueError, match="integers"):
