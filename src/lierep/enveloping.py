@@ -624,7 +624,7 @@ def hc_projection(basis, u, w=None):
     if u.weight() not in (None, (0,) * basis.rank):
         raise ValueError("hc_projection needs a weight-zero element")
     if w is not None:
-        basis.rs.require_weyl_element(w)
+        basis.rs.require_same_system(w)
     if w is None or w.is_identity:
         return _h_poly_from_terms(basis, u.terms)
     # order adapted to the simple system w(Pi): root vectors over w(R-) first
@@ -707,7 +707,7 @@ def casimir_eigenvalue(rs, lam):
 
 def twisted_poly(rs, w, poly):
     """Dot action on polynomials: (w * p)(lam) = p(w^{-1} * lam)."""
-    rs.require_weyl_element(w)
+    rs.require_same_system(w)
     winv = w.inverse()
     rows = [[winv.matrix[i][j] for j in range(rs.rank)] for i in range(rs.rank)]
     shift = winv.twisted(rs.zero_weight())  # w^{-1} * 0 = w^{-1} rho - rho

@@ -3,10 +3,14 @@
 V(mu) is built top down, one weight space at a time, from the simple
 generators alone (de Graaf, J. Pure Appl. Algebra 164, 2001): V(mu)_nu is
 spanned by the f_i images of the blocks above it, and a vector below the
-top is determined by its e-images.  Each block has a basis of f-words and
-exact e_i/f_i matrices; one lazily grown module per (system, mu) serves
-both ``realize``, which builds every block, and ``v_extremes_dim``, which
-builds only the blocks at and above the weight it asks about.
+top is determined by its e-images.  The Z-span L of the f-words
+f_{i_1} ... f_{i_h} v_mu is stable under every e_i and f_i, as
+e_k f_i = f_i e_k + delta_ik h_i (Kostant's Z-form, 1966, without divided
+powers), so each block takes a Z-basis of L_nu, read from the Hermite
+normal form of its e-images, and every e_i/f_i matrix is an integer matrix.
+One lazily grown module per (system, mu) serves both ``realize``, which
+builds every block, and ``v_extremes_dim``, which builds only the blocks at
+and above the weight it asks about.
 
 ``VermaEngine`` is the levelwise model of the Verma module M(mu): lowering
 monomials as a basis, operator and contravariant Gram matrices level by
@@ -15,24 +19,22 @@ computation of V(mu) uses it; it is the independent model the tests check
 the builder against, and the Verma model at non-dominant weights.
 
 ``TensorModule`` is V(lam) (x) V(mu) with the diagonal action.
-``generated_submodule`` closes seed vectors under every e_i and f_i.
-``kprv_multiplicity`` needs U(g) v, v = v_lam (x) v'_{w mu}, only at eta
-and above, and reads it through U(g) = U(n^-) U(h) U(n^+): v closed under
-the e_i alone, then its vectors at weights nu >= eta closed under the f_i
-alone, at weights >= eta.  An f-word only lowers weights, so nothing below
-eta reaches eta.  Both run one closure loop, ``_close``.
+``generated_submodule`` closes seed vectors under every e_i and f_i;
+``kprv_multiplicity`` closes v = v_lam (x) v'_{w mu} under the e_i, then
+under the f_i at the weights >= eta only (U(g) = U(n^-) U(h) U(n^+)).
+Both run one closure loop, ``_close``.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import add, sub
 
 from .config import Caps
 from .errors import InvariantViolation
-from .linalg import (SpanBasis, kernel_basis, mat_inv, mat_mul, nullity,
-                     rank)
-from .rootsystem import Weight
+from .linalg import (SpanBasis, kernel_basis, lattice_basis, mat_mul,
+                     nullity, rank)
+from .rootsystem import Weight, _num
 from .characters import (dominant_orbit, dominant_weight_table,
                          weyl_dimension)
 from .enveloping import chevalley_basis
@@ -163,9 +165,8 @@ class VermaEngine:
         monos, _ = self.level(beta)
         tgt_beta = tuple(a - b for a, b in zip(beta, rs.positive_roots[k].coeffs))
         if any(x < 0 for x in tgt_beta):
-            mat = [[0] * len(monos) for _ in range(0)]
-            self._emat[key] = mat
-            return mat
+            self._emat[key] = []
+            return []
         _, tindex = self.level(tgt_beta)
         mat = [[0] * len(monos) for _ in range(len(tindex))]
         for j, mono in enumerate(monos):
@@ -222,8 +223,7 @@ class VermaEngine:
         monos, index = self.level(beta)
         n = len(monos)
         if not any(beta):
-            g = [[1]]
-            self._gram[beta] = g
+            g = self._gram[beta] = [[1]]
             return g
         g = [[0] * n for _ in range(n)]
         sgn = self.basis.iota_signs
@@ -275,21 +275,17 @@ def _sub(a, b):
     return tuple(map(sub, a, b))
 
 
-def _exact(rows):
-    """The matrix with every integral Fraction entry made an int."""
-    return [[x.numerator if type(x) is Fraction and x.denominator == 1 else x
-             for x in row] for row in rows]
-
-
 class IrrepRealization:
-    """Weight-graded model of V(mu) with exact generator matrices, built top
-    down from the simple generators one weight space at a time.
+    """Weight-graded model of V(mu) with integer generator matrices, built
+    top down from the simple generators one weight space at a time.
 
-    weights: dict coords -> f-word labels; the label (i_1, ..., i_h) names
-    the basis vector f_{i_1} ... f_{i_h} v_mu.  Only nonzero blocks appear.
-    e_mats/f_mats: dict (simple index, coords) -> matrix of e_i/f_i from the
-    block at coords to the block at coords +/- alpha_i, present when both
-    blocks are nonzero.
+    Each block below the top has a Z-basis of L_nu, the Z-span of the
+    f-words f_{i_1} ... f_{i_h} v_mu at nu: the one whose e-images, stacked
+    over the e_k, are the reduced Hermite basis of their lattice.
+    weights: dict coords -> block dimension; only nonzero blocks appear.
+    e_mats/f_mats: dict (simple index, coords) -> integer matrix of e_i/f_i
+    from the block at coords to the block at coords +/- alpha_i, present
+    when both blocks are nonzero.
 
     ``build_to`` builds the blocks at and above one depth; ``realize`` builds
     them all and sets ``dimension``, which is None until then.
@@ -299,7 +295,7 @@ class IrrepRealization:
         rs.require_dominant_integral(mu)
         self.rs = rs
         self.highest = mu
-        self.weights = {mu.coords: [()]}
+        self.weights = {mu.coords: 1}
         self.e_mats = {}
         self.f_mats = {}
         self.dimension = None
@@ -308,7 +304,7 @@ class IrrepRealization:
 
     def weight_dim(self, w):
         key = w.coords if isinstance(w, Weight) else tuple(w)
-        return len(self.weights.get(key, ()))
+        return self.weights.get(key, 0)
 
     def build_to(self, beta):
         """Build the block at depth beta (root coordinates of mu - weight)
@@ -317,10 +313,8 @@ class IrrepRealization:
         seen = set(todo)
         for b in todo:
             for i, x in enumerate(b):
-                if not x:
-                    continue
                 up = _bump(b, i, -1)
-                if up not in self._built and up not in seen:
+                if x and up not in self._built and up not in seen:
                     seen.add(up)
                     todo.append(up)
         for b in sorted(todo, key=sum):
@@ -329,60 +323,43 @@ class IrrepRealization:
     def _build(self, beta):
         """The block at depth beta > 0 from the blocks one and two above.
 
-        Its vectors are determined by their e-images, because a vector of
-        V(mu) below the top that every e_k kills would generate a proper
-        submodule.  Candidate f_i b (b in the basis at w + alpha_i) has the
-        image e_k f_i b = f_i e_k b + delta_ik (w + alpha_i)_i b at w + alpha_k;
-        a maximal independent set of candidates is the basis, their images
-        are the e-blocks, and the f-blocks into w express every candidate in
-        it through one inverse on the pivot rows of the chosen images."""
+        A vector of V(mu) below the top that every e_k kills would generate
+        a proper submodule, so the e-image map is injective.  Candidate f_i b
+        (b in the basis at w + alpha_i) has the integer image e_k f_i b =
+        f_i e_k b + delta_ik (w + alpha_i)_i b at w + alpha_k.  The
+        candidates span L_w, so the Hermite basis of their images' lattice
+        is the image of a basis of L_w: its rows are the e-blocks, and each
+        candidate's coordinates in it are a column of the f-blocks into w."""
         self._built.add(beta)
         alpha = self.rs.simple_root_coords
-        w = self.highest.coords
-        for j, x in enumerate(beta):
-            w = _sub(w, tuple(x * a for a in alpha[j]))
-        ups = {}
-        for i, x in enumerate(beta):
-            up = _add(w, alpha[i])
-            if x and up in self.weights:
-                ups[i] = up
-        cands, images = [], []
+        w = (self.highest - self.rs.root_to_weight(beta)).coords
+        ups = {i: up for i, x in enumerate(beta)
+               if x and (up := _add(w, alpha[i])) in self.weights}
+        images = []
         for i, wi in ups.items():
-            di = len(self.weights[wi])
+            di = self.weights[wi]
             segs = []
             for k, wk in ups.items():
                 em = self.e_mats.get((k, wi))
                 fm = self.f_mats.get((i, _add(wi, alpha[k])))
-                seg = _exact(mat_mul(fm, em)) if em and fm else \
-                    [[0] * di for _ in self.weights[wk]]
+                seg = mat_mul(fm, em) if em and fm else \
+                    [[0] * di for _ in range(self.weights[wk])]
                 if k == i:
                     for b in range(di):
                         seg[b][b] += wi[i]
                 segs.extend(seg)
-            for b in range(di):
-                cands.append((i, b))
-                images.append([row[b] for row in segs])
-        if not cands:
+            images.extend(map(list, zip(*segs)))
+        rows, coords = lattice_basis(images)
+        if not rows:
             return
-        span = SpanBasis(len(images[0]))
-        chosen = [j for j, img in enumerate(images) if span.add(img)]
-        if not chosen:
-            return
-        self.weights[w] = [(i,) + self.weights[ups[i]][b]
-                           for i, b in (cands[j] for j in chosen)]
+        self.weights[w] = len(rows)
         top = 0
         for k, wk in ups.items():
-            rows = range(top, top + len(self.weights[wk]))
-            self.e_mats[(k, w)] = [[images[j][r] for j in chosen] for r in rows]
-            top = rows.stop
-        inv = mat_inv([[images[j][p] for j in chosen] for p in span.pivots])
-        coords = _exact(mat_mul(inv, [[img[p] for img in images]
-                                      for p in span.pivots]))
-        first = 0
-        for i, wi in ups.items():
-            cols = range(first, first + len(self.weights[wi]))
-            self.f_mats[(i, wi)] = [[row[c] for c in cols] for row in coords]
-            first = cols.stop
+            seg = range(top, top + self.weights[wk])
+            self.e_mats[(k, w)] = [[row[r] for row in rows] for r in seg]
+            self.f_mats[(k, wk)] = [list(col) for col in
+                                    zip(*(coords[c] for c in seg))]
+            top = seg.stop
 
     def root_vector_matrix(self, kind, root_idx, wcoords):
         """Exact matrix of e_alpha or f_alpha (kind "e"/"f", any positive
@@ -410,7 +387,7 @@ class IrrepRealization:
         (c,) = cb.table.bracket(idx(a), idx(b)).values()
         if wcoords not in self.weights or tgt not in self.weights:
             return [], tgt
-        out = [[0] * len(self.weights[wcoords]) for _ in self.weights[tgt]]
+        out = [[0] * self.weights[wcoords] for _ in range(self.weights[tgt])]
         for first, second, sgn in ((b, a, 1), (a, b, -1)):
             m1, mid = self.root_vector_matrix(kind, first, wcoords)
             m2 = self.root_vector_matrix(kind, second, mid)[0] if m1 else []
@@ -418,7 +395,7 @@ class IrrepRealization:
                 for row, term in zip(out, mat_mul(m2, m1)):
                     for t, x in enumerate(term):
                         row[t] += sgn * x
-        out = _exact([[Fraction(x, c) for x in row] for row in out])
+        out = [[_num(Fraction(x, c)) for x in row] for row in out]
         self._roots[key] = out
         return out, tgt
 
@@ -438,15 +415,15 @@ def v_extremes_dim(rs, mu, gamma, nu):
         return 0
     real = _module(rs, mu)
     real.build_to(diff)
-    n = real.weight_dim(gamma)
-    return nullity(_power_rows(rs, real, gamma.coords, nu, "+"), n) if n else 0
+    return nullity(_power_rows(rs, real, gamma.coords, nu, "+"),
+                   real.weight_dim(gamma))
 
 
 def realize(rs, mu, caps=Caps()):
-    """V(mu) with per-weight f-word bases and exact simple generator
-    matrices, built once per (system, mu) and checked block by block against
-    the dominant table of V(mu) expanded over W-orbits; refused past
-    caps.max_dim before the memo is consulted."""
+    """V(mu) with per-weight integral lattice bases and integer simple
+    generator matrices, built once per (system, mu) and checked block by
+    block against the dominant table of V(mu) expanded over W-orbits;
+    refused past caps.max_dim before the memo is consulted."""
     caps.check("max_dim", weyl_dimension(rs, mu), "dim V({})", mu)
     real = _module(rs, mu)
     if real.dimension is None:
@@ -454,16 +431,10 @@ def realize(rs, mu, caps=Caps()):
                  for x in dominant_orbit(rs, dom)}
         for w in mults:
             real.build_to(rs.root_lattice_coords(mu - Weight(w)))
-        for w, m in mults.items():
-            if real.weight_dim(w) != m:
-                raise InvariantViolation(
-                    f"block dimension {real.weight_dim(w)} != multiplicity "
-                    f"{m} at {w}")
-        if len(real.weights) != len(mults):
-            raise InvariantViolation("a block outside the weight table")
-        dim = sum(len(b) for b in real.weights.values())
-        if dim != weyl_dimension(rs, mu):
-            raise InvariantViolation("realization dimension mismatch")
+        dim = sum(mults.values())
+        if real.weights != mults or dim != weyl_dimension(rs, mu):
+            raise InvariantViolation(
+                f"the blocks of V({mu}) differ from its weight table")
         real.dimension = dim
     return real
 
@@ -474,8 +445,7 @@ def _power_rows(rs, real, key, nu, sign):
     mats = real.e_mats if sign == "+" else real.f_mats
     stacked = []
     for i, a in enumerate(rs.simple_root_coords):
-        mat = None
-        cur = key
+        mat, cur = None, key
         for _ in range(nu[i] + 1):
             step = mats.get((i, cur))
             if not step:
@@ -490,49 +460,41 @@ def _power_rows(rs, real, key, nu, sign):
 def v_extremes(rs, realization, gamma, nu, sign="+"):
     """(dimension, basis vectors) of V^{+/-}(mu; gamma, nu) in the realization.
 
-    Basis vectors are coordinate lists over the f-word basis at gamma.
+    Basis vectors are coordinate lists over the realization's basis at
+    gamma, a Z-basis of the f-words' lattice there (``IrrepRealization``).
     """
+    rs.require_same_system(realization)
     rs.require_dominant_integral(nu)
     rs.require_rank(gamma)
-    n = realization.weight_dim(gamma)
-    if n == 0:
-        return 0, []
     basis = kernel_basis(_power_rows(rs, realization, gamma.coords, nu, sign),
-                         n)
+                         realization.weight_dim(gamma))
     return len(basis), basis
 
 
 def zero_weight_spectrum(rs, realization, root_idx):
     """Multiplicities of the j(j+1) eigenvalues of f_alpha e_alpha on the
     zero weight space; returns ({j: m_j for m_j > 0}, m_mu = sum_{j>0} m_j)."""
+    rs.require_same_system(realization)
     rs.require_root_index(root_idx)
     zero = (0,) * rs.rank
     d0 = realization.weight_dim(Weight(zero))
     if d0 == 0:
         return {}, 0
-    emat, _ = realization.root_vector_matrix("e", root_idx, zero)
+    emat, alpha_w = realization.root_vector_matrix("e", root_idx, zero)
     if not emat:
         # e_alpha kills the whole zero space: f e = 0
         return {0: d0}, 0
-    alpha_w = rs.root_to_weight(rs.positive_roots[root_idx]).coords
     fmat, _ = realization.root_vector_matrix("f", root_idx, alpha_w)
     fe = mat_mul(fmat, emat)
-    jmax = 0
-    for wc in realization.weights:
-        pair = rs.pairing(Weight(wc), root_idx)
-        jmax = max(jmax, abs(pair))
-    jmax //= 2
+    jmax = max(abs(rs.pairing(Weight(wc), root_idx))
+               for wc in realization.weights) // 2
     spectrum = {}
-    found = 0
     for j in range(jmax + 1):
-        lam = j * (j + 1)
-        mat = [[fe[r][c] - (lam if r == c else 0) for c in range(d0)]
-               for r in range(d0)]
-        m = nullity(mat, d0)
+        m = nullity([[fe[r][c] - j * (j + 1) * (r == c) for c in range(d0)]
+                     for r in range(d0)], d0)
         if m:
             spectrum[j] = m
-            found += m
-    if found != d0:
+    if sum(spectrum.values()) != d0:
         raise InvariantViolation(
             "zero-weight spectrum has a non-j(j+1) eigenvalue")
     return spectrum, sum(m for j, m in spectrum.items() if j > 0)
@@ -553,43 +515,27 @@ class TensorModule:
         self.dimension = dim
         self.blocks = {}   # weight coords -> list of (w1, i1, w2, i2)
         self.index = {}
-        self._ops = {}     # (kind, i) -> _integral_op
-        for w1, b1 in real1.weights.items():
-            for w2, b2 in real2.weights.items():
+        for w1, n1 in real1.weights.items():
+            for w2, n2 in real2.weights.items():
                 tot = _add(w1, w2)
                 blk = self.blocks.setdefault(tot, [])
-                for i1 in range(len(b1)):
-                    for i2 in range(len(b2)):
+                for i1 in range(n1):
+                    for i2 in range(n2):
                         self.index[(w1, i1, w2, i2)] = (tot, len(blk))
                         blk.append((w1, i1, w2, i2))
 
-    def _integral_op(self, kind, i):
-        """(d, mats1, mats2): e_i or f_i on each factor's blocks, keyed by
-        weight, as integer matrices d times the exact ones, with d the lcm
-        of their denominators.  Made once per generator."""
-        hit = self._ops.get((kind, i))
-        if hit is None:
-            facs = [{w: m for (j, w), m in
-                     (r.e_mats if kind == "e" else r.f_mats).items() if j == i}
-                    for r in (self.r1, self.r2)]
-            d = lcm(1, *(x.denominator for fac in facs for m in fac.values()
-                         for row in m for x in row))
-            hit = self._ops[(kind, i)] = (d, *(
-                {w: [[int(x * d) for x in row] for row in m]
-                 for w, m in fac.items()} for fac in facs))
-        return hit
-
-    def _apply_scaled(self, kind, i, wcoords, vec):
-        """(target coords, d times the image, d) of a vector in one weight
-        block under e_i or f_i, d from ``_integral_op``, so an integer vector
-        has an integer image; None if it maps out of the module."""
+    def _apply(self, kind, i, wcoords, vec):
+        """(target coords, image) of a vector in one weight block under e_i
+        or f_i, None if it maps out of the module; an integer vector has an
+        integer image, as both factors' generator matrices are integral."""
         delta = self.rs.simple_root_coords[i]
         shift = _add if kind == "e" else _sub
         tgt = shift(wcoords, delta)
         blk = self.blocks.get(tgt)
         if blk is None:
             return None
-        d, mats1, mats2 = self._integral_op(kind, i)
+        mats1, mats2 = ((r.e_mats if kind == "e" else r.f_mats)
+                        for r in (self.r1, self.r2))
         index = self.index
         src = self.blocks[wcoords]
         out = [0] * len(blk)
@@ -597,28 +543,26 @@ class TensorModule:
             if c == 0:
                 continue
             w1, i1, w2, i2 = src[pos]
-            m1 = mats1.get(w1)
+            m1 = mats1.get((i, w1))
             if m1:
                 t1 = shift(w1, delta)
                 for r, row in enumerate(m1):
                     if row[i1]:
                         out[index[(t1, r, w2, i2)][1]] += c * row[i1]
-            m2 = mats2.get(w2)
+            m2 = mats2.get((i, w2))
             if m2:
                 t2 = shift(w2, delta)
                 for r, row in enumerate(m2):
                     if row[i2]:
                         out[index[(w1, i1, t2, r)][1]] += c * row[i2]
-        return tgt, out, d
+        return tgt, out
 
     def extremal_vector(self, w):
         """v_lam (x) v'_{w mu}: the canonical generator used by the
         generated-submodule constructions."""
-        lam = self.r1.highest
-        wmu = w.apply(self.r2.highest)
-        w1 = lam.coords
-        w2 = wmu.coords
-        if len(self.r1.weights[w1]) != 1 or len(self.r2.weights[w2]) != 1:
+        w1 = self.r1.highest.coords
+        w2 = w.apply(self.r2.highest).coords
+        if self.r1.weights[w1] != 1 or self.r2.weights[w2] != 1:
             raise InvariantViolation(
                 f"extremal weights {w1}, {w2} are not multiplicity-free")
         tot, pos = self.index[(w1, 0, w2, 0)]
@@ -634,17 +578,17 @@ def _close(tensor, spans, frontier, kinds, keep=None):
     any other weight is dropped.  The frontier list is extended in place by
     every vector that grew a span, so it ends as a basis of the closure.
 
-    Images are taken with ``_apply_scaled`` and divided by the gcd of their
-    entries: a constant multiple of a vector has the same span, and integer
-    seeds keep every vector integral and small."""
+    Images are divided by the gcd of their entries: a constant multiple of
+    a vector has the same span, and integer seeds keep every vector
+    integral and small."""
     rank = tensor.rs.rank
     for wc, vec in frontier:
         for kind in kinds:
             for i in range(rank):
-                res = tensor._apply_scaled(kind, i, wc, vec)
+                res = tensor._apply(kind, i, wc, vec)
                 if res is None:
                     continue
-                tgt, img, _ = res
+                tgt, img = res
                 if keep is not None and tgt not in keep:
                     continue
                 g = gcd(*img)
@@ -682,16 +626,15 @@ def highest_weight_count(tensor, basis, eta):
     """Number of independent highest-weight vectors of weight eta in the
     span of basis, independent integer vectors of the block at eta: the
     nullity of the e_i stacked on the basis, in ambient coordinates of the
-    target blocks (the rows of each e_i share one scale, which leaves the
-    kernel alone).  Elimination cost grows with the entries, so the
+    target blocks.  Elimination cost grows with the entries, so the
     closure's own gcd-reduced vectors make a cheaper basis than a
     ``SpanBasis``'s echelon rows, whose entries are minors."""
     key = eta.coords
     stacked = []
     for i in range(tensor.rs.rank):
-        images = [tensor._apply_scaled("e", i, key, vec) for vec in basis]
+        images = [tensor._apply("e", i, key, vec) for vec in basis]
         if images and images[0] is not None:
-            stacked.extend(zip(*(img for _, img, _ in images)))
+            stacked.extend(zip(*(img for _, img in images)))
     return nullity(stacked, len(basis))
 
 
@@ -724,7 +667,7 @@ def kprv_multiplicity(rs, lam, mu, w, caps=Caps()):
     closed under the f_i with images kept only at weights >= eta, is the
     generated submodule at every weight >= eta; the highest-weight count
     reads it at eta and at the eta + alpha_i."""
-    rs.require_weyl_element(w)
+    rs.require_same_system(w)
     real1 = realize(rs, lam, caps)
     real2 = realize(rs, mu, caps)
     tensor = TensorModule(rs, real1, real2, caps)

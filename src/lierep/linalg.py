@@ -1,13 +1,14 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals and the integers.
 
-Matrices are lists of lists holding ints or ``fractions.Fraction``.  One
-fraction-free elimination does all of it: ``SpanBasis`` keeps integer rows
+Matrices are lists of lists holding ints or ``fractions.Fraction``.  Spans
+over Q take one fraction-free elimination: ``SpanBasis`` keeps integer rows
 in echelon form with Bareiss's update (Math. Comp. 1968), one row at a time,
 and rank, nullity, kernel bases, inverses and determinants are read from its
 pivot rows.  A row with ``Fraction`` entries is first scaled by the lcm of
 its denominators, which changes neither its span nor its kernel.  A
 ``Fraction`` is made only by back-substitution and by the determinant's last
-division by those scale factors.
+division by those scale factors.  Spans over Z take the Hermite normal
+form instead: ``lattice_basis``.
 """
 
 from fractions import Fraction
@@ -155,3 +156,57 @@ def det(a):
     swaps = sum(c[j] > c[i] for i in range(len(c)) for j in range(i))
     last = span.rows[-1][c[-1]] if c else 1
     return Fraction((-1) ** swaps * last, den)
+
+
+def _reduce_below(v, rows, pivots, k):
+    """v with its entries at the pivots of rows[k:] reduced into 0..pivot-1."""
+    for row, c in zip(rows[k:], pivots[k:]):
+        q = v[c] // row[c]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return v
+
+
+def lattice_basis(vectors):
+    """(rows, coords): the reduced Hermite normal form of the Z-span of
+    integer vectors, and each vector's integer coordinates in it.
+
+    The rows are echelon with positive pivots, and each entry at a later
+    row's pivot lies in 0..pivot-1, which makes them unique.  A vector walks
+    the rows in pivot order; at a row with its leading column, Euclid's
+    algorithm on the pair leaves their gcd in the row and 0 in the vector,
+    and both are reduced modulo the later rows.  A last pass reduces every
+    row so; both reductions keep the entries small."""
+    rows, pivots = [], []
+    for v in vectors:
+        k = 0
+        while any(v):
+            c = next(t for t, x in enumerate(v) if x)
+            while k < len(rows) and pivots[k] < c:
+                k += 1
+            if k == len(rows) or pivots[k] > c:
+                v = v if v[c] > 0 else [-a for a in v]
+                rows.insert(k, _reduce_below(v, rows, pivots, k))
+                pivots.insert(k, c)
+                break
+            row = rows[k]
+            while v[c]:
+                q = v[c] // row[c]
+                v = [b - q * a for a, b in zip(row, v)]
+                if v[c]:
+                    row, v = v, row
+            if row is not rows[k]:
+                rows[k] = _reduce_below(row, rows, pivots, k + 1)
+            k += 1
+            v = _reduce_below(v, rows, pivots, k)
+    for k in reversed(range(len(rows))):
+        rows[k] = _reduce_below(rows[k], rows, pivots, k + 1)
+    coords = []
+    for v in vectors:
+        coords.append([])
+        for row, c in zip(rows, pivots):
+            q = v[c] // row[c]
+            coords[-1].append(q)
+            if q:
+                v = [a - q * b for a, b in zip(v, row)]
+    return rows, coords

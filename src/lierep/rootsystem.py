@@ -12,8 +12,8 @@ The Cartan matrix convention is ``cartan[i][j] = alpha_j(h_i)``, so the
 fundamental coordinates of alpha_j are the j-th column.
 
 Arguments are checked here: scalars by ``_num`` (TypeError), weights, simple
-and positive root indices and Weyl elements by the ``RootSystem.require_*``
-methods (ValueError).
+and positive root indices, and the system of a Weyl element, realization
+or Chevalley basis by the ``RootSystem.require_*`` methods (ValueError).
 """
 
 import math
@@ -418,11 +418,12 @@ class RootSystem:
             raise ValueError(f"simple root index {i!r} not in "
                              f"0..{self.rank - 1}")
 
-    def require_weyl_element(self, w):
-        """Raise ValueError unless the Weyl element w is one of this
-        system's."""
-        if w.rs is not self:
-            raise ValueError(f"{w} and {self} are from different root systems")
+    def require_same_system(self, *objs):
+        """Raise ValueError unless each object's ``rs`` is this system."""
+        for x in objs:
+            if x.rs is not self:
+                raise ValueError(f"{type(x).__name__} of {x.rs} and {self} "
+                                 f"are from different root systems")
 
     def zero_weight(self):
         return Weight((0,) * self.rank)

@@ -269,7 +269,7 @@ def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
     double-coset lower bound, and optionally the generated-submodule count,
     whose tensor module past caps.max_dim raises CapExceeded."""
     rs.require_dominant_integral(lam, mu)
-    rs.require_weyl_element(w)
+    rs.require_same_system(w)
     target = rs.dominant_in_orbit(lam + w.apply(mu))
     mult = multiplicity(rs, lam, mu, target, cross_check=False)
     bound = coset_fibers(rs, lam, mu, caps)[target.coords]

@@ -251,7 +251,7 @@ def bruhat_leq(u, w):
     iff x ends at rho, as only e lies below e.
     """
     rs = w.rs
-    rs.require_weyl_element(u)
+    rs.require_same_system(u)
     x = tuple(sum(row) for row in u.matrix)
     for i in w.word:
         if x[i] < 0:

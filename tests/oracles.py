@@ -130,3 +130,41 @@ def hc_projection_by_exponents(basis, u, w):
                 key = e[m:m + rank]
                 poly[key] = poly.get(key, 0) + c * c2
     return HPoly(rank, poly)
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and a x + b y = g, recursively."""
+    if b == 0:
+        return abs(a), (1 if a >= 0 else -1), 0
+    g, x, y = _xgcd(b, a % b)
+    return g, y, x - (a // b) * y
+
+
+def hermite_basis(vectors):
+    """Reduced Hermite normal form of the Z-span of integer vectors, by the
+    textbook elimination, column by column: extended gcds fold the rows not
+    yet used into one whose entry there is their gcd, the rest are left zero
+    there, and the rows above are reduced modulo the new pivot."""
+    work = [list(v) for v in vectors]
+    out = []
+    for c in range(len(work[0]) if work else 0):
+        piv, rest = None, []
+        for row in work:
+            if row[c] and piv is None:
+                piv = row
+                continue
+            if row[c]:
+                g, x, y = _xgcd(piv[c], row[c])
+                a, b = piv[c] // g, row[c] // g
+                piv, row = ([x * p + y * r for p, r in zip(piv, row)],
+                            [a * r - b * p for p, r in zip(piv, row)])
+            rest.append(row)
+        work = rest
+        if piv is None:
+            continue
+        if piv[c] < 0:
+            piv = [-x for x in piv]
+        out = [[x - (r[c] // piv[c]) * p for x, p in zip(r, piv)]
+               for r in out]
+        out.append(piv)
+    return out

@@ -4,8 +4,10 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from lierep.linalg import (SpanBasis, det, identity, kernel_basis, mat_inv,
-                           mat_mul, nullity, rank)
+from lierep.linalg import (SpanBasis, det, identity, kernel_basis,
+                           lattice_basis, mat_inv, mat_mul, nullity, rank)
+
+from oracles import hermite_basis
 
 
 def _pivot_columns(rows):
@@ -184,3 +186,24 @@ def test_span_basis_incremental(mat):
         assert span.contains(e_c) == (reference_rank(mat + [e_c]) == rank_)
     half = [Fraction(x, 2) for x in mat[0]]
     assert span.contains(half)
+
+
+def _lattice_inputs(n):
+    """Up to 6 integer vectors of length n, zero vectors and a repeated
+    vector among them."""
+    vec = st.one_of(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+                    st.just([0] * n))
+    return st.lists(vec, max_size=5).flatmap(
+        lambda vs: st.lists(st.sampled_from(vs), max_size=1).map(
+            lambda dup: vs + dup) if vs else st.just(vs))
+
+
+@given(st.integers(1, 6).flatmap(_lattice_inputs))
+def test_lattice_basis_is_the_hermite_normal_form(vs):
+    rows, coords = lattice_basis(vs)
+    assert rows == hermite_basis(vs)
+    assert len(coords) == len(vs)
+    for v, xs in zip(vs, coords):
+        assert [sum(x * row[c] for x, row in zip(xs, rows))
+                for c in range(len(v))] == v
+    assert len(rows) == rank(vs)

@@ -5,8 +5,10 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from lierep.centralchar import hc_inf_character, twisted_orbit_id
+from lierep.centralchar import (central_character, hc_inf_character,
+                                twisted_orbit_id)
 from lierep.config import Caps
+from lierep.enveloping import casimir, chevalley_basis
 from lierep.errors import CapExceeded
 from lierep.hcmodules import (HCParams, class_zero, equivalent,
                               finite_dimensional, invariants, isoclass_count)
@@ -469,6 +471,12 @@ BAD_INPUTS = {
         A2, realize(A2, W11), 7),
     "zero_weight_spectrum_negative_root": lambda: zero_weight_spectrum(
         A2, realize(A2, W11), -1),
+    "v_extremes_foreign_realization": lambda: v_extremes(
+        A2, realize(B2, W11), W0, W11),
+    "zero_weight_spectrum_foreign_realization": lambda: zero_weight_spectrum(
+        A2, realize(B2, Weight((0, 2))), 0),
+    "central_character_foreign_basis": lambda: central_character(
+        A2, chevalley_basis(B2), W11, casimir(chevalley_basis(B2))),
 }
 # RootSystem's message, which these cases must carry, not Python's
 BAD_INPUT_MESSAGES = {
@@ -477,6 +485,9 @@ BAD_INPUT_MESSAGES = {
     "hc_inf_character": "1 coordinates; A2 needs 2",
     "zero_weight_spectrum_past_last_root": "root index 7 not in 0..2",
     "zero_weight_spectrum_negative_root": "root index -1 not in 0..2",
+    "v_extremes_foreign_realization": "different root systems",
+    "zero_weight_spectrum_foreign_realization": "different root systems",
+    "central_character_foreign_basis": "different root systems",
 }
 
 
