@@ -587,10 +587,17 @@ def normal_form(basis, factors):
     return out
 
 
+def _require_element_of(basis, u):
+    if u.algebra is not basis.algebra:
+        raise ValueError("element is not in the enveloping algebra of "
+                         f"the Chevalley basis of {basis.rs}")
+
+
 def transpose(basis, u):
     """Anti-involution fixing h and swapping e_alpha with f_alpha (with the
     construction's signs on non-simple roots).  Acts monomial-by-monomial
     thanks to the mirrored e-block."""
+    _require_element_of(basis, u)
     m, rank = basis.m, basis.rank
     out = {}
     for exps, c in u.terms.items():
@@ -621,6 +628,7 @@ def _h_poly_from_terms(basis, terms):
 def hc_projection(basis, u, w=None):
     """Projection of a zero-weight element onto Sym h along the w-Borel
     decomposition; w None or the identity gives the standard one."""
+    _require_element_of(basis, u)
     if u.weight() not in (None, (0,) * basis.rank):
         raise ValueError("hc_projection needs a weight-zero element")
     if w is not None:

@@ -571,17 +571,17 @@ class TensorModule:
         return tot, vec
 
 
-def _close(tensor, spans, frontier, kinds, keep=None):
-    """Grow spans (weight coords -> SpanBasis), which already hold the
-    frontier's vectors, to their closure under e_i and/or f_i (kinds, a
-    string of "e" and "f"); with keep, a set of weight coords, an image at
-    any other weight is dropped.  The frontier list is extended in place by
-    every vector that grew a span, so it ends as a basis of the closure.
+def _close(tensor, spans, kinds, keep=None):
+    """Grow spans (weight coords -> SpanBasis) to their closure under e_i
+    and/or f_i (kinds, a string of "e" and "f"); with keep, a set of weight
+    coords, an image at any other weight is dropped.  The spans' rows start
+    the frontier, and every image that grows a span joins it.
 
     Images are divided by the gcd of their entries: a constant multiple of
     a vector has the same span, and integer seeds keep every vector
     integral and small."""
     rank = tensor.rs.rank
+    frontier = [(wc, row) for wc, span in spans.items() for row in span.rows]
     for wc, vec in frontier:
         for kind in kinds:
             for i in range(rank):
@@ -605,30 +605,26 @@ def _close(tensor, spans, frontier, kinds, keep=None):
 
 
 def _seeded(tensor, seeds, kinds):
-    """(spans, frontier) of the closure of the seeds under kinds."""
-    spans, frontier = {}, []
+    """Spans (weight coords -> SpanBasis) of the closure of the seeds under
+    kinds."""
+    spans = {}
     for wc, vec in seeds:
-        span = spans.setdefault(wc, SpanBasis(len(tensor.blocks[wc])))
-        if span.add(vec):
-            frontier.append((wc, vec))
-    _close(tensor, spans, frontier, kinds)
-    return spans, frontier
+        spans.setdefault(wc, SpanBasis(len(tensor.blocks[wc]))).add(vec)
+    return _close(tensor, spans, kinds)
 
 
 def generated_submodule(tensor, seeds):
     """Closure of weight-homogeneous seed vectors under all e_i, f_i: the
     whole submodule they generate.  Returns dict weight coords ->
     SpanBasis."""
-    return _seeded(tensor, seeds, "ef")[0]
+    return _seeded(tensor, seeds, "ef")
 
 
 def highest_weight_count(tensor, basis, eta):
     """Number of independent highest-weight vectors of weight eta in the
     span of basis, independent integer vectors of the block at eta: the
     nullity of the e_i stacked on the basis, in ambient coordinates of the
-    target blocks.  Elimination cost grows with the entries, so the
-    closure's own gcd-reduced vectors make a cheaper basis than a
-    ``SpanBasis``'s echelon rows, whose entries are minors."""
+    target blocks."""
     key = eta.coords
     stacked = []
     for i in range(tensor.rs.rank):
@@ -639,19 +635,16 @@ def highest_weight_count(tensor, basis, eta):
 
 
 def _generated_above(tensor, seed, eta):
-    """(spans, vectors): the submodule generated by the weight vector seed
-    at every weight >= eta, as dict weight coords -> SpanBasis, and the
-    (coords, vector) pairs that grew the spans, a basis of them.  The seed
-    is closed under the e_i, then what that reaches at weights >= eta under
-    the f_i, at weights >= eta (see ``kprv_multiplicity``)."""
+    """The submodule generated by the weight vector seed at every weight
+    >= eta, as dict weight coords -> SpanBasis: the seed is closed under
+    the e_i, then what that reaches at weights >= eta under the f_i, at
+    weights >= eta (see ``kprv_multiplicity``)."""
     rs = tensor.rs
     above = {wc for wc in tensor.blocks
              if min(rs.root_lattice_coords(_sub(wc, eta.coords))) >= 0}
-    raised, found = _seeded(tensor, [seed], "e")
-    spans = {wc: span for wc, span in raised.items() if wc in above}
-    vectors = [(wc, vec) for wc, vec in found if wc in above]
-    _close(tensor, spans, vectors, "f", above)
-    return spans, vectors
+    spans = {wc: span for wc, span in _seeded(tensor, [seed], "e").items()
+             if wc in above}
+    return _close(tensor, spans, "f", above)
 
 
 def kprv_multiplicity(rs, lam, mu, w, caps=Caps()):
@@ -672,6 +665,5 @@ def kprv_multiplicity(rs, lam, mu, w, caps=Caps()):
     real2 = realize(rs, mu, caps)
     tensor = TensorModule(rs, real1, real2, caps)
     eta = rs.dominant_in_orbit(lam + w.apply(mu))
-    _, vectors = _generated_above(tensor, tensor.extremal_vector(w), eta)
-    return highest_weight_count(
-        tensor, [vec for wc, vec in vectors if wc == eta.coords], eta)
+    spans = _generated_above(tensor, tensor.extremal_vector(w), eta)
+    return highest_weight_count(tensor, spans[eta.coords].rows, eta)

@@ -1,18 +1,18 @@
 """Exact linear algebra over the rationals and the integers.
 
 Matrices are lists of lists holding ints or ``fractions.Fraction``.  Spans
-over Q take one fraction-free elimination: ``SpanBasis`` keeps integer rows
-in echelon form with Bareiss's update (Math. Comp. 1968), one row at a time,
-and rank, nullity, kernel bases, inverses and determinants are read from its
-pivot rows.  A row with ``Fraction`` entries is first scaled by the lcm of
-its denominators, which changes neither its span nor its kernel.  A
-``Fraction`` is made only by back-substitution and by the determinant's last
-division by those scale factors.  Spans over Z take the Hermite normal
-form instead: ``lattice_basis``.
+take one elimination, ``SpanBasis``: the insertion of integer rows into a
+Hermite normal form by Euclid's algorithm (Cohen, A Course in Computational
+Algebraic Number Theory, 2.4.2), which keeps the entries small.  A row with
+``Fraction`` entries is first scaled by the lcm of its denominators, which
+changes neither its span nor its kernel.  Rank, nullity, kernels and
+inverses are read from its rows, and a ``Fraction`` is made only by
+back-substitution; ``lattice_basis`` finishes them into the reduced Hermite
+normal form of a Z-span.  ``det`` is a fraction-free (Bareiss) elimination.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 
 
 def mat_mul(a, b):
@@ -42,15 +42,26 @@ def _integral(row):
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
+def _reduce_below(v, rows, pivots, k):
+    """v with its entries at the pivots of rows[k:] reduced into 0..pivot-1."""
+    for row, c in zip(rows[k:], pivots[k:]):
+        q = v[c] // row[c]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return v
+
+
 class SpanBasis:
     """Row space of rational rows, grown one row at a time.
 
-    ``rows`` holds integer rows in the order they were added, ``pivots`` the
-    pivot column of each.  Row k is zero in the pivot columns of rows
-    0..k-1.  A new row x is reduced against them in order by Bareiss's step
-    x -> (p_k x - x[c_k] row_k) / p_(k-1), with p_k the pivot of row k and
-    p_(-1) = 1.  Each entry is then a minor of the rows added so far, so the
-    division is exact, even when x[c_k] is zero and the step only rescales.
+    ``rows`` holds integer rows in echelon form, in increasing order of
+    their pivot columns ``pivots``, each pivot positive.  A new row, scaled
+    to integers, walks the rows in pivot order; at a row with its leading
+    column, Euclid's algorithm on the pair leaves their gcd in the row and
+    0 in the new row, and both are reduced modulo the later rows, at whose
+    pivots their entries then lie in 0..pivot-1.  So the rows are a basis
+    of the lattice of the integer rows added, and the reductions keep their
+    entries small.
     """
 
     def __init__(self, ncols):
@@ -62,33 +73,45 @@ class SpanBasis:
     def dim(self):
         return len(self.rows)
 
-    def _reduce(self, vec):
-        v, _ = _integral(vec)
-        prev = 1
-        for row, c in zip(self.rows, self.pivots):
-            p = row[c]
-            x = v[c]
-            if x:
-                v = [(p * a - x * b) // prev for a, b in zip(v, row)]
-            elif p != prev:
-                v = [p * a // prev for a in v]
-            prev = p
-        return v
-
     def add(self, vec):
-        """Insert vec into the span; True if the dimension grew."""
-        if len(self.rows) == self.ncols:
-            return False
-        v = self._reduce(vec)
-        c = next((i for i, x in enumerate(v) if x), None)
-        if c is None:
-            return False
-        self.rows.append(list(v))  # v may be the caller's own row
-        self.pivots.append(c)
-        return True
+        """Insert vec into the span; True if the dimension grew.  The rows
+        may change even when it did not."""
+        rows, pivots = self.rows, self.pivots
+        if len(rows) == self.ncols and all(r[c] == 1 for r, c in
+                                           zip(rows, pivots)):
+            return False  # the rows are a basis of Z^ncols
+        v, _ = _integral(vec)
+        k = 0
+        while any(v):
+            c = next(t for t, x in enumerate(v) if x)
+            while k < len(rows) and pivots[k] < c:
+                k += 1
+            if k == len(rows) or pivots[k] > c:
+                v = list(v) if v[c] > 0 else [-a for a in v]
+                rows.insert(k, _reduce_below(v, rows, pivots, k))
+                pivots.insert(k, c)
+                return True
+            row = rows[k]
+            while v[c]:
+                q = v[c] // row[c]
+                v = [b - q * a for a, b in zip(row, v)]
+                if v[c]:
+                    row, v = v, row
+            if row is not rows[k]:
+                rows[k] = _reduce_below(row, rows, pivots, k + 1)
+            k += 1
+            v = _reduce_below(v, rows, pivots, k)
+        return False
 
     def contains(self, vec):
-        return not any(self._reduce(vec))
+        """True if vec lies in the rational span of the rows."""
+        v, _ = _integral(vec)
+        for row, c in zip(self.rows, self.pivots):
+            if v[c]:
+                g = gcd(row[c], v[c])
+                p, x = row[c] // g, v[c] // g
+                v = [p * a - x * b for a, b in zip(v, row)]
+        return not any(v)
 
     def kernel(self):
         """Basis of {x : row . x = 0 for every row}: for each free column f
@@ -135,70 +158,42 @@ def mat_inv(a):
     n = len(a)
     span = _echelon([list(row) + [-int(i == j) for j in range(n)]
                      for i, row in enumerate(a)], 2 * n)
-    if sorted(span.pivots) != list(range(n)):
+    if span.pivots != list(range(n)):
         raise ValueError("singular matrix")
     cols = span.kernel()
     return [[col[i] for col in cols] for i in range(n)]
 
 
 def det(a):
-    """Determinant of a square rational matrix: the last pivot, signed by
-    the order in which the pivot columns were taken and divided by the
-    scale factors of the rows."""
-    span = SpanBasis(len(a))
-    den = 1
-    for row in a:
-        row, d = _integral(row)
-        den *= d
-        if not span.add(row):
+    """Determinant of a square rational matrix by Bareiss's fraction-free
+    elimination (Math. Comp. 1968): after step k every entry below row k is
+    a minor, so each division is exact, and the last pivot is the
+    determinant, up to the sign of the row swaps and the rows' scales."""
+    scaled = [_integral(row) for row in a]
+    rows, den, prev = [r for r, _ in scaled], prod(d for _, d in scaled), 1
+    for k in range(len(rows)):
+        p = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if p is None:
             return Fraction(0)
-    c = span.pivots
-    swaps = sum(c[j] > c[i] for i in range(len(c)) for j in range(i))
-    last = span.rows[-1][c[-1]] if c else 1
-    return Fraction((-1) ** swaps * last, den)
-
-
-def _reduce_below(v, rows, pivots, k):
-    """v with its entries at the pivots of rows[k:] reduced into 0..pivot-1."""
-    for row, c in zip(rows[k:], pivots[k:]):
-        q = v[c] // row[c]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return v
+        if p != k:
+            rows[k], rows[p], den = rows[p], rows[k], -den
+        piv = rows[k][k]
+        for i in range(k + 1, len(rows)):
+            x = rows[i][k]
+            rows[i] = [(piv * u - x * v) // prev
+                       for u, v in zip(rows[i], rows[k])]
+        prev = piv
+    return Fraction(prev, den)
 
 
 def lattice_basis(vectors):
     """(rows, coords): the reduced Hermite normal form of the Z-span of
     integer vectors, and each vector's integer coordinates in it.
 
-    The rows are echelon with positive pivots, and each entry at a later
-    row's pivot lies in 0..pivot-1, which makes them unique.  A vector walks
-    the rows in pivot order; at a row with its leading column, Euclid's
-    algorithm on the pair leaves their gcd in the row and 0 in the vector,
-    and both are reduced modulo the later rows.  A last pass reduces every
-    row so; both reductions keep the entries small."""
-    rows, pivots = [], []
-    for v in vectors:
-        k = 0
-        while any(v):
-            c = next(t for t, x in enumerate(v) if x)
-            while k < len(rows) and pivots[k] < c:
-                k += 1
-            if k == len(rows) or pivots[k] > c:
-                v = v if v[c] > 0 else [-a for a in v]
-                rows.insert(k, _reduce_below(v, rows, pivots, k))
-                pivots.insert(k, c)
-                break
-            row = rows[k]
-            while v[c]:
-                q = v[c] // row[c]
-                v = [b - q * a for a, b in zip(row, v)]
-                if v[c]:
-                    row, v = v, row
-            if row is not rows[k]:
-                rows[k] = _reduce_below(row, rows, pivots, k + 1)
-            k += 1
-            v = _reduce_below(v, rows, pivots, k)
+    ``SpanBasis`` inserts the vectors; a last pass reduces every row modulo
+    the later pivots, which makes the rows unique and keeps them small."""
+    span = _echelon(vectors, len(vectors[0]) if vectors else 0)
+    rows, pivots = span.rows, span.pivots
     for k in reversed(range(len(rows))):
         rows[k] = _reduce_below(rows[k], rows, pivots, k + 1)
     coords = []

@@ -306,7 +306,7 @@ def test_triangular_route_matches_full_closure(label):
             eta = rs.dominant_in_orbit(lam + w.apply(mu))
             seed = tensor.extremal_vector(w)
             full = generated_submodule(tensor, [seed])
-            part, vectors = _generated_above(tensor, seed, eta)
+            part = _generated_above(tensor, seed, eta)
             above = [wc for wc in full if min(
                 rs.root_lattice_coords(Weight(wc) - eta)) >= 0]
             assert sorted(part) == sorted(above)
@@ -314,9 +314,8 @@ def test_triangular_route_matches_full_closure(label):
                 assert part[wc].dim == full[wc].dim
                 assert all(full[wc].contains(row) for row in part[wc].rows)
                 assert all(part[wc].contains(row) for row in full[wc].rows)
-            at_eta = [vec for wc, vec in vectors if wc == eta.coords]
-            assert len(at_eta) == part[eta.coords].dim
-            assert highest_weight_count(tensor, at_eta, eta) == \
+            assert highest_weight_count(tensor, part[eta.coords].rows,
+                                        eta) == \
                 highest_weight_count(tensor, full[eta.coords].rows, eta)
             assert kprv_multiplicity(rs, lam, mu, w) == 1
 
@@ -329,6 +328,21 @@ def test_kprv_on_large_tensor_products(label, lam, mu):
     lam, mu = Weight(lam), Weight(mu)
     for w in enumerate_weyl(rs):
         assert kprv_multiplicity(rs, lam, mu, w, Caps(max_dim=100000)) == 1
+
+
+def test_closure_rows_keep_small_entries(a2):
+    # the closure at w0 reaches the zero weight, the largest block; the
+    # cost of every insertion and of the count grows with the row entries
+    lam = Weight((3, 3))
+    caps = Caps(max_dim=100000)
+    real = realize(a2, lam, caps)
+    tensor = TensorModule(a2, real, real, caps)
+    w0 = longest_element(a2)
+    eta = a2.dominant_in_orbit(lam + w0.apply(lam))
+    spans = _generated_above(tensor, tensor.extremal_vector(w0), eta)
+    assert eta.coords in spans
+    assert all(len(str(abs(x))) <= 10 for span in spans.values()
+               for row in span.rows for x in row)
 
 
 def test_generated_submodule_containment(a2):

@@ -179,6 +179,9 @@ def test_span_basis_incremental(mat):
     rank_ = reference_rank(mat)
     assert grew == span.dim == rank_
     assert all(type(x) is int for row in span.rows for x in row)
+    assert all(a < b for a, b in zip(span.pivots, span.pivots[1:]))
+    for row, c in zip(span.rows, span.pivots):
+        assert row[c] > 0 and not any(row[:c])
     for row in mat:
         assert span.contains(row)
     for c in range(ncols):

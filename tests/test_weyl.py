@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 from lierep.centralchar import (central_character, hc_inf_character,
                                 twisted_orbit_id)
 from lierep.config import Caps
-from lierep.enveloping import casimir, chevalley_basis
+from lierep.enveloping import (casimir, chevalley_basis, hc_projection,
+                               shapovalov, transpose)
 from lierep.errors import CapExceeded
 from lierep.hcmodules import (HCParams, class_zero, equivalent,
                               finite_dimensional, invariants, isoclass_count)
@@ -477,6 +478,13 @@ BAD_INPUTS = {
         A2, realize(B2, Weight((0, 2))), 0),
     "central_character_foreign_basis": lambda: central_character(
         A2, chevalley_basis(B2), W11, casimir(chevalley_basis(B2))),
+    "hc_projection_foreign_element": lambda: hc_projection(
+        chevalley_basis(A2), casimir(chevalley_basis(B2))),
+    "transpose_foreign_element": lambda: transpose(
+        chevalley_basis(A2), chevalley_basis(B2).e(0)),
+    "shapovalov_foreign_elements": lambda: shapovalov(
+        chevalley_basis(A2), chevalley_basis(B2).f(0),
+        chevalley_basis(B2).f(0)),
 }
 # RootSystem's message, which these cases must carry, not Python's
 BAD_INPUT_MESSAGES = {
@@ -488,6 +496,9 @@ BAD_INPUT_MESSAGES = {
     "v_extremes_foreign_realization": "different root systems",
     "zero_weight_spectrum_foreign_realization": "different root systems",
     "central_character_foreign_basis": "different root systems",
+    "hc_projection_foreign_element": "not in the enveloping algebra",
+    "transpose_foreign_element": "not in the enveloping algebra",
+    "shapovalov_foreign_elements": "not in the enveloping algebra",
 }
 
 
