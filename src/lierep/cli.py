@@ -21,12 +21,14 @@ SCHEMA = "1"
 
 
 def _emit(args, data, text_lines):
+    """Print the JSON record of `data` with --json, else the lines that
+    the callable `text_lines` returns; it is not called for JSON."""
     if args.json:
         record = {"schema": SCHEMA}
         record.update(data)
         print(json.dumps(record, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -54,14 +56,13 @@ def cmd_roots(args):
         "weyl_order": rs.weyl_group_order,
         "symmetrizers": list(rs.sym),
     }
-    lines = [f"root system {rs.label}",
-             "cartan matrix: " + "; ".join(",".join(map(str, r))
-                                           for r in rs.cartan),
-             f"positive roots ({rs.nroots}): "
-             + " ".join("+".join(map(str, r.coeffs))
-                        for r in rs.positive_roots),
-             f"|W| = {rs.weyl_group_order}"]
-    _emit(args, data, lines)
+    _emit(args, data, lambda: [
+        f"root system {rs.label}",
+        "cartan matrix: " + "; ".join(",".join(map(str, r))
+                                      for r in rs.cartan),
+        f"positive roots ({rs.nroots}): "
+        + " ".join("+".join(map(str, r.coeffs)) for r in rs.positive_roots),
+        f"|W| = {rs.weyl_group_order}"])
 
 
 def cmd_weyl(args):
@@ -75,11 +76,14 @@ def cmd_weyl(args):
                       "sign": w.sign} for w in els],
         "longest": list(els[-1].word),
     }
-    lines = [f"|W({rs.label})| = {len(els)}"]
-    for w in els:
-        mark = "  <- longest" if w is els[-1] else ""
-        lines.append(f"  {_word_name(w.word):24s} length {w.length} "
-                     f"sign {w.sign:+d}{mark}")
+
+    def lines():
+        out = [f"|W({rs.label})| = {len(els)}"]
+        for w in els:
+            mark = "  <- longest" if w is els[-1] else ""
+            out.append(f"  {_word_name(w.word):24s} length {w.length} "
+                       f"sign {w.sign:+d}{mark}")
+        return out
     _emit(args, data, lines)
 
 
@@ -95,7 +99,7 @@ def cmd_mult(args):
             f"multiplicity routes disagree: {m} vs {f}")
     _emit(args, {"system": rs.label, "highest": format_weight(lam),
                  "weight": format_weight(mu), "multiplicity": m},
-          [str(m)])
+          lambda: [str(m)])
 
 
 def cmd_char(args):
@@ -105,9 +109,9 @@ def cmd_char(args):
     ch = character_of(rs, lam, args.caps)
     data = {"system": rs.label, "highest": format_weight(lam),
             "dimension": weyl_dimension(rs, lam), "character": ch.to_json()}
-    lines = [f"dim V({format_weight(lam)}) = {data['dimension']}"]
-    lines += [f"  {k}: {v}" for k, v in sorted(ch.to_json().items())]
-    _emit(args, data, lines)
+    _emit(args, data, lambda: [
+        f"dim V({format_weight(lam)}) = {data['dimension']}",
+        *(f"  {k}: {v}" for k, v in sorted(data["character"].items()))])
 
 
 def cmd_decompose(args):
@@ -121,10 +125,13 @@ def cmd_decompose(args):
         data["agreement"] = {m: True for m in METHODS}
     else:
         data = decompose(rs, lam, mu, args.method, args.caps).to_json()
-    lines = [f"V({format_weight(lam)}) (x) V({format_weight(mu)}) ="]
-    lines += [f"  V({k}) x {v}" for k, v in sorted(data["entries"].items())]
-    if args.method == "all":
-        lines.append("methods agree: " + " ".join(METHODS))
+
+    def lines():
+        out = [f"V({format_weight(lam)}) (x) V({format_weight(mu)}) ="]
+        out += [f"  V({k}) x {v}" for k, v in sorted(data["entries"].items())]
+        if args.method == "all":
+            out.append("methods agree: " + " ".join(METHODS))
+        return out
     _emit(args, data, lines)
 
 
@@ -137,7 +144,7 @@ def cmd_minimal_type(args):
     data = {"system": rs.label, "lambda": format_weight(lam),
             "mu": format_weight(mu), "cartan": format_weight(cartan),
             "minimal": format_weight(minimal)}
-    _emit(args, data, [format_weight(minimal)])
+    _emit(args, data, lambda: [data["minimal"]])
 
 
 def cmd_prv(args):
@@ -168,12 +175,16 @@ def cmd_prv(args):
         })
     data = {"system": rs.label, "lambda": format_weight(lam),
             "mu": format_weight(mu), "reports": reports}
-    lines = []
-    for r in reports:
-        extra = f" submodule-count {r['kprv_mult']}" \
-            if r["kprv_mult"] is not None else ""
-        lines.append(f"w={_word_name(r['word']):20s} target {r['target']:12s} "
-                     f"mult {r['mult']} bound {r['lower_bound']}{extra}")
+
+    def lines():
+        out = []
+        for r in reports:
+            extra = f" submodule-count {r['kprv_mult']}" \
+                if r["kprv_mult"] is not None else ""
+            out.append(f"w={_word_name(r['word']):20s} "
+                       f"target {r['target']:12s} "
+                       f"mult {r['mult']} bound {r['lower_bound']}{extra}")
+        return out
     _emit(args, data, lines)
 
 
@@ -192,9 +203,9 @@ def cmd_shapovalov_det(args):
             "direct": repr(direct.expand()),
             "formula": formula.to_json(),
             "ratio": str(ratio) if ratio is not None else "1"}
-    _emit(args, data, [f"direct  = {direct.expand()!r}",
-                       f"formula = {formula.expand()!r}",
-                       f"ratio   = {data['ratio']}"])
+    _emit(args, data, lambda: [f"direct  = {data['direct']}",
+                               f"formula = {formula.expand()!r}",
+                               f"ratio   = {data['ratio']}"])
 
 
 def cmd_prv_det(args):
@@ -209,9 +220,13 @@ def cmd_prv_det(args):
             "spectra": {"+".join(map(str, k)): {str(j): m
                                                 for j, m in sorted(v.items())}
                         for k, v in sorted(spectra.items())}}
-    lines = [f"det = {det.expand()!r} (degree {det.degree()})"]
-    for k, v in sorted(spectra.items()):
-        lines.append(f"  root {'+'.join(map(str, k))}: spectrum {dict(sorted(v.items()))}")
+
+    def lines():
+        out = [f"det = {det.expand()!r} (degree {data['degree']})"]
+        for k, v in sorted(spectra.items()):
+            out.append(f"  root {'+'.join(map(str, k))}: "
+                       f"spectrum {dict(sorted(v.items()))}")
+        return out
     _emit(args, data, lines)
 
 
@@ -226,8 +241,8 @@ def cmd_central_char(args):
             "casimir": str(value),
             "orbit_id": format_weight(twisted_orbit_id(rs, lam)),
             "projection": repr(hc_projection(basis, casimir(basis)))}
-    _emit(args, data, [f"Casimir acts by {value}",
-                       f"dot-orbit id {data['orbit_id']}"])
+    _emit(args, data, lambda: [f"Casimir acts by {value}",
+                               f"dot-orbit id {data['orbit_id']}"])
 
 
 def cmd_hc_invariants(args):
@@ -239,8 +254,9 @@ def cmd_hc_invariants(args):
             "minimal_type": format_weight(inv.minimal_type),
             "inf_char": [",".join(map(str, part))
                          for part in inv.inf_char.parts]}
-    _emit(args, data, [f"minimal type {data['minimal_type']}",
-                       f"infinitesimal character {data['inf_char']}"])
+    _emit(args, data, lambda: [
+        f"minimal type {data['minimal_type']}",
+        f"infinitesimal character {data['inf_char']}"])
 
 
 def cmd_hc_equivalent(args):
@@ -252,8 +268,8 @@ def cmd_hc_equivalent(args):
     data = {"system": rs.label, "p": p.to_json(), "q": q.to_json(),
             "equivalent": ok,
             "witness": list(w.word) if ok else None}
-    _emit(args, data, [f"equivalent via w = {_word_name(w.word)}"
-                       if ok else "not equivalent"])
+    _emit(args, data, lambda: [f"equivalent via w = {_word_name(w.word)}"
+                               if ok else "not equivalent"])
 
 
 def cmd_hc_class_zero(args):
@@ -266,10 +282,13 @@ def cmd_hc_class_zero(args):
             "complete": rep["complete"],
             "canonical": format_weight(rep["canonical"]),
             "mults": mults}
-    lines = [f"complete: {rep['complete']}",
-             f"canonical parameter: {data['canonical']}"]
-    if mults:
-        lines += [f"  V({k}) x {v}" for k, v in sorted(mults.items())]
+
+    def lines():
+        out = [f"complete: {rep['complete']}",
+               f"canonical parameter: {data['canonical']}"]
+        if mults:
+            out += [f"  V({k}) x {v}" for k, v in sorted(mults.items())]
+        return out
     _emit(args, data, lines)
 
 
@@ -283,8 +302,8 @@ def cmd_hc_finite_dim(args):
             "pair": [format_weight(fd[0]), format_weight(fd[1])]
             if fd else None}
     _emit(args, data,
-          [f"V({data['pair'][0]} , {data['pair'][1]})" if fd
-           else "not finite-dimensional"])
+          lambda: [f"V({data['pair'][0]} , {data['pair'][1]})" if fd
+                   else "not finite-dimensional"])
 
 
 def cmd_hc_count(args):
@@ -295,7 +314,7 @@ def cmd_hc_count(args):
     n = isoclass_count(rs, lam, mu, args.caps)
     data = {"system": rs.label, "lambda": format_weight(lam),
             "mu": format_weight(mu), "classes": n}
-    _emit(args, data, [str(n)])
+    _emit(args, data, lambda: [str(n)])
 
 
 def cmd_selftest(args):

@@ -12,20 +12,26 @@ PBW monomials are ordered f-block (roots ascending), Cartan block, e-block
 act monomial-by-monomial.
 
 Each ``PBWAlgebra`` interns its PBW monomials: an exponent tuple gets a
-small int id, private to that algebra, and its grading vector is computed
-once per id.  The one memo maps each straightened word to its normal form as
-an {id: coeff} dict, so sub-results and products merge on int keys; a
-product turns ids back into exponent tuples once per output term.
+small int id, private to that algebra, and its grading vector and its word
+are computed once per id.  Products go through a table on those ids: row i
+maps a right id j to the normal form of monomial_i * monomial_j as a flat
+tuple (id, coeff, id, coeff, ...), filled on the first request, by summing
+the exponents when the concatenated word is already sorted and by
+straightening it otherwise.  A product interns each factor's terms once and
+reads its rows by id, so it builds and hashes no word per pair of terms.
+Straightening works on words of PBW positions; its memo keeps every word
+met below a straightened word, not the word itself, whose normal form the
+table keeps.
 
 Coefficients and scalars pass ``rootsystem._num`` (TypeError unless an int
 or a ``Fraction``).  A product scales each factor to integers once, by the
-lcm of its denominators, straightens and merges on ints, and divides once
-per output term.
+lcm of its denominators, merges on ints, and divides once per output term.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from itertools import chain, compress, count
+from operator import add, gt, mul
 
 from .errors import InvariantViolation
 from .hpoly import HPoly, _require_exponent
@@ -359,11 +365,16 @@ def chevalley_basis(rs):
 # PBW normal form
 
 class PBWAlgebra:
-    """Straightening engine for U(g) over an ordered Lie basis.
+    """Straightening engine and product table for U(g) over an ordered
+    Lie basis.
 
     ``_ids`` and ``_exps`` intern the PBW monomials (exponent tuple -> id
-    and back); ``_memo`` maps each word of basis indices to its normal form
-    as an {id: coeff} dict.
+    and back); ``_words`` and ``_weights`` hold each id's word of basis
+    indices and grading vector, None until asked for.  ``_rows[i]``, made
+    when monomial i is first a left factor, maps a right id j to the normal
+    form of monomial_i * monomial_j as a flat tuple (id, coeff, ...).
+    ``_memo`` maps each word of PBW positions met inside a straightening to
+    its normal form as an {id: coeff} dict.
     """
 
     def __init__(self, table, order):
@@ -371,10 +382,18 @@ class PBWAlgebra:
         self.dim = table.dim
         self.order = tuple(order)
         self.pos = {b: p for p, b in enumerate(order)}
+        # _brackets[p][q], p > q: the bracket of the basis elements at
+        # positions p and q, as ((position, coeff), ...)
+        self._brackets = [
+            [tuple((self.pos[z], c) for z, c in
+                   table.bracket(self.order[p], self.order[q]).items())
+             for q in range(p)] for p in range(len(order))]
         self._memo = {}
         self._ids = {}
         self._exps = []
-        self._weights = []  # grading vector per id, None until asked for
+        self._words = []
+        self._rows = []
+        self._weights = []
         # (position, grading vector) of every position of nonzero weight
         w = table.weights
         self._graded = None if w is None else tuple(
@@ -386,6 +405,8 @@ class PBWAlgebra:
         if i is None:
             i = self._ids[exps] = len(self._exps)
             self._exps.append(exps)
+            self._words.append(None)
+            self._rows.append(None)
             self._weights.append(None)
         return i
 
@@ -393,31 +414,72 @@ class PBWAlgebra:
         return tuple([b for b, e in zip(self.order, exps) if e
                       for _ in range(e)])
 
+    def row(self, i):
+        """The product-table row of monomial i as a left factor."""
+        row = self._rows[i]
+        if row is None:
+            row = self._rows[i] = {}
+        return row
+
+    def word(self, i):
+        """Word of basis indices of monomial i, built once per id."""
+        w = self._words[i]
+        if w is None:
+            w = self._words[i] = self.monomial_word(self._exps[i])
+        return w
+
+    def product(self, i, j):
+        """Normal form of monomial_i * monomial_j as a flat tuple (id,
+        coeff, ...), filled into row i once."""
+        row = self.row(i)
+        nf = row.get(j)
+        if nf is None:
+            w1, w2 = self.word(i), self.word(j)
+            if not w1 or not w2 or self.pos[w1[-1]] <= self.pos[w2[0]]:
+                # the blocks do not interleave: concatenation is sorted
+                nf = (self.intern(tuple(map(add, self._exps[i],
+                                            self._exps[j]))), 1)
+            else:
+                nf = tuple(chain.from_iterable(
+                    self.straighten(w1 + w2).items()))
+            row[j] = nf
+        return nf
+
     def straighten(self, word):
-        """Normal form of a product of Lie basis elements, {id: coeff}."""
-        word = tuple(word)
-        hit = self._memo.get(word)
-        if hit is not None:
-            return hit
-        pos = self.pos
-        desc = next((k for k in range(len(word) - 1)
-                     if pos[word[k]] > pos[word[k + 1]]), None)
+        """Normal form of a word of Lie basis elements, {id: coeff}.  The
+        words met below it stay memoised; the word itself only if it was
+        met before, since the caller keeps its result."""
+        word = tuple(map(self.pos.__getitem__, word))
+        memo = self._memo
+        if word in memo:
+            return memo[word]
+        nf = self._normal_form(word)
+        del memo[word]
+        return nf
+
+    def _normal_form(self, word):
+        """Memoised normal form of a word of PBW positions: at its first
+        descent, x y = y x + [x, y]."""
+        memo = self._memo
+        nf = memo.get(word)
+        if nf is not None:
+            return nf
+        desc = next(compress(count(), map(gt, word, word[1:])), None)
         if desc is None:
             exps = [0] * self.dim
-            for b in word:
-                exps[pos[b]] += 1
-            result = {self.intern(tuple(exps)): 1}
+            for p in word:
+                exps[p] += 1
+            nf = {self.intern(tuple(exps)): 1}
         else:
+            head, tail = word[:desc], word[desc + 2:]
             x, y = word[desc], word[desc + 1]
-            swapped = word[:desc] + (y, x) + word[desc + 2:]
-            result = dict(self.straighten(swapped))
-            for z, c in self.table.bracket(x, y).items():
-                sub = self.straighten(word[:desc] + (z,) + word[desc + 2:])
-                for i, c2 in sub.items():
-                    result[i] = result.get(i, 0) + c * c2
-            result = {i: c for i, c in result.items() if c != 0}
-        self._memo[word] = result
-        return result
+            nf = dict(self._normal_form(head + (y, x) + tail))
+            for z, c in self._brackets[x][y]:
+                for i, c2 in self._normal_form(head + (z,) + tail).items():
+                    nf[i] = nf.get(i, 0) + c * c2
+            nf = {i: c for i, c in nf.items() if c}
+        memo[word] = nf
+        return nf
 
     def weight_of(self, exps):
         """Grading vector of a monomial, computed once per id."""
@@ -509,36 +571,28 @@ class UElement:
             return self.__rmul__(other)
         alg = self._same_algebra(other)
         # once per factor: its coefficients times the lcm of their
-        # denominators; once per term, not per pair: its word, and the PBW
-        # position of its last (left factor) or first (right factor) letter
+        # denominators; once per term, not per pair: its id
         lcoeffs, lden = _integral(list(self.terms.values()))
         rcoeffs, rden = _integral(list(other.terms.values()))
-        pos = alg.pos
-        lefts = [(e, c, w, pos[w[-1]] if w else -1)
-                 for e, c in zip(self.terms, lcoeffs)
-                 for w in [alg.monomial_word(e)]]
-        rights = [(e, c, w, pos[w[0]] if w else alg.dim)
-                  for e, c in zip(other.terms, rcoeffs)
-                  for w in [alg.monomial_word(e)]]
+        intern, rows, product = alg.intern, alg._rows, alg.product
+        rights = list(zip(map(intern, other.terms), rcoeffs))
         by_id = {}
-        memo, intern = alg._memo, alg.intern
-        for e1, c1, w1, last in lefts:
-            for e2, c2, w2, first in rights:
+        get, nxt = by_id.get, next
+        for e1, c1 in zip(self.terms, lcoeffs):
+            i = intern(e1)
+            row = rows[i] or alg.row(i)
+            for j, c2 in rights:
+                # a normal form is never empty: U(g) has no zero divisors
+                it = iter(row.get(j) or product(i, j))
                 c12 = c1 * c2
-                if last <= first:
-                    # the blocks do not interleave: concatenation is sorted
-                    i = intern(tuple(map(add, e1, e2)))
-                    by_id[i] = by_id.get(i, 0) + c12
-                    continue
-                word = w1 + w2
-                nf = memo.get(word)
-                if nf is None:
-                    nf = alg.straighten(word)
-                for i, c in nf.items():
-                    by_id[i] = by_id.get(i, 0) + c12 * c
+                for k in it:
+                    by_id[k] = get(k, 0) + c12 * nxt(it)
         exps, den = alg._exps, lden * rden
+        if den == 1:
+            return UElement._normalised(
+                alg, {exps[i]: c for i, c in by_id.items() if c})
         return UElement._normalised(alg, {
-            exps[i]: c if den == 1 else _num(Fraction(c, den))
+            exps[i]: Fraction(c, den) if c % den else c // den
             for i, c in by_id.items() if c})
 
     def __pow__(self, k):
@@ -625,16 +679,35 @@ def _h_poly_from_terms(basis, terms):
     return HPoly(rank, poly)
 
 
+def _not_weight_zero(u):
+    """Raise for an element with a term of nonzero weight: the
+    inhomogeneous-element error of ``weight`` if it applies."""
+    u.weight()
+    raise ValueError("hc_projection needs a weight-zero element")
+
+
 def hc_projection(basis, u, w=None):
     """Projection of a zero-weight element onto Sym h along the w-Borel
-    decomposition; w None or the identity gives the standard one."""
+    decomposition; w None or the identity gives the standard one.  Each
+    term's weight is tested in the pass that reads the term."""
     _require_element_of(basis, u)
-    if u.weight() not in (None, (0,) * basis.rank):
-        raise ValueError("hc_projection needs a weight-zero element")
     if w is not None:
         basis.rs.require_same_system(w)
+    alg, zero = u.algebra, (0,) * basis.rank
+    weight_of = alg.weight_of
     if w is None or w.is_identity:
-        return _h_poly_from_terms(basis, u.terms)
+        m, top = basis.m, basis.m + basis.rank
+        ids, weights = alg._ids, alg._weights
+        poly = {}
+        for exps, c in u.terms.items():
+            if any(exps[:m]) or any(exps[top:]):
+                # the weight cached for the term's id, if there is one
+                i = ids.get(exps)
+                if ((i is not None and weights[i]) or weight_of(exps)) != zero:
+                    _not_weight_zero(u)
+            else:
+                poly[exps[m:top]] = c
+        return HPoly(basis.rank, poly)
     # order adapted to the simple system w(Pi): root vectors over w(R-) first
     winv = w.inverse()
     neg, pos = [], []
@@ -649,15 +722,16 @@ def hc_projection(basis, u, w=None):
             pos.append(basis.idx_f(k))
     order = (tuple(neg) + tuple(basis.idx_h(i) for i in range(basis.rank))
              + tuple(reversed(pos)))
-    alg = _reordered_algebra(basis, order)
+    twisted = _reordered_algebra(basis, order)
     by_id = {}
     for exps, c in u.terms.items():
-        word = u.algebra.monomial_word(exps)
-        for i, c2 in alg.straighten(word).items():
+        if weight_of(exps) != zero:
+            _not_weight_zero(u)
+        for i, c2 in twisted.straighten(alg.monomial_word(exps)).items():
             by_id[i] = by_id.get(i, 0) + c * c2
     # in the reordered algebra the h-block occupies the same positions
     return _h_poly_from_terms(
-        basis, {alg._exps[i]: c for i, c in by_id.items()})
+        basis, {twisted._exps[i]: c for i, c in by_id.items()})
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ normal form of a Z-span.  ``det`` is a fraction-free (Bareiss) elimination.
 """
 
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm, prod
 
 
@@ -34,9 +35,12 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+_INT = frozenset((int,))
+
+
 def _integral(row):
     """(integer row, d): the row times the lcm d of its denominators."""
-    if all(type(x) is int for x in row):
+    if _INT.issuperset(map(type, row)):
         return row, 1
     den = lcm(*(x.denominator for x in row))
     return [x.numerator * (den // x.denominator) for x in row], den
@@ -44,7 +48,8 @@ def _integral(row):
 
 def _reduce_below(v, rows, pivots, k):
     """v with its entries at the pivots of rows[k:] reduced into 0..pivot-1."""
-    for row, c in zip(rows[k:], pivots[k:]):
+    for t in range(k, len(rows)):
+        row, c = rows[t], pivots[t]
         q = v[c] // row[c]
         if q:
             v = [a - q * b for a, b in zip(v, row)]
@@ -81,12 +86,12 @@ class SpanBasis:
                                            zip(rows, pivots)):
             return False  # the rows are a basis of Z^ncols
         v, _ = _integral(vec)
-        k = 0
-        while any(v):
-            c = next(t for t, x in enumerate(v) if x)
-            while k < len(rows) and pivots[k] < c:
+        k, n = 0, len(rows)
+        # the leading column of v, None once v is zero
+        while (c := next(compress(count(), v), None)) is not None:
+            while k < n and pivots[k] < c:
                 k += 1
-            if k == len(rows) or pivots[k] > c:
+            if k == n or pivots[k] > c:
                 v = list(v) if v[c] > 0 else [-a for a in v]
                 rows.insert(k, _reduce_below(v, rows, pivots, k))
                 pivots.insert(k, c)

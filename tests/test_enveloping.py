@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from lierep.rootsystem import RootVector, Weight, build_root_system
 from lierep.weyl import enumerate_weyl, longest_element
 from lierep.hpoly import HPoly
-from lierep.enveloping import (UElement, _h_poly_from_terms, casimir,
+from lierep.enveloping import (ChevalleyBasis, PBWAlgebra, UElement,
+                               _h_poly_from_terms, casimir,
                                casimir_eigenvalue, chevalley_basis,
                                hc_projection, is_central, normal_form,
                                shapovalov, transpose, twisted_poly)
@@ -354,6 +356,66 @@ def test_twisted_hc_projections_match_exponent_oracle(label):
     u = casimir(cb) ** 2
     for w in enumerate_weyl(rs):
         assert hc_projection(cb, u, w) == hc_projection_by_exponents(cb, u, w)
+
+
+def _stored_products(alg):
+    """Every entry of the product table of `alg`, as (left exponents, right
+    exponents, {exponent tuple: coeff})."""
+    for i, row in enumerate(alg._rows):
+        for j, flat in (row or {}).items():
+            yield (alg._exps[i], alg._exps[j],
+                   {alg._exps[k]: c for k, c in zip(flat[::2], flat[1::2])})
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_product_table_matches_exponent_oracle(label):
+    # a basis of its own, so that this sequence alone fills the table
+    from lierep.irreps import _monomials
+    rs = build_root_system(label)
+    cb = ChevalleyBasis(rs)
+    alg = cb.algebra
+    powers = [casimir(cb) ** k for k in (1, 2, 3)]
+    pad = (0,) * (cb.dim - rs.nroots)  # the f-block leads
+    for depth in product(range(5), repeat=rs.rank):
+        if 0 < sum(depth) <= 4:
+            els = [UElement(alg, {tuple(mono) + pad: 1})
+                   for mono in _monomials(rs, depth)]
+            for b1 in els:
+                for b2 in els:
+                    shapovalov(cb, b1, b2)
+    w0 = longest_element(rs)
+    for u in powers:
+        hc_projection(cb, u, w0)
+    stored = list(_stored_products(alg))
+    assert len(stored) > 100
+    memo = {}
+    for e1, e2, got in stored:
+        word = alg.monomial_word(e1) + alg.monomial_word(e2)
+        assert got == straighten_by_exponents(alg, word, memo)
+    # a second algebra on the same basis, asked in the other order, with
+    # ids of its own
+    other = PBWAlgebra(cb.table, alg.order)
+    for e1, e2, got in reversed(stored):
+        flat = other.product(other.intern(e1), other.intern(e2))
+        assert {other._exps[k]: c
+                for k, c in zip(flat[::2], flat[1::2])} == got
+
+
+def test_hc_projection_rejects_a_nonzero_weight(a2):
+    cb = chevalley_basis(a2)
+    with pytest.raises(ValueError, match="needs a weight-zero element"):
+        hc_projection(cb, cb.e(0))
+    with pytest.raises(ValueError, match="needs a weight-zero element"):
+        hc_projection(cb, cb.e(0), longest_element(a2))
+
+
+def test_hc_projection_rejects_an_inhomogeneous_element(a2):
+    cb = chevalley_basis(a2)
+    u = cb.e(0) + cb.f(0) * cb.e(0)
+    with pytest.raises(ValueError, match="inhomogeneous element"):
+        hc_projection(cb, u)
+    with pytest.raises(ValueError, match="inhomogeneous element"):
+        hc_projection(cb, u, longest_element(a2))
 
 
 @given(st.data())
