@@ -12,16 +12,17 @@ PBW monomials are ordered f-block (roots ascending), Cartan block, e-block
 act monomial-by-monomial.
 
 Each ``PBWAlgebra`` interns its PBW monomials: an exponent tuple gets a
-small int id, private to that algebra, and its grading vector and its word
-are computed once per id.  Products go through a table on those ids: row i
+small int id, private to that algebra, and its grading vector is computed
+once per id.  Every normal form comes from one table on those ids: row i
 maps a right id j to the normal form of monomial_i * monomial_j as a flat
-tuple (id, coeff, id, coeff, ...), filled on the first request, by summing
-the exponents when the concatenated word is already sorted and by
-straightening it otherwise.  A product interns each factor's terms once and
-reads its rows by id, so it builds and hashes no word per pair of terms.
-Straightening works on words of PBW positions; its memo keeps every word
-met below a straightened word, not the word itself, whose normal form the
-table keeps.
+tuple (id, coeff, id, coeff, ...), filled on the first request.  A sorted
+concatenation sums the exponents.  One letter x times y j' with x > y is
+y (x j') + [x, y] j', entries on a shorter j' or of lower degree, so the
+recursion is as deep as the degree of the product.  A longer left monomial
+multiplies j by its letters from the right through the one-letter entries,
+and so does straightening a word.  A product interns each factor's terms
+once and reads its rows by id, so it builds and hashes no word per pair of
+terms.
 
 Coefficients and scalars pass ``rootsystem._num`` (TypeError unless an int
 or a ``Fraction``).  A product scales each factor to integers once, by the
@@ -31,7 +32,7 @@ lcm of its denominators, merges on ints, and divides once per output term.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, count
-from operator import add, gt, mul
+from operator import add, mul
 
 from .errors import InvariantViolation
 from .hpoly import HPoly, _require_exponent
@@ -299,23 +300,30 @@ class ChevalleyBasis:
     # generators as UElements --------------------------------------------------
 
     def gen(self, idx):
+        if not (type(idx) is int and 0 <= idx < self.dim):
+            raise ValueError(f"basis index {idx!r} not in 0..{self.dim - 1}")
         return UElement.generator(self.algebra, idx)
 
     def e(self, i):
         """Simple generator e_i (i a simple-root index; alpha_i is root
         rank - 1 - i)."""
+        self.rs.require_simple_index(i)
         return self.gen(self.idx_e(self.rank - 1 - i))
 
     def f(self, i):
+        self.rs.require_simple_index(i)
         return self.gen(self.idx_f(self.rank - 1 - i))
 
     def h(self, i):
+        self.rs.require_simple_index(i)
         return self.gen(self.idx_h(i))
 
     def e_root(self, k):
+        self.rs.require_root_index(k)
         return self.gen(self.idx_e(k))
 
     def f_root(self, k):
+        self.rs.require_root_index(k)
         return self.gen(self.idx_f(k))
 
     def one(self):
@@ -365,16 +373,14 @@ def chevalley_basis(rs):
 # PBW normal form
 
 class PBWAlgebra:
-    """Straightening engine and product table for U(g) over an ordered
-    Lie basis.
+    """Product table for U(g) over an ordered Lie basis.
 
     ``_ids`` and ``_exps`` intern the PBW monomials (exponent tuple -> id
-    and back); ``_words`` and ``_weights`` hold each id's word of basis
-    indices and grading vector, None until asked for.  ``_rows[i]``, made
-    when monomial i is first a left factor, maps a right id j to the normal
-    form of monomial_i * monomial_j as a flat tuple (id, coeff, ...).
-    ``_memo`` maps each word of PBW positions met inside a straightening to
-    its normal form as an {id: coeff} dict.
+    and back), and ``_weights`` holds each id's grading vector, None until
+    asked for.  ``_rows[i]``, made when monomial i is first a left factor,
+    maps a right id j to the normal form of monomial_i * monomial_j as a
+    flat tuple (id, coeff, ...); every normal form is read from it.
+    ``_letters[p]`` is the id of the one-letter monomial at position p.
     """
 
     def __init__(self, table, order):
@@ -388,12 +394,14 @@ class PBWAlgebra:
             [tuple((self.pos[z], c) for z, c in
                    table.bracket(self.order[p], self.order[q]).items())
              for q in range(p)] for p in range(len(order))]
-        self._memo = {}
         self._ids = {}
         self._exps = []
-        self._words = []
         self._rows = []
         self._weights = []
+        unit = (0,) * self.dim
+        self._one = self.intern(unit)
+        self._letters = [self.intern(unit[:p] + (1,) + unit[p + 1:])
+                         for p in range(self.dim)]
         # (position, grading vector) of every position of nonzero weight
         w = table.weights
         self._graded = None if w is None else tuple(
@@ -405,7 +413,6 @@ class PBWAlgebra:
         if i is None:
             i = self._ids[exps] = len(self._exps)
             self._exps.append(exps)
-            self._words.append(None)
             self._rows.append(None)
             self._weights.append(None)
         return i
@@ -421,65 +428,57 @@ class PBWAlgebra:
             row = self._rows[i] = {}
         return row
 
-    def word(self, i):
-        """Word of basis indices of monomial i, built once per id."""
-        w = self._words[i]
-        if w is None:
-            w = self._words[i] = self.monomial_word(self._exps[i])
-        return w
-
     def product(self, i, j):
         """Normal form of monomial_i * monomial_j as a flat tuple (id,
-        coeff, ...), filled into row i once."""
+        coeff, ...), filled into row i once by one of the three rules of
+        the module docstring."""
         row = self.row(i)
         nf = row.get(j)
-        if nf is None:
-            w1, w2 = self.word(i), self.word(j)
-            if not w1 or not w2 or self.pos[w1[-1]] <= self.pos[w2[0]]:
-                # the blocks do not interleave: concatenation is sorted
-                nf = (self.intern(tuple(map(add, self._exps[i],
-                                            self._exps[j]))), 1)
-            else:
-                nf = tuple(chain.from_iterable(
-                    self.straighten(w1 + w2).items()))
-            row[j] = nf
+        if nf is not None:
+            return nf
+        ei, ej = self._exps[i], self._exps[j]
+        y = next(compress(count(), ej), None)  # the first letter of j
+        if y is None or not any(ei[y + 1:]):
+            nf = row[j] = (self.intern(tuple(map(add, ei, ej))), 1)
+            return nf
+        if sum(ei) > 1:
+            out = self._times(
+                [p for p in compress(count(), ei) for _ in range(ei[p])], j)
+        else:
+            # x y j' = y (x j') + [x, y] j'
+            rest = self.intern(ej[:y] + (ej[y] - 1,) + ej[y + 1:])
+            it = iter(row.get(rest) or self.product(i, rest))
+            out = self._add_times(y, zip(it, it), {})
+            for z, c in self._brackets[ei.index(1)][y]:
+                self._add_times(z, ((rest, c),), out)
+        nf = row[j] = tuple(chain.from_iterable(
+            (k, c) for k, c in out.items() if c))
+        return nf
+
+    def _add_times(self, p, terms, out):
+        """Add the letter at position p times the (id, coeff) pairs `terms`
+        into the dict `out`, and return it."""
+        x = self._letters[p]
+        known, get = self.row(x).get, out.get
+        for m, c in terms:
+            it = iter(known(m) or self.product(x, m))
+            for k in it:
+                out[k] = get(k, 0) + c * next(it)
+        return out
+
+    def _times(self, letters, j):
+        """Normal form of a word of PBW positions times monomial j, as
+        {id: coeff}: j multiplied by the letters from the right."""
+        nf = {j: 1}
+        for p in reversed(letters):
+            nf = {k: c for k, c in self._add_times(p, nf.items(), {}).items()
+                  if c}
         return nf
 
     def straighten(self, word):
-        """Normal form of a word of Lie basis elements, {id: coeff}.  The
-        words met below it stay memoised; the word itself only if it was
-        met before, since the caller keeps its result."""
-        word = tuple(map(self.pos.__getitem__, word))
-        memo = self._memo
-        if word in memo:
-            return memo[word]
-        nf = self._normal_form(word)
-        del memo[word]
-        return nf
-
-    def _normal_form(self, word):
-        """Memoised normal form of a word of PBW positions: at its first
-        descent, x y = y x + [x, y]."""
-        memo = self._memo
-        nf = memo.get(word)
-        if nf is not None:
-            return nf
-        desc = next(compress(count(), map(gt, word, word[1:])), None)
-        if desc is None:
-            exps = [0] * self.dim
-            for p in word:
-                exps[p] += 1
-            nf = {self.intern(tuple(exps)): 1}
-        else:
-            head, tail = word[:desc], word[desc + 2:]
-            x, y = word[desc], word[desc + 1]
-            nf = dict(self._normal_form(head + (y, x) + tail))
-            for z, c in self._brackets[x][y]:
-                for i, c2 in self._normal_form(head + (z,) + tail).items():
-                    nf[i] = nf.get(i, 0) + c * c2
-            nf = {i: c for i, c in nf.items() if c}
-        memo[word] = nf
-        return nf
+        """Normal form of a word of Lie basis elements, {id: coeff}: 1
+        multiplied by its letters from the right."""
+        return self._times(tuple(map(self.pos.__getitem__, word)), self._one)
 
     def weight_of(self, exps):
         """Grading vector of a monomial, computed once per id."""

@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +60,14 @@ def test_sl2_all_depths(a1):
         for j in range(1, k + 1):
             expect = expect * HPoly(1, {(1,): 1, (0,): 1 - j})
         assert formula.expand() == expect
+
+
+@pytest.mark.parametrize("n", [32, 40])
+def test_deep_sl2_direct_is_n_factorial_times_the_formula(a1, n):
+    # e^n f^n straightens through about n^2 swaps
+    direct = shapovalov_det(a1, (n,), "direct", n)
+    formula = shapovalov_det(a1, (n,), "formula", n)
+    assert direct.ratio_to(formula) == factorial(n)
 
 
 def test_a2_two_dimensional_level(a2):

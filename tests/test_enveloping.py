@@ -1,5 +1,7 @@
+import sys
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +83,27 @@ def test_sl2_straightening_examples(a1):
     assert e * f * f == f * f * e + 2 * (f * h) - 2 * f
     one = cb.one()
     assert (f * e) * one == f * e
+
+
+def test_straightening_stack_grows_with_the_degree():
+    # <f^40, f^40> = e^40 f^40 on v_h, in an algebra whose table no other
+    # test has filled, with the stack 150 frames deeper than here: a stack
+    # that grew with the number of swaps (about 40^2) would overflow it
+    cb = ChevalleyBasis(build_root_system("A1"))
+    f40 = cb.f(0) ** 40
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 150)
+    try:
+        got = shapovalov(cb, f40, f40)
+    finally:
+        sys.setrecursionlimit(limit)
+    want = HPoly.constant(1, factorial(40))
+    for k in range(40):
+        want = want * HPoly(1, {(1,): 1, (0,): -k})
+    assert got == want
 
 
 def test_a2_structure_constants_unit(a2):

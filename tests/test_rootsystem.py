@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from lierep.enveloping import chevalley_basis, normal_form
 from lierep.linalg import mat_inv
 from lierep.rootsystem import (RootVector, Weight, build_root_system,
                                dominance_hull_equiv, format_weight,
@@ -201,6 +202,20 @@ BAD_INDEX = {
     "fundamental_negative": lambda: A2.fundamental(-1),
     "simple_root_past_end": lambda: A2.simple_root(7),
     "reflect_negative": lambda: A2.reflect(-1, Weight((1, 0))),
+    # Chevalley generators: these returned another generator or raised
+    # KeyError
+    "chevalley_e_past_end": lambda: chevalley_basis(A2).e(5),
+    "chevalley_e_negative": lambda: chevalley_basis(A2).e(-1),
+    "chevalley_f_past_end": lambda: chevalley_basis(A2).f(2),
+    "chevalley_h_past_end": lambda: chevalley_basis(A2).h(2),
+    "chevalley_h_negative": lambda: chevalley_basis(A2).h(-1),
+    "chevalley_e_root_past_end": lambda: chevalley_basis(A2).e_root(3),
+    "chevalley_f_root_negative": lambda: chevalley_basis(A2).f_root(-1),
+    "chevalley_gen_past_end": lambda: chevalley_basis(A2).gen(99),
+    "chevalley_gen_bool": lambda: chevalley_basis(A2).gen(True),
+    "chevalley_gen_float": lambda: chevalley_basis(A2).gen(1.0),
+    "normal_form_past_end": lambda: normal_form(chevalley_basis(A2), [99]),
+    "normal_form_bool": lambda: normal_form(chevalley_basis(A2), [True]),
 }
 
 
