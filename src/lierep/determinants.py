@@ -1,6 +1,12 @@
 """Contravariant-form determinants: the direct Gram determinant against its
 product formula, and the zero-weight-space determinant product formula.
 
+The zero-weight determinant (Parthasarathy, Ranga Rao and Varadarajan, Ann.
+of Math. 85, 1967) is read from weight multiplicities alone: with
+d_j = dim V(mu)_{j alpha}, f_alpha e_alpha has eigenvalue j(j+1) on V(mu)_0
+with multiplicity m_j = d_j - d_{j+1}, and the exponent of
+(h_alpha + rho(h_alpha) - n) is dim V(mu)_{n alpha}.
+
 Overall constants are unspecified by the theory, so determinants are compared
 up to a single nonzero rational scalar (exact polynomial division).
 """
@@ -13,9 +19,10 @@ from .config import Caps
 from .errors import CapExceeded
 from .hpoly import HPoly
 from .rootsystem import Weight, RootVector
-from .characters import partition_function
+from .characters import (dominant_weight_table, partition_function,
+                         table_mult, weyl_dimension)
 from .enveloping import UElement, chevalley_basis, shapovalov
-from .irreps import _monomials, realize, zero_weight_spectrum
+from .irreps import _monomials
 
 __all__ = ["DetPolynomial", "shapovalov_det", "prv_det", "det_poly"]
 
@@ -191,24 +198,39 @@ def prv_det(rs, mu, caps=Caps()):
     degree-sum companion prod h_alpha^{m_mu(alpha)}, and the spectra per
     positive root.  For an empty zero weight space the determinant is the
     constant 1 (empty matrix) and spectra are empty.
+
+    Every number comes from the dominant table of V(mu), with no
+    realization: the sl2_alpha-strings through V(mu)_0 with top weight
+    j alpha number m_j = d_j - d_{j+1}, d_j = dim V(mu)_{j alpha}, so the
+    exponent of (h_alpha + rho(h_alpha) - n) is sum_{j >= n} m_j = d_n and
+    m_mu(alpha) = d_1.  ``irreps.zero_weight_spectrum`` reads the same
+    spectra from a realization, independently.
     """
     rs.require_dominant_integral(mu)
     if rs.root_lattice_coords(mu) is None:
         return (DetPolynomial(rs.rank, 1, ()), DetPolynomial(rs.rank, 1, ()),
                 {})
-    real = realize(rs, mu, caps)
+    caps.check("max_dim", weyl_dimension(rs, mu), "dim V({})", mu)
+    table = dominant_weight_table(rs, mu)
     rho = rs.rho
     factors = []
     lead = []
     scalar = Fraction(1)
     spectra = {}
-    for k in range(rs.nroots):
-        spec, m_sum = zero_weight_spectrum(rs, real, k)
+    zero = table_mult(rs, table, (0,) * rs.rank)
+    for k, alpha in enumerate(rs.root_weight_coords):
+        # d_j = dim V(mu)_{j alpha}, down the alpha-line until it leaves V(mu)
+        dims = [zero]
+        while dims[-1]:
+            dims.append(table_mult(rs, table,
+                                   tuple(len(dims) * a for a in alpha)))
+        spec = {j: d - dims[j + 1] for j, d in enumerate(dims[:-1])
+                if d != dims[j + 1]}
         spectra[rs.positive_roots[k].coeffs] = spec
-        if m_sum:
-            lead.append((rs.coroots[k], 0, m_sum))
+        if dims[1]:
+            lead.append((rs.coroots[k], 0, dims[1]))
         base = rs.pairing(rho, k) - 1
-        for j, m in sorted(spec.items()):
+        for j, m in spec.items():
             if j == 0:
                 continue
             # falling factorial {a, j} = (-1)^j j! a(a-1)...(a-j+1)

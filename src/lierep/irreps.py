@@ -473,7 +473,11 @@ def v_extremes(rs, realization, gamma, nu, sign="+"):
 
 def zero_weight_spectrum(rs, realization, root_idx):
     """Multiplicities of the j(j+1) eigenvalues of f_alpha e_alpha on the
-    zero weight space; returns ({j: m_j for m_j > 0}, m_mu = sum_{j>0} m_j)."""
+    zero weight space; returns ({j: m_j for m_j > 0}, m_mu = sum_{j>0} m_j).
+
+    Nullities of f_alpha e_alpha - j(j+1) on the realization: the route
+    independent of ``determinants.prv_det``, which reads the same numbers
+    from the dominant table."""
     rs.require_same_system(realization)
     rs.require_root_index(root_idx)
     zero = (0,) * rs.rank

@@ -401,7 +401,12 @@ class RootSystem:
                     f"{self.label} needs {self.rank}")
 
     def require_dominant_integral(self, *weights):
-        """Raise ValueError unless every weight is some V(lam)'s highest."""
+        """Raise TypeError unless every argument is a Weight, and ValueError
+        unless each is some V(lam)'s highest."""
+        for lam in weights:
+            if not isinstance(lam, Weight):
+                raise TypeError(f"highest weight {lam!r} must be a Weight, "
+                                f"not a {type(lam).__name__}")
         self.require_rank(*weights)
         for lam in weights:
             if not all(isinstance(c, int) and c >= 0 for c in lam.coords):

@@ -21,6 +21,8 @@ from lierep.characters import (_pf_covering, character_of, character_table,
                                rho_shifts, signed_partition_sums,
                                weight_drops,
                                weight_multiplicity, weyl_dimension)
+from lierep.determinants import prv_det
+from lierep.irreps import realize
 from lierep.rootsystem import RootVector
 from lierep.selfcheck import HULL_TYPES
 from lierep.tensor import METHODS, decompose, multiplicity
@@ -473,12 +475,21 @@ BAD_INPUTS = {
     "multiplicity_nu": lambda rs: multiplicity(rs, W2, W2, W1),
     **{f"decompose_mu_{m}": (lambda rs, m=m: decompose(rs, W2, W1, m))
        for m in METHODS},
+    # a tuple highest weight used to raise AttributeError
+    "weyl_dimension_tuple": lambda rs: weyl_dimension(rs, (1, 1)),
+    "character_of_tuple": lambda rs: character_of(rs, (1, 1)),
+    "decompose_tuple": lambda rs: decompose(rs, (1, 1), W2),
+    "prv_det_tuple": lambda rs: prv_det(rs, (1, 1)),
+    "realize_tuple": lambda rs: realize(rs, (1, 1)),
 }
+# the error each case must raise, where it is not ValueError
+BAD_INPUT_ERRORS = {name: TypeError for name in BAD_INPUTS
+                    if name.endswith("_tuple")}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_wrong_rank_and_non_integer_inputs_raise(a2, name):
-    with pytest.raises(ValueError):
+    with pytest.raises(BAD_INPUT_ERRORS.get(name, ValueError)):
         BAD_INPUTS[name](a2)
 
 

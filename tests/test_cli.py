@@ -173,8 +173,20 @@ def test_prv_rejects_malformed_word(capsys, word):
 
 def test_enveloping_rank_limit_is_a_usage_error(capsys):
     # a limit of the engine, not a cap: no flag raises it
-    code, out, err = run(capsys, "prv-det", "E6", "0,0,0,0,0,0")
+    code, out, err = run(capsys, "shapovalov-det", "E6", "1,0,0,0,0,0")
     assert code == 1 and out == "" and "rank <= 4" in err
+
+
+def test_prv_det_answers_past_the_enveloping_rank_limit(capsys):
+    # prv-det reads the dominant table, so it answers wherever the
+    # characters do: the E6 adjoint module, whose zero weight space is the
+    # Cartan subalgebra, has spectrum {0: 5, 1: 1} along each of 36 roots
+    code, out, err = run(capsys, "prv-det", "E6", "0,0,0,0,0,1", "--json")
+    assert code == 0, err
+    rec = json.loads(out)
+    assert rec["degree"] == 36
+    assert len(rec["spectra"]) == 36
+    assert all(spec == {"0": 5, "1": 1} for spec in rec["spectra"].values())
 
 
 def test_threads_flag_rejected(capsys):

@@ -1,18 +1,24 @@
+import importlib.util
 import random
 import re
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lierep import irreps
+from lierep.config import Caps
 from lierep.errors import CapExceeded
 from lierep.rootsystem import RootVector, Weight, build_root_system
 from lierep.characters import partition_function
 from lierep.hpoly import HPoly
-from lierep.irreps import VermaEngine, _monomials
+from lierep.irreps import (VermaEngine, _monomials, realize,
+                           zero_weight_spectrum)
 from lierep.linalg import det
+from lierep.selfcheck import dominant_weights_by_dim
 from lierep.determinants import (DetPolynomial, _lowering_gram, det_poly,
                                   prv_det, shapovalov_det)
 
@@ -306,6 +312,59 @@ def test_prv_det_degree_sums(a2, g2):
         assert lead.degree() == sum(
             1 for spec in spectra.values() for j in spec if j > 0
             for _ in range(spec[j]))
+
+
+# the set the two routes are compared on: every root-lattice V(mu), mu = 0
+# included, up to these dimensions (620 module, positive root pairs)
+PRV_AGREEMENT_DIMS = {"A2": 400, "B2": 400, "G2": 1000,
+                      "A3": 300, "B3": 300, "C3": 300}
+PRV_AGREEMENT_PAIRS = 620
+
+
+def _benchmark_prv_dim_caps():
+    """The module-algebra workload's PRV_DET_DIM_CAPS, read from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.PRV_DET_DIM_CAPS)
+
+
+def test_prv_det_spectra_match_the_realization():
+    # the dominant table's route (prv_det) against f_alpha e_alpha on a
+    # realization's zero weight space (zero_weight_spectrum)
+    bench = _benchmark_prv_dim_caps()
+    pairs = 0
+    for label in sorted(PRV_AGREEMENT_DIMS.keys() | bench.keys()):
+        rs = build_root_system(label)
+        cap = max(PRV_AGREEMENT_DIMS.get(label, 0), bench.get(label, 0))
+        caps = Caps(max_dim=cap)
+        for mu, dim in dominant_weights_by_dim(rs, cap):
+            if rs.root_lattice_coords(mu) is None:
+                continue
+            _det, lead, spectra = prv_det(rs, mu, caps)
+            real = realize(rs, mu, caps)
+            m_sums = {}
+            for k in range(rs.nroots):
+                spec, m_sum = zero_weight_spectrum(rs, real, k)
+                assert spectra[rs.positive_roots[k].coeffs] == spec, \
+                    (label, mu, k)
+                if m_sum:
+                    m_sums[rs.coroots[k]] = m_sum
+            assert {c: e for c, _, e in lead.factors} == m_sums, (label, mu)
+            if dim <= PRV_AGREEMENT_DIMS.get(label, 0):
+                pairs += rs.nroots
+    assert pairs == PRV_AGREEMENT_PAIRS
+
+
+def test_prv_det_builds_no_realization(g2, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("prv_det realized the module")
+    monkeypatch.setattr(irreps, "realize", refuse)
+    monkeypatch.setattr(irreps, "_module", refuse)
+    det, _lead, spectra = prv_det(g2, Weight((3, 3)), Caps(max_dim=100000))
+    assert det.degree() == 960
+    assert len(spectra) == g2.nroots
 
 
 def test_det_json_round_trip(a1):
