@@ -19,9 +19,9 @@ class Caps:
 
     max_weyl: largest Weyl group order that full enumeration will attempt
         (default covers every rank <= 4 type; the E series is refused).
-    max_dim: largest module dimension `realize`, `prv_det` and tensor
-        constructions accept.
-    max_char: largest dim V(lambda) for which a full formal character is built.
+    max_dim: largest module dimension `realize` and tensor modules accept.
+    max_char: largest dim V(lambda) whose character or dominant table (as in
+        `prv_det`) is built.
     """
 
     max_weyl: int = 1152

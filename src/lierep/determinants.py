@@ -17,8 +17,9 @@ from math import factorial
 
 from .config import Caps
 from .errors import CapExceeded
-from .hpoly import HPoly
-from .rootsystem import Weight, RootVector
+from .hpoly import HPoly, _mul_packed, _pack, _unpack
+from .linalg import _integral
+from .rootsystem import Weight, RootVector, _num
 from .characters import (dominant_weight_table, partition_function,
                          table_mult, weyl_dimension)
 from .enveloping import UElement, chevalley_basis, shapovalov
@@ -40,14 +41,25 @@ class DetPolynomial:
     _expanded: HPoly = field(default=None, init=False, repr=False)
 
     def expand(self):
+        """scalar * poly, packed once, times each factor scaled to ints."""
         if self._expanded is None:
             out = HPoly.constant(self.nvars, self.scalar)
             if self.poly is not None:
                 out = out * self.poly
-            for coeffs, const, exp in self.factors:
-                lin = HPoly.linear(list(coeffs), const)
-                for _ in range(exp):
-                    out = out * lin
+            if self.factors:
+                base = out.degree() + sum(e for _, _, e in self.factors) + 1
+                # a constant term shifts no exponent
+                shifts = [base ** j for j in range(self.nvars)] + [0]
+                ints, den = _integral(list(out.terms.values()))
+                terms = _pack(zip(out.terms, ints), shifts)
+                for coeffs, const, exp in self.factors:
+                    out._require_nvars(coeffs, "coefficients in each factor")
+                    ints, d = _integral([_num(c) for c in (*coeffs, const)])
+                    image = [(s, x) for s, x in zip(shifts, ints) if x]
+                    for _ in range(exp):
+                        terms = _mul_packed(terms, image, {})
+                    den *= d ** exp
+                out = _unpack(terms, self.nvars, base, den)
             self._expanded = out
         return self._expanded
 
@@ -93,38 +105,53 @@ class DetPolynomial:
 
 
 def det_poly(matrix):
-    """Determinant of a square matrix of HPoly entries.
+    """Determinant of a square matrix of HPoly entries in one ring.
 
     Laplace expansion along the rows, bottom up, with each minor computed
     once: the minor on the last k rows and a k-set S of columns is expanded
     along its top row into minors on the last k - 1 rows, which are keyed by
     their column sets (bit masks).  That is at most n * 2^(n-1) products in
     place of the n! of a cofactor recursion.
+
+    Rows are scaled to ints once; each minor is a dict of packed monomials
+    in base 1 + the sum of the rows' largest entry degrees, unpacked once.
     """
     n = len(matrix)
-    if n == 0:
+    if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("det_poly needs a nonempty square matrix")
-    nv = matrix[0][0].nvars
-    minors = {1 << j: entry for j, entry in enumerate(matrix[-1])}
+    nv = getattr(matrix[0][0], "nvars", None)
+    if not all(isinstance(e, HPoly) and e.nvars == nv
+               for row in matrix for e in row):
+        raise ValueError("det_poly needs HPoly entries in one ring")
+    base = 1 + sum(max(e.degree() for e in row) for row in matrix)
+    shifts = [base ** j for j in range(nv)]
+    den = 1
+    rows = []
+    for row in matrix:
+        ints, d = _integral([c for e in row for c in e.terms.values()])
+        den *= d
+        it = iter(ints)
+        # each zip stops at its entry's last term, drawing no further int
+        packed = [list(_pack(zip(e.terms, it), shifts).items()) for e in row]
+        rows.append([(j, p, [(k, -c) for k, c in p])
+                     for j, p in enumerate(packed) if p])
+    minors = {1 << j: dict(plus) for j, plus, _ in rows[-1]}
     for r in range(n - 2, -1, -1):
-        row = matrix[r]
         level = {}
         for mask, minor in minors.items():
-            if minor.is_zero:
-                continue
             # column j enters the top row of mask | 1 << j; its sign is the
             # parity of the columns of mask to its left
-            for j in range(n):
+            for j, plus, minus in rows[r]:
                 bit = 1 << j
-                if mask & bit or row[j].is_zero:
+                if mask & bit:
                     continue
-                term = row[j] * minor
-                if (mask & (bit - 1)).bit_count() % 2:
-                    term = -term
-                key = mask | bit
-                level[key] = level[key] + term if key in level else term
-        minors = level
-    return minors.get((1 << n) - 1, HPoly.constant(nv, 0))
+                odd = (mask & (bit - 1)).bit_count() % 2
+                _mul_packed(minor, minus if odd else plus,
+                            level.setdefault(mask | bit, {}))
+        level = {m: {k: c for k, c in t.items() if c}
+                 for m, t in level.items()}
+        minors = {m: t for m, t in level.items() if t}
+    return _unpack(minors.get((1 << n) - 1, {}), nv, base, den)
 
 
 def _as_root_vector(rs, nu):
@@ -204,13 +231,14 @@ def prv_det(rs, mu, caps=Caps()):
     j alpha number m_j = d_j - d_{j+1}, d_j = dim V(mu)_{j alpha}, so the
     exponent of (h_alpha + rho(h_alpha) - n) is sum_{j >= n} m_j = d_n and
     m_mu(alpha) = d_1.  ``irreps.zero_weight_spectrum`` reads the same
-    spectra from a realization, independently.
+    spectra from a realization, independently.  The cap is max_char, the
+    dominant table's.
     """
     rs.require_dominant_integral(mu)
     if rs.root_lattice_coords(mu) is None:
         return (DetPolynomial(rs.rank, 1, ()), DetPolynomial(rs.rank, 1, ()),
                 {})
-    caps.check("max_dim", weyl_dimension(rs, mu), "dim V({})", mu)
+    caps.check("max_char", weyl_dimension(rs, mu), "dim V({})", mu)
     table = dominant_weight_table(rs, mu)
     rho = rs.rho
     factors = []

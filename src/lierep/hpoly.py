@@ -7,13 +7,14 @@ of the denominators, work on ints, and make one ``Fraction`` per output
 term.
 
 ``.terms`` is keyed by exponent tuples.  Inside ``substitute_affine`` (the
-dot action of ``enveloping.twisted_poly``) a monomial is one packed int,
-exponent j as digit j in base deg + 1, unpacked once for the result.
+dot action of ``enveloping.twisted_poly``), ``determinants.det_poly`` and
+``DetPolynomial.expand`` a monomial is one packed int, exponent j as digit
+j in a base above every exponent reached, unpacked once for the result.
 """
 
 from fractions import Fraction
 from itertools import chain
-from operator import add
+from operator import add, mul
 
 from .linalg import _integral
 from .rootsystem import _num
@@ -181,21 +182,14 @@ class HPoly:
             top = max(groups)
             out = horner(groups[top], i + 1)
             for k in range(top - 1, -1, -1):
-                out = _mul_packed(out, images[i])
+                out = _mul_packed(out, images[i], {})
                 if k in groups:
                     _add_into(out, horner(groups[k], i + 1))
             return out
 
-        out = {}
-        for key, c in horner({e: c * d ** (deg - sum(e))
-                              for e, c in zip(self.terms, coeffs)}, 0).items():
-            if c:
-                exps = []
-                for _ in range(n):
-                    key, x = divmod(key, base)
-                    exps.append(x)
-                out[tuple(exps)] = c if den == 1 else Fraction(c, den)
-        return HPoly(n, out)
+        return _unpack(horner({e: c * d ** (deg - sum(e))
+                               for e, c in zip(self.terms, coeffs)}, 0),
+                       n, base, den)
 
     def ratio_to(self, other):
         """If self == q * other for a nonzero rational q, return q, else None."""
@@ -244,14 +238,39 @@ def _mul_ints(t1, t2):
     return {e: c for e, c in out.items() if c}
 
 
-def _mul_packed(terms, image):
-    """Product of a term dict keyed by packed monomials with a linear
-    image given as (shift, coefficient) pairs; int coefficients."""
+def _pack(terms, shifts):
+    """{sum of e_j * shifts[j]: c} for the (exponent tuple e, c) pairs
+    `terms`, with shifts[j] = base^j for a base above every exponent."""
+    return {sum(map(mul, e, shifts)): c for e, c in terms}
+
+
+def _unpack(terms, nvars, base, den):
+    """The HPoly of a term dict keyed by packed monomials with int
+    coefficients, each divided by den; zeros are dropped."""
     out = {}
+    for key, c in terms.items():
+        if c:
+            exps = []
+            for _ in range(nvars):
+                key, x = divmod(key, base)
+                exps.append(x)
+            out[tuple(exps)] = c if den == 1 else Fraction(c, den)
+    return HPoly(nvars, out)
+
+
+def _mul_packed(terms, image, out):
+    """Add the product of packed int terms with `image`, a list of (packed
+    monomial, coefficient) pairs, into the dict `out`; return it."""
+    items = terms.items()
+    if image and not out:
+        # the first pair fills an empty `out` with no lookups
+        (s, x), *image = image
+        out.update({k + s: c * x for k, c in items})
     get = out.get
-    for k, c in terms.items():
-        for s, x in image:
-            out[k + s] = get(k + s, 0) + c * x
+    for s, x in image:
+        for k, c in items:
+            key = k + s
+            out[key] = get(key, 0) + c * x
     return out
 
 

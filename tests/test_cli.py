@@ -189,6 +189,14 @@ def test_prv_det_answers_past_the_enveloping_rank_limit(capsys):
     assert all(spec == {"0": 5, "1": 1} for spec in rec["spectra"].values())
 
 
+def test_prv_det_is_capped_by_its_dominant_table(capsys):
+    # dim V(3,3) = 4096 of G2 is past the default max_dim (400), but prv-det
+    # builds only a dominant table, which max_char (20000) caps
+    code, out, err = run(capsys, "prv-det", "G2", "3,3", "--json")
+    assert code == 0, err
+    assert json.loads(out)["degree"] == 960
+
+
 def test_threads_flag_rejected(capsys):
     code, _, _ = run(capsys, "roots", "A1", "--threads", "2")
     assert code == 1

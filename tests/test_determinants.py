@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lierep import irreps
+from lierep import determinants, irreps
 from lierep.config import Caps
 from lierep.errors import CapExceeded
 from lierep.rootsystem import RootVector, Weight, build_root_system
@@ -38,6 +38,19 @@ def _cofactor_det(matrix):
                  for r in range(1, n)]
         term = entry * _cofactor_det(minor)
         out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def _reference_expand(det):
+    """DetPolynomial.expand as one HPoly product per factor power (the
+    oracle of the packed expansion)."""
+    out = HPoly.constant(det.nvars, det.scalar)
+    if det.poly is not None:
+        out = out * det.poly
+    for coeffs, const, exp in det.factors:
+        lin = HPoly.linear(list(coeffs), const)
+        for _ in range(exp):
+            out = out * lin
     return out
 
 
@@ -236,24 +249,56 @@ def test_det_poly_matches_cofactor_expansion(data):
     assert det_poly(matrix) == _cofactor_det(matrix)
 
 
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_det_poly_matches_cofactor_expansion_over_fractions(data):
+    # rational entries in 1-3 variables, with a zero row at times
+    nv = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 5))
+    exps = st.tuples(*[st.integers(0, 2)] * nv)
+    entry = st.dictionaries(exps, _FRACTIONS, max_size=3)
+    zero_rows = data.draw(st.sets(st.integers(0, n - 1), max_size=1))
+    matrix = [[HPoly(nv, {} if r in zero_rows else data.draw(entry))
+               for _ in range(n)] for r in range(n)]
+    got = det_poly(matrix)
+    assert got == _cofactor_det(matrix)
+    if zero_rows:
+        assert got.is_zero
+
+
+@pytest.mark.parametrize("matrix", [
+    pytest.param([[HPoly.variable(1, 0)] * 2], id="not_square"),
+    pytest.param([[HPoly.variable(1, 0), HPoly(2)],
+                  [HPoly(2), HPoly.variable(1, 0)]], id="two_rings"),
+])
+def test_det_poly_refuses_bad_matrices(matrix):
+    with pytest.raises(ValueError):
+        det_poly(matrix)
+
+
 def test_det_poly_products_are_not_factorial(monkeypatch):
-    # the cofactor expansion would need about 10! = 3.6 M products here
+    # the cofactor expansion would need about 10! = 3.6 M products here;
+    # each product of a row entry with a minor is one call of the packed
+    # product kernel
     n = 10
     rng = random.Random(0)
     matrix = [[HPoly.linear([1, rng.randint(-9, 9)], rng.randint(-9, 9))
                for _ in range(n)] for _ in range(n)]
     calls = 0
-    mul = HPoly.__mul__
+    mul = determinants._mul_packed
 
-    def counting_mul(self, other):
+    def counting_mul(*args):
         nonlocal calls
         calls += 1
-        return mul(self, other)
+        return mul(*args)
 
-    monkeypatch.setattr(HPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(determinants, "_mul_packed", counting_mul)
     got = det_poly(matrix)
     monkeypatch.undo()
-    assert calls <= n * 2 ** (n - 1)
+    assert 0 < calls <= n * 2 ** (n - 1)
     assert got.degree() == n
     for point in [(1, 2), (-3, 1), (Fraction(1, 2), 5)]:
         assert got.evaluate(point) == det(
@@ -321,13 +366,18 @@ PRV_AGREEMENT_DIMS = {"A2": 400, "B2": 400, "G2": 1000,
 PRV_AGREEMENT_PAIRS = 620
 
 
-def _benchmark_prv_dim_caps():
-    """The module-algebra workload's PRV_DET_DIM_CAPS, read from its file."""
+def _benchmark_workloads():
+    """The benchmark's workload module, read from its file."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return dict(module.PRV_DET_DIM_CAPS)
+    return module
+
+
+def _benchmark_prv_dim_caps():
+    """The module-algebra workload's PRV_DET_DIM_CAPS."""
+    return dict(_benchmark_workloads().PRV_DET_DIM_CAPS)
 
 
 def test_prv_det_spectra_match_the_realization():
@@ -387,3 +437,39 @@ def test_det_fields_describe_the_value(a1):
     first, second = (prv_det(a1, Weight((4,)))[0] for _ in range(2))
     first.expand()
     assert first == second and hash(first) == hash(second)
+
+
+def test_expand_matches_the_reference_on_the_benchmark_determinants():
+    # every factored determinant of module-algebra: the Shapovalov formula
+    # at each depth, and prv_det with its leading product at each weight
+    workloads = _benchmark_workloads()
+    dets = []
+    for label, cap in workloads.SHAPOVALOV_HEIGHTS:
+        rs = build_root_system(label)
+        dets += [shapovalov_det(rs, (a, b), "formula", cap)
+                 for a in range(cap + 1) for b in range(cap + 1 - a) if a + b]
+    for label, cap in workloads.PRV_DET_DIM_CAPS:
+        rs = build_root_system(label)
+        for mu, _dim in dominant_weights_by_dim(rs, cap):
+            dets += prv_det(rs, mu)[:2]
+    assert len(dets) > 100
+    for det in dets:
+        assert det.expand() == _reference_expand(det), det
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_expand_matches_the_reference(data):
+    # rational scalars, constants and coefficients, with and without an
+    # expanded factor
+    nv = data.draw(st.integers(1, 3))
+    scalar = data.draw(_FRACTIONS)
+    linear = st.tuples(st.tuples(*[_FRACTIONS] * nv), _FRACTIONS,
+                       st.integers(0, 3))
+    factors = tuple(data.draw(st.lists(linear, max_size=4)))
+    poly = data.draw(st.one_of(st.none(), st.builds(
+        HPoly, st.just(nv),
+        st.dictionaries(st.tuples(*[st.integers(0, 2)] * nv), _FRACTIONS,
+                        max_size=4))))
+    det = DetPolynomial(nv, scalar, factors, poly)
+    assert det.expand() == _reference_expand(det)
