@@ -17,15 +17,14 @@ from math import factorial
 
 from .config import Caps
 from .errors import CapExceeded
-from .hpoly import HPoly, _mul_packed, _pack, _unpack
-from .linalg import _integral
-from .rootsystem import Weight, RootVector, _num
+from .hpoly import HPoly, det_poly, product
+from .rootsystem import Weight, RootVector
 from .characters import (dominant_weight_table, partition_function,
                          table_mult, weyl_dimension)
 from .enveloping import UElement, chevalley_basis, shapovalov
 from .irreps import _monomials
 
-__all__ = ["DetPolynomial", "shapovalov_det", "prv_det", "det_poly"]
+__all__ = ["DetPolynomial", "shapovalov_det", "prv_det"]
 
 
 @dataclass(eq=False)
@@ -41,26 +40,12 @@ class DetPolynomial:
     _expanded: HPoly = field(default=None, init=False, repr=False)
 
     def expand(self):
-        """scalar * poly, packed once, times each factor scaled to ints."""
+        """scalar * poly * the factors, as one ``hpoly.product``."""
         if self._expanded is None:
-            out = HPoly.constant(self.nvars, self.scalar)
-            if self.poly is not None:
-                out = out * self.poly
-            if self.factors:
-                base = out.degree() + sum(e for _, _, e in self.factors) + 1
-                # a constant term shifts no exponent
-                shifts = [base ** j for j in range(self.nvars)] + [0]
-                ints, den = _integral(list(out.terms.values()))
-                terms = _pack(zip(out.terms, ints), shifts)
-                for coeffs, const, exp in self.factors:
-                    out._require_nvars(coeffs, "coefficients in each factor")
-                    ints, d = _integral([_num(c) for c in (*coeffs, const)])
-                    image = [(s, x) for s, x in zip(shifts, ints) if x]
-                    for _ in range(exp):
-                        terms = _mul_packed(terms, image, {})
-                    den *= d ** exp
-                out = _unpack(terms, self.nvars, base, den)
-            self._expanded = out
+            poly = [] if self.poly is None else [(self.poly, 1)]
+            self._expanded = product(self.nvars, [
+                (HPoly.constant(self.nvars, self.scalar), 1), *poly,
+                *((HPoly.linear(c, k), e) for c, k, e in self.factors)])
         return self._expanded
 
     def __eq__(self, other):
@@ -76,7 +61,9 @@ class DetPolynomial:
         return cls(poly.nvars, 1, (), poly)
 
     def degree(self):
-        if self.poly is None and self.factors:
+        # exact only for a nonzero scalar and nonconstant linear factors
+        if (self.poly is None and self.scalar
+                and all(any(c) for c, _, _ in self.factors)):
             return sum(e for _, _, e in self.factors)
         return self.expand().degree()
 
@@ -102,56 +89,6 @@ class DetPolynomial:
                 for exps, c in sorted(self.poly.terms.items(),
                                       key=lambda t: (-sum(t[0]), t[0]))]
         return out
-
-
-def det_poly(matrix):
-    """Determinant of a square matrix of HPoly entries in one ring.
-
-    Laplace expansion along the rows, bottom up, with each minor computed
-    once: the minor on the last k rows and a k-set S of columns is expanded
-    along its top row into minors on the last k - 1 rows, which are keyed by
-    their column sets (bit masks).  That is at most n * 2^(n-1) products in
-    place of the n! of a cofactor recursion.
-
-    Rows are scaled to ints once; each minor is a dict of packed monomials
-    in base 1 + the sum of the rows' largest entry degrees, unpacked once.
-    """
-    n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix):
-        raise ValueError("det_poly needs a nonempty square matrix")
-    nv = getattr(matrix[0][0], "nvars", None)
-    if not all(isinstance(e, HPoly) and e.nvars == nv
-               for row in matrix for e in row):
-        raise ValueError("det_poly needs HPoly entries in one ring")
-    base = 1 + sum(max(e.degree() for e in row) for row in matrix)
-    shifts = [base ** j for j in range(nv)]
-    den = 1
-    rows = []
-    for row in matrix:
-        ints, d = _integral([c for e in row for c in e.terms.values()])
-        den *= d
-        it = iter(ints)
-        # each zip stops at its entry's last term, drawing no further int
-        packed = [list(_pack(zip(e.terms, it), shifts).items()) for e in row]
-        rows.append([(j, p, [(k, -c) for k, c in p])
-                     for j, p in enumerate(packed) if p])
-    minors = {1 << j: dict(plus) for j, plus, _ in rows[-1]}
-    for r in range(n - 2, -1, -1):
-        level = {}
-        for mask, minor in minors.items():
-            # column j enters the top row of mask | 1 << j; its sign is the
-            # parity of the columns of mask to its left
-            for j, plus, minus in rows[r]:
-                bit = 1 << j
-                if mask & bit:
-                    continue
-                odd = (mask & (bit - 1)).bit_count() % 2
-                _mul_packed(minor, minus if odd else plus,
-                            level.setdefault(mask | bit, {}))
-        level = {m: {k: c for k, c in t.items() if c}
-                 for m, t in level.items()}
-        minors = {m: t for m, t in level.items() if t}
-    return _unpack(minors.get((1 << n) - 1, {}), nv, base, den)
 
 
 def _as_root_vector(rs, nu):

@@ -2,19 +2,21 @@
 
 Coefficients, scalars and values pass ``rootsystem._num`` (TypeError unless
 an int or a ``Fraction``), and exponents must be ints.  Products, affine
-substitution and evaluation scale their inputs to integers once, by the lcm
-of the denominators, work on ints, and make one ``Fraction`` per output
-term.
+substitution, determinants and evaluation scale their inputs to integers
+once, by the lcm of the denominators, work on ints, and make one
+``Fraction`` per output term.
 
-``.terms`` is keyed by exponent tuples.  Inside ``substitute_affine`` (the
-dot action of ``enveloping.twisted_poly``), ``determinants.det_poly`` and
-``DetPolynomial.expand`` a monomial is one packed int, exponent j as digit
-j in a base above every exponent reached, unpacked once for the result.
+``.terms`` is keyed by exponent tuples.  Inside the arithmetic a monomial is
+one packed int, exponent j as digit j in a base above every exponent
+reached.  One packing step (``_pack``) and one product (``_mul_packed``)
+serve all five callers: ``HPoly`` products and powers and
+``determinants.DetPolynomial.expand``, all three through ``product``;
+``substitute_affine`` (the dot action of ``enveloping.twisted_poly``); and
+``det_poly``.  Each unpacks its result once.
 """
 
 from fractions import Fraction
-from itertools import chain
-from operator import add, mul
+from operator import mul
 
 from .linalg import _integral
 from .rootsystem import _num
@@ -59,21 +61,16 @@ class HPoly:
     def degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def _same_ring(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError(f"polynomials in {self.nvars} and {other.nvars} "
-                             f"variables do not combine")
-
     def __add__(self, other):
         if not isinstance(other, HPoly):
             return NotImplemented
-        self._same_ring(other)
+        _same_ring(self.nvars, other)
         return HPoly(self.nvars, _add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, HPoly):
             return NotImplemented
-        self._same_ring(other)
+        _same_ring(self.nvars, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) - c
@@ -89,15 +86,10 @@ class HPoly:
     def __mul__(self, other):
         if not isinstance(other, HPoly):
             return NotImplemented
-        self._same_ring(other)
-        return HPoly(self.nvars, _mul_terms(self.terms, other.terms))
+        return product(self.nvars, [(self, 1), (other, 1)])
 
     def __pow__(self, k):
-        _require_exponent(k)
-        out = HPoly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
+        return product(self.nvars, [(self, k)])
 
     def __eq__(self, other):
         return isinstance(other, HPoly) and self.terms == other.terms
@@ -148,12 +140,9 @@ class HPoly:
         the L_i then gives c * d^deg times the result, and each output term
         is divided once.
 
-        The partial results are keyed by packed monomials: exponent j is
-        digit j of one int in base deg + 1.  Every partial result has total
-        degree <= deg, so no digit overflows into the next, and multiplying
-        by x_j is adding (deg + 1)^j to a key.  Each image is a list of
-        (shift, coefficient) pairs, and the keys are unpacked into exponent
-        tuples once, at the end.
+        The images are packed by ``_pack`` in base deg + 1: every partial
+        result has total degree <= deg, so no digit overflows into the
+        next.  The keys are unpacked into exponent tuples once, at the end.
         """
         n = self.nvars
         self._require_nvars(consts, "constants")
@@ -162,15 +151,11 @@ class HPoly:
             self._require_nvars(row, "entries in each row")
         if not self.terms:
             return HPoly(n)
-        ints, d = _integral([_num(x) for x in [*chain(*rows), *consts]])
-        coeffs, den = _integral(list(self.terms.values()))
         deg = self.degree()
+        images, d = _pack([HPoly.linear(r, c) for r, c in zip(rows, consts)],
+                          n, deg + 1)
+        coeffs, den = _integral(list(self.terms.values()))
         den *= d ** deg
-        base = deg + 1
-        shifts = [base ** j for j in range(n)] + [0]
-        images = [[(s, x) for s, x in zip(shifts, [*ints[i * n:i * n + n],
-                                                    ints[n * n + i]]) if x]
-                  for i in range(n)]
 
         def horner(terms, i):
             # terms: {exponents of variables i..n-1: int coefficient}, nonempty
@@ -189,7 +174,7 @@ class HPoly:
 
         return _unpack(horner({e: c * d ** (deg - sum(e))
                                for e, c in zip(self.terms, coeffs)}, 0),
-                       n, base, den)
+                       n, deg + 1, den)
 
     def ratio_to(self, other):
         """If self == q * other for a nonzero rational q, return q, else None."""
@@ -228,20 +213,22 @@ def _add_into(out, terms):
     return out
 
 
-def _mul_ints(t1, t2):
-    """Product of two term dicts with int coefficients; zeros are dropped."""
-    out = {}
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            key = tuple(map(add, e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
+def _same_ring(nvars, p):
+    if p.nvars != nvars:
+        raise ValueError(f"polynomials in {nvars} and {p.nvars} "
+                         f"variables do not combine")
 
 
-def _pack(terms, shifts):
-    """{sum of e_j * shifts[j]: c} for the (exponent tuple e, c) pairs
-    `terms`, with shifts[j] = base^j for a base above every exponent."""
-    return {sum(map(mul, e, shifts)): c for e, c in terms}
+def _pack(polys, nvars, base):
+    """(images, d): the polynomials `polys` in nvars variables, each times
+    the lcm d of all their denominators, as lists of (packed monomial, int
+    coefficient) pairs, exponent j as digit j in `base`."""
+    shifts = [base ** j for j in range(nvars)]
+    ints, d = _integral([c for p in polys for c in p.terms.values()])
+    it = iter(ints)
+    # each zip stops at its polynomial's last term, drawing no further int
+    return [[(sum(map(mul, e, shifts)), c) for e, c in zip(p.terms, it)]
+            for p in polys], d
 
 
 def _unpack(terms, nvars, base, den):
@@ -274,12 +261,67 @@ def _mul_packed(terms, image, out):
     return out
 
 
-def _mul_terms(t1, t2):
-    """Product of two term dicts: each factor is scaled to integers once,
-    and each output term divided once."""
-    c1s, d1 = _integral(list(t1.values()))
-    c2s, d2 = _integral(list(t2.values()))
-    out = _mul_ints(dict(zip(t1, c1s)) if d1 != 1 else t1,
-                    dict(zip(t2, c2s)) if d2 != 1 else t2)
-    den = d1 * d2
-    return out if den == 1 else {e: Fraction(c, den) for e, c in out.items()}
+def product(nvars, factors):
+    """The product of p ** k over the (HPoly p, int k) pairs `factors`, each
+    p in nvars variables.
+
+    The factors are packed once, in base 1 + the sum of k * deg p, above
+    every exponent of the product, multiplied on packed keys with int
+    coefficients, and the product is unpacked once.
+    """
+    for p, k in factors:
+        _same_ring(nvars, p)
+        _require_exponent(k)
+    base = 1 + sum(p.degree() * k for p, k in factors)
+    images, d = _pack([p for p, _ in factors], nvars, base)
+    terms = {0: 1}
+    for image, (_, k) in zip(images, factors):
+        for _ in range(k):
+            terms = _mul_packed(terms, image, {})
+    return _unpack(terms, nvars, base, d ** sum(k for _, k in factors))
+
+
+def det_poly(matrix):
+    """Determinant of a square matrix of HPoly entries in one ring.
+
+    Laplace expansion along the rows, bottom up, with each minor computed
+    once: the minor on the last k rows and a k-set S of columns is expanded
+    along its top row into minors on the last k - 1 rows, which are keyed by
+    their column sets (bit masks).  That is at most n * 2^(n-1) products in
+    place of the n! of a cofactor recursion.
+
+    Each row is packed once, in base 1 + the sum of the rows' largest entry
+    degrees; each minor is a dict of packed monomials, unpacked once.
+    """
+    n = len(matrix)
+    if n == 0 or any(len(row) != n for row in matrix):
+        raise ValueError("det_poly needs a nonempty square matrix")
+    nv = getattr(matrix[0][0], "nvars", None)
+    if not all(isinstance(e, HPoly) and e.nvars == nv
+               for row in matrix for e in row):
+        raise ValueError("det_poly needs HPoly entries in one ring")
+    base = 1 + sum(max(e.degree() for e in row) for row in matrix)
+    den = 1
+    rows = []
+    for row in matrix:
+        packed, d = _pack(row, nv, base)
+        den *= d
+        rows.append([(j, p, [(k, -c) for k, c in p])
+                     for j, p in enumerate(packed) if p])
+    minors = {1 << j: dict(plus) for j, plus, _ in rows[-1]}
+    for r in range(n - 2, -1, -1):
+        level = {}
+        for mask, minor in minors.items():
+            # column j enters the top row of mask | 1 << j; its sign is the
+            # parity of the columns of mask to its left
+            for j, plus, minus in rows[r]:
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                odd = (mask & (bit - 1)).bit_count() % 2
+                _mul_packed(minor, minus if odd else plus,
+                            level.setdefault(mask | bit, {}))
+        level = {m: {k: c for k, c in t.items() if c}
+                 for m, t in level.items()}
+        minors = {m: t for m, t in level.items() if t}
+    return _unpack(minors.get((1 << n) - 1, {}), nv, base, den)

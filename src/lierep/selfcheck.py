@@ -15,14 +15,14 @@ from operator import ge, mul
 
 from .rootsystem import Weight, build_root_system, dominance_hull_equiv
 from .weyl import (bruhat_leq, coset_fibers, enumerate_weyl, longest_element)
-from .characters import (dominant_drops, dominant_orbit,
-                         freudenthal_multiplicity, weight_drops,
+from .characters import (dominant_drops, dominant_orbit, dominant_weight_table,
+                         freudenthal_multiplicity, table_mult, weight_drops,
                          weyl_dimension)
 from .enveloping import (casimir, casimir_eigenvalue, chevalley_basis,
                          hc_projection, twisted_poly)
 from .hpoly import HPoly
 from .irreps import (TensorModule, generated_submodule, highest_weight_count,
-                     realize, v_extremes, v_extremes_dim, zero_weight_spectrum)
+                     realize, v_extremes, v_extremes_dim)
 from .tensor import decompose, decompose_all, extreme_types
 from .centralchar import hc_inf_character, sl2_omega, twisted_orbit_id
 from .determinants import DetPolynomial, prv_det, shapovalov_det
@@ -597,18 +597,18 @@ def check_module_classification():
 
 def _zero_weight_jmax(rs, nu):
     """Largest root-string eigenvalue index on V(nu)_0 over the simple
-    roots, or None when the default realization cap is hit."""
-    from .errors import CapExceeded
-    if freudenthal_multiplicity(rs, nu, rs.zero_weight()) == 0:
-        return None
-    try:
-        real = realize(rs, nu)
-    except CapExceeded:
+    roots, or None when V(nu)_0 = 0: the largest j with
+    dim V(nu)_{j alpha_i} != 0, read from the dominant table as
+    ``determinants.prv_det`` reads its spectra."""
+    table = dominant_weight_table(rs, nu)
+    if not table_mult(rs, table, (0,) * rs.rank):
         return None
     jmax = 0
-    for k in range(rs.rank):  # root indices 0..rank-1 are the simple roots
-        spec, _ = zero_weight_spectrum(rs, real, k)
-        jmax = max(jmax, max(spec))
+    # root indices 0..rank-1 are the simple roots; each alpha-string
+    # through the zero weight is unbroken
+    for alpha in rs.root_weight_coords[:rs.rank]:
+        while table_mult(rs, table, tuple((jmax + 1) * a for a in alpha)):
+            jmax += 1
     return jmax
 
 

@@ -2,13 +2,27 @@
 is the plain, slower or older form of a computation that the library does
 another way."""
 
+from fractions import Fraction
 from itertools import product as iproduct
 from math import floor
+from operator import add
 
 from lierep.characters import dominant_weight_table, weyl_dimension
 from lierep.enveloping import PBWAlgebra
 from lierep.hpoly import HPoly
 from lierep.rootsystem import RootVector
+
+
+def mul_by_exponents(p, q):
+    """p * q for HPolys in one ring, term by term on exponent tuples with
+    Fraction coefficients: no packing and no lcm scaling, so it shares no
+    code with hpoly.product."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            key = tuple(map(add, e1, e2))
+            out[key] = out.get(key, 0) + Fraction(c1) * c2
+    return HPoly(p.nvars, out)
 
 
 def partition_function_bruteforce(rs, beta):

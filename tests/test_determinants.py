@@ -9,18 +9,21 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lierep import determinants, irreps
+from lierep import hpoly, irreps
 from lierep.config import Caps
 from lierep.errors import CapExceeded
 from lierep.rootsystem import RootVector, Weight, build_root_system
 from lierep.characters import partition_function
-from lierep.hpoly import HPoly
+from lierep.hpoly import HPoly, det_poly
 from lierep.irreps import (VermaEngine, _monomials, realize,
                            zero_weight_spectrum)
 from lierep.linalg import det
 from lierep.selfcheck import dominant_weights_by_dim
-from lierep.determinants import (DetPolynomial, _lowering_gram, det_poly,
-                                  prv_det, shapovalov_det)
+from lierep.determinants import (DetPolynomial, _lowering_gram, prv_det,
+                                  shapovalov_det)
+from lierep.selfcheck import _zero_weight_jmax
+
+from oracles import mul_by_exponents
 
 
 def _cofactor_det(matrix):
@@ -36,21 +39,21 @@ def _cofactor_det(matrix):
             continue
         minor = [[matrix[r][c] for c in range(n) if c != j]
                  for r in range(1, n)]
-        term = entry * _cofactor_det(minor)
+        term = mul_by_exponents(entry, _cofactor_det(minor))
         out = out + term if j % 2 == 0 else out - term
     return out
 
 
 def _reference_expand(det):
-    """DetPolynomial.expand as one HPoly product per factor power (the
-    oracle of the packed expansion)."""
+    """DetPolynomial.expand as one exponent-tuple product per factor power
+    (the oracle of the packed expansion)."""
     out = HPoly.constant(det.nvars, det.scalar)
     if det.poly is not None:
-        out = out * det.poly
+        out = mul_by_exponents(out, det.poly)
     for coeffs, const, exp in det.factors:
         lin = HPoly.linear(list(coeffs), const)
         for _ in range(exp):
-            out = out * lin
+            out = mul_by_exponents(out, lin)
     return out
 
 
@@ -288,14 +291,14 @@ def test_det_poly_products_are_not_factorial(monkeypatch):
     matrix = [[HPoly.linear([1, rng.randint(-9, 9)], rng.randint(-9, 9))
                for _ in range(n)] for _ in range(n)]
     calls = 0
-    mul = determinants._mul_packed
+    mul = hpoly._mul_packed
 
     def counting_mul(*args):
         nonlocal calls
         calls += 1
         return mul(*args)
 
-    monkeypatch.setattr(determinants, "_mul_packed", counting_mul)
+    monkeypatch.setattr(hpoly, "_mul_packed", counting_mul)
     got = det_poly(matrix)
     monkeypatch.undo()
     assert 0 < calls <= n * 2 ** (n - 1)
@@ -407,6 +410,16 @@ def test_prv_det_spectra_match_the_realization():
     assert pairs == PRV_AGREEMENT_PAIRS
 
 
+def test_saturation_check_reads_jmax_past_the_realization_cap(a2):
+    # module-classification meets V(8,8), dim 729, above the default
+    # max_dim 400 of a realization; the dominant table answers for it
+    nu = Weight((8, 8))
+    real = realize(a2, nu, Caps(max_dim=1000))
+    spectra = [zero_weight_spectrum(a2, real, k)[0] for k in range(2)]
+    assert _zero_weight_jmax(a2, nu) == max(map(max, spectra)) == 8
+    assert _zero_weight_jmax(a2, Weight((1, 0))) is None
+
+
 def test_prv_det_builds_no_realization(g2, monkeypatch):
     def refuse(*_args):
         raise AssertionError("prv_det realized the module")
@@ -473,3 +486,22 @@ def test_expand_matches_the_reference(data):
                         max_size=4))))
     det = DetPolynomial(nv, scalar, factors, poly)
     assert det.expand() == _reference_expand(det)
+
+
+def test_degenerate_factors():
+    assert DetPolynomial(1, 1, (((0,), 5, 2),)).degree() == 0    # 25
+    assert DetPolynomial(1, 0, (((1,), 0, 2),)).degree() == 0    # 0
+    with pytest.raises(ValueError):
+        DetPolynomial(1, 1, (((1,), 0, -1),)).expand()
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_degree_matches_the_expansion(data):
+    # zero scalars, coefficients and constants come up often
+    nv = data.draw(st.integers(1, 3))
+    small = st.one_of(st.integers(-1, 1), _FRACTIONS)
+    linear = st.tuples(st.tuples(*[small] * nv), small, st.integers(0, 3))
+    det = DetPolynomial(nv, data.draw(small),
+                        tuple(data.draw(st.lists(linear, max_size=4))))
+    assert det.degree() == det.expand().degree()

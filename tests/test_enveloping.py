@@ -15,7 +15,8 @@ from lierep.enveloping import (ChevalleyBasis, PBWAlgebra, UElement,
                                hc_projection, is_central, normal_form,
                                shapovalov, transpose, twisted_poly)
 
-from oracles import hc_projection_by_exponents, straighten_by_exponents
+from oracles import (hc_projection_by_exponents, mul_by_exponents,
+                     straighten_by_exponents)
 
 RANK_LE_3 = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
 
@@ -41,8 +42,8 @@ def _reference_mul(u, v):
 
 
 def _reference_substitute(poly, rows, consts):
-    """Term-by-term substitution, one HPoly product per unit of exponent
-    (the oracle of HPoly.substitute_affine)."""
+    """Term-by-term substitution, one exponent-tuple product per unit of
+    exponent (the oracle of HPoly.substitute_affine)."""
     n = poly.nvars
     images = [HPoly.linear(rows[i], consts[i]) for i in range(n)]
     out = HPoly.constant(n, 0)
@@ -50,7 +51,7 @@ def _reference_substitute(poly, rows, consts):
         term = HPoly.constant(n, c)
         for i, e in enumerate(exps):
             for _ in range(e):
-                term = term * images[i]
+                term = mul_by_exponents(term, images[i])
         out = out + term
     return out
 
@@ -501,6 +502,23 @@ def test_substitute_affine_matches_term_by_term(data):
     poly = HPoly(n, terms)
     assert (poly.substitute_affine(rows, consts)
             == _reference_substitute(poly, rows, consts))
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_products_and_powers_match_the_exponent_tuple_product(data):
+    # 0-3 variables, the zero polynomial included
+    n = data.draw(st.integers(0, 3))
+    polys = st.builds(HPoly, st.just(n), st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.fractions(-2, 2, max_denominator=3), max_size=4))
+    p, q = data.draw(polys), data.draw(polys)
+    assert p * q == mul_by_exponents(p, q)
+    k = data.draw(st.integers(0, 4))
+    expect = HPoly.constant(n, 1)
+    for _ in range(k):
+        expect = mul_by_exponents(expect, p)
+    assert p ** k == expect
 
 
 def test_negative_powers_raise(a1):
