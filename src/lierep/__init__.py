@@ -14,7 +14,8 @@ _HOMES = {
     "rootsystem": ("RootSystem", "Weight", "RootVector", "build_root_system",
                    "parse_weight", "format_weight", "dominance_hull_equiv"),
     "weyl": ("WeylElement", "enumerate_weyl", "longest_element",
-             "dominant_representative", "double_cosets"),
+             "dominant_representative", "double_cosets", "twisted_orbit_id",
+             "hc_inf_character", "CentralCharacterId"),
     "characters": ("partition_function", "weight_multiplicity",
                    "freudenthal_multiplicity", "character_of",
                    "weyl_dimension", "Character"),
@@ -25,8 +26,7 @@ _HOMES = {
     "tensor": ("Decomposition", "decompose", "decompose_all", "multiplicity",
                "extreme_types", "generalized_prv", "minuscule_decompose",
                "component_tests"),
-    "centralchar": ("central_character", "hc_inf_character", "sl2_omega",
-                    "twisted_orbit_id", "CentralCharacterId"),
+    "centralchar": ("central_character", "sl2_omega"),
     "determinants": ("shapovalov_det", "prv_det", "DetPolynomial"),
     "hcmodules": ("HCParams", "invariants", "equivalent",
                   "finite_dimensional", "class_zero", "isoclass_count"),

@@ -1,11 +1,11 @@
-"""Central characters, linkage classes, and infinitesimal characters of the
-parameterized irreducible modules.
+"""Central characters through U(g): the scalar by which a central element
+acts on a highest-weight module, read from its Harish-Chandra projection,
+and the rank-one Omega' check, which computes the three commuting Casimirs
+inside U(g x g) modulo the twisted positive part and confirms the
+closed-form values.
 
-A central character is identified by the canonical representative of its
-dot-orbit: the dominance algorithm applied to lam + rho, shifted back.  For
-the product algebra the identifier is a pair.  The rank-one Omega' check
-computes the three commuting Casimirs inside U(g x g) modulo the twisted
-positive part and confirms the closed-form values.
+The dot-orbit ids that name central characters need no U(g): they live in
+``weyl`` (``twisted_orbit_id``, ``hc_inf_character``).
 """
 
 from dataclasses import dataclass
@@ -17,27 +17,7 @@ from .enveloping import (PBWAlgebra, UElement, chevalley_basis, hc_projection,
                          is_central, product_bracket)
 from .hpoly import HPoly
 
-__all__ = [
-    "CentralCharacterId", "central_character", "twisted_orbit_id",
-    "hc_inf_character", "sl2_omega", "Sl2OmegaResult",
-]
-
-
-@dataclass(frozen=True)
-class CentralCharacterId:
-    """Canonical dot-orbit representative(s); equal ids mean equal characters."""
-
-    parts: tuple  # one coordinate tuple per tensor factor
-
-    def __repr__(self):
-        return "chi(" + "; ".join(",".join(map(str, p)) for p in self.parts) + ")"
-
-
-def twisted_orbit_id(rs, lam):
-    """Canonical representative of the dot orbit of lam (a Weight)."""
-    rs.require_rank(lam)
-    shifted = rs.dominant_in_orbit(lam + rs.rho)
-    return shifted - rs.rho
+__all__ = ["central_character", "sl2_omega", "Sl2OmegaResult"]
 
 
 def central_character(rs, basis, lam, z):
@@ -47,17 +27,6 @@ def central_character(rs, basis, lam, z):
     if not is_central(basis, z):
         raise ValueError("element is not central")
     return hc_projection(basis, z).evaluate(list(lam.coords))
-
-
-def hc_inf_character(rs, lam, nu):
-    """Infinitesimal character id of the module with parameters (lam, nu):
-    the pair chi(lam, nu - lam - 2 rho) up to the componentwise dot action."""
-    rs.require_rank(lam, nu)
-    if not nu.is_integral:
-        raise ValueError("nu must be integral")
-    second = nu - lam - 2 * rs.rho
-    return CentralCharacterId((twisted_orbit_id(rs, lam).coords,
-                               twisted_orbit_id(rs, second).coords))
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,8 @@ root coordinates, built by a coin-change pass per non-simple root and a
 prefix sum per simple root.  No caller sizes it: partition_function and
 signed_partition_sums ask for the box they read, the latter one box for all
 of its drops, and a request past the table's box gets a table on its own.
+kostant_partitions lists the partitions it counts: the lowering monomials
+of the Shapovalov and Verma models.
 
 Dominant tables are memoised per (root system, highest weight), each memo
 entry the read-only view that callers get.  W-orbits are memoised per
@@ -36,8 +38,9 @@ from .rootsystem import Weight
 from .weyl import shift_maps
 
 __all__ = [
-    "partition_function", "weight_multiplicity", "kostant_multiplicity",
-    "freudenthal_multiplicity", "character_of", "weyl_dimension", "Character",
+    "partition_function", "kostant_partitions", "weight_multiplicity",
+    "kostant_multiplicity", "freudenthal_multiplicity", "character_of",
+    "weyl_dimension", "Character",
     "dominant_weight_table", "dominant_drops", "weight_drops",
     "character_table", "dominant_orbit",
 ]
@@ -56,6 +59,19 @@ def partition_function(rs, beta):
         return 0
     values, strides, _ = _pf_covering(rs, coords)
     return values[sum(map(mul, coords, strides))]
+
+
+def kostant_partitions(rs, beta):
+    """The partitions that partition_function counts: exponent tuples over
+    the positive roots (height-lex order) whose roots sum to beta, a tuple
+    of nonnegative root coordinates, in lex order."""
+    # (exponents so far, what they leave of beta), extended root by root
+    out = [((), tuple(beta))]
+    for root in (rv.coeffs for rv in rs.positive_roots):
+        out = [(mono + (e,), tuple(b - e * r for b, r in zip(rest, root)))
+               for mono, rest in out for e in range(1 + min(
+                   (b // r for b, r in zip(rest, root) if r), default=0))]
+    return [mono for mono, rest in out if not any(rest)]
 
 
 def _pf_covering(rs, need):

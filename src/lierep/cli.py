@@ -231,8 +231,9 @@ def cmd_prv_det(args):
 
 
 def cmd_central_char(args):
-    from .centralchar import central_character, twisted_orbit_id
+    from .centralchar import central_character
     from .enveloping import casimir, chevalley_basis, hc_projection
+    from .weyl import twisted_orbit_id
     rs = _system(args)
     lam = _weight(rs, args.lam)
     basis = chevalley_basis(rs)

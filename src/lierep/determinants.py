@@ -8,7 +8,9 @@ with multiplicity m_j = d_j - d_{j+1}, and the exponent of
 (h_alpha + rho(h_alpha) - n) is dim V(mu)_{n alpha}.
 
 Overall constants are unspecified by the theory, so determinants are compared
-up to a single nonzero rational scalar (exact polynomial division).
+up to a single nonzero rational scalar (exact polynomial division).  Only the
+direct Gram determinant needs U(g); ``_lowering_gram`` imports ``enveloping``
+where it runs, so the product formulas load no enveloping algebra.
 """
 
 from dataclasses import dataclass, field
@@ -17,12 +19,10 @@ from math import factorial
 
 from .config import Caps
 from .errors import CapExceeded
-from .hpoly import HPoly, det_poly, product
-from .rootsystem import Weight, RootVector
-from .characters import (dominant_weight_table, partition_function,
-                         table_mult, weyl_dimension)
-from .enveloping import UElement, chevalley_basis, shapovalov
-from .irreps import _monomials
+from .hpoly import HPoly, _require_exponent, det_poly, product
+from .rootsystem import Weight, RootVector, _num
+from .characters import (character_table, kostant_partitions,
+                         partition_function, table_mult)
 
 __all__ = ["DetPolynomial", "shapovalov_det", "prv_det"]
 
@@ -38,6 +38,17 @@ class DetPolynomial:
     factors: tuple = ()      # ((coeffs tuple, const, exponent), ...)
     poly: HPoly = None
     _expanded: HPoly = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        # each factor as expand reads it: nvars exact coefficients, an
+        # exact constant and an int power >= 0
+        factors = []
+        for coeffs, const, exp in self.factors:
+            if len(coeffs) != self.nvars:
+                raise ValueError(f"{coeffs} needs {self.nvars} coefficients")
+            _require_exponent(exp)
+            factors.append((tuple(map(_num, coeffs)), _num(const), exp))
+        self.factors = tuple(factors)
 
     def expand(self):
         """scalar * poly * the factors, as one ``hpoly.product``."""
@@ -144,13 +155,9 @@ def shapovalov_det(rs, nu, mode="direct", max_height=None):
 
 def _lowering_gram(rs, depth):
     """Contravariant-form Gram matrix on the lowering monomials of `depth`."""
+    from .enveloping import chevalley_basis, shapovalov
     basis = chevalley_basis(rs)
-    elements = []
-    for mono in _monomials(rs, depth):
-        exps = [0] * basis.dim
-        for k, e in enumerate(mono):
-            exps[k] = e  # f-block occupies the leading positions
-        elements.append(UElement(basis.algebra, {tuple(exps): 1}))
+    elements = [basis.lowering(mono) for mono in kostant_partitions(rs, depth)]
     return [[shapovalov(basis, bi, bj) for bj in elements] for bi in elements]
 
 
@@ -175,8 +182,7 @@ def prv_det(rs, mu, caps=Caps()):
     if rs.root_lattice_coords(mu) is None:
         return (DetPolynomial(rs.rank, 1, ()), DetPolynomial(rs.rank, 1, ()),
                 {})
-    caps.check("max_char", weyl_dimension(rs, mu), "dim V({})", mu)
-    table = dominant_weight_table(rs, mu)
+    table = character_table(rs, mu, caps)
     rho = rs.rho
     factors = []
     lead = []

@@ -329,6 +329,12 @@ class ChevalleyBasis:
     def one(self):
         return UElement.one(self.algebra)
 
+    def lowering(self, mono):
+        """The PBW monomial prod_k f_{r_k}^{mono[k]}, mono an exponent tuple
+        over the positive roots: the f-block leads the PBW order."""
+        return UElement(self.algebra,
+                        {tuple(mono) + (0,) * (self.dim - self.m): 1})
+
     # checks -------------------------------------------------------------------
 
     def _check_transpose_compatible(self):
@@ -668,69 +674,56 @@ def transpose(basis, u):
 
 
 def _h_poly_from_terms(basis, terms):
-    rank = basis.rank
-    m = basis.m
-    poly = {}
-    for exps, c in terms.items():
-        if any(exps[:m]) or any(exps[m + rank:]):
-            continue
-        poly[tuple(exps[m:m + rank])] = c
-    return HPoly(rank, poly)
+    """The Cartan part of a PBW expansion: its terms with no f or e factor,
+    as a polynomial in the h_i."""
+    m, top, none = basis.m, basis.m + basis.rank, (0,) * basis.m
+    return HPoly(basis.rank, {exps[m:top]: c for exps, c in terms.items()
+                              if exps[:m] == none and exps[top:] == none})
 
 
-def _not_weight_zero(u):
-    """Raise for an element with a term of nonzero weight: the
-    inhomogeneous-element error of ``weight`` if it applies."""
-    u.weight()
-    raise ValueError("hc_projection needs a weight-zero element")
-
-
-def hc_projection(basis, u, w=None):
-    """Projection of a zero-weight element onto Sym h along the w-Borel
-    decomposition; w None or the identity gives the standard one.  Each
-    term's weight is tested in the pass that reads the term."""
-    _require_element_of(basis, u)
-    if w is not None:
-        basis.rs.require_same_system(w)
-    alg, zero = u.algebra, (0,) * basis.rank
-    weight_of = alg.weight_of
-    if w is None or w.is_identity:
-        m, top = basis.m, basis.m + basis.rank
-        ids, weights = alg._ids, alg._weights
-        poly = {}
-        for exps, c in u.terms.items():
-            if any(exps[:m]) or any(exps[top:]):
-                # the weight cached for the term's id, if there is one
-                i = ids.get(exps)
-                if ((i is not None and weights[i]) or weight_of(exps)) != zero:
-                    _not_weight_zero(u)
-            else:
-                poly[exps[m:top]] = c
-        return HPoly(basis.rank, poly)
-    # order adapted to the simple system w(Pi): root vectors over w(R-) first
+def _borel_order(basis, w):
+    """PBW order adapted to the simple system w(Pi): the root vectors over
+    w(R-) first, then the h-block at its standard positions."""
     winv = w.inverse()
     neg, pos = [], []
     for k in range(basis.m):
-        img = winv.apply_root(basis.rs.positive_roots[k])
-        if img.is_positive:
-            # w^{-1}(r_k) positive: -r_k lies in w(R-), so f_k joins the lower block
+        if winv.apply_root(basis.rs.positive_roots[k]).is_positive:
+            # -r_k lies in w(R-), so f_k joins the lower block
             neg.append(basis.idx_f(k))
             pos.append(basis.idx_e(k))
         else:
             neg.append(basis.idx_e(k))
             pos.append(basis.idx_f(k))
-    order = (tuple(neg) + tuple(basis.idx_h(i) for i in range(basis.rank))
-             + tuple(reversed(pos)))
-    twisted = _reordered_algebra(basis, order)
-    by_id = {}
-    for exps, c in u.terms.items():
-        if weight_of(exps) != zero:
-            _not_weight_zero(u)
-        for i, c2 in twisted.straighten(alg.monomial_word(exps)).items():
-            by_id[i] = by_id.get(i, 0) + c * c2
-    # in the reordered algebra the h-block occupies the same positions
-    return _h_poly_from_terms(
-        basis, {twisted._exps[i]: c for i, c in by_id.items()})
+    return (tuple(neg) + tuple(basis.idx_h(i) for i in range(basis.rank))
+            + tuple(reversed(pos)))
+
+
+def hc_projection(basis, u, w=None):
+    """Projection of a zero-weight element onto Sym h along the w-Borel
+    decomposition; w None or the identity gives the standard one.  One
+    loop checks the weight of every term, cached per id; for w other than
+    the identity u is re-expressed in the PBW order of w(Pi); and
+    ``_h_poly_from_terms`` reads the Cartan part."""
+    _require_element_of(basis, u)
+    if w is not None:
+        basis.rs.require_same_system(w)
+    alg, zero = u.algebra, (0,) * basis.rank
+    ids, weights, weight_of = alg._ids, alg._weights, alg.weight_of
+    for exps in u.terms:
+        i = ids.get(exps)
+        if ((i is not None and weights[i]) or weight_of(exps)) != zero:
+            u.weight()  # the inhomogeneous-element error, if it applies
+            raise ValueError("hc_projection needs a weight-zero element")
+    terms = u.terms
+    if w is not None and not w.is_identity:
+        twisted = _reordered_algebra(basis, _borel_order(basis, w))
+        by_id = {}
+        for exps, c in terms.items():
+            for i, c2 in twisted.straighten(alg.monomial_word(exps)).items():
+                by_id[i] = by_id.get(i, 0) + c * c2
+        # the reordered algebra keeps the h-block at the same positions
+        terms = {twisted._exps[i]: c for i, c in by_id.items()}
+    return _h_poly_from_terms(basis, terms)
 
 
 @lru_cache(maxsize=None)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 from .config import Caps
 from .rootsystem import Weight
-from .weyl import double_cosets, enumerate_weyl, longest_element
+from .weyl import (CentralCharacterId, double_cosets, enumerate_weyl,
+                   hc_inf_character, longest_element, twisted_orbit_id)
 from .characters import weight_multiplicity
-from .centralchar import CentralCharacterId, hc_inf_character, twisted_orbit_id
 from .tensor import decompose
 
 __all__ = [

@@ -13,10 +13,15 @@ builds every block, and ``v_extremes_dim``, which builds only the blocks at
 and above the weight it asks about.
 
 ``VermaEngine`` is the levelwise model of the Verma module M(mu): lowering
-monomials as a basis, operator and contravariant Gram matrices level by
-level.  Its levels have P(beta) monomials, not weight multiplicities, so no
-computation of V(mu) uses it; it is the independent model the tests check
-the builder against, and the Verma model at non-dominant weights.
+monomials (``characters.kostant_partitions``) as a basis, operator and
+contravariant Gram matrices level by level.  Its levels have P(beta)
+monomials, not weight multiplicities, so no computation of V(mu) uses it;
+it is the independent model the tests check the builder against, and the
+Verma model at non-dominant weights.
+
+Only the Verma engine and ``root_vector_matrix`` on a non-simple root read
+the Chevalley structure constants, and each imports ``enveloping`` where it
+does: building V(mu), its kernels and the KPRV count load no U(g).
 
 ``TensorModule`` is V(lam) (x) V(mu) with the diagonal action.
 ``generated_submodule`` closes seed vectors under every e_i and f_i;
@@ -36,33 +41,13 @@ from .linalg import (SpanBasis, kernel_basis, lattice_basis, mat_mul,
                      nullity, rank)
 from .rootsystem import Weight, _num
 from .characters import (dominant_orbit, dominant_weight_table,
-                         weyl_dimension)
-from .enveloping import chevalley_basis
+                         kostant_partitions, weyl_dimension)
 
 __all__ = [
     "VermaEngine", "IrrepRealization", "realize", "v_extremes",
     "v_extremes_dim", "zero_weight_spectrum", "kprv_multiplicity",
     "TensorModule", "generated_submodule",
 ]
-
-
-def _monomials(rs, beta, k=0):
-    """Exponent tuples over the positive roots summing to beta, lex order."""
-    if not any(beta):
-        return [(0,) * (rs.nroots - k)]
-    if k >= rs.nroots:
-        return []
-    out = []
-    root = rs.positive_roots[k].coeffs
-    maxexp = min((beta[i] // root[i] for i in range(len(beta)) if root[i]),
-                 default=0)
-    for e in range(maxexp + 1):
-        rest = tuple(b - e * r for b, r in zip(beta, root))
-        if any(x < 0 for x in rest):
-            break
-        for tail in _monomials(rs, rest, k + 1):
-            out.append((e,) + tail)
-    return out
 
 
 class VermaEngine:
@@ -73,6 +58,7 @@ class VermaEngine:
     """
 
     def __init__(self, rs, mu):
+        from .enveloping import chevalley_basis
         if not mu.is_integral:
             raise ValueError("Verma engine expects an integral highest weight")
         self.rs = rs
@@ -90,7 +76,7 @@ class VermaEngine:
         """Sorted lowering monomials of depth beta (exponents over R+)."""
         hit = self._levels.get(beta)
         if hit is None:
-            monos = _monomials(self.rs, beta)
+            monos = kostant_partitions(self.rs, beta)
             hit = self._levels[beta] = (monos, {m: i for i, m in enumerate(monos)})
         return hit
 
@@ -379,6 +365,7 @@ class IrrepRealization:
         hit = self._roots.get(key)
         if hit is not None:
             return hit, tgt
+        from .enveloping import chevalley_basis
         # read before the early return, so that a root system past the
         # bracket table's rank limit is refused even on an empty block
         cb = chevalley_basis(rs)

@@ -14,9 +14,10 @@ from itertools import islice, product as iproduct
 from operator import ge, mul
 
 from .rootsystem import Weight, build_root_system, dominance_hull_equiv
-from .weyl import (bruhat_leq, coset_fibers, enumerate_weyl, longest_element)
-from .characters import (dominant_drops, dominant_orbit, dominant_weight_table,
-                         freudenthal_multiplicity, table_mult, weight_drops,
+from .weyl import (bruhat_leq, coset_fibers, enumerate_weyl, hc_inf_character,
+                   longest_element, twisted_orbit_id)
+from .characters import (dominant_drops, dominant_orbit,
+                         freudenthal_multiplicity, weight_drops,
                          weyl_dimension)
 from .enveloping import (casimir, casimir_eigenvalue, chevalley_basis,
                          hc_projection, twisted_poly)
@@ -24,7 +25,7 @@ from .hpoly import HPoly
 from .irreps import (TensorModule, generated_submodule, highest_weight_count,
                      realize, v_extremes, v_extremes_dim)
 from .tensor import decompose, decompose_all, extreme_types
-from .centralchar import hc_inf_character, sl2_omega, twisted_orbit_id
+from .centralchar import sl2_omega
 from .determinants import DetPolynomial, prv_det, shapovalov_det
 from .hcmodules import (HCParams, class_zero, equivalent, finite_dimensional,
                         invariants, isoclass_count)
@@ -597,19 +598,13 @@ def check_module_classification():
 
 def _zero_weight_jmax(rs, nu):
     """Largest root-string eigenvalue index on V(nu)_0 over the simple
-    roots, or None when V(nu)_0 = 0: the largest j with
-    dim V(nu)_{j alpha_i} != 0, read from the dominant table as
-    ``determinants.prv_det`` reads its spectra."""
-    table = dominant_weight_table(rs, nu)
-    if not table_mult(rs, table, (0,) * rs.rank):
+    roots, or None when V(nu)_0 = 0: the largest j in the simple-root
+    spectra of ``determinants.prv_det``."""
+    spectra = prv_det(rs, nu)[2]
+    if not spectra:
         return None
-    jmax = 0
-    # root indices 0..rank-1 are the simple roots; each alpha-string
-    # through the zero weight is unbroken
-    for alpha in rs.root_weight_coords[:rs.rank]:
-        while table_mult(rs, table, tuple((jmax + 1) * a for a in alpha)):
-            jmax += 1
-    return jmax
+    # root indices 0..rank-1 are the simple roots
+    return max(max(spectra[rv.coeffs]) for rv in rs.positive_roots[:rs.rank])
 
 
 CRITERIA = (

@@ -234,32 +234,31 @@ def decompose_all(rs, lam, mu, caps=Caps()):
     return decs
 
 
-def multiplicity(rs, lam, mu, nu, cross_check=True):
+def multiplicity(rs, lam, mu, nu):
     """Single multiplicity of V(nu) in V(lam) (x) V(mu) without a full
-    decomposition, via raising-operator kernels.  When cross_check is set the
-    two kernel expressions (inside V(mu) and inside V(nu)) are both computed
-    and compared."""
+    decomposition, via raising-operator kernels: the two kernel expressions
+    (inside V(mu) and inside V(nu)) are both computed and compared."""
     from .irreps import v_extremes_dim
     rs.require_dominant_integral(lam, mu, nu)
     m1 = v_extremes_dim(rs, mu, nu - lam, lam)
-    if cross_check:
-        w0 = longest_element(rs)
-        m2 = v_extremes_dim(rs, nu, lam + w0.apply(mu), -w0.apply(mu))
-        if m1 != m2:
-            raise InvariantViolation(
-                f"extreme-subspace expressions disagree: {m1} != {m2}")
+    w0 = longest_element(rs)
+    m2 = v_extremes_dim(rs, nu, lam + w0.apply(mu), -w0.apply(mu))
+    if m1 != m2:
+        raise InvariantViolation(
+            f"extreme-subspace expressions disagree: {m1} != {m2}")
     return m1
 
 
 def extreme_types(rs, lam, mu):
     """(largest, smallest) highest weights of the product: lam + mu and the
     dominant representative of lam + w0(mu); both multiplicity one."""
+    from .irreps import v_extremes_dim
     rs.require_dominant_integral(lam, mu)
     w0 = longest_element(rs)
     cartan = lam + mu
     minimal = rs.dominant_in_orbit(lam + w0.apply(mu))
     for nu in (cartan, minimal):
-        if multiplicity(rs, lam, mu, nu, cross_check=False) != 1:
+        if v_extremes_dim(rs, mu, nu - lam, lam) != 1:
             raise InvariantViolation(f"extreme component {nu} not simple")
     return cartan, minimal
 
@@ -268,10 +267,11 @@ def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
     """Report on the extreme component attached to w: its multiplicity, the
     double-coset lower bound, and optionally the generated-submodule count,
     whose tensor module past caps.max_dim raises CapExceeded."""
+    from .irreps import kprv_multiplicity, v_extremes_dim
     rs.require_dominant_integral(lam, mu)
     rs.require_same_system(w)
     target = rs.dominant_in_orbit(lam + w.apply(mu))
-    mult = multiplicity(rs, lam, mu, target, cross_check=False)
+    mult = v_extremes_dim(rs, mu, target - lam, lam)
     bound = coset_fibers(rs, lam, mu, caps)[target.coords]
     if mult < max(1, bound):
         raise InvariantViolation(
@@ -285,7 +285,6 @@ def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
         "kprv_mult": None,
     }
     if with_kprv:
-        from .irreps import kprv_multiplicity
         report["kprv_mult"] = kprv_multiplicity(rs, lam, mu, w, caps)
         if report["kprv_mult"] != 1:
             raise InvariantViolation(
@@ -331,6 +330,7 @@ def component_tests(rs, lam, mu, caps=Caps()):
     every multiplicity equals the corresponding weight multiplicity of V(mu)
     (verified).
     """
+    from .irreps import v_extremes_dim
     rs.require_dominant_integral(lam, mu)
     report = {"root_subtraction": {}, "minus_one_applies": None}
     for k, beta in enumerate(rs.positive_roots):
@@ -345,7 +345,7 @@ def component_tests(rs, lam, mu, caps=Caps()):
                           or rs.root_difference(k, rs.rank - 1 - i))
                      for i in range(rs.rank))
         if ok:
-            m = multiplicity(rs, lam, mu, nu, cross_check=False)
+            m = v_extremes_dim(rs, mu, nu - lam, lam)
             if m <= 0:
                 raise InvariantViolation(
                     f"root-subtraction component {nu} missing")

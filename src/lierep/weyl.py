@@ -3,6 +3,8 @@
 An element acts on fundamental-weight coordinates.  The canonical word is the
 lexicographically least reduced word, read from the dominant ascent of w(rho),
 so composition always yields canonical elements.
+The dot action w * lam = w(lam + rho) - rho also names central characters
+(``twisted_orbit_id``, ``hc_inf_character``), from the root system alone.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +20,7 @@ __all__ = [
     "WeylElement", "identity_element", "simple_reflection", "from_word",
     "enumerate_weyl", "shift_maps", "longest_element",
     "dominant_representative", "double_cosets", "coset_fibers", "bruhat_leq",
+    "twisted_orbit_id", "CentralCharacterId", "hc_inf_character",
 ]
 
 
@@ -198,6 +201,33 @@ def dominant_representative(rs, lam):
     rs.require_rank(lam)
     dom, word = rs.dominant_ascent(lam.coords)
     return Weight(dom), from_word(rs, reversed(word))
+
+
+def twisted_orbit_id(rs, lam):
+    """Canonical representative of the dot orbit of lam (a Weight)."""
+    rs.require_rank(lam)
+    return rs.dominant_in_orbit(lam + rs.rho) - rs.rho
+
+
+@dataclass(frozen=True)
+class CentralCharacterId:
+    """Canonical dot-orbit representative(s); equal ids, equal characters."""
+
+    parts: tuple  # one coordinate tuple per tensor factor
+
+    def __repr__(self):
+        return "chi(" + "; ".join(",".join(map(str, p)) for p in self.parts) + ")"
+
+
+def hc_inf_character(rs, lam, nu):
+    """Infinitesimal character id of the module with parameters (lam, nu):
+    the pair chi(lam, nu - lam - 2 rho) up to the componentwise dot action."""
+    rs.require_rank(lam, nu)
+    if not nu.is_integral:
+        raise ValueError("nu must be integral")
+    second = nu - lam - 2 * rs.rho
+    return CentralCharacterId((twisted_orbit_id(rs, lam).coords,
+                               twisted_orbit_id(rs, second).coords))
 
 
 def _reflect(rs, x, i):

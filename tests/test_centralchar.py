@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from lierep.rootsystem import Weight
-from lierep.weyl import enumerate_weyl, longest_element
+from lierep.weyl import (CentralCharacterId, enumerate_weyl,
+                         hc_inf_character, longest_element, twisted_orbit_id)
 from lierep.enveloping import UElement, casimir, chevalley_basis
-from lierep.centralchar import (CentralCharacterId, _sl2_product_algebra,
-                                central_character, hc_inf_character,
-                                sl2_omega, twisted_orbit_id)
+from lierep.centralchar import (_sl2_product_algebra, central_character,
+                                sl2_omega)
 from lierep.hpoly import HPoly
 
 

@@ -13,10 +13,10 @@ from lierep import hpoly, irreps
 from lierep.config import Caps
 from lierep.errors import CapExceeded
 from lierep.rootsystem import RootVector, Weight, build_root_system
-from lierep.characters import partition_function
+from lierep.characters import (kostant_partitions as _monomials,
+                               partition_function)
 from lierep.hpoly import HPoly, det_poly
-from lierep.irreps import (VermaEngine, _monomials, realize,
-                           zero_weight_spectrum)
+from lierep.irreps import VermaEngine, realize, zero_weight_spectrum
 from lierep.linalg import det
 from lierep.selfcheck import dominant_weights_by_dim
 from lierep.determinants import (DetPolynomial, _lowering_gram, prv_det,
@@ -493,6 +493,18 @@ def test_degenerate_factors():
     assert DetPolynomial(1, 0, (((1,), 0, 2),)).degree() == 0    # 0
     with pytest.raises(ValueError):
         DetPolynomial(1, 1, (((1,), 0, -1),)).expand()
+
+
+def test_factors_are_checked_when_built():
+    # degree() must not answer for factors that expand() would refuse
+    with pytest.raises(ValueError):
+        DetPolynomial(2, 1, (((1,), 0, 2),))      # one coefficient, two vars
+    with pytest.raises(TypeError):
+        DetPolynomial(1, 1, (((1,), 0, True),))   # a bool power
+    with pytest.raises(TypeError):
+        DetPolynomial(1, 1, (((1.0,), 0, 1),))    # a float coefficient
+    with pytest.raises(TypeError):
+        DetPolynomial(1, 1, (((1,), "0", 1),))    # a string constant
 
 
 @given(st.data())

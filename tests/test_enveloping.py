@@ -361,7 +361,7 @@ SHAPOVALOV_DEPTHS = [(label, (a, b)) for label, cap in
 @pytest.mark.parametrize("label,depth", SHAPOVALOV_DEPTHS)
 def test_shapovalov_grams_match_exponent_oracle(label, depth):
     from lierep.determinants import _lowering_gram
-    from lierep.irreps import _monomials
+    from lierep.characters import kostant_partitions as _monomials
     rs = build_root_system(label)
     cb = chevalley_basis(rs)
     pad = (0,) * (cb.dim - rs.nroots)  # the f-block leads
@@ -394,7 +394,7 @@ def _stored_products(alg):
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
 def test_product_table_matches_exponent_oracle(label):
     # a basis of its own, so that this sequence alone fills the table
-    from lierep.irreps import _monomials
+    from lierep.characters import kostant_partitions as _monomials
     rs = build_root_system(label)
     cb = ChevalleyBasis(rs)
     alg = cb.algebra

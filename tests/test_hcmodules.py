@@ -4,10 +4,9 @@ from itertools import product as iproduct
 import pytest
 
 from lierep.rootsystem import Weight
-from lierep.weyl import enumerate_weyl, longest_element
+from lierep.weyl import enumerate_weyl, hc_inf_character, longest_element
 from lierep.characters import freudenthal_multiplicity, weight_multiplicity
 from lierep.tensor import decompose, extreme_types
-from lierep.centralchar import hc_inf_character
 from lierep.hcmodules import (HCParams, class_zero, equivalent,
                               find_invariant_collision, finite_dimensional,
                               invariants, isoclass_count)

@@ -52,6 +52,40 @@ def test_import_loads_no_library_module():
                          "lierep.rootsystem"])
 
 
+# one query per subcommand that runs a U(g)-free layer: the library
+# modules it must not load
+_NO_UG = ("enveloping", "hpoly", "centralchar")
+UNLOADED = {
+    "prv-det A2 1,1": ("irreps", "enveloping"),
+    "shapovalov-det A1 2": ("irreps",),
+    "hc A1 invariants 1/2 3": _NO_UG,
+    "hc A1 class-zero 2": _NO_UG,
+    "minimal-type A1 3 1": _NO_UG,
+    "prv A2 1,1 1,1": _NO_UG,
+    "decompose G2 2,1 1,1 --method=prv": _NO_UG,
+    "central-char A1 3": ("irreps", "characters", "tensor"),
+}
+
+
+@pytest.mark.parametrize("query", UNLOADED)
+def test_subcommand_loads_only_the_modules_it_runs(query):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys\n"
+         "from lierep.cli import main\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    code = main(sys.argv[1:])\n"
+         "print(code, *sorted(m for m in sys.modules\n"
+         "                    if m.startswith('lierep.')))",
+         *query.split()],
+        env=env, capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert not {f"lierep.{m}" for m in UNLOADED[query]} & set(loaded), loaded
+
+
 def test_memo_tables_do_not_multiply():
     # every unbounded memo lives for the whole process; a new one must
     # replace an old one, not join it

@@ -5,8 +5,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from lierep.centralchar import (central_character, hc_inf_character,
-                                twisted_orbit_id)
+from lierep.centralchar import central_character
 from lierep.config import Caps
 from lierep.enveloping import (casimir, chevalley_basis, hc_projection,
                                shapovalov, transpose)
@@ -20,8 +19,8 @@ from lierep.rootsystem import (RootVector, Weight, build_root_system,
                                dominance_hull_equiv)
 from lierep.weyl import (_mul, bruhat_leq, coset_fibers, double_cosets,
                          dominant_representative, enumerate_weyl, from_word,
-                         identity_element, longest_element, shift_maps,
-                         simple_reflection)
+                         hc_inf_character, identity_element, longest_element,
+                         shift_maps, simple_reflection, twisted_orbit_id)
 
 
 def mulclose(mats, mul):
