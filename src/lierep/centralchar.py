@@ -24,6 +24,7 @@ def central_character(rs, basis, lam, z):
     """Scalar by which a central element acts on the highest-weight module
     with highest weight lam: lam evaluated on the Cartan part of z."""
     rs.require_same_system(basis)
+    rs.require_weight(lam)
     if not is_central(basis, z):
         raise ValueError("element is not central")
     return hc_projection(basis, z).evaluate(list(lam.coords))

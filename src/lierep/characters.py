@@ -18,7 +18,9 @@ kostant_partitions lists the partitions it counts: the lowering monomials
 of the Shapovalov and Verma models.
 
 Dominant tables are memoised per (root system, highest weight), each memo
-entry the read-only view that callers get.  W-orbits are memoised per
+entry the read-only view that callers get.  Their keys are the one tuple per
+dominant weight that dominant_drops hands out, so tables that share a weight
+share its key.  W-orbits are memoised per
 (root system, dominant weight), where every character, the tensor layer and
 the realizations share them.  No full character is kept: character_of
 expands a table over those orbits on each call.
@@ -64,14 +66,25 @@ def partition_function(rs, beta):
 def kostant_partitions(rs, beta):
     """The partitions that partition_function counts: exponent tuples over
     the positive roots (height-lex order) whose roots sum to beta, a tuple
-    of nonnegative root coordinates, in lex order."""
-    # (exponents so far, what they leave of beta), extended root by root
+    of nonnegative root coordinates, in lex order.
+
+    The non-simple roots' exponents are enumerated first, as _pf counts
+    them; whatever they leave of beta is nonnegative and is the simple
+    roots' exponents, so no branch is a dead end.
+    """
+    roots = [rv.coeffs for rv in rs.positive_roots]
+    rank = rs.rank
+    # (non-simple exponents so far, what they leave of beta), root by root
     out = [((), tuple(beta))]
-    for root in (rv.coeffs for rv in rs.positive_roots):
+    for root in roots[rank:]:
         out = [(mono + (e,), tuple(b - e * r for b, r in zip(rest, root)))
                for mono, rest in out for e in range(1 + min(
-                   (b // r for b, r in zip(rest, root) if r), default=0))]
-    return [mono for mono, rest in out if not any(rest)]
+                   b // r for b, r in zip(rest, root) if r))]
+    # the simple roots lead the exponent tuple: position k holds the simple
+    # root whose one nonzero coordinate is axes[k]
+    axes = [root.index(1) for root in roots[:rank]]
+    return sorted(tuple([rest[i] for i in axes]) + mono
+                  for mono, rest in out if min(rest) >= 0)
 
 
 def _pf_covering(rs, need):
@@ -199,7 +212,9 @@ def _weyl_dim(rs, coords):
 def dominant_drops(rs, lam_coords):
     """(drop, nu) for every dominant nu = lam - sum_j drop_j alpha_j with
     integral drop >= 0, in lexicographic drop order: the dominant weights of
-    V(lam), lam dominant integral.
+    V(lam), lam dominant integral.  Each nu is the one tuple for that weight
+    in rs._dominant_keys, so every table and orbit memo keyed by it shares
+    one object per weight; the first call to reach a weight stores it.
 
     The order extends dominance: a weight above nu has a componentwise
     smaller drop, so a lexicographically smaller one.  The Freudenthal
@@ -222,6 +237,7 @@ def dominant_drops(rs, lam_coords):
             rise[j][i] = rise[j + 1][i] + max(0, -cols[j][i] * span[j])
     out = []
     last = rank - 1
+    key = rs._dominant_keys.setdefault
 
     def rec(j, nu, drop):
         col, later = cols[j], rise[j + 1]
@@ -236,8 +252,8 @@ def dominant_drops(rs, lam_coords):
                 elif x < 0:
                     return
             for d in range(lo, hi + 1):
-                out.append((drop + (d,),
-                            tuple([x - d * c for x, c in zip(nu, col)])))
+                nu2 = tuple([x - d * c for x, c in zip(nu, col)])
+                out.append((drop + (d,), key(nu2, nu2)))
             return
         for d in range(span[j] + 1):
             nu2 = tuple(x - d * c for x, c in zip(nu, col))
@@ -320,7 +336,7 @@ def _dominant_table_fast(rs, lam_coords):
 def freudenthal_multiplicity(rs, lam, mu):
     """dim V(lambda)_mu by the Freudenthal recursion; no Weyl enumeration."""
     rs.require_dominant_integral(lam)
-    rs.require_rank(mu)
+    rs.require_weight(mu)
     if not mu.is_integral:
         return 0
     return table_mult(rs, _dominant_table(rs, lam.coords), mu.coords)
@@ -329,7 +345,7 @@ def freudenthal_multiplicity(rs, lam, mu):
 def kostant_multiplicity(rs, lam, mu, caps=Caps()):
     """dim V(lambda)_mu as the signed partition-function sum over W."""
     rs.require_dominant_integral(lam)
-    rs.require_rank(mu)
+    rs.require_weight(mu)
     if not mu.is_integral:
         return 0
     drop = rs.root_lattice_coords(lam - mu)

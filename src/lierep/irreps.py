@@ -396,7 +396,7 @@ def v_extremes_dim(rs, mu, gamma, nu):
     """dim V^+(mu; gamma, nu), the joint kernel of the e_i^{nu(h_i)+1}
     on V(mu)_gamma, built only down to gamma."""
     rs.require_dominant_integral(mu, nu)
-    rs.require_rank(gamma)
+    rs.require_weight(gamma)
     diff = rs.root_lattice_coords(mu - gamma)
     if diff is None or any(c < 0 for c in diff):
         return 0
@@ -452,7 +452,7 @@ def v_extremes(rs, realization, gamma, nu, sign="+"):
     """
     rs.require_same_system(realization)
     rs.require_dominant_integral(nu)
-    rs.require_rank(gamma)
+    rs.require_weight(gamma)
     basis = kernel_basis(_power_rows(rs, realization, gamma.coords, nu, sign),
                          realization.weight_dim(gamma))
     return len(basis), basis

@@ -13,7 +13,8 @@ fundamental coordinates of alpha_j are the j-th column.
 
 Arguments are checked here: scalars by ``_num`` (TypeError), weights, simple
 and positive root indices, and the system of a Weyl element, realization
-or Chevalley basis by the ``RootSystem.require_*`` methods (ValueError).
+or Chevalley basis by the ``RootSystem.require_*`` methods (ValueError, or
+TypeError for a weight that is not a ``Weight``).
 """
 
 import math
@@ -260,7 +261,10 @@ class RootSystem:
     """Immutable structural data of one simple type.
 
     Use :func:`build_root_system`; instances are interned so identity
-    comparison and id-keyed caches are safe.
+    comparison and id-keyed caches are safe.  ``characters`` fills two memo
+    slots: the partition-function table, replaced whole, and the intern
+    dict of dominant weights, write-once per key and as long-lived as the
+    system.
     """
 
     def __init__(self, series, rank):
@@ -280,6 +284,8 @@ class RootSystem:
         # the partition-function table (values, strides, box) on the box
         # {0}; characters._pf replaces it whole by a table on a larger box
         self._pf_table = ([1], (1,) * rank, (0,) * rank)
+        # weight -> the one tuple that every dominant table keys it by
+        self._dominant_keys = {}
 
     # -- construction -----------------------------------------------------
 
@@ -400,14 +406,19 @@ class RootSystem:
                     f"{','.join(map(str, w))} has {len(w)} coordinates; "
                     f"{self.label} needs {self.rank}")
 
+    def require_weight(self, *weights):
+        """Raise TypeError unless every argument is a Weight, and ValueError
+        unless each has rank coordinates."""
+        for w in weights:
+            if not isinstance(w, Weight):
+                raise TypeError(f"weight {w!r} must be a Weight, "
+                                f"not a {type(w).__name__}")
+        self.require_rank(*weights)
+
     def require_dominant_integral(self, *weights):
         """Raise TypeError unless every argument is a Weight, and ValueError
         unless each is some V(lam)'s highest."""
-        for lam in weights:
-            if not isinstance(lam, Weight):
-                raise TypeError(f"highest weight {lam!r} must be a Weight, "
-                                f"not a {type(lam).__name__}")
-        self.require_rank(*weights)
+        self.require_weight(*weights)
         for lam in weights:
             if not all(isinstance(c, int) and c >= 0 for c in lam.coords):
                 raise ValueError(f"weight {lam} must be dominant integral")

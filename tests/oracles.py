@@ -46,6 +46,18 @@ def partition_function_bruteforce(rs, beta):
     return count
 
 
+def kostant_partitions_by_prefix_walk(rs, beta):
+    """kostant_partitions walking every root in order, the simple roots
+    first, and dropping the dead ends at the end: the enumeration that
+    reading the simple roots' exponents off the rest replaced."""
+    out = [((), tuple(beta))]
+    for root in (rv.coeffs for rv in rs.positive_roots):
+        out = [(mono + (e,), tuple(b - e * r for b, r in zip(rest, root)))
+               for mono, rest in out for e in range(1 + min(
+                   (b // r for b, r in zip(rest, root) if r), default=0))]
+    return [mono for mono, rest in out if not any(rest)]
+
+
 def dominant_drops_by_recursion(rs, lam_coords):
     """dominant_drops with every level, the last included, searched one drop
     at a time: the pruned recursion the interval form of its last level

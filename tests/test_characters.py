@@ -17,18 +17,22 @@ from lierep.rootsystem import (RootSystem, Weight, build_root_system,
 from lierep.characters import (_pf_covering, character_of, character_table,
                                dominant_drops, dominant_weight_table,
                                freudenthal_multiplicity,
-                               kostant_multiplicity, partition_function,
+                               kostant_multiplicity, kostant_partitions,
+                               partition_function,
                                rho_shifts, signed_partition_sums,
                                weight_drops,
                                weight_multiplicity, weyl_dimension)
+from lierep.centralchar import central_character
 from lierep.determinants import prv_det
-from lierep.irreps import realize
+from lierep.enveloping import casimir, chevalley_basis
+from lierep.irreps import realize, v_extremes, v_extremes_dim
 from lierep.rootsystem import RootVector
 from lierep.selfcheck import HULL_TYPES
 from lierep.tensor import METHODS, decompose, multiplicity
 from lierep.weyl import longest_element, shift_maps
 
 from oracles import (character_by_closure, dominant_drops_by_recursion,
+                     kostant_partitions_by_prefix_walk,
                      partition_function_bruteforce)
 
 
@@ -105,6 +109,16 @@ def test_partition_against_bruteforce_higher_rank(label, bound):
     for x, p in table_cells(rs, (bound - 1,) * rs.rank):
         assert p == pf_oracle(rs, x, rs.rank) == partition_function(rs, x) \
             == partition_function_bruteforce(rs, x)
+
+
+@pytest.mark.parametrize("label,bound", [
+    ("A1", 8), ("A2", 5), ("B2", 5), ("G2", 4), ("A3", 4), ("B3", 3),
+    ("C3", 3), ("D4", 2)])
+def test_kostant_partitions_match_prefix_walk(label, bound):
+    rs = build_root_system(label)
+    for depth in iproduct(range(bound + 1), repeat=rs.rank):
+        assert kostant_partitions(rs, depth) \
+            == kostant_partitions_by_prefix_walk(rs, depth), depth
 
 
 def test_partition_convolution_consistency(a2, b2, g2):
@@ -481,16 +495,37 @@ BAD_INPUTS = {
     "decompose_tuple": lambda rs: decompose(rs, (1, 1), W2),
     "prv_det_tuple": lambda rs: prv_det(rs, (1, 1)),
     "realize_tuple": lambda rs: realize(rs, (1, 1)),
+    # a tuple weight, or a lam that is no weight, used to raise
+    # AttributeError
+    "weight_multiplicity_mu_tuple": lambda rs: weight_multiplicity(
+        rs, W2, (0, 0)),
+    "kostant_multiplicity_mu_tuple": lambda rs: kostant_multiplicity(
+        rs, W2, (0, 0)),
+    "freudenthal_multiplicity_mu_tuple": lambda rs: freudenthal_multiplicity(
+        rs, W2, (0, 0)),
+    "v_extremes_dim_gamma_tuple": lambda rs: v_extremes_dim(
+        rs, W2, (0, 0), W2),
+    "v_extremes_gamma_tuple": lambda rs: v_extremes(
+        rs, realize(rs, W2), (0, 0), W2),
+    **{f"central_character_{name}": (
+        lambda rs, lam=lam: central_character(
+            rs, chevalley_basis(rs), lam, casimir(chevalley_basis(rs))))
+       for name, lam in (("none", None), ("str", "1,1"), ("tuple", (1, 1)))},
 }
-# the error each case must raise, where it is not ValueError
-BAD_INPUT_ERRORS = {name: TypeError for name in BAD_INPUTS
-                    if name.endswith("_tuple")}
+# the cases that pass something other than a Weight: each must fail its
+# entry point's type check; every other case raises ValueError
+NOT_A_WEIGHT = {name for name in BAD_INPUTS
+                if name.endswith(("_tuple", "_none", "_str"))}
 
 
 @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
 def test_wrong_rank_and_non_integer_inputs_raise(a2, name):
-    with pytest.raises(BAD_INPUT_ERRORS.get(name, ValueError)):
-        BAD_INPUTS[name](a2)
+    if name in NOT_A_WEIGHT:
+        with pytest.raises(TypeError, match="must be a Weight"):
+            BAD_INPUTS[name](a2)
+    else:
+        with pytest.raises(ValueError):
+            BAD_INPUTS[name](a2)
 
 
 def test_partition_function_accepts_integral_values(a2):
@@ -536,6 +571,33 @@ def test_memo_results_are_read_only(a2):
 def test_dominant_weight_table_is_the_character_table(rs):
     lam = rs.rho
     assert dominant_weight_table(rs, lam) is character_table(rs, lam)
+
+
+@pytest.mark.parametrize("route,label,lam,mu", [
+    ("alternating", "A1", (4,), (6,)),
+    ("alternating", "A2", (2, 2), (4, 1)),
+    ("alternating", "B2", (2, 2), (3, 2)),
+    ("alternating", "G2", (2, 1), (3, 1)),
+    ("freudenthal", "A2", (2, 2), (4, 1)),
+    ("freudenthal", "B2", (2, 2), (3, 2)),
+])
+def test_tables_share_one_key_per_dominant_weight(route, label, lam, mu):
+    rs = build_root_system(label)
+    build = {"alternating": characters._dominant_table_fast,
+             "freudenthal": characters._dominant_table}[route]
+    first = build(rs, lam)
+    theirs = {k: k for k in build(rs, mu)}
+    common = [k for k in first if k in theirs]
+    assert len(common) > 1
+    for k in common:
+        assert theirs[k] is k and rs._dominant_keys[k] is k
+    again = dominant_drops(rs, lam)
+    assert all(a is b for (_, a), (_, b)
+               in zip(dominant_drops(rs, lam), again, strict=True))
+    # each root system keeps its own intern dict
+    dicts = [build_root_system(x)._dominant_keys
+             for x in ("A1", "A2", "B2", "G2")]
+    assert len({id(d) for d in dicts}) == len(dicts)
 
 
 def test_clearing_a_memo_clears_its_view(a2):
