@@ -172,11 +172,12 @@ def signed_partition_sums(rs, shifts, drops):
     """[sum of sign * p(drop + shift) over shifts] for each drop, every
     shift <= 0 (as rho_shifts gives at a dominant x), so the table covering
     every drop covers every argument.  Each shift's flat offset and least
-    admissible drop, -shift, are taken once; below it p vanishes."""
-    values, strides, _ = _pf_covering(rs, [max(0, *col)
-                                           for col in zip(*drops)])
-    terms = [(sgn, sum(map(mul, shift, strides)), tuple(-c for c in shift))
-             for sgn, shift in shifts]
+    admissible drop, -shift, are taken once; below it p vanishes, so a shift
+    whose least drop exceeds every drop in some coordinate is left out."""
+    top = [max(col) for col in zip(*drops)]
+    values, strides, _ = _pf_covering(rs, [max(0, x) for x in top])
+    terms = [(sgn, sum(map(mul, s, strides)), least) for sgn, s in shifts
+             if all(map(le, least := tuple(-c for c in s), top))]
     out = []
     for drop in drops:
         base = sum(map(mul, drop, strides))
@@ -195,10 +196,13 @@ def weyl_dimension(rs, lam):
 
 
 def _weyl_dim(rs, coords):
-    """dim V(lambda) from the fundamental coordinates of lambda, which the
+    """dim V(lambda) from the fundamental coordinates of lambda, a tuple the
     caller has checked to be rank nonnegative integers: the product of
     <lambda + rho, alpha^vee> over the positive roots, over the product of
-    the <rho, alpha^vee>."""
+    the <rho, alpha^vee>.  Computed once per weight, into rs._weyl_dims."""
+    dim = rs._weyl_dims.get(coords)
+    if dim is not None:
+        return dim
     num = 1
     for cv, r in zip(rs.coroots, rs.rho_pairings):
         num *= sum(map(mul, cv, coords)) + r
@@ -206,7 +210,7 @@ def _weyl_dim(rs, coords):
     if rem:
         raise InvariantViolation(
             f"Weyl dimension of {coords} is {num}/{rs.weyl_den}")
-    return dim
+    return rs._weyl_dims.setdefault(coords, dim)
 
 
 def dominant_drops(rs, lam_coords):
@@ -427,17 +431,21 @@ def dominant_orbit(rs, dom_coords):
     return tuple(rs.orbit_coords(dom_coords))
 
 
-def _check_char_cap(rs, lam, caps):
-    rs.require_dominant_integral(lam)
-    caps.check("max_char", _weyl_dim(rs, lam.coords), "dim V({})", lam)
+def _char_table(rs, coords, caps):
+    """character_table on the checked coordinates of lambda, the tensor
+    layer's kernel; a refusal names lambda as a Weight, built only then."""
+    dim = _weyl_dim(rs, coords)
+    if dim > caps.max_char:
+        caps.check("max_char", dim, "dim V({})", Weight(coords))
+    return _table(rs, coords)
 
 
 def character_of(rs, lam, caps=Caps()):
     """Full formal character of V(lambda); sparse, validated against the
     dimension formula, with read-only entries.  Built on each call from the
     dominant table and the shared orbits; nothing keeps it."""
-    _check_char_cap(rs, lam, caps)
-    entries = {x: m for dom, m in _table(rs, lam.coords).items()
+    rs.require_dominant_integral(lam)
+    entries = {x: m for dom, m in _char_table(rs, lam.coords, caps).items()
                for x in dominant_orbit(rs, dom)}
     total, dim = sum(entries.values()), _weyl_dim(rs, lam.coords)
     if total != dim:
@@ -449,5 +457,5 @@ def character_of(rs, lam, caps=Caps()):
 def character_table(rs, lam, caps=Caps()):
     """The dominant part of character_of(rs, lam, caps), under the same cap:
     the multiplicities of V(lambda) on its dominant weights, read-only."""
-    _check_char_cap(rs, lam, caps)
-    return _table(rs, lam.coords)
+    rs.require_dominant_integral(lam)
+    return _char_table(rs, lam.coords, caps)

@@ -40,8 +40,8 @@ from .errors import InvariantViolation
 from .linalg import (SpanBasis, kernel_basis, lattice_basis, mat_mul,
                      nullity, rank)
 from .rootsystem import Weight, _num
-from .characters import (dominant_orbit, dominant_weight_table,
-                         kostant_partitions, weyl_dimension)
+from .characters import (_table, dominant_orbit, kostant_partitions,
+                         weyl_dimension)
 
 __all__ = [
     "VermaEngine", "IrrepRealization", "realize", "v_extremes",
@@ -274,11 +274,10 @@ class IrrepRealization:
     when both blocks are nonzero.
 
     ``build_to`` builds the blocks at and above one depth; ``realize`` builds
-    them all and sets ``dimension``, which is None until then.
+    them all and sets ``dimension``, which is None until then; both check mu.
     """
 
     def __init__(self, rs, mu):
-        rs.require_dominant_integral(mu)
         self.rs = rs
         self.highest = mu
         self.weights = {mu.coords: 1}
@@ -397,13 +396,18 @@ def v_extremes_dim(rs, mu, gamma, nu):
     on V(mu)_gamma, built only down to gamma."""
     rs.require_dominant_integral(mu, nu)
     rs.require_weight(gamma)
-    diff = rs.root_lattice_coords(mu - gamma)
-    if diff is None or any(c < 0 for c in diff):
+    return _v_extremes_dim(rs, mu, gamma.coords, nu.coords)
+
+
+def _v_extremes_dim(rs, mu, gamma, nu):
+    """v_extremes_dim on checked arguments, gamma and nu as coordinates."""
+    diff = rs.root_lattice_coords(_sub(mu.coords, gamma))
+    if diff is None or min(diff) < 0:
         return 0
     real = _module(rs, mu)
     real.build_to(diff)
-    return nullity(_power_rows(rs, real, gamma.coords, nu, "+"),
-                   real.weight_dim(gamma))
+    return nullity(_power_rows(rs, real, gamma, nu, "+"),
+                   real.weights.get(gamma, 0))
 
 
 def realize(rs, mu, caps=Caps()):
@@ -411,15 +415,15 @@ def realize(rs, mu, caps=Caps()):
     generator matrices, built once per (system, mu) and checked block by
     block against the dominant table of V(mu) expanded over W-orbits;
     refused past caps.max_dim before the memo is consulted."""
-    caps.check("max_dim", weyl_dimension(rs, mu), "dim V({})", mu)
+    dim = weyl_dimension(rs, mu)
+    caps.check("max_dim", dim, "dim V({})", mu)
     real = _module(rs, mu)
     if real.dimension is None:
-        mults = {x: m for dom, m in dominant_weight_table(rs, mu).items()
+        mults = {x: m for dom, m in _table(rs, mu.coords).items()
                  for x in dominant_orbit(rs, dom)}
         for w in mults:
-            real.build_to(rs.root_lattice_coords(mu - Weight(w)))
-        dim = sum(mults.values())
-        if real.weights != mults or dim != weyl_dimension(rs, mu):
+            real.build_to(rs.root_lattice_coords(_sub(mu.coords, w)))
+        if real.weights != mults or sum(mults.values()) != dim:
             raise InvariantViolation(
                 f"the blocks of V({mu}) differ from its weight table")
         real.dimension = dim
@@ -428,19 +432,21 @@ def realize(rs, mu, caps=Caps()):
 
 def _power_rows(rs, real, key, nu, sign):
     """The e_i^{nu(h_i)+1} (f_i for sign "-") on the block at key, stacked
-    over i; a power that leaves the module is zero and adds no rows."""
-    mats = real.e_mats if sign == "+" else real.f_mats
+    over i; a power that leaves the module is zero and adds no rows.  The
+    weights of V(mu) form unbroken alpha_i-strings, so a chain is multiplied
+    out only if it ends at a weight (for e_i one of the blocks built above
+    key), and then every step on the way has its matrix."""
+    mats, step = (real.e_mats, _add) if sign == "+" else (real.f_mats, _sub)
     stacked = []
     for i, a in enumerate(rs.simple_root_coords):
-        mat, cur = None, key
-        for _ in range(nu[i] + 1):
-            step = mats.get((i, cur))
-            if not step:
-                break
-            mat = step if mat is None else mat_mul(step, mat)
-            cur = _add(cur, a) if sign == "+" else _sub(cur, a)
-        else:
-            stacked.extend(mat)
+        mat, cur = mats.get((i, key)), key
+        if not mat or step(key, [(nu[i] + 1) * x for x in a]) \
+                not in real.weights:
+            continue
+        for _ in range(nu[i]):
+            cur = step(cur, a)
+            mat = mat_mul(mats[(i, cur)], mat)
+        stacked.extend(mat)
     return stacked
 
 

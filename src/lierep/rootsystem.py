@@ -261,10 +261,10 @@ class RootSystem:
     """Immutable structural data of one simple type.
 
     Use :func:`build_root_system`; instances are interned so identity
-    comparison and id-keyed caches are safe.  ``characters`` fills two memo
-    slots: the partition-function table, replaced whole, and the intern
-    dict of dominant weights, write-once per key and as long-lived as the
-    system.
+    comparison and id-keyed caches are safe.  ``characters`` fills three
+    memo slots: the partition-function table, replaced whole, and two dicts
+    keyed by dominant weight, the intern dict and the Weyl dimensions, each
+    write-once per key and as long-lived as the system.
     """
 
     def __init__(self, series, rank):
@@ -284,8 +284,9 @@ class RootSystem:
         # the partition-function table (values, strides, box) on the box
         # {0}; characters._pf replaces it whole by a table on a larger box
         self._pf_table = ([1], (1,) * rank, (0,) * rank)
-        # weight -> the one tuple that every dominant table keys it by
+        # dominant weight -> its one key tuple, and -> its Weyl dimension
         self._dominant_keys = {}
+        self._weyl_dims = {}
 
     # -- construction -----------------------------------------------------
 

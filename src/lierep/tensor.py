@@ -15,15 +15,14 @@ All four must agree; the last method is also exposed pointwise as
 components, generalized extreme components, minuscule closed form).
 """
 
-from operator import mul, sub
+from operator import add, mul, sub
 
 from .config import METHODS, Caps
 from .errors import InvariantViolation
 from .rootsystem import Weight
 from .weyl import coset_fibers, double_cosets, longest_element, shift_maps
-from .characters import (_weyl_dim, character_table, dominant_orbit,
-                         rho_shifts, signed_partition_sums, table_mult,
-                         weyl_dimension)
+from .characters import (_char_table, _weyl_dim, dominant_orbit,
+                         rho_shifts, signed_partition_sums, table_mult)
 
 __all__ = [
     "Decomposition", "decompose", "decompose_all", "multiplicity",
@@ -35,27 +34,31 @@ __all__ = [
 class Decomposition:
     """Audited map from dominant highest weights to positive multiplicities.
 
-    Construction checks the dimension count, dominance/integrality of the
-    support, and the weight-multiplicity upper bound for every entry; the
-    bound reads the dominant table of V(mu), built under caps.
+    Construction checks lam and mu (_checked, for checked ones, does not),
+    then audits the dimension count, dominance/integrality of the support,
+    and the weight-multiplicity upper bound for every entry; the bound reads
+    the dominant table of V(mu), built under caps.
     """
 
     def __init__(self, rs, lam, mu, method, entries, caps=Caps()):
-        self.rs = rs
-        self.lam = lam
-        self.mu = mu
-        self.method = method
-        self.entries = {k: v for k, v in entries.items() if v}
-        self._audit(caps)
+        rs.require_dominant_integral(lam, mu)
+        self._audit(rs, lam, mu, method, entries, caps)
 
-    def _audit(self, caps):
-        rs = self.rs
+    @classmethod
+    def _checked(cls, *args):
+        self = cls.__new__(cls)
+        self._audit(*args)
+        return self
+
+    def _audit(self, rs, lam, mu, method, entries, caps):
+        self.rs, self.lam, self.mu, self.method = rs, lam, mu, method
+        self.entries = {k: v for k, v in entries.items() if v}
         total = 0
-        table = character_table(rs, self.mu, caps)
-        lam_c = self.lam.coords
+        lam_c, mu_c = lam.coords, mu.coords
+        table = _char_table(rs, mu_c, caps)
         for coords, m in self.entries.items():
-            if m < 0 or len(coords) != rs.rank or not all(
-                    isinstance(c, int) and c >= 0 for c in coords):
+            if m < 0 or type(coords) is not tuple or len(coords) != rs.rank \
+                    or not all(isinstance(c, int) and c >= 0 for c in coords):
                 raise InvariantViolation(
                     f"bad decomposition entry {coords}: {m}")
             # m_mu(nu - lam) bounds the multiplicity of V(nu)
@@ -64,11 +67,12 @@ class Decomposition:
                 raise InvariantViolation(
                     f"multiplicity {m} at {coords} exceeds weight bound {cap}")
             total += m * _weyl_dim(rs, coords)
-        if total != weyl_dimension(rs, self.lam) * weyl_dimension(rs, self.mu):
+        if total != _weyl_dim(rs, lam_c) * _weyl_dim(rs, mu_c):
             raise InvariantViolation("decomposition dimension audit failed")
 
     def mult(self, nu):
         key = nu.coords if isinstance(nu, Weight) else tuple(nu)
+        self.rs.require_rank(key)
         return self.entries.get(key, 0)
 
     def components(self):
@@ -94,7 +98,7 @@ def _candidates(rs, lam, mu, caps):
     candidates."""
     lam_c = lam.coords
     out = set()
-    for dom in character_table(rs, mu, caps):
+    for dom in _char_table(rs, mu.coords, caps):
         for mu_c in dominant_orbit(rs, dom):
             nu = tuple(a + b for a, b in zip(lam_c, mu_c))
             if min(nu) >= 0:
@@ -114,13 +118,13 @@ def _char_product(rs, lam, mu, caps):
     pairs, one per dominant weight, and the other through a lookup dict
     expanded for this call: both from the shared orbit memo.
     """
-    big, small = (character_table(rs, w, caps) for w in (lam, mu))
+    big, small = (_char_table(rs, w.coords, caps) for w in (lam, mu))
     if _weyl_dim(rs, lam.coords) < _weyl_dim(rs, mu.coords):
         big, small = small, big
     get = {x: m for dom, m in big.items() for x in dominant_orbit(rs, dom)}.get
     small = [(dominant_orbit(rs, dom), m) for dom, m in small.items()]
     out = {}
-    for nu in character_table(rs, lam + mu, caps):
+    for nu in _char_table(rs, tuple(map(add, lam.coords, mu.coords)), caps):
         total = 0
         for orb, m2 in small:
             s = 0
@@ -147,7 +151,7 @@ def _decompose_character(rs, lam, mu, caps):
         if m < 0:
             raise InvariantViolation("character peeling left a non-character")
         entries[top] = m
-        for c2, m2 in character_table(rs, Weight(top), caps).items():
+        for c2, m2 in _char_table(rs, top, caps).items():
             left = remaining.get(c2, 0) - m * m2
             if left:
                 remaining[c2] = left
@@ -181,7 +185,7 @@ def _decompose_steinberg(rs, lam, mu, caps):
 def _decompose_klimyk(rs, lam, mu, caps):
     shift = [c + 1 for c in lam.coords]   # lam + rho
     entries = {}
-    for mu_dom, m in character_table(rs, mu, caps).items():
+    for mu_dom, m in _char_table(rs, mu.coords, caps).items():
         for mu_c in dominant_orbit(rs, mu_dom):
             dom, word = rs.dominant_ascent(
                 [a + b for a, b in zip(shift, mu_c)])
@@ -193,14 +197,13 @@ def _decompose_klimyk(rs, lam, mu, caps):
 
 
 def _decompose_extremes(rs, lam, mu, caps):
-    from .irreps import v_extremes_dim
+    from .irreps import _v_extremes_dim
     # work inside the smaller factor
     if _weyl_dim(rs, mu.coords) > _weyl_dim(rs, lam.coords):
         lam, mu = mu, lam
-    entries = {}
+    lam_c, entries = lam.coords, {}
     for coords in _candidates(rs, lam, mu, caps):
-        nu = Weight(coords)
-        m = v_extremes_dim(rs, mu, nu - lam, lam)
+        m = _v_extremes_dim(rs, mu, tuple(map(sub, coords, lam_c)), lam_c)
         if m:
             entries[coords] = m
     return entries
@@ -219,7 +222,7 @@ def decompose(rs, lam, mu, method="character", caps=Caps()):
         entries = _decompose_extremes(rs, lam, mu, caps)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return Decomposition(rs, lam, mu, method, entries, caps)
+    return Decomposition._checked(rs, lam, mu, method, entries, caps)
 
 
 def decompose_all(rs, lam, mu, caps=Caps()):
@@ -238,11 +241,12 @@ def multiplicity(rs, lam, mu, nu):
     """Single multiplicity of V(nu) in V(lam) (x) V(mu) without a full
     decomposition, via raising-operator kernels: the two kernel expressions
     (inside V(mu) and inside V(nu)) are both computed and compared."""
-    from .irreps import v_extremes_dim
+    from .irreps import _v_extremes_dim
     rs.require_dominant_integral(lam, mu, nu)
-    m1 = v_extremes_dim(rs, mu, nu - lam, lam)
+    m1 = _v_extremes_dim(rs, mu, (nu - lam).coords, lam.coords)
     w0 = longest_element(rs)
-    m2 = v_extremes_dim(rs, nu, lam + w0.apply(mu), -w0.apply(mu))
+    m2 = _v_extremes_dim(rs, nu, (lam + w0.apply(mu)).coords,
+                         (-w0.apply(mu)).coords)
     if m1 != m2:
         raise InvariantViolation(
             f"extreme-subspace expressions disagree: {m1} != {m2}")
@@ -252,13 +256,13 @@ def multiplicity(rs, lam, mu, nu):
 def extreme_types(rs, lam, mu):
     """(largest, smallest) highest weights of the product: lam + mu and the
     dominant representative of lam + w0(mu); both multiplicity one."""
-    from .irreps import v_extremes_dim
+    from .irreps import _v_extremes_dim
     rs.require_dominant_integral(lam, mu)
     w0 = longest_element(rs)
     cartan = lam + mu
     minimal = rs.dominant_in_orbit(lam + w0.apply(mu))
     for nu in (cartan, minimal):
-        if v_extremes_dim(rs, mu, nu - lam, lam) != 1:
+        if _v_extremes_dim(rs, mu, (nu - lam).coords, lam.coords) != 1:
             raise InvariantViolation(f"extreme component {nu} not simple")
     return cartan, minimal
 
@@ -267,11 +271,11 @@ def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
     """Report on the extreme component attached to w: its multiplicity, the
     double-coset lower bound, and optionally the generated-submodule count,
     whose tensor module past caps.max_dim raises CapExceeded."""
-    from .irreps import kprv_multiplicity, v_extremes_dim
+    from .irreps import _v_extremes_dim, kprv_multiplicity
     rs.require_dominant_integral(lam, mu)
     rs.require_same_system(w)
     target = rs.dominant_in_orbit(lam + w.apply(mu))
-    mult = v_extremes_dim(rs, mu, target - lam, lam)
+    mult = _v_extremes_dim(rs, mu, (target - lam).coords, lam.coords)
     bound = coset_fibers(rs, lam, mu, caps)[target.coords]
     if mult < max(1, bound):
         raise InvariantViolation(
@@ -295,10 +299,9 @@ def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
 def is_minuscule(rs, mu):
     """wt V(mu) is a single orbit iff <mu, alpha^vee> <= 1 for every
     positive root alpha, mu dominant integral."""
-    rs.require_rank(mu)
-    if not (mu.is_integral and mu.is_dominant):
-        return False
-    return all(sum(map(mul, cv, mu.coords)) <= 1 for cv in rs.coroots)
+    rs.require_weight(mu)
+    return mu.is_integral and mu.is_dominant and all(
+        sum(map(mul, cv, mu.coords)) <= 1 for cv in rs.coroots)
 
 
 def minuscule_decompose(rs, lam, mu, caps=Caps()):
@@ -317,7 +320,7 @@ def minuscule_decompose(rs, lam, mu, caps=Caps()):
     if count != len(entries):
         raise InvariantViolation(
             f"component count {len(entries)} != double coset count {count}")
-    return Decomposition(rs, lam, mu, "minuscule", entries, caps)
+    return Decomposition._checked(rs, lam, mu, "minuscule", entries, caps)
 
 
 def component_tests(rs, lam, mu, caps=Caps()):
@@ -330,7 +333,7 @@ def component_tests(rs, lam, mu, caps=Caps()):
     every multiplicity equals the corresponding weight multiplicity of V(mu)
     (verified).
     """
-    from .irreps import v_extremes_dim
+    from .irreps import _v_extremes_dim
     rs.require_dominant_integral(lam, mu)
     report = {"root_subtraction": {}, "minus_one_applies": None}
     for k, beta in enumerate(rs.positive_roots):
@@ -345,17 +348,19 @@ def component_tests(rs, lam, mu, caps=Caps()):
                           or rs.root_difference(k, rs.rank - 1 - i))
                      for i in range(rs.rank))
         if ok:
-            m = v_extremes_dim(rs, mu, nu - lam, lam)
+            m = _v_extremes_dim(rs, mu, (nu - lam).coords, lam.coords)
             if m <= 0:
                 raise InvariantViolation(
                     f"root-subtraction component {nu} missing")
             report["root_subtraction"][beta.coeffs] = m
-    table = character_table(rs, mu, caps)
+    table = _char_table(rs, mu.coords, caps)
     cond = all(lam[i] + mu_c[i] >= -1 for dom in table
                for mu_c in dominant_orbit(rs, dom) for i in range(rs.rank))
     report["minus_one_applies"] = cond
     if cond:
-        dec = decompose(rs, lam, mu, "character", caps)
+        dec = Decomposition._checked(
+            rs, lam, mu, "character",
+            _decompose_character(rs, lam, mu, caps), caps)
         for coords, m in dec.entries.items():
             if m != table_mult(rs, table, list(map(sub, coords, lam.coords))):
                 raise InvariantViolation(

@@ -10,6 +10,7 @@ from operator import add
 from lierep.characters import dominant_weight_table, weyl_dimension
 from lierep.enveloping import PBWAlgebra
 from lierep.hpoly import HPoly
+from lierep.linalg import mat_mul
 from lierep.rootsystem import RootVector
 
 
@@ -85,6 +86,27 @@ def dominant_drops_by_recursion(rs, lam_coords):
 
     rec(0, tuple(lam_coords), ())
     return tuple(out)
+
+
+def power_rows_by_step_walk(rs, real, key, nu, sign):
+    """irreps._power_rows by walking each chain one step at a time, with a
+    product per step, and dropping the chain at the first step that leaves
+    the module: the walk that reading the chain's end off the realization's
+    weights replaced."""
+    mats = real.e_mats if sign == "+" else real.f_mats
+    stacked = []
+    for i, a in enumerate(rs.simple_root_coords):
+        mat, cur = None, key
+        for _ in range(nu[i] + 1):
+            step = mats.get((i, cur))
+            if not step:
+                break
+            mat = step if mat is None else mat_mul(step, mat)
+            cur = tuple(x + y if sign == "+" else x - y
+                        for x, y in zip(cur, a))
+        else:
+            stacked.extend(mat)
+    return stacked
 
 
 def character_by_closure(rs, lam):

@@ -28,7 +28,8 @@ from lierep.enveloping import casimir, chevalley_basis
 from lierep.irreps import realize, v_extremes, v_extremes_dim
 from lierep.rootsystem import RootVector
 from lierep.selfcheck import HULL_TYPES
-from lierep.tensor import METHODS, decompose, multiplicity
+from lierep.tensor import (METHODS, Decomposition, decompose, is_minuscule,
+                           multiplicity)
 from lierep.weyl import longest_element, shift_maps
 
 from oracles import (character_by_closure, dominant_drops_by_recursion,
@@ -511,6 +512,12 @@ BAD_INPUTS = {
         lambda rs, lam=lam: central_character(
             rs, chevalley_basis(rs), lam, casimir(chevalley_basis(rs))))
        for name, lam in (("none", None), ("str", "1,1"), ("tuple", (1, 1)))},
+    # a tuple weight used to raise AttributeError, a wrong-rank weight to
+    # read multiplicity 0
+    "is_minuscule_tuple": lambda rs: is_minuscule(rs, (1, 0)),
+    "decomposition_tuple": lambda rs: Decomposition(
+        rs, (1, 0), Weight((0, 1)), "x", {(1, 1): 1}),
+    "decomposition_mult_wrong_rank": lambda rs: decompose(rs, W2, W2).mult(W3),
 }
 # the cases that pass something other than a Weight: each must fail its
 # entry point's type check; every other case raises ValueError
@@ -597,6 +604,24 @@ def test_tables_share_one_key_per_dominant_weight(route, label, lam, mu):
     # each root system keeps its own intern dict
     dicts = [build_root_system(x)._dominant_keys
              for x in ("A1", "A2", "B2", "G2")]
+    assert len({id(d) for d in dicts}) == len(dicts)
+
+
+def test_weyl_dimensions_are_computed_once_per_weight():
+    # a fresh system, so that its dict starts empty: each weight asked for,
+    # however often, is one entry, and later calls read that entry
+    rs = RootSystem("B", 2)
+    asked = [Weight(c) for c in iproduct(range(4), repeat=2)] * 3
+    dims = [weyl_dimension(rs, lam) for lam in asked]
+    assert sorted(rs._weyl_dims) == sorted({lam.coords for lam in asked})
+    assert [rs._weyl_dims[lam.coords] for lam in asked] == dims
+    assert dims[:16] == [weyl_dimension(build_root_system("B2"), lam)
+                         for lam in asked[:16]]
+    rs._weyl_dims[(3, 3)] = -1
+    assert weyl_dimension(rs, Weight((3, 3))) == -1
+    # each root system keeps its own dict
+    dicts = [build_root_system(x)._weyl_dims
+             for x in ("A1", "A2", "B2", "G2")] + [rs._weyl_dims]
     assert len({id(d) for d in dicts}) == len(dicts)
 
 

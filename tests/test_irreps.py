@@ -6,7 +6,7 @@ import pytest
 
 from lierep.config import Caps
 from lierep.errors import CapExceeded
-from lierep import characters
+from lierep import characters, irreps
 from lierep.rootsystem import RootSystem, Weight, build_root_system
 from lierep.weyl import enumerate_weyl, longest_element
 from lierep.characters import (character_of, dominant_weight_table,
@@ -16,9 +16,10 @@ from lierep.irreps import (TensorModule, VermaEngine, _generated_above,
                            _module, generated_submodule, highest_weight_count,
                            kprv_multiplicity, realize, v_extremes,
                            v_extremes_dim, zero_weight_spectrum)
-from lierep.linalg import nullity, rank
+from lierep.linalg import mat_mul, nullity, rank
 from lierep.tensor import decompose
 
+from oracles import power_rows_by_step_walk
 from test_linalg import reference_echelon, reference_solve
 
 
@@ -636,6 +637,58 @@ def test_v_extremes_dim_builds_only_what_it_needs(g2):
     assert sorted(real._built) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert sorted(real.weights) == sorted(
         (mu - g2.root_to_weight(b)).coords for b in real._built)
+
+
+def test_power_rows_match_the_step_walk(monkeypatch):
+    # both routes, for both signs, on every block that the v_extremes and
+    # v_extremes_dim tests above hand to _power_rows
+    fast, seen = irreps._power_rows, []
+
+    def both(rs, real, key, nu, sign):
+        for s in "+-":
+            assert fast(rs, real, key, nu, s) == \
+                power_rows_by_step_walk(rs, real, key, nu, s), (key, nu, s)
+        seen.append(key)
+        return fast(rs, real, key, nu, sign)
+
+    monkeypatch.setattr(irreps, "_power_rows", both)
+    for label in ("A1", "A2", "B2", "G2"):
+        test_extreme_subspace_trivial(build_root_system(label))
+        test_v_extremes_dim_against_verma_levels(label)
+    a1, a2, g2 = (build_root_system(x) for x in ("A1", "A2", "G2"))
+    test_extreme_subspace_clebsch_example(a1)
+    test_extreme_subspace_symmetry(a2)
+    test_v_extremes_dim_builds_only_what_it_needs(g2)
+    assert len(seen) > 1000
+
+
+def test_power_rows_multiply_only_chains_that_complete(monkeypatch, a2):
+    # a chain is multiplied out, one product per step after the first, only
+    # when the weight it ends at is a weight of the module
+    real = realize(a2, Weight((2, 1)))
+    products = []
+
+    def counted(a, b):
+        products.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(irreps, "mat_mul", counted)
+    leaving = 0
+    for key in real.weights:
+        for nu in product(range(3), repeat=2):
+            for sign in (1, -1):
+                products.clear()
+                irreps._power_rows(a2, real, key, nu, "+" if sign > 0 else "-")
+                complete = 0
+                for i, a in enumerate(a2.simple_root_coords):
+                    end = tuple(x + sign * (nu[i] + 1) * y
+                                for x, y in zip(key, a))
+                    if end in real.weights:
+                        complete += nu[i]
+                    else:
+                        leaving += 1
+                assert len(products) == complete, (key, nu, sign)
+    assert leaving > 100
 
 
 def test_former_outliers(g2):

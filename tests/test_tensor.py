@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lierep import characters
-from lierep.config import Caps
+from lierep.config import METHODS, Caps
 from lierep.errors import CapExceeded, InvariantViolation
-from lierep.rootsystem import Weight, build_root_system
+from lierep.rootsystem import RootSystem, Weight, build_root_system
 from lierep.weyl import enumerate_weyl, longest_element, shift_maps
 from lierep.characters import (character_of, character_table,
                                dominant_drops, dominant_weight_table,
@@ -261,6 +261,34 @@ def test_dimension_audit_rejects_bad_entries(a1):
     with pytest.raises(InvariantViolation):
         Decomposition(a1, Weight((1,)), Weight((1,)), "forged",
                       {(2,): 1})  # missing the trivial component
+    # the right components, keyed by Weight where mult and the dimension
+    # dict read coordinate tuples
+    with pytest.raises(InvariantViolation, match="bad decomposition entry"):
+        Decomposition(a1, Weight((1,)), Weight((1,)), "forged",
+                      {Weight((2,)): 1, Weight((0,)): 1})
+
+
+def test_decompose_checks_its_arguments_once(monkeypatch):
+    # a fresh G2, so that every memo the four methods fill starts cold: the
+    # only weight check is decompose's own, and every internal call goes to
+    # a kernel on checked coordinates
+    g2 = RootSystem("G", 2)
+    calls = []
+    require = RootSystem.require_weight
+
+    def counted(self, *weights):
+        calls.append(weights)
+        return require(self, *weights)
+
+    monkeypatch.setattr(RootSystem, "require_weight", counted)
+    lam, mu = Weight((2, 1)), Weight((1, 1))
+    for method in METHODS:
+        calls.clear()
+        decompose(g2, lam, mu, method)
+        assert calls == [(lam, mu)], method
+    # the dimension dict holds tuples only, every one a dominant weight
+    assert g2._weyl_dims and all(type(k) is tuple and min(k) >= 0
+                                 for k in g2._weyl_dims)
 
 
 def test_non_dominant_rejected(a2):
