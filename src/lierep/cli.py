@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Every subcommand maps to one library operation.  Output is a human-readable
-table by default and a versioned JSON record with --json; identical
-invocations produce byte-identical output.  Exit codes: 0 success, 1 usage
-error, 2 resource cap exceeded, 3 internal invariant violation.
+Every subcommand maps to one library operation and takes only the cap flags
+that operation reads.  Output is a human-readable table by default and a
+versioned JSON record with --json; identical invocations produce
+byte-identical output.  Exit codes: 0 success, 1 usage error (an unread cap
+flag among them), 2 resource cap exceeded, 3 internal invariant violation.
 """
 
 import argparse
@@ -351,34 +352,37 @@ def build_parser():
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--json", action="store_true",
                         help="machine-readable output")
-    # the selftest criteria run at fixed corpus caps, so it takes no caps
-    capped = argparse.ArgumentParser(add_help=False, parents=[output])
-    capped.add_argument("--max-dim", type=int, default=None,
-                        help="module dimension and character caps")
-    capped.add_argument("--max-weyl", type=int, default=None,
-                        help="Weyl group enumeration cap")
+    # one parent per cap flag, given only to the commands whose call reads it
+    dim_cap = argparse.ArgumentParser(add_help=False)
+    dim_cap.add_argument("--max-dim", type=int, default=None,
+                         help="module dimension and character caps")
+    weyl_cap = argparse.ArgumentParser(add_help=False)
+    weyl_cap.add_argument("--max-weyl", type=int, default=None,
+                          help="Weyl group enumeration cap")
     top = _Parser(
         prog="lierep",
         description="exact semisimple Lie representation computations")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def system_cmd(name, fn, help_):
-        p = sub.add_parser(name, help=help_, parents=[capped])
+    def system_cmd(name, fn, help_, *caps):
+        p = sub.add_parser(name, help=help_, parents=[output, *caps])
         p.add_argument("system", help="root system spec, e.g. A2")
         p.set_defaults(fn=fn)
         return p
 
     system_cmd("roots", cmd_roots, "root system structure data")
-    system_cmd("weyl", cmd_weyl, "enumerate the Weyl group")
+    system_cmd("weyl", cmd_weyl, "enumerate the Weyl group", weyl_cap)
 
-    p = system_cmd("mult", cmd_mult, "weight multiplicity in V(highest)")
+    p = system_cmd("mult", cmd_mult, "weight multiplicity in V(highest)",
+                   weyl_cap)
     p.add_argument("highest")
     p.add_argument("weight")
 
-    p = system_cmd("char", cmd_char, "full formal character")
+    p = system_cmd("char", cmd_char, "full formal character", dim_cap)
     p.add_argument("highest")
 
-    p = system_cmd("decompose", cmd_decompose, "tensor product decomposition")
+    p = system_cmd("decompose", cmd_decompose,
+                   "tensor product decomposition", dim_cap, weyl_cap)
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("--method", default="character",
@@ -389,7 +393,8 @@ def build_parser():
     p.add_argument("lam")
     p.add_argument("mu")
 
-    p = system_cmd("prv", cmd_prv, "extreme component report")
+    p = system_cmd("prv", cmd_prv, "extreme component report",
+                   dim_cap, weyl_cap)
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("--word", default=None,
@@ -403,7 +408,7 @@ def build_parser():
     p.add_argument("--max-height", type=int, default=None)
 
     p = system_cmd("prv-det", cmd_prv_det,
-                   "zero-weight determinant product formula")
+                   "zero-weight determinant product formula", dim_cap)
     p.add_argument("mu")
 
     p = system_cmd("central-char", cmd_central_char,
@@ -414,17 +419,18 @@ def build_parser():
     p.add_argument("system")
     hsub = p.add_subparsers(dest="hc_cmd", required=True)
 
-    def hc_cmd(name, fn, *params):
-        q = hsub.add_parser(name, parents=[capped])
+    def hc_cmd(name, fn, params, *caps):
+        q = hsub.add_parser(name, parents=[output, *caps])
         for param in params:
             q.add_argument(param)
         q.set_defaults(fn=fn)
 
-    hc_cmd("invariants", cmd_hc_invariants, "lam", "nu")
-    hc_cmd("equivalent", cmd_hc_equivalent, "lam", "nu", "lam2", "nu2")
-    hc_cmd("class-zero", cmd_hc_class_zero, "lam")
-    hc_cmd("finite-dim", cmd_hc_finite_dim, "lam", "nu")
-    hc_cmd("count", cmd_hc_count, "lam", "nu")
+    hc_cmd("invariants", cmd_hc_invariants, ("lam", "nu"))
+    hc_cmd("equivalent", cmd_hc_equivalent, ("lam", "nu", "lam2", "nu2"),
+           weyl_cap)
+    hc_cmd("class-zero", cmd_hc_class_zero, ("lam",), dim_cap)
+    hc_cmd("finite-dim", cmd_hc_finite_dim, ("lam", "nu"))
+    hc_cmd("count", cmd_hc_count, ("lam", "nu"), weyl_cap)
 
     p = sub.add_parser("selftest", help="run the acceptance corpus",
                        parents=[output])

@@ -79,7 +79,7 @@ class BracketTable:
                         raise InvariantViolation(
                             f"Jacobi fails on basis triple ({i},{j},{k})")
 
-    def change_basis(self, vectors, names, weights=None):
+    def change_basis(self, vectors, names):
         """Structure constants in the span of `vectors` (old coordinates)."""
         n = self.dim
         if len(vectors) != n:
@@ -101,7 +101,7 @@ class BracketTable:
                         entry[r] = val
                 if entry:
                     table[(p, q)] = entry
-        return BracketTable(names, table, weights)
+        return BracketTable(names, table)
 
 
 def product_bracket(ta, tb):
@@ -112,13 +112,8 @@ def product_bracket(ta, tb):
         table[(i, j)] = dict(entry)
     for (i, j), entry in tb.table.items():
         table[(i + off, j + off)] = {k + off: c for k, c in entry.items()}
-    weights = None
-    if ta.weights is not None and tb.weights is not None:
-        za = (0,) * len(tb.weights[0])
-        zb = (0,) * len(ta.weights[0])
-        weights = [w + za for w in ta.weights] + [zb + w for w in tb.weights]
     names = [f"{n}'" for n in ta.names] + [f"{n}''" for n in tb.names]
-    return BracketTable(names, table, weights)
+    return BracketTable(names, table)
 
 
 # --------------------------------------------------------------------------

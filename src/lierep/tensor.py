@@ -75,9 +75,6 @@ class Decomposition:
         self.rs.require_rank(key)
         return self.entries.get(key, 0)
 
-    def components(self):
-        return [Weight(c) for c in sorted(self.entries)]
-
     def __eq__(self, other):
         return isinstance(other, Decomposition) and self.entries == other.entries
 
@@ -255,14 +252,15 @@ def multiplicity(rs, lam, mu, nu):
 
 def extreme_types(rs, lam, mu):
     """(largest, smallest) highest weights of the product: lam + mu and the
-    dominant representative of lam + w0(mu); both multiplicity one."""
+    dominant representative of lam + w0(mu); both multiplicity one, read at
+    the top of V(mu) and inside V(minimal) at lam + w0(mu) respectively."""
     from .irreps import _v_extremes_dim
     rs.require_dominant_integral(lam, mu)
-    w0 = longest_element(rs)
-    cartan = lam + mu
-    minimal = rs.dominant_in_orbit(lam + w0.apply(mu))
-    for nu in (cartan, minimal):
-        if _v_extremes_dim(rs, mu, (nu - lam).coords, lam.coords) != 1:
+    low = lam + longest_element(rs).apply(mu)
+    cartan, minimal = lam + mu, rs.dominant_in_orbit(low)
+    for nu, args in ((cartan, (mu, mu.coords, lam.coords)),
+                     (minimal, (minimal, low.coords, (lam - low).coords))):
+        if _v_extremes_dim(rs, *args) != 1:
             raise InvariantViolation(f"extreme component {nu} not simple")
     return cartan, minimal
 

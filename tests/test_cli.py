@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lierep.cli import main
+from lierep.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = SRC.parent / "scripts" / "explore_extreme_components.py"
@@ -220,6 +221,13 @@ def test_max_dim_raises_character_cap(capsys):
      "--max-dim", "728", "729"),
     (("hc", "A2", "class-zero", "3,3"), "--max-dim", "10", "343"),
     (("mult", "A2", "1,1", "0,0"), "--max-weyl", "5", "6"),
+    (("decompose", "A2", "1,1", "1,1"), "--max-dim", "26", "27"),
+    (("decompose", "A2", "1,1", "1,1", "--method=steinberg"), "--max-weyl",
+     "5", "6"),
+    (("prv", "A2", "1,1", "1,1"), "--max-weyl", "5", "6"),
+    (("hc", "A2", "equivalent", "1,1", "1,1", "1,1", "1,1"), "--max-weyl",
+     "5", "6"),
+    (("hc", "A2", "count", "1,0", "0,1"), "--max-weyl", "5", "6"),
 ])
 def test_cap_errors_name_their_flag(capsys, argv, flag, refused, accepted):
     code, _, err = run(capsys, *argv, flag, refused)
@@ -237,11 +245,54 @@ def test_kprv_cap_refusal_reaches_the_exit_code(capsys):
     assert [r["kprv_mult"] for r in json.loads(out)["reports"]] == [1]
 
 
-@pytest.mark.parametrize("flag", ["--max-dim", "--max-weyl"])
-def test_selftest_rejects_cap_flags(capsys, flag):
-    code, out, err = run(capsys, "selftest", "--criteria", "clebsch-gordan",
-                         flag, "1")
+# each query with the cap flags that its call never reads
+_BOTH = ("--max-dim", "--max-weyl")
+_UNREAD_CAP_FLAGS = [
+    (("selftest", "--criteria", "clebsch-gordan"), _BOTH),
+    (("roots", "A2"), _BOTH),
+    (("minimal-type", "A2", "1,0", "0,1"), _BOTH),
+    (("shapovalov-det", "A2", "1,1"), _BOTH),
+    (("central-char", "A2", "1,1"), _BOTH),
+    (("hc", "A2", "invariants", "1,1", "1,1"), _BOTH),
+    (("hc", "A2", "finite-dim", "1,1", "1,1"), _BOTH),
+    (("weyl", "A2"), ("--max-dim",)),
+    (("mult", "A2", "1,1", "0,0"), ("--max-dim",)),
+    (("hc", "A2", "equivalent", "1,1", "1,1", "1,1", "1,1"), ("--max-dim",)),
+    (("hc", "A2", "count", "1,0", "0,1"), ("--max-dim",)),
+    (("char", "A2", "1,1"), ("--max-weyl",)),
+    (("prv-det", "A2", "1,1"), ("--max-weyl",)),
+    (("hc", "A2", "class-zero", "1,1"), ("--max-weyl",)),
+]
+
+
+@pytest.mark.parametrize("query,flag", [
+    pytest.param(query, flag, id=(f"hc-{query[2]}" if query[0] == "hc"
+                                  else query[0]) + flag)
+    for query, flags in _UNREAD_CAP_FLAGS for flag in flags])
+def test_unread_cap_flags_are_usage_errors(capsys, query, flag):
+    code, out, err = run(capsys, *query, flag, "1")
     assert code == 1 and flag in err and out == ""
+
+
+def _cap_flags(parser, prefix=()):
+    """{(command words, flag)} for every cap flag the parser offers."""
+    found = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                found |= _cap_flags(child, prefix + (name,))
+        found |= {(" ".join(prefix), opt) for opt in action.option_strings
+                  if opt.startswith("--max-")}
+    return found
+
+
+def test_parser_offers_only_the_cap_flags_read():
+    dim, weyl = "--max-dim", "--max-weyl"
+    assert _cap_flags(build_parser()) == {
+        ("weyl", weyl), ("mult", weyl), ("hc equivalent", weyl),
+        ("hc count", weyl), ("char", dim), ("prv-det", dim),
+        ("hc class-zero", dim), ("decompose", dim), ("decompose", weyl),
+        ("prv", dim), ("prv", weyl), ("shapovalov-det", "--max-height")}
 
 
 def _assert_statements(folder):

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement, product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lierep import characters
+from lierep import characters, irreps
 from lierep.config import METHODS, Caps
 from lierep.errors import CapExceeded, InvariantViolation
 from lierep.rootsystem import RootSystem, Weight, build_root_system
@@ -14,6 +14,7 @@ from lierep.characters import (character_of, character_table,
                                table_mult, weyl_dimension)
 from lierep.selfcheck import (HULL_TYPES, METHOD_TYPES, PRODUCT_DIM_CAP,
                               _pair_corpus, dominant_weights_by_dim)
+from lierep.irreps import _v_extremes_dim
 from lierep.tensor import (_candidates, _char_product, _decompose_steinberg,
                            component_tests, decompose, decompose_all,
                            extreme_types, generalized_prv, is_minuscule,
@@ -98,6 +99,29 @@ def test_extreme_types_with_trivial(rs):
 def test_extreme_types_a2_dual_pair(a2):
     cartan, minimal = extreme_types(a2, Weight((1, 0)), Weight((0, 1)))
     assert cartan == Weight((1, 1)) and minimal == Weight((0, 0))
+
+
+@pytest.mark.parametrize("label,bound", [
+    ("A1", 2), ("A2", 2), ("B2", 2), ("G2", 2), ("A3", 1), ("B3", 1),
+    ("C3", 1)])
+def test_extreme_types_agrees_with_the_read_inside_v_mu(label, bound):
+    # the oracle reads both components inside V(mu), at depth lam + mu - nu
+    rs = build_root_system(label)
+    ws = [Weight(c) for c in iproduct(range(bound + 1), repeat=rs.rank)]
+    for lam, mu in iproduct(ws, ws):
+        for nu in extreme_types(rs, lam, mu):
+            assert _v_extremes_dim(rs, mu, (nu - lam).coords,
+                                   lam.coords) == 1, (lam, mu, nu)
+
+
+def test_extreme_types_builds_only_the_top_of_v_mu(g2):
+    # w0 = -1 on G2, so the minimal component is V(0) and V(mu) is read
+    # only at its highest weight
+    irreps._module.cache_clear()
+    mu = Weight((2, 1))
+    assert extreme_types(g2, mu, mu) == (Weight((4, 2)), Weight((0, 0)))
+    real = irreps._module(g2, mu)
+    assert real._built == {(0, 0)} and real.weights == {mu.coords: 1}
 
 
 def test_minimal_type_is_weight_of_every_component(a2):
