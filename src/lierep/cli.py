@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Every subcommand maps to one library operation and takes only the cap flags
-that operation reads.  Output is a human-readable table by default and a
-versioned JSON record with --json; identical invocations produce
-byte-identical output.  Exit codes: 0 success, 1 usage error (an unread cap
-flag among them), 2 resource cap exceeded, 3 internal invariant violation.
+it reads.  Output is a table by default and a versioned JSON record with
+--json; identical invocations are byte-identical.  Exit codes: 0 success, 1
+usage error, 2 resource cap exceeded, 3 internal invariant violation.
 """
 
 import argparse
@@ -421,16 +420,15 @@ def build_parser():
 
     def hc_cmd(name, fn, params, *caps):
         q = hsub.add_parser(name, parents=[output, *caps])
-        for param in params:
+        for param in params.split():
             q.add_argument(param)
         q.set_defaults(fn=fn)
 
-    hc_cmd("invariants", cmd_hc_invariants, ("lam", "nu"))
-    hc_cmd("equivalent", cmd_hc_equivalent, ("lam", "nu", "lam2", "nu2"),
-           weyl_cap)
-    hc_cmd("class-zero", cmd_hc_class_zero, ("lam",), dim_cap)
-    hc_cmd("finite-dim", cmd_hc_finite_dim, ("lam", "nu"))
-    hc_cmd("count", cmd_hc_count, ("lam", "nu"), weyl_cap)
+    hc_cmd("invariants", cmd_hc_invariants, "lam nu")
+    hc_cmd("equivalent", cmd_hc_equivalent, "lam nu lam2 nu2", weyl_cap)
+    hc_cmd("class-zero", cmd_hc_class_zero, "lam", dim_cap)
+    hc_cmd("finite-dim", cmd_hc_finite_dim, "lam nu")
+    hc_cmd("count", cmd_hc_count, "lam nu", weyl_cap)
 
     p = sub.add_parser("selftest", help="run the acceptance corpus",
                        parents=[output])

@@ -252,16 +252,19 @@ def multiplicity(rs, lam, mu, nu):
 
 def extreme_types(rs, lam, mu):
     """(largest, smallest) highest weights of the product: lam + mu and the
-    dominant representative of lam + w0(mu); both multiplicity one, read at
-    the top of V(mu) and inside V(minimal) at lam + w0(mu) respectively."""
+    dominant representative of lam + w0(mu); both multiplicity one."""
     from .irreps import _v_extremes_dim
     rs.require_dominant_integral(lam, mu)
-    low = lam + longest_element(rs).apply(mu)
-    cartan, minimal = lam + mu, rs.dominant_in_orbit(low)
-    for nu, args in ((cartan, (mu, mu.coords, lam.coords)),
-                     (minimal, (minimal, low.coords, (lam - low).coords))):
-        if _v_extremes_dim(rs, *args) != 1:
-            raise InvariantViolation(f"extreme component {nu} not simple")
+    w0 = longest_element(rs)
+    cartan, minimal = lam + mu, rs.dominant_in_orbit(lam + w0.apply(mu))
+    # cartan is read at the top of V(mu); minimal, for either order (a, b),
+    # inside V(b) at minimal - a or inside V(minimal) at a + w0(b): shallowest
+    reads = [r for a, b in ((lam, mu), (mu, lam)) for r in (
+        (b, minimal - a, a), (minimal, a + w0.apply(b), -w0.apply(b)))]
+    reads.sort(key=lambda r: sum(rs.root_lattice_coords((r[0] - r[1]).coords)))
+    for comp, (v, g, n) in zip((cartan, minimal), ((mu, mu, lam), reads[0])):
+        if _v_extremes_dim(rs, v, g.coords, n.coords) != 1:
+            raise InvariantViolation(f"extreme component {comp} not simple")
     return cartan, minimal
 
 

@@ -114,14 +114,18 @@ def test_extreme_types_agrees_with_the_read_inside_v_mu(label, bound):
                                    lam.coords) == 1, (lam, mu, nu)
 
 
-def test_extreme_types_builds_only_the_top_of_v_mu(g2):
-    # w0 = -1 on G2, so the minimal component is V(0) and V(mu) is read
-    # only at its highest weight
+@pytest.mark.parametrize("lam,mu,minimal", [
+    ((2, 1), (2, 1), (0, 0)), ((0, 0), (2, 1), (2, 1)),
+    ((2, 1), (0, 0), (2, 1))], ids=["lam=mu", "lam=0", "mu=0"])
+def test_extreme_types_builds_only_top_blocks(g2, lam, mu, minimal):
+    # w0 = -1 on G2, so in each case one read of the minimal component sits
+    # at a highest weight: no module it may read is built below its top
     irreps._module.cache_clear()
-    mu = Weight((2, 1))
-    assert extreme_types(g2, mu, mu) == (Weight((4, 2)), Weight((0, 0)))
-    real = irreps._module(g2, mu)
-    assert real._built == {(0, 0)} and real.weights == {mu.coords: 1}
+    lam, mu, minimal = Weight(lam), Weight(mu), Weight(minimal)
+    assert extreme_types(g2, lam, mu) == (lam + mu, minimal)
+    for top in (lam, mu, minimal):
+        real = irreps._module(g2, top)
+        assert real._built == {(0, 0)} and real.weights == {top.coords: 1}
 
 
 def test_minimal_type_is_weight_of_every_component(a2):
