@@ -12,7 +12,9 @@
 
 All four must agree; the last method is also exposed pointwise as
 :func:`multiplicity`, together with the classifying data (largest/smallest
-components, generalized extreme components, minuscule closed form).
+components, generalized extreme components, minuscule closed form), where a
+single component's multiplicity is read at the shallowest of its kernel
+expressions.
 """
 
 from operator import add, mul, sub
@@ -250,33 +252,42 @@ def multiplicity(rs, lam, mu, nu):
     return m1
 
 
+def _component_mult(rs, lam, mu, nu):
+    """Multiplicity of V(nu) in V(lam) (x) V(mu), on checked weights, by the
+    kernel read least far below its module's top: inside V(mu) at nu - lam,
+    or inside V(nu) at a + w0(b) for either order (a, b) of the factors; ties
+    keep the read inside V(mu)."""
+    from .irreps import _v_extremes_dim
+    w0 = longest_element(rs)
+    reads = [(mu, nu - lam, lam)] + [(nu, a + w0.apply(b), -w0.apply(b))
+                                     for a, b in ((lam, mu), (mu, lam))]
+    v, g, n = min(reads, key=lambda r: sum(
+        rs.root_lattice_coords((r[0] - r[1]).coords)))
+    return _v_extremes_dim(rs, v, g.coords, n.coords)
+
+
 def extreme_types(rs, lam, mu):
     """(largest, smallest) highest weights of the product: lam + mu and the
     dominant representative of lam + w0(mu); both multiplicity one."""
-    from .irreps import _v_extremes_dim
     rs.require_dominant_integral(lam, mu)
     w0 = longest_element(rs)
     cartan, minimal = lam + mu, rs.dominant_in_orbit(lam + w0.apply(mu))
-    # cartan is read at the top of V(mu); minimal, for either order (a, b),
-    # inside V(b) at minimal - a or inside V(minimal) at a + w0(b): shallowest
-    reads = [r for a, b in ((lam, mu), (mu, lam)) for r in (
-        (b, minimal - a, a), (minimal, a + w0.apply(b), -w0.apply(b)))]
-    reads.sort(key=lambda r: sum(rs.root_lattice_coords((r[0] - r[1]).coords)))
-    for comp, (v, g, n) in zip((cartan, minimal), ((mu, mu, lam), reads[0])):
-        if _v_extremes_dim(rs, v, g.coords, n.coords) != 1:
+    for comp in (cartan, minimal):
+        if _component_mult(rs, lam, mu, comp) != 1:
             raise InvariantViolation(f"extreme component {comp} not simple")
     return cartan, minimal
 
 
 def generalized_prv(rs, lam, mu, w, caps=Caps(), with_kprv=False):
-    """Report on the extreme component attached to w: its multiplicity, the
+    """Report on the extreme component attached to w: its multiplicity, read
+    inside V(mu) or inside the component, whichever is shallower, the
     double-coset lower bound, and optionally the generated-submodule count,
     whose tensor module past caps.max_dim raises CapExceeded."""
-    from .irreps import _v_extremes_dim, kprv_multiplicity
+    from .irreps import kprv_multiplicity
     rs.require_dominant_integral(lam, mu)
     rs.require_same_system(w)
     target = rs.dominant_in_orbit(lam + w.apply(mu))
-    mult = _v_extremes_dim(rs, mu, (target - lam).coords, lam.coords)
+    mult = _component_mult(rs, lam, mu, target)
     bound = coset_fibers(rs, lam, mu, caps)[target.coords]
     if mult < max(1, bound):
         raise InvariantViolation(
@@ -334,7 +345,6 @@ def component_tests(rs, lam, mu, caps=Caps()):
     every multiplicity equals the corresponding weight multiplicity of V(mu)
     (verified).
     """
-    from .irreps import _v_extremes_dim
     rs.require_dominant_integral(lam, mu)
     report = {"root_subtraction": {}, "minus_one_applies": None}
     for k, beta in enumerate(rs.positive_roots):
@@ -349,7 +359,7 @@ def component_tests(rs, lam, mu, caps=Caps()):
                           or rs.root_difference(k, rs.rank - 1 - i))
                      for i in range(rs.rank))
         if ok:
-            m = _v_extremes_dim(rs, mu, (nu - lam).coords, lam.coords)
+            m = _component_mult(rs, lam, mu, nu)
             if m <= 0:
                 raise InvariantViolation(
                     f"root-subtraction component {nu} missing")

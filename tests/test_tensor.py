@@ -105,13 +105,24 @@ def test_extreme_types_a2_dual_pair(a2):
     ("A1", 2), ("A2", 2), ("B2", 2), ("G2", 2), ("A3", 1), ("B3", 1),
     ("C3", 1)])
 def test_extreme_types_agrees_with_the_read_inside_v_mu(label, bound):
-    # the oracle reads both components inside V(mu), at depth lam + mu - nu
+    # the oracle reads every component inside V(mu), at depth lam + mu - nu:
+    # both extreme types, the w target of generalized_prv for every w, and
+    # each root-subtraction entry of component_tests
     rs = build_root_system(label)
     ws = [Weight(c) for c in iproduct(range(bound + 1), repeat=rs.rank)]
+    els = enumerate_weyl(rs)
     for lam, mu in iproduct(ws, ws):
         for nu in extreme_types(rs, lam, mu):
             assert _v_extremes_dim(rs, mu, (nu - lam).coords,
                                    lam.coords) == 1, (lam, mu, nu)
+        for w in els:
+            rep = generalized_prv(rs, lam, mu, w)
+            assert rep["mult"] == _v_extremes_dim(
+                rs, mu, (rep["target"] - lam).coords, lam.coords), (lam, mu, w)
+        for beta, m in component_tests(rs, lam, mu)["root_subtraction"].items():
+            nu = lam + mu - rs.root_to_weight(beta)
+            assert m == _v_extremes_dim(rs, mu, (nu - lam).coords,
+                                        lam.coords), (lam, mu, beta)
 
 
 @pytest.mark.parametrize("lam,mu,minimal", [
@@ -124,6 +135,18 @@ def test_extreme_types_builds_only_top_blocks(g2, lam, mu, minimal):
     lam, mu, minimal = Weight(lam), Weight(mu), Weight(minimal)
     assert extreme_types(g2, lam, mu) == (lam + mu, minimal)
     for top in (lam, mu, minimal):
+        real = irreps._module(g2, top)
+        assert real._built == {(0, 0)} and real.weights == {top.coords: 1}
+
+
+def test_generalized_prv_builds_only_top_blocks(g2):
+    # the w0 target of (2,1) (x) (2,1) is (0,0), read at the top of V(0,0):
+    # neither module is built below its top
+    irreps._module.cache_clear()
+    lam = Weight((2, 1))
+    rep = generalized_prv(g2, lam, lam, longest_element(g2))
+    assert rep["target"] == g2.zero_weight() and rep["mult"] == 1
+    for top in (lam, rep["target"]):
         real = irreps._module(g2, top)
         assert real._built == {(0, 0)} and real.weights == {top.coords: 1}
 
