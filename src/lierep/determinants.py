@@ -21,7 +21,7 @@ from .config import Caps
 from .errors import CapExceeded
 from .hpoly import HPoly, _require_exponent, det_poly, product
 from .rootsystem import Weight, RootVector, _num
-from .characters import (character_table, kostant_partitions,
+from .characters import (_char_table, kostant_partitions,
                          partition_function, table_mult)
 
 __all__ = ["DetPolynomial", "shapovalov_det", "prv_det"]
@@ -148,9 +148,7 @@ def shapovalov_det(rs, nu, mode="direct", max_height=None):
         return DetPolynomial(rs.rank, 1, tuple(factors))
     if mode != "direct":
         raise ValueError(f"unknown mode {mode!r}")
-    gram = _lowering_gram(rs, nu.coeffs)
-    return DetPolynomial.from_poly(det_poly(gram) if gram
-                                   else HPoly.constant(rs.rank, 1))
+    return DetPolynomial.from_poly(det_poly(_lowering_gram(rs, nu.coeffs)))
 
 
 def _lowering_gram(rs, depth):
@@ -182,7 +180,7 @@ def prv_det(rs, mu, caps=Caps()):
     if rs.root_lattice_coords(mu) is None:
         return (DetPolynomial(rs.rank, 1, ()), DetPolynomial(rs.rank, 1, ()),
                 {})
-    table = character_table(rs, mu, caps)
+    table = _char_table(rs, mu.coords, caps)
     rho = rs.rho
     factors = []
     lead = []

@@ -8,8 +8,9 @@ finished table is machine-checked (antisymmetry, Jacobi on all triples, root
 string magnitudes, transpose compatibility) before use.
 
 PBW monomials are ordered f-block (roots ascending), Cartan block, e-block
-(roots descending).  The mirrored e-block makes the transpose anti-involution
-act monomial-by-monomial.
+(roots descending).  The transpose anti-involution swaps e_alpha and f_alpha
+with no sign; on the mirrored e-block it reverses the f- and e-blocks into
+each other, one monomial to one monomial.
 
 Each ``PBWAlgebra`` interns its PBW monomials: an exponent tuple gets a
 small int id, private to that algebra, and its grading vector is computed
@@ -140,8 +141,6 @@ def _build_constants(rs):
     npp = {}      # (a, b), unordered, a < b -> N(r_a, r_b)
 
     def n_pp(a, b):
-        if a == b:
-            return 0
         if a < b:
             return npp.get((a, b), 0)
         return -npp.get((b, a), 0)
@@ -256,17 +255,6 @@ class ChevalleyBasis:
             weights.append(rs.positive_roots[k].coeffs)
         self.table = BracketTable(self._names(), table, weights)
 
-        # transpose signs: s = 1 on simple roots, multiplicative over the
-        # minimal decompositions
-        sign = [None] * m
-        for k in range(m):
-            if rs.positive_roots[k].height == 1:
-                sign[k] = 1
-        for g in sorted(special, key=lambda g: rs.positive_roots[g].height):
-            a1, b1 = special[g]
-            sign[g] = sign[a1] * sign[b1]
-        self.iota_signs = tuple(sign)
-
         self.table.check_jacobi()
         self._check_transpose_compatible()
 
@@ -333,30 +321,21 @@ class ChevalleyBasis:
     # checks -------------------------------------------------------------------
 
     def _check_transpose_compatible(self):
-        """iota([x, y]) == [iota(y), iota(x)] on the whole basis."""
-        m, rank = self.m, self.rank
+        """iota([x, y]) == [iota(y), iota(x)] on the whole basis, iota the
+        index map swapping f_alpha and e_alpha and fixing h."""
+        m, top = self.m, self.m + self.rank
 
-        def iota_vec(i):
-            if i < m:
-                return {self.idx_e(i): self.iota_signs[i]}
-            if i < m + rank:
-                return {i: 1}
-            k = i - m - rank
-            return {self.idx_f(k): self.iota_signs[k]}
+        def iota(i):
+            return (self.idx_e(i) if i < m else i if i < top
+                    else self.idx_f(i - top))
 
+        bracket = self.table.bracket
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                lhs = {}
-                for k, c in self.table.bracket(i, j).items():
-                    for t, s in iota_vec(k).items():
-                        lhs[t] = lhs.get(t, 0) + c * s
-                rhs = {}
-                for a, ca in iota_vec(j).items():
-                    for b, cb in iota_vec(i).items():
-                        for t, c in self.table.bracket(a, b).items():
-                            rhs[t] = rhs.get(t, 0) + ca * cb * c
-                if any(lhs.get(t, 0) != rhs.get(t, 0) for t in set(lhs) | set(rhs)):
-                    raise InvariantViolation("transpose signs inconsistent")
+                if ({iota(k): c for k, c in bracket(i, j).items()}
+                        != bracket(iota(j), iota(i))):
+                    raise InvariantViolation("transpose inconsistent with "
+                                             "the bracket table")
 
 
 MAX_RANK = 4
@@ -648,24 +627,13 @@ def _require_element_of(basis, u):
 
 
 def transpose(basis, u):
-    """Anti-involution fixing h and swapping e_alpha with f_alpha (with the
-    construction's signs on non-simple roots).  Acts monomial-by-monomial
-    thanks to the mirrored e-block."""
+    """Anti-involution fixing h and swapping e_alpha with f_alpha.  On the
+    mirrored PBW order it maps a monomial to one monomial: the f-block and
+    the e-block, each reversed, trade places and the h-block stays."""
     _require_element_of(basis, u)
-    m, rank = basis.m, basis.rank
-    out = {}
-    for exps, c in u.terms.items():
-        fpart = exps[:m]
-        hpart = exps[m:m + rank]
-        epart = exps[m + rank:]  # position m+rank+t holds e_{m-1-t}
-        e_by_root = tuple(reversed(epart))
-        sign = 1
-        for k in range(m):
-            if basis.iota_signs[k] == -1 and (fpart[k] + e_by_root[k]) % 2:
-                sign = -sign
-        new = e_by_root + hpart + tuple(reversed(fpart))
-        out[new] = out.get(new, 0) + sign * c
-    return UElement(u.algebra, out)
+    m, top = basis.m, basis.m + basis.rank
+    return UElement._normalised(u.algebra, {
+        e[top:][::-1] + e[m:top] + e[:m][::-1]: c for e, c in u.terms.items()})
 
 
 def _h_poly_from_terms(basis, terms):

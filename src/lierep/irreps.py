@@ -212,7 +212,6 @@ class VermaEngine:
             g = self._gram[beta] = [[1]]
             return g
         g = [[0] * n for _ in range(n)]
-        sgn = self.basis.iota_signs
         for i, mono in enumerate(monos):
             first = next(t for t, e in enumerate(mono) if e)
             sub_beta = tuple(a - b for a, b in
@@ -222,13 +221,12 @@ class VermaEngine:
             i2 = sub_index[_bump(mono, first, -1)]
             emat = self.e_matrix(first, beta)
             grow = gsub[i2]
-            s = sgn[first]
             for j in range(n):
                 acc = 0
                 for t in range(len(grow)):
                     if emat[t][j]:
                         acc += grow[t] * emat[t][j]
-                g[i][j] = s * acc
+                g[i][j] = acc
         self._gram[beta] = g
         return g
 

@@ -628,14 +628,14 @@ def run(names=None, stream=None):
     selected = [c for c in CRITERIA if names is None or c[0] in names]
     results = []
     for name, fn in selected:
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             detail = fn()
             passed = True
         except CheckFailure as exc:
             detail = str(exc)
             passed = False
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         results.append(CheckResult(name, passed, detail, dt))
         if stream is not None:
             status = "PASS" if passed else "FAIL"

@@ -312,14 +312,17 @@ def is_minuscule(rs, mu):
     """wt V(mu) is a single orbit iff <mu, alpha^vee> <= 1 for every
     positive root alpha, mu dominant integral."""
     rs.require_weight(mu)
-    return mu.is_integral and mu.is_dominant and all(
-        sum(map(mul, cv, mu.coords)) <= 1 for cv in rs.coroots)
+    return mu.is_integral and mu.is_dominant and _coroots_at_most_one(rs, mu)
+
+
+def _coroots_at_most_one(rs, mu):
+    return all(sum(map(mul, cv, mu.coords)) <= 1 for cv in rs.coroots)
 
 
 def minuscule_decompose(rs, lam, mu, caps=Caps()):
     """Orbit-sum closed form, valid when mu is minuscule."""
     rs.require_dominant_integral(lam, mu)
-    if not is_minuscule(rs, mu):
+    if not _coroots_at_most_one(rs, mu):
         raise ValueError(f"{mu} is not minuscule")
     entries = {}
     for w in rs.orbit(mu):

@@ -156,6 +156,22 @@ def straighten_by_exponents(alg, word, memo):
     return rec(tuple(word))
 
 
+def transpose_by_straightening(basis, u):
+    """transpose(basis, u) as an {exponent tuple: coeff} dict, by its
+    definition as an anti-involution: each monomial's word reversed, every
+    f_k swapped with e_k, and the word straightened in u's algebra."""
+    alg = u.algebra
+    swap = {basis.idx_f(k): basis.idx_e(k) for k in range(basis.m)}
+    swap.update({e: f for f, e in swap.items()})
+    out = {}
+    for exps, c in u.terms.items():
+        word = [swap.get(b, b) for b in reversed(alg.monomial_word(exps))]
+        for i, c2 in alg.straighten(word).items():
+            key = alg._exps[i]
+            out[key] = out.get(key, 0) + c * c2
+    return {e: c for e, c in out.items() if c}
+
+
 def hc_projection_by_exponents(basis, u, w):
     """Cartan part of u along the w-Borel decomposition: each monomial of u
     straightened by straighten_by_exponents in a new algebra whose order

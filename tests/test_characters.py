@@ -283,6 +283,12 @@ def test_g2_adjoint_zero_space(g2):
     assert freudenthal_multiplicity(g2, Weight((0, 1)), Weight((0, 0))) == 2
 
 
+def test_multiplicity_at_a_non_integral_weight_is_zero(a2):
+    mu = Weight((Fraction(1, 2), 0))
+    assert freudenthal_multiplicity(a2, Weight((1, 1)), mu) == 0
+    assert kostant_multiplicity(a2, Weight((1, 1)), mu) == 0
+
+
 def test_kostant_equals_freudenthal(rs):
     # both algorithms on every dominant weight of modules up to dim 1000
     lams = [Weight(c) for c in iproduct(range(3), repeat=rs.rank)]

@@ -1,3 +1,4 @@
+import copy
 import sys
 from fractions import Fraction
 from itertools import product
@@ -9,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 from lierep.rootsystem import RootVector, Weight, build_root_system
 from lierep.weyl import enumerate_weyl, longest_element
 from lierep.hpoly import HPoly
-from lierep.enveloping import (ChevalleyBasis, PBWAlgebra, UElement,
-                               _h_poly_from_terms, casimir,
+from lierep.errors import InvariantViolation
+from lierep.enveloping import (BracketTable, ChevalleyBasis, PBWAlgebra,
+                               UElement, _h_poly_from_terms, casimir,
                                casimir_eigenvalue, chevalley_basis,
                                hc_projection, is_central, normal_form,
                                shapovalov, transpose, twisted_poly)
 
 from oracles import (hc_projection_by_exponents, mul_by_exponents,
-                     straighten_by_exponents)
+                     straighten_by_exponents, transpose_by_straightening)
 
 RANK_LE_3 = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
 
@@ -167,9 +169,41 @@ def test_transpose_is_involution_on_root_vectors(rs):
     for k in range(rs.nroots):
         u = cb.e_root(k)
         assert transpose(cb, transpose(cb, u)) == u
-        # proportional to the opposite vector with sign +-1
-        s = cb.iota_signs[k]
-        assert transpose(cb, u) == s * cb.f_root(k)
+        assert transpose(cb, u) == cb.f_root(k)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2",
+                                   "B3", "C3", "D4", "F4"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_transpose_matches_straightening(label, data):
+    # random multi-term elements: up to four monomials of degree <= 4 with
+    # integer and fractional coefficients
+    cb = chevalley_basis(build_root_system(label))
+    mono = st.lists(st.integers(0, cb.dim - 1), max_size=4)
+    terms = {}
+    for word in data.draw(st.lists(mono, min_size=1, max_size=4)):
+        exps = [0] * cb.dim
+        for p in word:
+            exps[p] += 1
+        terms[tuple(exps)] = data.draw(st.one_of(
+            st.integers(-5, 5), st.fractions(-3, 3, max_denominator=4)))
+    u = UElement(cb.algebra, terms)
+    assert transpose(cb, u).terms == transpose_by_straightening(cb, u)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_transpose_check_rejects_a_flipped_bracket_sign(label):
+    cb = chevalley_basis(build_root_system(label))
+    twin = copy.copy(cb)
+    twin._check_transpose_compatible()  # the copied table passes
+    table = dict(cb.table.table)
+    # the first [f_a, f_b] entry, its sign flipped
+    key = next((i, j) for i, j in table if j < cb.m)
+    table[key] = {k: -c for k, c in table[key].items()}
+    twin.table = BracketTable(cb.table.names, table, cb.table.weights)
+    with pytest.raises(InvariantViolation, match="transpose"):
+        twin._check_transpose_compatible()
 
 
 def test_transpose_example_sl2(a1):

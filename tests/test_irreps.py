@@ -221,6 +221,13 @@ def test_extreme_subspace_clebsch_example(a1):
     assert v_extremes(a1, real, Weight((-1,)), Weight((2,)))[0] == 1
 
 
+def test_extreme_subspace_outside_the_module_is_zero(a2):
+    # gamma above mu, and gamma off mu's root-lattice coset
+    mu = Weight((1, 1))
+    for gamma in (Weight((2, 2)), Weight((1, 0))):
+        assert v_extremes_dim(a2, mu, gamma, Weight((0, 0))) == 0
+
+
 def test_extreme_subspace_symmetry(a2):
     w0 = longest_element(a2)
     mu = Weight((1, 1))

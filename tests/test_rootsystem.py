@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -101,7 +103,12 @@ def test_coroot_pairing_matches_form(rs):
     for k, rv in enumerate(rs.positive_roots):
         alpha = rs.root_to_weight(rv)
         expect = 2 * rs.inner(lam, alpha) / rs.inner(alpha, alpha)
-        assert rs.pairing(lam, k) == expect
+        assert rs.pairing(lam, k) == rs.pairing(lam, rv) == expect
+
+
+def test_pickle_and_deepcopy_return_the_interned_system(rs):
+    assert pickle.loads(pickle.dumps(rs)) is rs
+    assert copy.deepcopy(rs) is rs
 
 
 def test_dominance_hull_reflexive(a2):

@@ -14,6 +14,7 @@ from lierep.characters import (character_of, character_table,
                                table_mult, weyl_dimension)
 from lierep.selfcheck import (HULL_TYPES, METHOD_TYPES, PRODUCT_DIM_CAP,
                               _pair_corpus, dominant_weights_by_dim)
+from lierep.determinants import prv_det
 from lierep.irreps import _v_extremes_dim
 from lierep.tensor import (_candidates, _char_product, _decompose_steinberg,
                            component_tests, decompose, decompose_all,
@@ -340,6 +341,36 @@ def test_decompose_checks_its_arguments_once(monkeypatch):
     # the dimension dict holds tuples only, every one a dominant weight
     assert g2._weyl_dims and all(type(k) is tuple and min(k) >= 0
                                  for k in g2._weyl_dims)
+
+
+def test_prv_det_and_minuscule_decompose_check_mu_once(monkeypatch):
+    # a fresh A2, so that the memos start cold: each entry point's own
+    # check is the only one, and its kernels read checked coordinates
+    a2 = RootSystem("A", 2)
+    calls = []
+    require = RootSystem.require_weight
+
+    def counted(self, *weights):
+        calls.append(weights)
+        return require(self, *weights)
+
+    monkeypatch.setattr(RootSystem, "require_weight", counted)
+    adjoint, lam, mu = Weight((1, 1)), Weight((2, 1)), Weight((1, 0))
+    prv_det(a2, adjoint)  # in the root lattice: past the early return
+    assert calls == [(adjoint,)]
+    calls.clear()
+    minuscule_decompose(a2, lam, mu)
+    assert calls == [(lam, mu)]
+
+
+def test_decomposition_mult_and_equality(a2):
+    lam, mu = Weight((1, 1)), Weight((1, 0))
+    dec = decompose(a2, lam, mu, "character")
+    assert dec.mult(Weight((2, 1))) == dec.mult((2, 1)) == 1
+    assert dec.mult(Weight((5, 5))) == 0
+    # equality compares entries, across methods
+    assert dec == decompose(a2, lam, mu, "steinberg")
+    assert dec != decompose(a2, lam, lam, "character")
 
 
 def test_non_dominant_rejected(a2):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from lierep.centralchar import central_character
 from lierep.config import Caps
+from lierep.determinants import shapovalov_det
 from lierep.enveloping import (casimir, chevalley_basis, hc_projection,
                                shapovalov, transpose)
 from lierep.errors import CapExceeded
@@ -467,6 +468,10 @@ BAD_INPUTS = {
         A2, HCParams(W11, W0), HCParams(W1, W1)),
     "class_zero": lambda: class_zero(A2, W1),
     "hc_inf_character": lambda: hc_inf_character(A2, W1, W0),
+    "hc_inf_character_non_integral_nu": lambda: hc_inf_character(
+        A2, W11, Weight((Fraction(1, 2), 0))),
+    "shapovalov_det_unknown_mode": lambda: shapovalov_det(
+        A2, RootVector((1, 1)), mode="cofactor"),
     "zero_weight_spectrum_past_last_root": lambda: zero_weight_spectrum(
         A2, realize(A2, W11), 7),
     "zero_weight_spectrum_negative_root": lambda: zero_weight_spectrum(
@@ -490,6 +495,8 @@ BAD_INPUT_MESSAGES = {
     "v_extremes_dim_mu_non_dominant": "must be dominant integral",
     "class_zero": "1 coordinates; A2 needs 2",
     "hc_inf_character": "1 coordinates; A2 needs 2",
+    "hc_inf_character_non_integral_nu": "nu must be integral",
+    "shapovalov_det_unknown_mode": "unknown mode 'cofactor'",
     "zero_weight_spectrum_past_last_root": "root index 7 not in 0..2",
     "zero_weight_spectrum_negative_root": "root index -1 not in 0..2",
     "v_extremes_foreign_realization": "different root systems",
