@@ -46,6 +46,12 @@ def _word_name(word):
     return ".".join(f"s{i + 1}" for i in word) or "e"
 
 
+def _refuse_unread(args, flag, why):
+    """A usage error for a cap flag that this mode of a command never reads."""
+    if getattr(args, flag[2:].replace("-", "_")) is not None:
+        raise ValueError(f"{flag} is not read {why}")
+
+
 def cmd_roots(args):
     rs = _system(args)
     data = {
@@ -88,8 +94,13 @@ def cmd_weyl(args):
 
 
 def cmd_mult(args):
-    from .characters import freudenthal_multiplicity, weight_multiplicity
+    from .characters import (_enumerable, freudenthal_multiplicity,
+                             weight_multiplicity)
     rs = _system(args)
+    if not _enumerable(rs):
+        _refuse_unread(args, "--max-weyl",
+                       f"on {rs.label}, whose multiplicities Freudenthal's "
+                       "formula gives alone")
     lam = _weight(rs, args.highest)
     mu = _weight(rs, args.weight)
     m = weight_multiplicity(rs, lam, mu, args.caps)
@@ -116,6 +127,8 @@ def cmd_char(args):
 
 def cmd_decompose(args):
     from .tensor import decompose, decompose_all
+    if args.method not in ("steinberg", "all"):
+        _refuse_unread(args, "--max-weyl", f"by --method={args.method}")
     rs = _system(args)
     lam = _weight(rs, args.lam)
     mu = _weight(rs, args.mu)
@@ -150,6 +163,8 @@ def cmd_minimal_type(args):
 def cmd_prv(args):
     from .tensor import generalized_prv
     from .weyl import enumerate_weyl, from_word
+    if not args.kprv:
+        _refuse_unread(args, "--max-dim", "without --kprv")
     rs = _system(args)
     lam = _weight(rs, args.lam)
     mu = _weight(rs, args.mu)

@@ -152,11 +152,16 @@ def shapovalov_det(rs, nu, mode="direct", max_height=None):
 
 
 def _lowering_gram(rs, depth):
-    """Contravariant-form Gram matrix on the lowering monomials of `depth`."""
+    """Contravariant-form Gram matrix on the lowering monomials of `depth`;
+    the form is symmetric, so each unordered pair is computed once."""
     from .enveloping import chevalley_basis, shapovalov
     basis = chevalley_basis(rs)
     elements = [basis.lowering(mono) for mono in kostant_partitions(rs, depth)]
-    return [[shapovalov(basis, bi, bj) for bj in elements] for bi in elements]
+    gram = [[None] * len(elements) for _ in elements]
+    for i, bi in enumerate(elements):
+        for j in range(i, len(elements)):
+            gram[i][j] = gram[j][i] = shapovalov(basis, bi, elements[j])
+    return gram
 
 
 def prv_det(rs, mu, caps=Caps()):

@@ -19,9 +19,12 @@ monomials, not weight multiplicities, so no computation of V(mu) uses it;
 it is the independent model the tests check the builder against, and the
 Verma model at non-dominant weights.
 
-Only the Verma engine and ``root_vector_matrix`` on a non-simple root read
-the Chevalley structure constants, and each imports ``enveloping`` where it
-does: building V(mu), its kernels and the KPRV count load no U(g).
+The Verma engine takes its U(g) products from the PBW product table of
+the Chevalley basis: a column of e_alpha or f_alpha is the normal form of
+x f^mono with every term that has an e-factor dropped and the h-block
+evaluated at mu.  ``root_vector_matrix`` on a non-simple root alone reads
+the bracket table.  Both import ``enveloping`` where they run: building
+V(mu), its kernels and the KPRV count load no U(g).
 
 ``TensorModule`` is V(lam) (x) V(mu) with the diagonal action.
 ``generated_submodule`` closes seed vectors under every e_i and f_i;
@@ -33,7 +36,7 @@ Both run one closure loop, ``_close``.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, sub
+from operator import add, mul, sub
 
 from .config import Caps
 from .errors import InvariantViolation
@@ -65,12 +68,8 @@ class VermaEngine:
         self.mu = mu
         self.basis = chevalley_basis(rs)
         self._levels = {}
-        self._fmat = {}
-        self._emat = {}
-        self._gram = {}
-        self._fins = {}
-
-    # -- level bookkeeping ---------------------------------------------------
+        self._ops = {}
+        self._gram = {(0,) * rs.rank: [[1]]}
 
     def level(self, beta):
         """Sorted lowering monomials of depth beta (exponents over R+)."""
@@ -83,150 +82,72 @@ class VermaEngine:
     def level_dim(self, beta):
         return len(self.level(beta)[0])
 
-    def weight_at(self, beta):
-        return self.mu - self.rs.root_to_weight(beta)
-
-    def _f_insert(self, k, mono):
-        """f_{r_k} * mono as a combination of monomials (one level down)."""
-        key = (k, mono)
-        hit = self._fins.get(key)
-        if hit is not None:
-            return hit
-        rs = self.rs
-        first = next((i for i, e in enumerate(mono) if e), None)
-        if first is None or k <= first:
-            out = {_bump(mono, k): 1}
-        else:
-            # f_k f_first X = f_first f_k X + [f_k, f_first] X
-            tail = _bump(mono, first, -1)
-            out = {}
-            for m2, c in self._f_insert(k, tail).items():
-                out[_bump(m2, first)] = out.get(_bump(m2, first), 0) + c
-            s = tuple(a + b for a, b in zip(rs.positive_roots[k].coeffs,
-                                            rs.positive_roots[first].coeffs))
-            g = rs.root_index.get(s)
-            if g is not None:
-                n = self._npp(k, first)
-                if n:
-                    for m2, c in self._f_insert(g, tail).items():
-                        out[m2] = out.get(m2, 0) - n * c
-            out = {m: c for m, c in out.items() if c}
-        self._fins[key] = out
-        return out
-
-    def _npp(self, a, b):
-        cb = self.basis
-        entry = cb.table.bracket(cb.idx_f(a), cb.idx_f(b))
-        if not entry:
-            return 0
-        (idx, val), = entry.items()
-        # [f_a, f_b] = -N(a,b) f_{a+b}
-        return -val
+    def _act(self, x, mono):
+        """x f^mono v_mu as a list of (lowering monomial, coeff): the PBW
+        normal form of x * f^mono (f-block, h-block, e-block) with every
+        term that has an e-factor dropped, as it kills v_mu, and the h-block
+        evaluated at mu."""
+        m, top = self.basis.m, self.basis.m + self.rs.rank
+        out = {}
+        for exps, c in (x * self.basis.lowering(mono)).terms.items():
+            if not any(exps[top:]):
+                for h, e in zip(self.mu.coords, exps[m:top]):
+                    c *= h ** e
+                out[exps[:m]] = out.get(exps[:m], 0) + c
+        return [(f, c) for f, c in out.items() if c]
 
     def f_matrix(self, k, beta):
         """Matrix of f_{r_k}: level beta -> level beta + r_k (columns map)."""
-        key = (k, beta)
-        hit = self._fmat.get(key)
-        if hit is not None:
-            return hit
-        monos, _ = self.level(beta)
-        tgt_beta = tuple(a + b for a, b in
-                         zip(beta, self.rs.positive_roots[k].coeffs))
-        _, tindex = self.level(tgt_beta)
-        rows = len(tindex)
-        mat = [[0] * len(monos) for _ in range(rows)]
-        for j, mono in enumerate(monos):
-            for m2, c in self._f_insert(k, mono).items():
-                mat[tindex[m2]][j] = c
-        self._fmat[key] = mat
-        return mat
+        return self._matrix(k, beta, 1)
 
     def e_matrix(self, k, beta):
         """Matrix of e_{r_k}: level beta -> level beta - r_k."""
-        key = (k, beta)
-        hit = self._emat.get(key)
+        return self._matrix(k, beta, -1)
+
+    def _matrix(self, k, beta, sign):
+        """Matrix of f_{r_k} (sign 1) or e_{r_k} (sign -1) from level beta
+        to level beta + sign r_k; [] when that level is off M(mu)."""
+        key = (k, beta, sign)
+        hit = self._ops.get(key)
         if hit is not None:
             return hit
-        rs = self.rs
-        monos, _ = self.level(beta)
-        tgt_beta = tuple(a - b for a, b in zip(beta, rs.positive_roots[k].coeffs))
-        if any(x < 0 for x in tgt_beta):
-            self._emat[key] = []
-            return []
-        _, tindex = self.level(tgt_beta)
-        mat = [[0] * len(monos) for _ in range(len(tindex))]
-        for j, mono in enumerate(monos):
-            for m2, c in self._e_apply(k, mono):
-                mat[tindex[m2]][j] += c
-        self._emat[key] = mat
+        tgt_beta = tuple(a + sign * b for a, b in
+                         zip(beta, self.rs.positive_roots[k].coeffs))
+        mat = []
+        if min(tgt_beta) >= 0:
+            monos, (_, tindex) = self.level(beta)[0], self.level(tgt_beta)
+            mat = [[0] * len(monos) for _ in tindex]
+            for j, mono in enumerate(monos):
+                col = self._e_apply(k, mono) if sign < 0 else \
+                    self._act(self.basis.f_root(k), mono)
+                for m2, c in col:
+                    mat[tindex[m2]][j] = c
+        self._ops[key] = mat
         return mat
 
     def _e_apply(self, k, mono):
         """e_{r_k} acting on (mono . highest vector): list of (mono', coeff)."""
-        rs = self.rs
-        first = next((i for i, e in enumerate(mono) if e), None)
-        if first is None:
-            return []
-        tail = _bump(mono, first, -1)
-        out = {}
-        # f_first passes through
-        for m2, c in self._e_apply(k, tail):
-            for m3, c2 in self._f_insert(first, m2).items():
-                out[m3] = out.get(m3, 0) + c * c2
-        # bracket term [e_k, f_first]
-        if k == first:
-            wt = self.weight_at(_depth(rs, tail))
-            scal = rs.pairing(wt, k)
-            if scal:
-                out[tail] = out.get(tail, 0) + scal
-        else:
-            val = self._mixed(k, first)
-            if val:
-                d, sign = rs.root_difference(k, first)
-                if sign > 0:
-                    for m2, c in self._e_apply(d, tail):
-                        out[m2] = out.get(m2, 0) + val * c
-                else:
-                    for m3, c2 in self._f_insert(d, tail).items():
-                        out[m3] = out.get(m3, 0) + val * c2
-        return [(m, c) for m, c in out.items() if c]
-
-    def _mixed(self, a, b):
-        """Coefficient in [e_a, f_b] = val * (e or f of the difference root)."""
-        cb = self.basis
-        entry = cb.table.bracket(cb.idx_e(a), cb.idx_f(b))
-        if not entry:
-            return 0
-        (_, val), = entry.items()
-        return val
+        return self._act(self.basis.e_root(k), mono)
 
     def gram(self, beta):
         """Contravariant Gram matrix on the depth-beta monomials, evaluated
-        at the engine's highest weight.  Integer entries."""
+        at the engine's highest weight.  Integer entries.
+
+        With f^{mono_i} = f_{r_t} f^tail, r_t the first root of mono_i,
+        entry (i, j) is <f^tail v_mu, e_{r_t} f^{mono_j} v_mu>: the tail's
+        row of the Gram matrix one level up times the e_{r_t} matrix."""
         hit = self._gram.get(beta)
         if hit is not None:
             return hit
-        monos, index = self.level(beta)
-        n = len(monos)
-        if not any(beta):
-            g = self._gram[beta] = [[1]]
-            return g
-        g = [[0] * n for _ in range(n)]
-        for i, mono in enumerate(monos):
+        g = []
+        for mono in self.level(beta)[0]:
             first = next(t for t, e in enumerate(mono) if e)
             sub_beta = tuple(a - b for a, b in
                              zip(beta, self.rs.positive_roots[first].coeffs))
-            _, sub_index = self.level(sub_beta)
-            gsub = self.gram(sub_beta)
-            i2 = sub_index[_bump(mono, first, -1)]
-            emat = self.e_matrix(first, beta)
-            grow = gsub[i2]
-            for j in range(n):
-                acc = 0
-                for t in range(len(grow)):
-                    if emat[t][j]:
-                        acc += grow[t] * emat[t][j]
-                g[i][j] = acc
+            grow = self.gram(sub_beta)[
+                self.level(sub_beta)[1][_bump(mono, first, -1)]]
+            g.append([sum(map(mul, grow, col))
+                      for col in zip(*self.e_matrix(first, beta))])
         self._gram[beta] = g
         return g
 
@@ -235,20 +156,8 @@ class VermaEngine:
         return len(g) - rank(g)
 
 
-def _bump(mono, k, delta=1):
-    lst = list(mono)
-    lst[k] += delta
-    return tuple(lst)
-
-
-def _depth(rs, mono):
-    n = rs.rank
-    tot = [0] * n
-    for k, e in enumerate(mono):
-        if e:
-            for i, c in enumerate(rs.positive_roots[k].coeffs):
-                tot[i] += e * c
-    return tuple(tot)
+def _bump(mono, k, delta):
+    return mono[:k] + (mono[k] + delta,) + mono[k + 1:]
 
 
 def _add(a, b):
@@ -454,6 +363,8 @@ def v_extremes(rs, realization, gamma, nu, sign="+"):
     Basis vectors are coordinate lists over the realization's basis at
     gamma, a Z-basis of the f-words' lattice there (``IrrepRealization``).
     """
+    if sign not in ("+", "-"):
+        raise ValueError(f"unknown sign {sign!r}")
     rs.require_same_system(realization)
     rs.require_dominant_integral(nu)
     rs.require_weight(gamma)

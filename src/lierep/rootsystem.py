@@ -436,8 +436,11 @@ class RootSystem:
                              f"0..{self.rank - 1}")
 
     def require_same_system(self, *objs):
-        """Raise ValueError unless each object's ``rs`` is this system."""
+        """Raise ValueError unless each object's ``rs`` is this system, and
+        TypeError for an object that carries no root system."""
         for x in objs:
+            if not hasattr(x, "rs"):
+                raise TypeError(f"{type(x).__name__} carries no root system")
             if x.rs is not self:
                 raise ValueError(f"{type(x).__name__} of {x.rs} and {self} "
                                  f"are from different root systems")
@@ -522,7 +525,11 @@ class RootSystem:
             self.require_root_index(root)
             cv = self.coroots[root]
         else:
-            cv = self.coroots[self.root_index[root.coeffs]]
+            k = self.root_index.get(root.coeffs)
+            if k is None:
+                raise ValueError(f"root {root.coeffs} is not a positive "
+                                 f"root of {self.label}")
+            cv = self.coroots[k]
         return _num(sum(cv[i] * w[i] for i in range(self.rank)))
 
     # -- reflections and orbits ----------------------------------------------

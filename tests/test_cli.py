@@ -262,6 +262,12 @@ _UNREAD_CAP_FLAGS = [
     (("char", "A2", "1,1"), ("--max-weyl",)),
     (("prv-det", "A2", "1,1"), ("--max-weyl",)),
     (("hc", "A2", "class-zero", "1,1"), ("--max-weyl",)),
+    # flags that the command reads in another mode only
+    (("decompose", "A2", "1,1", "1,1", "--method=character"), ("--max-weyl",)),
+    (("decompose", "A2", "1,1", "1,1", "--method=klimyk"), ("--max-weyl",)),
+    (("decompose", "A2", "1,1", "1,1", "--method=prv"), ("--max-weyl",)),
+    (("prv", "A2", "1,1", "1,1"), ("--max-dim",)),
+    (("mult", "E6", "1,0,0,0,0,0", "0,0,0,0,0,0"), ("--max-weyl",)),
 ]
 
 

@@ -206,6 +206,21 @@ def test_zero_sets_match_gram_ranks(a2):
         assert (det.evaluate(lam) == 0) == (rank(gram) < len(gram))
 
 
+@pytest.mark.parametrize("label,coords", [
+    ("A1", (-2,)), ("A2", (-1, 2)), ("B2", (-1, -1)), ("G2", (2, -3))])
+def test_verma_gram_matches_lowering_gram_off_the_dominant_chamber(
+        label, coords):
+    # the level recursion through e-matrices against the transpose product
+    # and its Cartan part, at a non-dominant mu that no realization checks
+    rs = build_root_system(label)
+    eng = VermaEngine(rs, Weight(coords))
+    depths = [d for d in product(range(4), repeat=rs.rank) if sum(d) <= 3]
+    for depth in depths:
+        want = [[entry.evaluate(coords) for entry in row]
+                for row in _lowering_gram(rs, depth)]
+        assert eng.gram(depth) == want, depth
+
+
 def test_det_poly_helper():
     x = HPoly.variable(1, 0)
     one = HPoly.constant(1, 1)

@@ -13,11 +13,12 @@ from lierep.enveloping import (casimir, chevalley_basis, hc_projection,
 from lierep.errors import CapExceeded
 from lierep.hcmodules import (HCParams, class_zero, equivalent,
                               finite_dimensional, invariants, isoclass_count)
-from lierep.irreps import (realize, v_extremes, v_extremes_dim,
-                           zero_weight_spectrum)
+from lierep.irreps import (kprv_multiplicity, realize, v_extremes,
+                           v_extremes_dim, zero_weight_spectrum)
 from lierep.linalg import mat_inv
 from lierep.rootsystem import (RootVector, Weight, build_root_system,
                                dominance_hull_equiv)
+from lierep.tensor import generalized_prv
 from lierep.weyl import (_mul, bruhat_leq, coset_fibers, double_cosets,
                          dominant_representative, enumerate_weyl, from_word,
                          hc_inf_character, identity_element, longest_element,
@@ -489,6 +490,13 @@ BAD_INPUTS = {
     "shapovalov_foreign_elements": lambda: shapovalov(
         chevalley_basis(A2), chevalley_basis(B2).f(0),
         chevalley_basis(B2).f(0)),
+    # these raised KeyError, or took the "-" path and answered (0, [])
+    "pairing_not_a_root": lambda: A2.pairing(Weight((1, 0)),
+                                             RootVector((2, 0))),
+    "pairing_negative_root": lambda: A2.pairing(Weight((1, 0)),
+                                                RootVector((-1, 0))),
+    "v_extremes_unknown_sign": lambda: v_extremes(
+        A2, realize(A2, W11), W0, W0, sign="x"),
 }
 # RootSystem's message, which these cases must carry, not Python's
 BAD_INPUT_MESSAGES = {
@@ -505,6 +513,9 @@ BAD_INPUT_MESSAGES = {
     "hc_projection_foreign_element": "not in the enveloping algebra",
     "transpose_foreign_element": "not in the enveloping algebra",
     "shapovalov_foreign_elements": "not in the enveloping algebra",
+    "pairing_not_a_root": r"root \(2, 0\) is not a positive root of A2",
+    "pairing_negative_root": r"root \(-1, 0\) is not a positive root of A2",
+    "v_extremes_unknown_sign": "unknown sign 'x'",
 }
 
 
@@ -512,3 +523,10 @@ BAD_INPUT_MESSAGES = {
 def test_wrong_rank_and_mixed_systems_raise(name):
     with pytest.raises(ValueError, match=BAD_INPUT_MESSAGES.get(name)):
         BAD_INPUTS[name]()
+
+
+@pytest.mark.parametrize("call", [generalized_prv, kprv_multiplicity])
+def test_a_word_that_is_no_weyl_element_is_a_type_error(call):
+    # a bare tuple carries no root system; this raised AttributeError
+    with pytest.raises(TypeError, match="tuple carries no root system"):
+        call(A2, W11, W11, (0,))
