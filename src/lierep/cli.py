@@ -1,9 +1,14 @@
 """Command-line front end.
 
-Every subcommand maps to one library operation and takes only the cap flags
-it reads.  Output is a table by default and a versioned JSON record with
---json; identical invocations are byte-identical.  Exit codes: 0 success, 1
-usage error, 2 resource cap exceeded, 3 internal invariant violation.
+Every subcommand maps to one library operation, takes only the cap flags it
+reads and imports only the modules it runs, so a query loads only those.
+It names its weight positionals, and ``main`` builds the root system and
+parses those weights before any engine loads.  Usage errors come in that
+order: argparse's, the system, each weight, then the subcommand's own (an
+unread cap flag, a --word, a depth).  Output is a table by default and a
+versioned JSON record with --json; identical invocations are byte-identical.
+Exit codes: 0 success, 1 usage error, 2 resource cap exceeded, 3 internal
+invariant violation.
 """
 
 import argparse
@@ -14,8 +19,6 @@ import sys
 from .config import METHODS, Caps
 from .errors import CapExceeded, InvariantViolation
 from .rootsystem import build_root_system, format_weight, parse_weight
-
-# each subcommand imports the modules it runs, so a query loads only those
 
 SCHEMA = "1"
 
@@ -32,14 +35,6 @@ def _emit(args, data, text_lines):
             print(line)
 
 
-def _system(args):
-    return build_root_system(args.system)
-
-
-def _weight(rs, text):
-    return parse_weight(text, rs.rank)
-
-
 def _word_name(word):
     """A Weyl group word as s1.s2, 0-based letters shown 1-based; e for the
     empty word."""
@@ -52,8 +47,7 @@ def _refuse_unread(args, flag, why):
         raise ValueError(f"{flag} is not read {why}")
 
 
-def cmd_roots(args):
-    rs = _system(args)
+def cmd_roots(args, rs):
     data = {
         "system": rs.label,
         "cartan": [list(r) for r in rs.cartan],
@@ -71,9 +65,8 @@ def cmd_roots(args):
         f"|W| = {rs.weyl_group_order}"])
 
 
-def cmd_weyl(args):
+def cmd_weyl(args, rs):
     from .weyl import enumerate_weyl
-    rs = _system(args)
     els = enumerate_weyl(rs, args.caps)
     data = {
         "system": rs.label,
@@ -93,16 +86,13 @@ def cmd_weyl(args):
     _emit(args, data, lines)
 
 
-def cmd_mult(args):
+def cmd_mult(args, rs, lam, mu):
     from .characters import (_enumerable, freudenthal_multiplicity,
                              weight_multiplicity)
-    rs = _system(args)
     if not _enumerable(rs):
         _refuse_unread(args, "--max-weyl",
                        f"on {rs.label}, whose multiplicities Freudenthal's "
                        "formula gives alone")
-    lam = _weight(rs, args.highest)
-    mu = _weight(rs, args.weight)
     m = weight_multiplicity(rs, lam, mu, args.caps)
     f = freudenthal_multiplicity(rs, lam, mu)
     if m != f:
@@ -113,10 +103,8 @@ def cmd_mult(args):
           lambda: [str(m)])
 
 
-def cmd_char(args):
+def cmd_char(args, rs, lam):
     from .characters import character_of, weyl_dimension
-    rs = _system(args)
-    lam = _weight(rs, args.highest)
     ch = character_of(rs, lam, args.caps)
     data = {"system": rs.label, "highest": format_weight(lam),
             "dimension": weyl_dimension(rs, lam), "character": ch.to_json()}
@@ -125,13 +113,10 @@ def cmd_char(args):
         *(f"  {k}: {v}" for k, v in sorted(data["character"].items()))])
 
 
-def cmd_decompose(args):
+def cmd_decompose(args, rs, lam, mu):
     from .tensor import decompose, decompose_all
     if args.method not in ("steinberg", "all"):
         _refuse_unread(args, "--max-weyl", f"by --method={args.method}")
-    rs = _system(args)
-    lam = _weight(rs, args.lam)
-    mu = _weight(rs, args.mu)
     if args.method == "all":
         data = decompose_all(rs, lam, mu, args.caps)["character"].to_json()
         data["method"] = "all"
@@ -148,11 +133,8 @@ def cmd_decompose(args):
     _emit(args, data, lines)
 
 
-def cmd_minimal_type(args):
+def cmd_minimal_type(args, rs, lam, mu):
     from .tensor import extreme_types
-    rs = _system(args)
-    lam = _weight(rs, args.lam)
-    mu = _weight(rs, args.mu)
     cartan, minimal = extreme_types(rs, lam, mu)
     data = {"system": rs.label, "lambda": format_weight(lam),
             "mu": format_weight(mu), "cartan": format_weight(cartan),
@@ -160,14 +142,11 @@ def cmd_minimal_type(args):
     _emit(args, data, lambda: [data["minimal"]])
 
 
-def cmd_prv(args):
+def cmd_prv(args, rs, lam, mu):
     from .tensor import generalized_prv
     from .weyl import enumerate_weyl, from_word
     if not args.kprv:
         _refuse_unread(args, "--max-dim", "without --kprv")
-    rs = _system(args)
-    lam = _weight(rs, args.lam)
-    mu = _weight(rs, args.mu)
     if args.word is not None:
         try:
             word = () if args.word == "e" else \
@@ -181,13 +160,8 @@ def cmd_prv(args):
     reports = []
     for w in els:
         rep = generalized_prv(rs, lam, mu, w, args.caps, with_kprv=args.kprv)
-        reports.append({
-            "word": list(w.word),
-            "target": format_weight(rep["target"]),
-            "mult": rep["mult"],
-            "lower_bound": rep["lower_bound"],
-            "kprv_mult": rep["kprv_mult"],
-        })
+        reports.append(dict(rep, word=list(w.word),
+                            target=format_weight(rep["target"])))
     data = {"system": rs.label, "lambda": format_weight(lam),
             "mu": format_weight(mu), "reports": reports}
 
@@ -203,10 +177,9 @@ def cmd_prv(args):
     _emit(args, data, lines)
 
 
-def cmd_shapovalov_det(args):
+def cmd_shapovalov_det(args, rs):
     from fractions import Fraction
     from .determinants import shapovalov_det
-    rs = _system(args)
     # exact rationals: shapovalov_det refuses a non-integer entry itself
     depth = tuple(Fraction(x) for x in args.depth.split(","))
     direct = shapovalov_det(rs, depth, "direct", args.max_height)
@@ -223,10 +196,8 @@ def cmd_shapovalov_det(args):
                                f"ratio   = {data['ratio']}"])
 
 
-def cmd_prv_det(args):
+def cmd_prv_det(args, rs, mu):
     from .determinants import prv_det
-    rs = _system(args)
-    mu = _weight(rs, args.mu)
     det, lead, spectra = prv_det(rs, mu, args.caps)
     data = {"system": rs.label, "mu": format_weight(mu),
             "determinant": det.to_json(),
@@ -245,12 +216,10 @@ def cmd_prv_det(args):
     _emit(args, data, lines)
 
 
-def cmd_central_char(args):
+def cmd_central_char(args, rs, lam):
     from .centralchar import central_character
     from .enveloping import casimir, chevalley_basis, hc_projection
     from .weyl import twisted_orbit_id
-    rs = _system(args)
-    lam = _weight(rs, args.lam)
     basis = chevalley_basis(rs)
     value = central_character(rs, basis, lam, casimir(basis))
     data = {"system": rs.label, "lambda": format_weight(lam),
@@ -261,10 +230,9 @@ def cmd_central_char(args):
                                f"dot-orbit id {data['orbit_id']}"])
 
 
-def cmd_hc_invariants(args):
+def cmd_hc_invariants(args, rs, lam, nu):
     from .hcmodules import HCParams, invariants
-    rs = _system(args)
-    p = HCParams(_weight(rs, args.lam), _weight(rs, args.nu))
+    p = HCParams(lam, nu)
     inv = invariants(rs, p)
     data = {"system": rs.label, "params": p.to_json(),
             "minimal_type": format_weight(inv.minimal_type),
@@ -275,11 +243,9 @@ def cmd_hc_invariants(args):
         f"infinitesimal character {data['inf_char']}"])
 
 
-def cmd_hc_equivalent(args):
+def cmd_hc_equivalent(args, rs, lam, nu, lam2, nu2):
     from .hcmodules import HCParams, equivalent
-    rs = _system(args)
-    p = HCParams(_weight(rs, args.lam), _weight(rs, args.nu))
-    q = HCParams(_weight(rs, args.lam2), _weight(rs, args.nu2))
+    p, q = HCParams(lam, nu), HCParams(lam2, nu2)
     ok, w = equivalent(rs, p, q, args.caps)
     data = {"system": rs.label, "p": p.to_json(), "q": q.to_json(),
             "equivalent": ok,
@@ -288,10 +254,8 @@ def cmd_hc_equivalent(args):
                                if ok else "not equivalent"])
 
 
-def cmd_hc_class_zero(args):
+def cmd_hc_class_zero(args, rs, lam):
     from .hcmodules import class_zero
-    rs = _system(args)
-    lam = _weight(rs, args.lam)
     rep = class_zero(rs, lam, caps=args.caps)
     mults = rep["mults"].to_json()["entries"] if rep["mults"] else None
     data = {"system": rs.label, "lambda": format_weight(lam),
@@ -308,10 +272,9 @@ def cmd_hc_class_zero(args):
     _emit(args, data, lines)
 
 
-def cmd_hc_finite_dim(args):
+def cmd_hc_finite_dim(args, rs, lam, nu):
     from .hcmodules import HCParams, finite_dimensional
-    rs = _system(args)
-    p = HCParams(_weight(rs, args.lam), _weight(rs, args.nu))
+    p = HCParams(lam, nu)
     fd = finite_dimensional(rs, p)
     data = {"system": rs.label, "params": p.to_json(),
             "finite_dimensional": fd is not None,
@@ -322,11 +285,8 @@ def cmd_hc_finite_dim(args):
                    else "not finite-dimensional"])
 
 
-def cmd_hc_count(args):
+def cmd_hc_count(args, rs, lam, mu):
     from .hcmodules import isoclass_count
-    rs = _system(args)
-    lam = _weight(rs, args.lam)
-    mu = _weight(rs, args.nu)
     n = isoclass_count(rs, lam, mu, args.caps)
     data = {"system": rs.label, "lambda": format_weight(lam),
             "mu": format_weight(mu), "classes": n}
@@ -335,15 +295,12 @@ def cmd_hc_count(args):
 
 def cmd_selftest(args):
     from . import selfcheck
-    names = args.criteria.split(",") if args.criteria else None
+    names = None if args.criteria is None else args.criteria.split(",")
     results = selfcheck.run(names, stream=None if args.json else sys.stdout)
-    if args.json:
-        record = {"schema": SCHEMA,
-                  "results": [{"name": r.name, "passed": r.passed,
-                               "detail": r.detail,
-                               "seconds": round(r.seconds, 2)}
-                              for r in results]}
-        print(json.dumps(record, sort_keys=True))
+    _emit(args, {"results": [{"name": r.name, "passed": r.passed,
+                              "detail": r.detail,
+                              "seconds": round(r.seconds, 2)}
+                             for r in results]}, list)  # text: run streams it
     return 0 if all(r.passed for r in results) else 3
 
 
@@ -378,66 +335,50 @@ def build_parser():
         description="exact semisimple Lie representation computations")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def system_cmd(name, fn, help_, *caps):
-        p = sub.add_parser(name, help=help_, parents=[output, *caps])
-        p.add_argument("system", help="root system spec, e.g. A2")
-        p.set_defaults(fn=fn)
+    def declare(p, fn, weights):
+        """fn(args, rs, *weights): main parses each named positional."""
+        for name in weights.split():
+            p.add_argument(name)
+        p.set_defaults(fn=fn, weights=weights.split())
         return p
 
-    system_cmd("roots", cmd_roots, "root system structure data")
-    system_cmd("weyl", cmd_weyl, "enumerate the Weyl group", weyl_cap)
+    def system_cmd(name, fn, help_, weights, *caps):
+        p = sub.add_parser(name, help=help_, parents=[output, *caps])
+        p.add_argument("system", help="root system spec, e.g. A2")
+        return declare(p, fn, weights)
 
-    p = system_cmd("mult", cmd_mult, "weight multiplicity in V(highest)",
-                   weyl_cap)
-    p.add_argument("highest")
-    p.add_argument("weight")
-
-    p = system_cmd("char", cmd_char, "full formal character", dim_cap)
-    p.add_argument("highest")
-
-    p = system_cmd("decompose", cmd_decompose,
-                   "tensor product decomposition", dim_cap, weyl_cap)
-    p.add_argument("lam")
-    p.add_argument("mu")
+    system_cmd("roots", cmd_roots, "root system structure data", "")
+    system_cmd("weyl", cmd_weyl, "enumerate the Weyl group", "", weyl_cap)
+    system_cmd("mult", cmd_mult, "weight multiplicity in V(highest)",
+               "highest weight", weyl_cap)
+    system_cmd("char", cmd_char, "full formal character", "highest", dim_cap)
+    p = system_cmd("decompose", cmd_decompose, "tensor product decomposition",
+                   "lam mu", dim_cap, weyl_cap)
     p.add_argument("--method", default="character",
                    choices=list(METHODS) + ["all"])
-
-    p = system_cmd("minimal-type", cmd_minimal_type,
-                   "smallest component of a tensor product")
-    p.add_argument("lam")
-    p.add_argument("mu")
-
-    p = system_cmd("prv", cmd_prv, "extreme component report",
+    system_cmd("minimal-type", cmd_minimal_type,
+               "smallest component of a tensor product", "lam mu")
+    p = system_cmd("prv", cmd_prv, "extreme component report", "lam mu",
                    dim_cap, weyl_cap)
-    p.add_argument("lam")
-    p.add_argument("mu")
     p.add_argument("--word", default=None,
                    help="1-based reflection word like 1,2 (default: all w)")
     p.add_argument("--kprv", action="store_true",
                    help="also count inside the generated submodule")
-
     p = system_cmd("shapovalov-det", cmd_shapovalov_det,
-                   "contravariant form determinant at a depth")
+                   "contravariant form determinant at a depth", "")
     p.add_argument("depth", help="root-lattice coordinates, e.g. 1,1")
     p.add_argument("--max-height", type=int, default=None)
-
-    p = system_cmd("prv-det", cmd_prv_det,
-                   "zero-weight determinant product formula", dim_cap)
-    p.add_argument("mu")
-
-    p = system_cmd("central-char", cmd_central_char,
-                   "Casimir central character")
-    p.add_argument("lam")
+    system_cmd("prv-det", cmd_prv_det,
+               "zero-weight determinant product formula", "mu", dim_cap)
+    system_cmd("central-char", cmd_central_char, "Casimir central character",
+               "lam")
 
     p = sub.add_parser("hc", help="two-parameter module calculus")
     p.add_argument("system")
     hsub = p.add_subparsers(dest="hc_cmd", required=True)
 
-    def hc_cmd(name, fn, params, *caps):
-        q = hsub.add_parser(name, parents=[output, *caps])
-        for param in params.split():
-            q.add_argument(param)
-        q.set_defaults(fn=fn)
+    def hc_cmd(name, fn, weights, *caps):
+        declare(hsub.add_parser(name, parents=[output, *caps]), fn, weights)
 
     hc_cmd("invariants", cmd_hc_invariants, "lam nu")
     hc_cmd("equivalent", cmd_hc_equivalent, "lam nu lam2 nu2", weyl_cap)
@@ -449,7 +390,6 @@ def build_parser():
                        parents=[output])
     p.add_argument("--criteria", default=None,
                    help="comma-separated subset of criteria names")
-    p.set_defaults(fn=cmd_selftest)
     return top
 
 
@@ -462,8 +402,12 @@ def main(argv=None):
     args.caps = Caps.from_flags(getattr(args, "max_dim", None),
                                 getattr(args, "max_weyl", None))
     try:
-        out = args.fn(args)
-        return out if isinstance(out, int) else 0
+        if args.command == "selftest":
+            return cmd_selftest(args)
+        rs = build_root_system(args.system)
+        args.fn(args, rs, *[parse_weight(getattr(args, name), rs.rank)
+                            for name in args.weights])
+        return 0
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from .config import Caps
 from .errors import CapExceeded
 from .hpoly import HPoly, _require_exponent, det_poly, product
 from .rootsystem import Weight, RootVector, _num
-from .characters import (_char_table, kostant_partitions,
+from .characters import (_table, _weyl_dim, kostant_partitions,
                          partition_function, table_mult)
 
 __all__ = ["DetPolynomial", "shapovalov_det", "prv_det"]
@@ -178,14 +178,15 @@ def prv_det(rs, mu, caps=Caps()):
     j alpha number m_j = d_j - d_{j+1}, d_j = dim V(mu)_{j alpha}, so the
     exponent of (h_alpha + rho(h_alpha) - n) is sum_{j >= n} m_j = d_n and
     m_mu(alpha) = d_1.  ``irreps.zero_weight_spectrum`` reads the same
-    spectra from a realization, independently.  The cap is max_char, the
-    dominant table's.
+    spectra from a realization, independently.  The max_char cap is read on
+    dim V(mu) for every mu, off the root lattice too, where no table is built.
     """
     rs.require_dominant_integral(mu)
+    caps.check("max_char", _weyl_dim(rs, mu.coords), "dim V({})", mu)
     if rs.root_lattice_coords(mu) is None:
         return (DetPolynomial(rs.rank, 1, ()), DetPolynomial(rs.rank, 1, ()),
                 {})
-    table = _char_table(rs, mu.coords, caps)
+    table = _table(rs, mu.coords)
     rho = rs.rho
     factors = []
     lead = []

@@ -621,6 +621,8 @@ def normal_form(basis, factors):
 
 
 def _require_element_of(basis, u):
+    if not isinstance(u, UElement):
+        raise TypeError(f"{type(u).__name__} is not an element of U(g)")
     if u.algebra is not basis.algebra:
         raise ValueError("element is not in the enveloping algebra of "
                          f"the Chevalley basis of {basis.rs}")
@@ -700,6 +702,7 @@ def shapovalov(basis, b1, b2):
 
 
 def is_central(basis, u):
+    _require_element_of(basis, u)
     gens = [basis.e(i) for i in range(basis.rank)]
     gens += [basis.f(i) for i in range(basis.rank)]
     gens += [basis.h(i) for i in range(basis.rank)]
@@ -712,6 +715,8 @@ def casimir(basis):
 
     Acts on V(lambda) by 2*((lambda+rho, lambda+rho) - (rho, rho)).
     """
+    if not isinstance(basis, ChevalleyBasis):
+        raise TypeError(f"{type(basis).__name__} is not a ChevalleyBasis")
     rs = basis.rs
     rank = rs.rank
     # B(h_i, h_j) = cartan[i][j] / d_j for the short-2 normalisation

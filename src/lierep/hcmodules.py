@@ -30,12 +30,22 @@ class HCParams:
     nu: Weight
 
     def __post_init__(self):
+        if not (isinstance(self.lam, Weight) and isinstance(self.nu, Weight)):
+            raise TypeError("HCParams needs two Weights")
         if not self.nu.is_integral:
             raise ValueError("nu must be an integral weight")
 
     def to_json(self):
         return {"lambda": [str(c) for c in self.lam.coords],
                 "nu": [str(c) for c in self.nu.coords]}
+
+
+def _require_params(rs, *ps):
+    for p in ps:
+        if not isinstance(p, HCParams):
+            raise TypeError(f"parameters {p!r} must be an HCParams, "
+                            f"not a {type(p).__name__}")
+        rs.require_rank(p.lam, p.nu)
 
 
 @dataclass
@@ -53,6 +63,7 @@ class HCInvariants:
 def invariants(rs, p):
     """Minimal type, infinitesimal character, and the component bound
     mu -> dim V(mu)_nu."""
+    _require_params(rs, p)
     minimal = rs.dominant_in_orbit(p.nu)
     inf = hc_inf_character(rs, p.lam, p.nu)
     return HCInvariants(rs, p.nu, minimal, inf)
@@ -61,7 +72,7 @@ def invariants(rs, p):
 def equivalent(rs, p, q, caps=Caps()):
     """(bool, witness): whether some w sends (lam, nu) to (lam', nu') by the
     simultaneous dot/plain action."""
-    rs.require_rank(p.lam, p.nu, q.lam, q.nu)
+    _require_params(rs, p, q)
     for w in enumerate_weyl(rs, caps):
         if w.twisted(p.lam) == q.lam and w.apply(p.nu) == q.nu:
             return True, w
@@ -76,6 +87,7 @@ def finite_dimensional(rs, p):
     then nu = lam + w0(mu) and the module is V(lam) (x) V(mu) over the
     diagonal subalgebra.
     """
+    _require_params(rs, p)
     if not (p.lam.is_integral and p.lam.is_dominant):
         return None
     w0 = longest_element(rs)

@@ -100,8 +100,8 @@ class Weight:
 
 @dataclass(frozen=True, slots=True)
 class RootVector:
-    """Integer vector in the simple-root basis.  Coefficients go through
-    Fraction, not _num, so 1.0 is accepted; a non-integer raises ValueError."""
+    """Integer vector in the simple-root basis, coefficients read by Fraction:
+    1.0 passes, 1.5 is a ValueError, an integral str or bool a TypeError."""
 
     coeffs: tuple
 
@@ -112,6 +112,9 @@ class RootVector:
             raise ValueError(
                 f"root coordinates ({', '.join(map(str, self.coeffs))}) "
                 f"must be integers")
+        if any(isinstance(c, (str, bool)) for c in self.coeffs):
+            raise TypeError(f"root coordinates {self.coeffs!r} must be "
+                            "numbers, not str or bool")
         object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
 
     def __iter__(self):
@@ -508,7 +511,7 @@ class RootSystem:
 
     def inner(self, wa, wb):
         """Invariant form on weights, short roots normalised to length^2 = 2."""
-        self.require_rank(wa, wb)
+        self.require_weight(wa, wb)
         num = 0
         fa, fb = wa.coords, wb.coords
         for i in range(self.rank):
@@ -569,7 +572,7 @@ class RootSystem:
 
     def orbit(self, w):
         """Full W-orbit of a weight, sorted by coordinates."""
-        self.require_rank(w)
+        self.require_weight(w)
         return [Weight(c) for c in sorted(self.orbit_coords(w.coords))]
 
     def dominant_ascent(self, coords):
@@ -598,7 +601,7 @@ class RootSystem:
 
     def dominant_in_orbit(self, w):
         """The unique dominant orbit representative (no group element tracked)."""
-        self.require_rank(w)
+        self.require_weight(w)
         return Weight(self.dominant_ascent(w.coords)[0])
 
 

@@ -624,7 +624,12 @@ CRITERIA = (
 
 
 def run(names=None, stream=None):
-    """Execute the acceptance criteria (all by default); returns results."""
+    """Execute the acceptance criteria (all by default); returns results.
+    An unknown name raises ValueError before any criterion runs."""
+    unknown = sorted(set(names or ()) - {name for name, _ in CRITERIA})
+    if unknown:
+        raise ValueError(f"unknown criteria {', '.join(map(repr, unknown))}; "
+                         f"known: {', '.join(name for name, _ in CRITERIA)}")
     selected = [c for c in CRITERIA if names is None or c[0] in names]
     results = []
     for name, fn in selected:

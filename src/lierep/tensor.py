@@ -22,7 +22,7 @@ from operator import add, mul, sub
 from .config import METHODS, Caps
 from .errors import InvariantViolation
 from .rootsystem import Weight
-from .weyl import coset_fibers, double_cosets, longest_element, shift_maps
+from .weyl import _double_cosets, coset_fibers, longest_element, shift_maps
 from .characters import (_char_table, _weyl_dim, dominant_orbit,
                          rho_shifts, signed_partition_sums, table_mult)
 
@@ -325,13 +325,13 @@ def minuscule_decompose(rs, lam, mu, caps=Caps()):
     if not _coroots_at_most_one(rs, mu):
         raise ValueError(f"{mu} is not minuscule")
     entries = {}
-    for w in rs.orbit(mu):
-        nu = lam + w
-        if nu.is_dominant:
-            entries[nu.coords] = entries.get(nu.coords, 0) + 1
+    for w in dominant_orbit(rs, mu.coords):
+        nu = tuple(map(add, lam.coords, w))
+        if min(nu) >= 0:
+            entries[nu] = entries.get(nu, 0) + 1
     if any(v != 1 for v in entries.values()):
         raise InvariantViolation("minuscule components must be simple")
-    count = len(double_cosets(rs, lam, mu, caps))
+    count = len(_double_cosets(rs, lam.coords, mu.coords, caps))
     if count != len(entries):
         raise InvariantViolation(
             f"component count {len(entries)} != double coset count {count}")

@@ -198,14 +198,14 @@ def dominant_representative(rs, lam):
     Deterministic ascent: reflect at the least index with a negative
     coordinate until dominant.
     """
-    rs.require_rank(lam)
+    rs.require_weight(lam)
     dom, word = rs.dominant_ascent(lam.coords)
     return Weight(dom), from_word(rs, reversed(word))
 
 
 def twisted_orbit_id(rs, lam):
     """Canonical representative of the dot orbit of lam (a Weight)."""
-    rs.require_rank(lam)
+    rs.require_weight(lam)
     return rs.dominant_in_orbit(lam + rs.rho) - rs.rho
 
 
@@ -222,7 +222,7 @@ class CentralCharacterId:
 def hc_inf_character(rs, lam, nu):
     """Infinitesimal character id of the module with parameters (lam, nu):
     the pair chi(lam, nu - lam - 2 rho) up to the componentwise dot action."""
-    rs.require_rank(lam, nu)
+    rs.require_weight(lam, nu)
     if not nu.is_integral:
         raise ValueError("nu must be integral")
     second = nu - lam - 2 * rs.rho
@@ -241,9 +241,14 @@ def double_cosets(rs, lam, mu, caps=Caps()):
     and mu, in enumerate_weyl's (length, word) order: the w with no left
     descent s_i, (w rho)_i < 0, where lam_i = 0 and no right descent s_j,
     (w^-1 rho)_j < 0, where mu_j = 0 (Bjorner and Brenti, 2.4-2.5)."""
-    rs.require_rank(lam, mu)
+    rs.require_weight(lam, mu)
     if not (lam.is_dominant and mu.is_dominant):
         raise ValueError("double_cosets needs dominant weights")
+    return _double_cosets(rs, lam.coords, mu.coords, caps)
+
+
+def _double_cosets(rs, lam, mu, caps):
+    """double_cosets on checked coordinate tuples, for other entry points."""
     left = [i for i, c in enumerate(lam) if c == 0]
     right = [j for j, c in enumerate(mu) if c == 0]
     reps = []

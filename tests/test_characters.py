@@ -24,13 +24,15 @@ from lierep.characters import (_pf_covering, character_of, character_table,
                                weight_multiplicity, weyl_dimension)
 from lierep.centralchar import central_character
 from lierep.determinants import prv_det
+from lierep.hcmodules import isoclass_count
 from lierep.enveloping import casimir, chevalley_basis
 from lierep.irreps import realize, v_extremes, v_extremes_dim
 from lierep.rootsystem import RootVector
 from lierep.selfcheck import HULL_TYPES
 from lierep.tensor import (METHODS, Decomposition, decompose, is_minuscule,
                            multiplicity)
-from lierep.weyl import longest_element, shift_maps
+from lierep.weyl import (dominant_representative, double_cosets,
+                         hc_inf_character, longest_element, shift_maps)
 
 from oracles import (character_by_closure, dominant_drops_by_recursion,
                      kostant_partitions_by_prefix_walk,
@@ -524,6 +526,15 @@ BAD_INPUTS = {
     "decomposition_tuple": lambda rs: Decomposition(
         rs, (1, 0), Weight((0, 1)), "x", {(1, 1): 1}),
     "decomposition_mult_wrong_rank": lambda rs: decompose(rs, W2, W2).mult(W3),
+    # a tuple weight passed the rank check, then raised AttributeError
+    "dominant_representative_tuple": lambda rs: dominant_representative(
+        rs, (1, 0)),
+    "double_cosets_tuple": lambda rs: double_cosets(rs, (1, 0), W2),
+    "isoclass_count_tuple": lambda rs: isoclass_count(rs, (1, 0), W2),
+    "hc_inf_character_tuple": lambda rs: hc_inf_character(rs, W2, (0, 0)),
+    "dominant_in_orbit_tuple": lambda rs: rs.dominant_in_orbit((1, 0)),
+    "orbit_tuple": lambda rs: rs.orbit((1, 0)),
+    "inner_tuple": lambda rs: rs.inner(W2, (1, 0)),
 }
 # the cases that pass something other than a Weight: each must fail its
 # entry point's type check; every other case raises ValueError

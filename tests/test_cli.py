@@ -228,6 +228,8 @@ def test_max_dim_raises_character_cap(capsys):
     (("hc", "A2", "equivalent", "1,1", "1,1", "1,1", "1,1"), "--max-weyl",
      "5", "6"),
     (("hc", "A2", "count", "1,0", "0,1"), "--max-weyl", "5", "6"),
+    # off the root lattice: a constant determinant, but the cap is read
+    (("prv-det", "A2", "1,0"), "--max-dim", "2", "3"),
 ])
 def test_cap_errors_name_their_flag(capsys, argv, flag, refused, accepted):
     code, _, err = run(capsys, *argv, flag, refused)
@@ -355,6 +357,19 @@ def test_selftest_under_optimize_flag():
     assert proc.stdout.count("PASS") == 2
 
 
+@pytest.mark.parametrize("criteria,unknown", [
+    ("clebsch-gordon,clebsch-gordan", "'clebsch-gordon'"),
+    ("", "''"), ("clebsch-gordan,", "''")])
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_selftest_refuses_an_unknown_criterion(capsys, criteria, unknown,
+                                               fmt):
+    # an empty name is refused too, not read as every criterion
+    code, out, err = run(capsys, "selftest", "--criteria", criteria, *fmt)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: unknown criteria {unknown}; known: "
+                          "clebsch-gordan, method-agreement,")
+
+
 def test_selftest_subset(capsys):
     code, out, _ = run(capsys, "selftest",
                        "--criteria", "clebsch-gordan", "--json")
@@ -380,6 +395,133 @@ _README_QUERIES = [
     "hc A2 count 1,0 0,1",
 ]
 _SELFTEST = "selftest --criteria clebsch-gordan"
+
+# the text output of each README query, all with exit code 0; cli-cold
+# pins only the --json form
+_README_TEXT = {
+    "roots G2": (
+        "root system G2\n"
+        "cartan matrix: 2,-3; -1,2\n"
+        "positive roots (6): 0+1 1+0 1+1 2+1 3+1 3+2\n"
+        "|W| = 12\n"),
+    "weyl B2": (
+        "|W(B2)| = 8\n"
+        "  e                        length 0 sign +1\n"
+        "  s1                       length 1 sign -1\n"
+        "  s2                       length 1 sign -1\n"
+        "  s1.s2                    length 2 sign +1\n"
+        "  s2.s1                    length 2 sign +1\n"
+        "  s1.s2.s1                 length 3 sign -1\n"
+        "  s2.s1.s2                 length 3 sign -1\n"
+        "  s1.s2.s1.s2              length 4 sign +1  <- longest\n"),
+    "mult A2 1,1 0,0": "2\n",
+    "char A1 4": (
+        "dim V(4) = 5\n"
+        "  -2: 1\n"
+        "  -4: 1\n"
+        "  0: 1\n"
+        "  2: 1\n"
+        "  4: 1\n"),
+    "decompose A1 3 2": (
+        "V(3) (x) V(2) =\n"
+        "  V(1) x 1\n"
+        "  V(3) x 1\n"
+        "  V(5) x 1\n"),
+    "decompose A2 1,0 0,1 --method=all": (
+        "V(1,0) (x) V(0,1) =\n"
+        "  V(0,0) x 1\n"
+        "  V(1,1) x 1\n"
+        "methods agree: character steinberg klimyk prv\n"),
+    "minimal-type A1 3 1": "2\n",
+    "prv A2 1,1 1,1": (
+        "w=e                    target 2,2          mult 1 bound 1\n"
+        "w=s1                   target 0,3          mult 1 bound 1\n"
+        "w=s2                   target 3,0          mult 1 bound 1\n"
+        "w=s1.s2                target 1,1          mult 2 bound 2\n"
+        "w=s2.s1                target 1,1          mult 2 bound 2\n"
+        "w=s1.s2.s1             target 0,0          mult 1 bound 1\n"),
+    "shapovalov-det A1 2": (
+        "direct  = 2*h1^2 + -2*h1\n"
+        "formula = 1*h1^2 + -1*h1\n"
+        "ratio   = 2\n"),
+    "prv-det A2 1,1": (
+        "det = -1*h1*h2^2 + -1*h1^2*h2 + -1*h1*h2 (degree 3)\n"
+        "  root 0+1: spectrum {0: 1, 1: 1}\n"
+        "  root 1+0: spectrum {0: 1, 1: 1}\n"
+        "  root 1+1: spectrum {0: 1, 1: 1}\n"),
+    "central-char A1 3": (
+        "Casimir acts by 15\n"
+        "dot-orbit id 3\n"),
+    "hc A1 invariants 1/2 3": (
+        "minimal type 3\n"
+        "infinitesimal character ['1/2', '1/2']\n"),
+    "hc A1 equivalent 3 1 -5 -1": "equivalent via w = s1\n",
+    "hc A1 class-zero 2": (
+        "complete: False\n"
+        "canonical parameter: 2\n"
+        "  V(0) x 1\n"
+        "  V(2) x 1\n"
+        "  V(4) x 1\n"),
+    "hc A2 count 1,0 0,1": "2\n",
+}
+
+
+def test_readme_queries_print_their_recorded_text(capsys):
+    assert set(_README_TEXT) == set(_README_QUERIES)
+    for query in _README_QUERIES:
+        assert run(capsys, *query.split()) == (0, _README_TEXT[query], ""), \
+            query
+
+
+# a query whose weights main refuses must not have loaded an engine
+_REFUSED = ("import sys\n"
+            "from lierep.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(' '.join(sorted(m for m in sys.modules\n"
+            "                      if m.startswith('lierep.'))),\n"
+            "      file=sys.stderr)\n"
+            "sys.exit(code)\n")
+
+
+def _templates(parser):
+    """Every leaf command's argv: a subcommand as its name, a positional as
+    its argparse action."""
+    head = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return [head + [name] + tail
+                    for name, child in action.choices.items()
+                    for tail in _templates(child)]
+        if not action.option_strings:
+            head.append(action)
+    return [head]
+
+
+def _wrong_rank_queries():
+    """One A2 query per weight positional of every subcommand, that weight
+    given three coordinates and every other weight 1,0."""
+    not_weights = {"system": "A2", "depth": "1,1"}
+    for template in _templates(build_parser()):
+        slots = [i for i, x in enumerate(template)
+                 if not isinstance(x, str) and x.dest not in not_weights]
+        for bad in slots:
+            yield " ".join(
+                x if isinstance(x, str) else not_weights.get(x.dest)
+                or ("1,0,0" if i == bad else "1,0")
+                for i, x in enumerate(template))
+
+
+@pytest.mark.parametrize("query", list(_wrong_rank_queries()))
+def test_a_wrong_rank_weight_is_refused_before_any_engine_loads(query):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _REFUSED] + query.split(), env=env,
+        capture_output=True, text=True, timeout=120, check=False)
+    error, loaded = proc.stderr.splitlines()
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert error == "error: expected 2 coordinates, got 3"
+    assert {m.partition(".")[2] for m in loaded.split()} <= {
+        "cli", "config", "errors", "linalg", "rootsystem"}
 
 
 def _loaded_modules(query):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from lierep.centralchar import central_character
 from lierep.config import Caps
 from lierep.determinants import shapovalov_det
+from lierep.characters import partition_function
 from lierep.enveloping import (casimir, chevalley_basis, hc_projection,
                                shapovalov, transpose)
 from lierep.errors import CapExceeded
@@ -530,3 +531,28 @@ def test_a_word_that_is_no_weyl_element_is_a_type_error(call):
     # a bare tuple carries no root system; this raised AttributeError
     with pytest.raises(TypeError, match="tuple carries no root system"):
         call(A2, W11, W11, (0,))
+
+
+@pytest.mark.parametrize("call", [
+    # each raised AttributeError
+    lambda: transpose(chevalley_basis(A2), 1),
+    lambda: hc_projection(chevalley_basis(A2), None),
+    lambda: shapovalov(chevalley_basis(A2), 1, 1),
+    lambda: casimir(A2),
+    lambda: central_character(A2, chevalley_basis(A2), W11, 1),
+    lambda: equivalent(A2, (1, 0), (1, 0)),
+    lambda: invariants(A2, Weight((1, 0))),
+    lambda: finite_dimensional(A2, (1, 0)),
+    lambda: HCParams((1, 0), (0, 0)),
+    # each was accepted and answered
+    lambda: RootVector(("1", "0")),
+    lambda: RootVector((True, 0)),
+    lambda: partition_function(A2, ("1", "1")),
+    lambda: shapovalov_det(A2, (True, 0)),
+], ids=["transpose", "hc_projection", "shapovalov", "casimir",
+        "central_character", "equivalent", "invariants", "finite_dimensional",
+        "HCParams", "RootVector_str", "RootVector_bool",
+        "partition_function_str", "shapovalov_det_bool"])
+def test_an_argument_of_the_wrong_type_is_a_type_error(call):
+    with pytest.raises(TypeError):
+        call()
