@@ -246,15 +246,14 @@ def dominant_drops(rs, lam_coords):
     def rec(j, nu, drop):
         col, later = cols[j], rise[j + 1]
         if j == last:
-            # x - d * c >= 0 for every coordinate x, c of nu and col
+            # x - d * c >= 0 for every coordinate x, c of nu and col; the
+            # level above kept x >= 0 where c = 0, as rise[last] is 0 there
             lo, hi = 0, span[j]
             for x, c in zip(nu, col):
                 if c > 0:
                     hi = min(hi, x // c)
                 elif c < 0:
                     lo = max(lo, -(x // -c))
-                elif x < 0:
-                    return
             for d in range(lo, hi + 1):
                 nu2 = tuple([x - d * c for x, c in zip(nu, col)])
                 out.append((drop + (d,), key(nu2, nu2)))
@@ -333,8 +332,14 @@ def _dominant_table_fast(rs, lam_coords):
     drops = dominant_drops(rs, lam_coords)
     sums = signed_partition_sums(rs, rho_shifts(shift_maps(rs), lam_coords),
                                  [drop for drop, _ in drops])
-    return MappingProxyType({mu: total for (_, mu), total in zip(drops, sums)
-                             if total})
+    table = {}
+    for (_, mu), total in zip(drops, sums):
+        if total < 0:
+            raise InvariantViolation(
+                f"alternating sum for V({lam_coords})_{mu} is negative: {total}")
+        if total:
+            table[mu] = total
+    return MappingProxyType(table)
 
 
 def freudenthal_multiplicity(rs, lam, mu):

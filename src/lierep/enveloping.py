@@ -5,7 +5,9 @@ choosing, for each non-simple positive root, its minimal decomposition in the
 height-lex root order and normalising that bracket to p+1 > 0; every other
 structure constant follows from the standard triple/quadruple relations.  The
 finished table is machine-checked (antisymmetry, Jacobi on all triples, root
-string magnitudes, transpose compatibility) before use.
+string magnitudes, transpose compatibility) before use.  Every
+``BracketTable`` is graded: the Chevalley basis by roots, and the sl2 x sl2
+table that ``centralchar`` writes out by its h-bar-eigenvalues.
 
 PBW monomials are ordered f-block (roots ascending), Cartan block, e-block
 (roots descending).  The transpose anti-involution swaps e_alpha and f_alpha
@@ -37,28 +39,30 @@ from operator import add, mul
 
 from .errors import InvariantViolation
 from .hpoly import HPoly, _require_exponent
-from .linalg import _integral, mat_inv
+from .linalg import _integral
 from .rootsystem import _num
 
 __all__ = [
     "ChevalleyBasis", "chevalley_basis", "UElement", "PBWAlgebra",
     "transpose", "hc_projection", "shapovalov", "casimir", "normal_form",
-    "product_bracket", "BracketTable",
+    "BracketTable",
 ]
 
 
 class BracketTable:
-    """Abstract finite-dimensional Lie algebra: named basis plus bracket dict.
+    """Finite-dimensional graded Lie algebra given by its structure
+    constants: named basis, bracket dict and grading.
 
     table[(i, j)] with i < j maps to {k: coeff}; the other order is implied
-    by antisymmetry.
+    by antisymmetry.  weights[i] is the grading vector of basis element i,
+    so every PBW monomial has a weight.
     """
 
-    def __init__(self, names, table, weights=None):
+    def __init__(self, names, table, weights):
         self.names = list(names)
         self.dim = len(self.names)
         self.table = table
-        self.weights = weights  # optional per-index grading vectors
+        self.weights = weights
 
     def bracket(self, i, j):
         if i == j:
@@ -79,42 +83,6 @@ class BracketTable:
                     if any(v != 0 for v in acc.values()):
                         raise InvariantViolation(
                             f"Jacobi fails on basis triple ({i},{j},{k})")
-
-    def change_basis(self, vectors, names):
-        """Structure constants in the span of `vectors` (old coordinates)."""
-        n = self.dim
-        if len(vectors) != n:
-            raise ValueError("need a full new basis")
-        mat = [[Fraction(vectors[j].get(i, 0)) for j in range(n)] for i in range(n)]
-        inv = mat_inv(mat)  # new coords = inv * old coords
-        table = {}
-        for p in range(n):
-            for q in range(p + 1, n):
-                old = {}
-                for i, ci in vectors[p].items():
-                    for j, cj in vectors[q].items():
-                        for k, c in self.bracket(i, j).items():
-                            old[k] = old.get(k, 0) + ci * cj * c
-                entry = {}
-                for r in range(n):
-                    val = _num(sum(Fraction(inv[r][i]) * old.get(i, 0) for i in old))
-                    if val != 0:
-                        entry[r] = val
-                if entry:
-                    table[(p, q)] = entry
-        return BracketTable(names, table)
-
-
-def product_bracket(ta, tb):
-    """Bracket table of the direct sum, second factor's indices offset."""
-    off = ta.dim
-    table = {}
-    for (i, j), entry in ta.table.items():
-        table[(i, j)] = dict(entry)
-    for (i, j), entry in tb.table.items():
-        table[(i + off, j + off)] = {k + off: c for k, c in entry.items()}
-    names = [f"{n}'" for n in ta.names] + [f"{n}''" for n in tb.names]
-    return BracketTable(names, table)
 
 
 # --------------------------------------------------------------------------
@@ -211,9 +179,7 @@ class ChevalleyBasis:
         table = {}
 
         def put(i, j, entry):
-            entry = {k: _num(v) for k, v in entry.items() if v != 0}
-            if not entry:
-                return
+            entry = {k: _num(v) for k, v in entry.items()}
             if i < j:
                 table[(i, j)] = entry
             else:
@@ -384,7 +350,7 @@ class PBWAlgebra:
                          for p in range(self.dim)]
         # (position, grading vector) of every position of nonzero weight
         w = table.weights
-        self._graded = None if w is None else tuple(
+        self._graded = tuple(
             (p, w[b]) for p, b in enumerate(self.order) if any(w[b]))
 
     def intern(self, exps):
@@ -462,8 +428,6 @@ class PBWAlgebra:
 
     def weight_of(self, exps):
         """Grading vector of a monomial, computed once per id."""
-        if self._graded is None:
-            raise ValueError("algebra carries no grading")
         i = self.intern(exps)
         tot = self._weights[i]
         if tot is None:
@@ -718,16 +682,13 @@ def casimir(basis):
     if not isinstance(basis, ChevalleyBasis):
         raise TypeError(f"{type(basis).__name__} is not a ChevalleyBasis")
     rs = basis.rs
-    rank = rs.rank
-    # B(h_i, h_j) = cartan[i][j] / d_j for the short-2 normalisation
-    bmat = [[Fraction(rs.cartan[i][j], rs.sym[j]) for j in range(rank)]
-            for i in range(rank)]
-    binv = mat_inv(bmat)
+    # B(h_i, h_j) = cartan[i][j] / d_j for the short-2 normalisation; its
+    # inverse diag(d) A^{-1} is the fundamental-weight form
     acc = UElement.zero(basis.algebra)
-    for i in range(rank):
-        for j in range(rank):
-            if binv[i][j]:
-                acc = acc + binv[i][j] * (basis.h(i) * basis.h(j))
+    for i, row in enumerate(rs.form_num):
+        for j, x in enumerate(row):
+            if x:
+                acc = acc + Fraction(x, rs.form_den) * basis.h(i) * basis.h(j)
     for k in range(rs.nroots):
         d_k = Fraction(rs.root_norms[k], 2)
         acc = acc + d_k * (basis.e_root(k) * basis.f_root(k)

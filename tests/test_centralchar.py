@@ -125,11 +125,20 @@ def test_sl2_omega_values_on_a_grid():
                 "delta_bar": nu * nu + 2 * nu}
 
 
-def test_product_algebra_is_ungraded():
-    alg, gens = _sl2_product_algebra()
-    for u in (gens["fbar"], gens["h1"] * gens["e1"], UElement.one(alg)):
-        with pytest.raises(ValueError, match="no grading"):
-            u.weight()
+def test_product_algebra_is_sl2_x_sl2_graded_by_hbar():
+    alg, g = _sl2_product_algebra()
+    f1, e2, h2 = g["fbar"] - g["f2"], g["ebar"] - g["e1"], g["hbar"] - g["h1"]
+    factors = [(f1, g["h1"], g["e1"]), (g["f2"], h2, e2)]
+    for f, h, e in factors:
+        assert h.commutator(e) == 2 * e
+        assert h.commutator(f) == -2 * f
+        assert e.commutator(f) == h
+    for x in factors[0]:
+        for y in factors[1]:
+            assert x.commutator(y).is_zero
+    for u, want in ((g["fbar"], (-2,)), (g["h1"] * g["e1"], (2,)),
+                    (UElement.one(alg), (0,))):
+        assert u.weight() == want
 
 
 def test_sl2_omega_separates_parameters():

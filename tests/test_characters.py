@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from lierep import characters
 from lierep.config import Caps
-from lierep.errors import CapExceeded
+from lierep.errors import CapExceeded, InvariantViolation
 from lierep.rootsystem import (RootSystem, Weight, build_root_system,
                                dominance_hull_equiv)
 from lierep.characters import (_pf_covering, character_of, character_table,
@@ -653,3 +653,39 @@ def test_clearing_a_memo_clears_its_view(a2):
     characters.dominant_orbit.cache_clear()
     again = character_of(a2, lam)
     assert again is not ch and again == ch
+
+
+def test_a_negative_alternating_sum_raises(monkeypatch, a2):
+    # the Freudenthal table and kostant_multiplicity raise on one too
+    def negative_sums(rs, shifts, drops):
+        return [-1] * len(drops)
+
+    characters._dominant_table_fast.cache_clear()
+    monkeypatch.setattr(characters, "signed_partition_sums", negative_sums)
+    try:
+        with pytest.raises(InvariantViolation, match=r"V\(\(1, 1\)\)_\(1, 1\)"
+                           r" is negative: -1"):
+            dominant_weight_table(a2, Weight((1, 1)))
+    finally:
+        characters._dominant_table_fast.cache_clear()
+
+
+@pytest.mark.parametrize("label,lam,dim", [
+    ("E6", (0, 0, 0, 0, 0, 1), 78), ("A6", (1, 0, 0, 0, 0, 1), 48)])
+def test_weight_multiplicity_past_the_enumerable_groups(label, lam, dim):
+    # the adjoint module: its rank on the zero weight, 1 on every root
+    rs = build_root_system(label)
+    lam = Weight(lam)
+    assert rs.weyl_group_order > Caps().max_weyl
+    assert weyl_dimension(rs, lam) == dim
+    simple = [Weight(tuple(row[i] for row in rs.cartan))
+              for i in range(rs.rank)]
+    cases = [(rs.zero_weight(), 6), (lam, 1), (-lam, 1), (lam + lam, 0)]
+    cases += [(a, 1) for a in simple] + [(-a, 1) for a in simple]
+    cases += [(a + a, 0) for a in simple]
+    for mu, want in cases:
+        assert weight_multiplicity(rs, lam, mu) == want
+        assert freudenthal_multiplicity(rs, lam, mu) == want
+        if label == "A6":  # the alternating sum over all 5040 elements
+            assert kostant_multiplicity(rs, lam, mu,
+                                        Caps(max_weyl=5040)) == want

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import io
 import json
 import os
 import subprocess
@@ -376,6 +377,30 @@ def test_selftest_subset(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["results"][0]["passed"] is True
+
+
+def test_a_failing_criterion_reports_fail_and_exits_3(capsys, monkeypatch):
+    from lierep import selfcheck
+
+    def fails():
+        raise selfcheck.CheckFailure("2 != 3 at the first pair")
+
+    monkeypatch.setattr(selfcheck, "CRITERIA", (("always-fails", fails),))
+    stream = io.StringIO()
+    (res,) = selfcheck.run(["always-fails"], stream)
+    assert (res.name, res.passed, res.detail) == (
+        "always-fails", False, "2 != 3 at the first pair")
+    line = stream.getvalue()
+    assert line.startswith("FAIL always-fails (")
+    assert line.endswith("s): 2 != 3 at the first pair\n")
+    code, out, _ = run(capsys, "selftest", "--criteria", "always-fails",
+                       "--json")
+    assert code == 3
+    (rec,) = json.loads(out)["results"]
+    assert (rec["name"], rec["passed"], rec["detail"]) == (
+        "always-fails", False, "2 != 3 at the first pair")
+    code, out, _ = run(capsys, "selftest", "--criteria", "always-fails")
+    assert code == 3 and out.startswith("FAIL always-fails (")
 
 
 # the lierep modules a query has loaded once main() returns, each query in

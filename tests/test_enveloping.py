@@ -11,6 +11,7 @@ from lierep.rootsystem import RootVector, Weight, build_root_system
 from lierep.weyl import enumerate_weyl, longest_element
 from lierep.hpoly import HPoly
 from lierep.errors import InvariantViolation
+from lierep.linalg import mat_inv
 from lierep.enveloping import (BracketTable, ChevalleyBasis, PBWAlgebra,
                                UElement, _h_poly_from_terms, casimir,
                                casimir_eigenvalue, chevalley_basis,
@@ -302,6 +303,18 @@ def test_casimir_sl2_exact(a1):
 def test_casimir_central(rs):
     cb = chevalley_basis(rs)
     assert is_central(cb, casimir(cb))
+
+
+@pytest.mark.parametrize("label", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4",
+    "G2", "E6", "E7", "E8"])
+def test_casimir_cartan_form_is_the_inverse_of_b(label):
+    # casimir reads B^{-1} for B(h_i, h_j) = A_ij / d_j from the root system
+    rs = build_root_system(label)
+    bmat = [[Fraction(rs.cartan[i][j], rs.sym[j]) for j in range(rs.rank)]
+            for i in range(rs.rank)]
+    assert mat_inv(bmat) == [[Fraction(x, rs.form_den) for x in row]
+                             for row in rs.form_num]
 
 
 def test_casimir_eigenvalue_proportional_to_form(a2):
