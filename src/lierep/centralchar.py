@@ -41,12 +41,12 @@ class Sl2OmegaResult:
     lam: Weight
     nu: Weight
 
-    def restricted(self, name, nu_value=None):
-        """Polynomial in h_1 obtained by fixing the diagonal variable."""
-        nu_val = self.nu.coords[0] if nu_value is None else nu_value
-        return self.polys[name].substitute_affine([[0, 0], [0, 1]], [nu_val, 0])
+    def restricted(self, name, nu_value):
+        """Polynomial in h_1 obtained by fixing h_bar at nu_value."""
+        return self.polys[name].substitute_affine([[0, 0], [0, 1]],
+                                                  [nu_value, 0])
 
-    def dot_invariant(self, name, nu_value=None):
+    def dot_invariant(self, name, nu_value):
         """Whether the restricted polynomial is fixed by h_1 -> -h_1 - 2."""
         p = self.restricted(name, nu_value)
         q = p.substitute_affine([[1, 0], [0, -1]], [0, -2])

@@ -65,17 +65,21 @@ def partition_function(rs, beta):
 
 def kostant_partitions(rs, beta):
     """The partitions that partition_function counts: exponent tuples over
-    the positive roots (height-lex order) whose roots sum to beta, a tuple
-    of nonnegative root coordinates, in lex order.
+    the positive roots (height-lex order) whose roots sum to beta, in lex
+    order.  beta is read as partition_function reads it, so there are none
+    off the root lattice and off the nonnegative cone.
 
     The non-simple roots' exponents are enumerated first, as _pf counts
     them; whatever they leave of beta is nonnegative and is the simple
     roots' exponents, so no branch is a dead end.
     """
+    coords = rs.root_coords(beta)
+    if coords is None or any(c < 0 for c in coords):
+        return []
     roots = [rv.coeffs for rv in rs.positive_roots]
     rank = rs.rank
     # (non-simple exponents so far, what they leave of beta), root by root
-    out = [((), tuple(beta))]
+    out = [((), coords)]
     for root in roots[rank:]:
         out = [(mono + (e,), tuple(b - e * r for b, r in zip(rest, root)))
                for mono, rest in out for e in range(1 + min(

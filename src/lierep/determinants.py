@@ -40,8 +40,9 @@ class DetPolynomial:
     _expanded: HPoly = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        # each factor as expand reads it: nvars exact coefficients, an
-        # exact constant and an int power >= 0
+        # an exact scalar, and each factor as expand reads it: nvars exact
+        # coefficients, an exact constant and an int power >= 0
+        self.scalar = _num(self.scalar)
         factors = []
         for coeffs, const, exp in self.factors:
             if len(coeffs) != self.nvars:

@@ -280,9 +280,14 @@ class ChevalleyBasis:
 
     def lowering(self, mono):
         """The PBW monomial prod_k f_{r_k}^{mono[k]}, mono an exponent tuple
-        over the positive roots: the f-block leads the PBW order."""
-        return UElement(self.algebra,
-                        {tuple(mono) + (0,) * (self.dim - self.m): 1})
+        over the positive roots, m nonnegative ints (else ValueError): the
+        f-block leads the PBW order."""
+        mono = tuple(mono)
+        if len(mono) != self.m or any(type(e) is not int or e < 0
+                                      for e in mono):
+            raise ValueError(f"lowering monomial {mono} is not {self.m} "
+                             f"nonnegative ints")
+        return UElement(self.algebra, {mono + (0,) * (self.dim - self.m): 1})
 
     # checks -------------------------------------------------------------------
 

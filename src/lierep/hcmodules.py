@@ -106,7 +106,7 @@ def class_zero(rs, lam, caps=Caps()):
            V(lam) (x) V(lam)^* (supported on the root lattice); a
            decomposition past caps raises CapExceeded.
     """
-    rs.require_rank(lam)
+    rs.require_weight(lam)
     rho = rs.rho
     complete = True
     for k in range(rs.nroots):
@@ -141,7 +141,9 @@ def find_invariant_collision(rs, lam_grid, nu_grid, caps=Caps()):
 
     Returns (p, q) or None.  The classification theorem says such pairs are
     genuinely non-isomorphic modules that the coarse invariants cannot
-    separate; whether any exist in small rank is left open by the theory.
+    separate.  None exist in rank one, but some do in rank two: on A2 the
+    grid lam = -2 rho, nu = (-2, 1) returns one, as the dot orbit of -2 rho
+    is a single point.
     """
     for lam_c in lam_grid:
         lam = Weight(lam_c)

@@ -1,10 +1,11 @@
 """Sparse exact polynomials in the coroot coordinates h_1..h_n.
 
 Coefficients, scalars and values pass ``rootsystem._num`` (TypeError unless
-an int or a ``Fraction``), and exponents must be ints.  Products, affine
-substitution, determinants and evaluation scale their inputs to integers
-once, by the lcm of the denominators, work on ints, and make one
-``Fraction`` per output term.
+an int or a ``Fraction``).  An exponent tuple has one int entry per variable:
+a float or bool entry is a TypeError, a wrong length or a negative entry a
+ValueError.  Products, affine substitution, determinants and evaluation
+scale their inputs to integers once, by the lcm of the denominators, work on
+ints, and make one ``Fraction`` per output term.
 
 ``.terms`` is keyed by exponent tuples.  Inside the arithmetic a monomial is
 one packed int, exponent j as digit j in a base above every exponent
@@ -33,9 +34,15 @@ class HPoly:
         self.terms = {}
         if terms:
             for exps, c in terms.items():
+                exps = tuple(exps)
+                if len(exps) != nvars:
+                    raise ValueError(f"exponents {exps} of a polynomial in "
+                                     f"{nvars} variables")
+                for k in exps:
+                    _require_exponent(k)
                 c = _num(c)
                 if c != 0:
-                    self.terms[tuple(exps)] = c
+                    self.terms[exps] = c
 
     @classmethod
     def constant(cls, nvars, c):
@@ -184,8 +191,6 @@ class HPoly:
         if key not in self.terms:
             return None
         q = Fraction(self.terms[key]) / Fraction(other.terms[key])
-        if q == 0:
-            return None
         return q if self == other.scale(q) else None
 
     def __repr__(self):
@@ -241,8 +246,11 @@ def _unpack(terms, nvars, base, den):
             for _ in range(nvars):
                 key, x = divmod(key, base)
                 exps.append(x)
-            out[tuple(exps)] = c if den == 1 else Fraction(c, den)
-    return HPoly(nvars, out)
+            out[tuple(exps)] = c if den == 1 else _num(Fraction(c, den))
+    # the keys were packed from checked exponents: no second check
+    p = HPoly(nvars)
+    p.terms = out
+    return p
 
 
 def _mul_packed(terms, image, out):

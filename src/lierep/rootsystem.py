@@ -9,7 +9,8 @@ Conventions used throughout the package:
   length 2; everything is exact (ints, else ``fractions.Fraction``).
 
 The Cartan matrix convention is ``cartan[i][j] = alpha_j(h_i)``, so the
-fundamental coordinates of alpha_j are the j-th column.
+fundamental coordinates of alpha_j are the j-th column.  It is stated per
+series with the symmetrizers d (``_cartan_data``); the rest is built.
 
 Arguments are checked here: scalars by ``_num`` (TypeError), weights, simple
 and positive root indices, and the system of a Weyl element, realization
@@ -24,7 +25,7 @@ from functools import lru_cache
 from operator import mul, sub
 
 from .errors import InvariantViolation
-from .linalg import det, mat_inv
+from .linalg import mat_inv
 
 __all__ = [
     "Weight", "RootVector", "RootSystem", "build_root_system",
@@ -196,8 +197,13 @@ def weyl_order(series, rank):
     raise ValueError(f"unknown series {series!r}")
 
 
-def _cartan_matrix(series, rank):
+def _cartan_data(series, rank):
+    """(A, d): the Cartan matrix and the symmetrizers of one simple type,
+    d_i A[i][j] = d_j A[j][i] with (alpha_i, alpha_i) = 2 d_i: 1 on the
+    short simple roots, (long / short)^2 on the long ones (Bourbaki, Lie
+    Groups and Lie Algebras VI, Plates I-IX)."""
     a = [[2 * int(i == j) for j in range(rank)] for i in range(rank)]
+    d = [1] * rank
 
     def chain(upto):
         for i in range(upto):
@@ -210,10 +216,12 @@ def _cartan_matrix(series, rank):
         chain(rank - 2)
         a[rank - 2][rank - 1] = -1   # last root short
         a[rank - 1][rank - 2] = -2
+        d = [2] * (rank - 1) + [1]
     elif series == "C":
         chain(rank - 2)
         a[rank - 2][rank - 1] = -2   # last root long
         a[rank - 1][rank - 2] = -1
+        d[-1] = 2
     elif series == "D":
         chain(rank - 2)
         a[rank - 3][rank - 1] = -1
@@ -226,38 +234,12 @@ def _cartan_matrix(series, rank):
         chain(3)
         a[1][2] = -1
         a[2][1] = -2
+        d = [2, 2, 1, 1]
     elif series == "G":
         a[0][1] = -3
         a[1][0] = -1
-    return tuple(tuple(row) for row in a)
-
-
-def _symmetrizers(cartan):
-    """Integers d_i with d_i A[i][j] = d_j A[j][i], minimum 1.
-
-    Then (alpha_i, alpha_j) = d_i A[i][j] and (alpha_i, alpha_i) = 2 d_i.
-    """
-    rank = len(cartan)
-    d = [None] * rank
-    d[0] = Fraction(1)
-    # propagate along the (connected) Dynkin graph
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank):
-            if d[i] is None:
-                continue
-            for j in range(rank):
-                if cartan[i][j] != 0 and i != j and d[j] is None:
-                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
-                    changed = True
-    if any(x is None for x in d):
-        raise ValueError("disconnected Cartan matrix")
-    lo = min(d)
-    d = [x / lo for x in d]
-    if any(x.denominator != 1 for x in d):
-        raise InvariantViolation(f"non-integral symmetrizers {d}")
-    return tuple(int(x) for x in d)
+        d = [1, 3]
+    return tuple(tuple(row) for row in a), tuple(d)
 
 
 class RootSystem:
@@ -278,8 +260,7 @@ class RootSystem:
         self.series = series
         self.rank = rank
         self.label = f"{series}{rank}"
-        self.cartan = _cartan_matrix(series, rank)
-        self.sym = _symmetrizers(self.cartan)
+        self.cartan, self.sym = _cartan_data(series, rank)
         self._build_roots()
         self._build_form()
         self.rho = Weight((1,) * rank)
@@ -362,33 +343,17 @@ class RootSystem:
         self.weyl_den = math.prod(self.rho_pairings)
 
     def _check_invariants(self):
-        a = self.cartan
-        for i in range(self.rank):
-            if a[i][i] != 2:
-                raise ValueError("Cartan diagonal must be 2")
-            for j in range(self.rank):
-                if i != j and a[i][j] > 0:
-                    raise ValueError("Cartan off-diagonal must be <= 0")
-        # finite type: leading principal minors positive
-        for k in range(1, self.rank + 1):
-            if det([list(r[:k]) for r in a[:k]]) <= 0:
-                raise ValueError("Cartan matrix not of finite type")
+        # what a slip in the stated d could break: d A, so the form
+        # F = d A^-1, symmetric, and short roots of length^2 2.  The rest
+        # holds by construction; tests/test_rootsystem.py checks it on
+        # every type up to rank 8
+        f = self.form_num
+        if any(f[i][j] != f[j][i] for i in range(self.rank) for j in range(i)):
+            raise InvariantViolation(f"invariant form of {self.label} not "
+                                     "symmetric: d A is not symmetric")
         if min(self.root_norms) != 2:
-            raise ValueError("short-root normalisation broken")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.form_num[i][j] != self.form_num[j][i]:
-                    raise ValueError("invariant form not symmetric")
-        for k in range(1, self.rank + 1):
-            if det([list(r[:k]) for r in self.form_num[:k]]) <= 0:
-                raise ValueError("invariant form not positive definite")
-        # closure under simple reflections
-        for rv in self.positive_roots:
-            for i in range(self.rank):
-                img = self.reflect_root(i, rv)
-                key = img.coeffs if img.is_positive else (-img).coeffs
-                if key not in self.root_index:
-                    raise ValueError("positive roots not reflection-closed")
+            raise InvariantViolation(f"short roots of {self.label} have "
+                                     f"length^2 {min(self.root_norms)}, not 2")
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -454,10 +419,6 @@ class RootSystem:
     def fundamental(self, i):
         self.require_simple_index(i)
         return Weight(tuple(int(i == j) for j in range(self.rank)))
-
-    def simple_root(self, i):
-        self.require_simple_index(i)
-        return RootVector(tuple(int(i == j) for j in range(self.rank)))
 
     # -- coordinate algebra --------------------------------------------------
 

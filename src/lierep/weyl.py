@@ -2,7 +2,9 @@
 
 An element acts on fundamental-weight coordinates.  The canonical word is the
 lexicographically least reduced word, read from the dominant ascent of w(rho),
-so composition always yields canonical elements.
+so composition always yields canonical elements.  Every matrix is built by
+one column step, m s_i (``_times_simple``): from words, the simple
+reflections and the enumeration.
 The dot action w * lam = w(lam + rho) - rho also names central characters
 (``twisted_orbit_id``, ``hc_inf_character``), from the root system alone.
 """
@@ -24,13 +26,19 @@ __all__ = [
 ]
 
 
-def _simple_matrix(rs, i):
-    if not 0 <= i < rs.rank:
-        raise ValueError(f"reflection index {i} (s{i + 1}) out of range: "
-                         f"{rs.label} has s1..s{rs.rank}")
-    n = rs.rank
-    return tuple(tuple((1 if j == k else 0) - (rs.cartan[j][i] if k == i else 0)
-                       for k in range(n)) for j in range(n))
+def _require_letter(rs, i):
+    if type(i) is not int or not 0 <= i < rs.rank:
+        raise ValueError(f"reflection index {i!r} out of range: {rs.label} "
+                         f"has s1..s{rs.rank}, indices 0..{rs.rank - 1}")
+
+
+def _times_simple(rs, m, i):
+    """m s_i for a matrix m with tuple rows.  s_i is the identity but for
+    column i, e_i - alpha_i (alpha_i is column i of the Cartan matrix), so
+    m s_i is m with column i replaced by m e_i - m alpha_i."""
+    col = rs.simple_root_coords[i]
+    return tuple([row[:i] + (row[i] - sum(map(mul, row, col)),) + row[i + 1:]
+                  for row in m])
 
 
 def _mul(a, b):
@@ -76,17 +84,6 @@ class WeylElement:
         rho = self.rs.rho
         return self.apply(w + rho) - rho
 
-    def inversions(self):
-        """Number of positive roots sent negative; equals word length."""
-        return sum(not self.apply_root(rv).is_positive
-                   for rv in self.rs.positive_roots)
-
-    def __hash__(self):
-        return hash(self.matrix)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
-
     def __repr__(self):
         name = "".join(f"s{i + 1}" for i in self.word) or "e"
         return f"WeylElement({self.rs.label}:{name})"
@@ -97,13 +94,14 @@ def identity_element(rs):
 
 
 def simple_reflection(rs, i):
-    return WeylElement(rs, _simple_matrix(rs, i), (i,))
+    return from_word(rs, (i,))
 
 
 def from_word(rs, word):
     m = identity_element(rs).matrix
     for i in word:
-        m = _mul(m, _simple_matrix(rs, i))
+        _require_letter(rs, i)
+        m = _times_simple(rs, m, i)
     return _from_matrix(rs, m)
 
 
@@ -123,18 +121,15 @@ def _from_matrix(rs, matrix):
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(rs):
-    # s_i is the identity but for column i, e_i - alpha_i (alpha_i is
-    # column i of the Cartan matrix), so m s_i is m with column i replaced
-    # by m e_i - m alpha_i.  The queue is walked in (length, word) order,
-    # trying s_1..s_r in turn, so each element is first met through its
-    # least reduced word and words fills in (length, word) order unsorted
+    # the queue is walked in (length, word) order, trying s_1..s_r in turn,
+    # so each element is first met through its least reduced word and words
+    # fills in (length, word) order unsorted
     eye = identity_element(rs).matrix
     words = {eye: ()}
     queue = [eye]
     for m in queue:  # grows as it goes: one breadth-first pass
-        for i, col in enumerate(rs.simple_root_coords):
-            prod = tuple([row[:i] + (row[i] - sum(map(mul, row, col)),)
-                          + row[i + 1:] for row in m])
+        for i in range(rs.rank):
+            prod = _times_simple(rs, m, i)
             if prod not in words:
                 words[prod] = words[m] + (i,)
                 queue.append(prod)

@@ -47,6 +47,26 @@ def partition_function_bruteforce(rs, beta):
     return count
 
 
+def symmetrizers_by_propagation(cartan):
+    """The integers d_i with d_i A[i][j] = d_j A[j][i], least 1, propagated
+    from d_0 = 1 along the edges of a connected Dynkin graph: how the
+    symmetrizers were computed before rootsystem stated them per series."""
+    rank = len(cartan)
+    d = [Fraction(1)] + [None] * (rank - 1)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(rank):
+            for j in range(rank):
+                if (d[i] is not None and d[j] is None and i != j
+                        and cartan[i][j] != 0):
+                    d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+                    changed = True
+    lo = min(d)
+    assert all((x / lo).denominator == 1 for x in d), d
+    return tuple(int(x / lo) for x in d)
+
+
 def kostant_partitions_by_prefix_walk(rs, beta):
     """kostant_partitions walking every root in order, the simple roots
     first, and dropping the dead ends at the end: the enumeration that

@@ -24,7 +24,7 @@ from lierep.characters import (_pf_covering, character_of, character_table,
                                weight_multiplicity, weyl_dimension)
 from lierep.centralchar import central_character
 from lierep.determinants import prv_det
-from lierep.hcmodules import isoclass_count
+from lierep.hcmodules import class_zero, isoclass_count
 from lierep.enveloping import casimir, chevalley_basis
 from lierep.irreps import realize, v_extremes, v_extremes_dim
 from lierep.rootsystem import RootVector
@@ -122,6 +122,17 @@ def test_kostant_partitions_match_prefix_walk(label, bound):
     for depth in iproduct(range(bound + 1), repeat=rs.rank):
         assert kostant_partitions(rs, depth) \
             == kostant_partitions_by_prefix_walk(rs, depth), depth
+
+
+@pytest.mark.parametrize("label,beta", [
+    # the first two listed [(0, 1, 0)] and [] against 0 and 1
+    ("A2", Weight((1, 0))), ("A2", Weight((2, -1))), ("A2", Weight((1, 1))),
+    ("A2", (2, 1)), ("A2", (-1, 2)), ("A2", RootVector((3, 3))),
+    ("B2", Weight((0, 2))), ("G2", (3, 5)), ("A1", Weight((3,))),
+    ("A1", (4,)), ("A3", (1, 2, 1))])
+def test_kostant_partitions_are_what_partition_function_counts(label, beta):
+    rs = build_root_system(label)
+    assert len(kostant_partitions(rs, beta)) == partition_function(rs, beta)
 
 
 def test_partition_convolution_consistency(a2, b2, g2):
@@ -491,6 +502,8 @@ BAD_INPUTS = {
     "partition_function_weight": lambda rs: partition_function(rs, W3),
     "partition_function_root": lambda rs: partition_function(
         rs, RootVector((1,))),
+    # kostant_partitions answered where partition_function raised
+    "kostant_partitions_long": lambda rs: kostant_partitions(rs, (1, 1, 1)),
     "character_of": lambda rs: character_of(rs, W1),
     "character_table": lambda rs: character_table(rs, W3),
     "dominant_weight_table": lambda rs: dominant_weight_table(rs, W1),
@@ -535,6 +548,8 @@ BAD_INPUTS = {
     "dominant_in_orbit_tuple": lambda rs: rs.dominant_in_orbit((1, 0)),
     "orbit_tuple": lambda rs: rs.orbit((1, 0)),
     "inner_tuple": lambda rs: rs.inner(W2, (1, 0)),
+    # a tuple passed the rank check, then raised TypeError from a tuple sum
+    "class_zero_tuple": lambda rs: class_zero(rs, (1, 0)),
 }
 # the cases that pass something other than a Weight: each must fail its
 # entry point's type check; every other case raises ValueError

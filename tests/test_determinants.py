@@ -520,6 +520,16 @@ def test_factors_are_checked_when_built():
         DetPolynomial(1, 1, (((1.0,), 0, 1),))    # a float coefficient
     with pytest.raises(TypeError):
         DetPolynomial(1, 1, (((1,), "0", 1),))    # a string constant
+    with pytest.raises(TypeError):
+        DetPolynomial(2, 1.5, ())                 # a float scalar
+    # an integral Fraction scalar is normalised like every scalar
+    assert type(DetPolynomial(1, Fraction(4, 2)).scalar) is int
+
+
+def test_a_determinant_equals_only_a_determinant():
+    one = DetPolynomial(1)
+    assert one == DetPolynomial.from_poly(HPoly.constant(1, 1))
+    assert one != 1 and one != HPoly.constant(1, 1)
 
 
 @given(st.data())

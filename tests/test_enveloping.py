@@ -618,6 +618,56 @@ def test_evaluate_arity_raises():
         HPoly(1, {(1,): 1}).evaluate([0.1])
 
 
+BAD_EXPONENTS = {
+    # each was accepted: a negative exponent evaluated to the float 2/3 and
+    # cancelled a factor of a product, a short or a float key was kept
+    "negative_evaluate": (ValueError,
+                          lambda: HPoly(2, {(1, -1): 1}).evaluate([2, 3])),
+    "negative_product": (ValueError, lambda: HPoly(1, {(1, -1): 1})
+                         * HPoly(1, {(2,): 1})),
+    "short_key": (ValueError, lambda: HPoly(2, {(1,): 1})),
+    "float_entry": (TypeError, lambda: HPoly(2, {(1.5, 0): 1})),
+    "bool_entry": (TypeError, lambda: HPoly(2, {(True, 0): 1})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_EXPONENTS))
+def test_exponent_keys_are_checked(name):
+    error, call = BAD_EXPONENTS[name]
+    with pytest.raises(error, match="exponent"):
+        call()
+
+
+@pytest.mark.parametrize("mono", [(1,), (-1, 0, 0), (0, 0, 0, 0),
+                                  (True, 0, 0), (0.0, 1, 0)])
+def test_lowering_takes_one_nonnegative_int_per_positive_root(a2, mono):
+    # (1,) built a 6-letter key in the 8-letter algebra, whose product with
+    # e(0) printed "(1) f[0+1]"; (-1, 0, 0) built f^-1
+    with pytest.raises(ValueError, match="lowering monomial"):
+        chevalley_basis(a2).lowering(mono)
+
+
+def test_ratio_to_is_none_without_a_common_scalar():
+    p = HPoly(1, {(1,): 2, (0,): 4})
+    assert p.ratio_to(HPoly(1, {(1,): 1, (0,): 2})) == 2
+    assert HPoly(1).ratio_to(p) is None and p.ratio_to(HPoly(1)) is None
+    # other's first key (2,) is not a key of p
+    assert p.ratio_to(HPoly(1, {(2,): 1, (0,): 2})) is None
+    assert p.ratio_to(HPoly(1, {(1,): 1, (0,): 1})) is None
+
+
+def test_negation_and_printing(a1):
+    cb = chevalley_basis(a1)
+    u = cb.f(0) * cb.e(0)
+    assert -u == (-1) * u and -(-u) == u
+    assert normal_form(cb, u) is u
+    assert repr(u) == "(1) f[1] e[1]"
+    assert repr(-(cb.h(0) ** 2) + cb.one()) == "(1) + (-1) h1^2"
+    assert repr(u - u) == "0"
+    h = HPoly(1, {(1,): 2, (0,): -1})
+    assert -h == HPoly(1, {(1,): -2, (0,): 1}) and (-h).scale(-1) == h
+
+
 def test_substitute_affine_arity_raises():
     p = HPoly(2, {(1, 0): 1, (0, 1): 5})
     for rows, consts in (([[1, 0]], [0, 0]),            # one row short

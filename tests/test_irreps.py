@@ -442,7 +442,8 @@ def _basis_vectors(rs, real, oracle):
         for i in range(rs.rank):
             up = tuple(x + a for x, a in zip(wc, rs.simple_root_coords[i]))
             if (i, up) in real.f_mats:
-                k = rs.root_index[rs.simple_root(i).coeffs]
+                k = rs.root_index[rs.root_lattice_coords(
+                    Weight(rs.simple_root_coords[i]))]
                 cands.append(_matmul(oracle.block("f", k, up)[0], change[up]))
                 fblocks.append(real.f_mats[(i, up)])
         c = [sum(rows, []) for rows in zip(*cands)]
@@ -594,7 +595,8 @@ def _verma_extremes_dim(eng, rs, gamma, nu):
         return 0
     stacked = []
     for i in range(rs.rank):
-        k = rs.root_index[rs.simple_root(i).coeffs]
+        k = rs.root_index[rs.root_lattice_coords(
+                    Weight(rs.simple_root_coords[i]))]
         root = rs.positive_roots[k].coeffs
         if any(b < (nu[i] + 1) * r for b, r in zip(beta, root)):
             continue  # e_i^{nu_i+1} walks off the top of M(mu): the zero map

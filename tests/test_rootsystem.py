@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from lierep import rootsystem
 from lierep.enveloping import chevalley_basis, normal_form
-from lierep.linalg import mat_inv
-from lierep.rootsystem import (RootVector, Weight, build_root_system,
-                               dominance_hull_equiv, format_weight,
-                               parse_weight)
+from lierep.errors import InvariantViolation
+from lierep.linalg import det, mat_inv
+from lierep.rootsystem import (RootSystem, RootVector, Weight,
+                               build_root_system, dominance_hull_equiv,
+                               format_weight, parse_weight)
+from oracles import symmetrizers_by_propagation
 
 
 def test_a1_smallest_case():
@@ -24,6 +27,61 @@ def test_positive_root_counts():
     for label, count in [("A2", 3), ("B2", 4), ("G2", 6), ("A3", 6),
                          ("F4", 24), ("D4", 12)]:
         assert build_root_system(label).nroots == count
+
+
+TYPES_TO_RANK_8 = ([f"A{n}" for n in range(1, 9)]
+                   + [f"{x}{n}" for x in "BC" for n in range(2, 9)]
+                   + [f"D{n}" for n in range(4, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def _classical_root_count(series, n):
+    """|R+| by type (Bourbaki, Lie Groups and Lie Algebras VI, Plates)."""
+    return {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1),
+            "E": {6: 36, 7: 63, 8: 120}.get(n), "F": 24, "G": 6}[series]
+
+
+@pytest.mark.parametrize("label", TYPES_TO_RANK_8)
+def test_stated_type_data_has_every_built_in_property(label):
+    # RootSystem checks only that its form is symmetric and its short roots
+    # have length^2 2; this asserts everything its construction guarantees
+    rs = build_root_system(label)
+    a, d, n = rs.cartan, rs.sym, rs.rank
+    assert d == symmetrizers_by_propagation(a)
+    for i in range(n):
+        assert a[i][i] == 2
+        for j in range(n):
+            assert i == j or a[i][j] <= 0
+            assert d[i] * a[i][j] == d[j] * a[j][i]
+    # finite type: A and the symmetric form F = d A^-1 have positive
+    # leading minors
+    f = rs.form_num
+    assert all(f[i][j] == f[j][i] for i in range(n) for j in range(n))
+    for m in (a, f):
+        for k in range(1, n + 1):
+            assert det([list(row[:k]) for row in m[:k]]) > 0
+    assert min(rs.root_norms) == 2
+    for rv in rs.positive_roots:
+        for i in range(n):
+            img = rs.reflect_root(i, rv)
+            assert img.coeffs in rs.root_index \
+                or (-img).coeffs in rs.root_index
+    assert rs.nroots == _classical_root_count(rs.series, n)
+    assert all(type(x) is int for cv in rs.coroots for x in cv)
+
+
+@pytest.mark.parametrize("series, rank, d", [
+    ("F", 4, (1, 1, 2, 2)),   # the long and short ends swapped
+    ("B", 3, (1, 1, 2)),      # C3's symmetrizers
+    ("A", 2, (2, 2)),         # symmetric but not normalised
+    ("G", 2, (2, 6)),
+])
+def test_a_slip_in_the_stated_symmetrizers_is_caught(monkeypatch, series,
+                                                     rank, d):
+    stated = rootsystem._cartan_data
+    monkeypatch.setattr(rootsystem, "_cartan_data",
+                        lambda s, r: (stated(s, r)[0], d))
+    with pytest.raises(InvariantViolation):
+        RootSystem(series, rank)
 
 
 def test_rho_is_sum_of_fundamentals(rs):
@@ -51,9 +109,9 @@ def test_short_roots_have_norm_two(rs):
 def test_cartan_from_form(rs):
     # cartan[i][j] = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i)
     for i in range(rs.rank):
-        ai = rs.root_to_weight(rs.simple_root(i))
+        ai = Weight(rs.simple_root_coords[i])
         for j in range(rs.rank):
-            aj = rs.root_to_weight(rs.simple_root(j))
+            aj = Weight(rs.simple_root_coords[j])
             assert rs.cartan[i][j] == 2 * rs.inner(aj, ai) / rs.inner(ai, ai)
 
 
@@ -207,7 +265,6 @@ BAD_INDEX = {
     "root_difference_negative": lambda: A2.root_difference(-1, 0),
     "fundamental_past_end": lambda: A2.fundamental(5),
     "fundamental_negative": lambda: A2.fundamental(-1),
-    "simple_root_past_end": lambda: A2.simple_root(7),
     "reflect_negative": lambda: A2.reflect(-1, Weight((1, 0))),
     # Chevalley generators: these returned another generator or raised
     # KeyError

@@ -123,9 +123,23 @@ def test_shift_maps_cap():
     assert len(shift_maps(build_root_system("A3"), Caps(max_weyl=24))) == 24
 
 
+def _inversions(w):
+    """Number of positive roots that w sends negative."""
+    return sum(not w.apply_root(rv).is_positive for rv in w.rs.positive_roots)
+
+
 def test_lengths_equal_inversions(rs):
     for w in enumerate_weyl(rs):
-        assert w.length == w.inversions()
+        assert w.length == _inversions(w)
+
+
+@pytest.mark.parametrize("letter", [True, False, "1", 2, -1, 1.0])
+def test_a_reflection_letter_that_is_no_index_raises(a2, letter):
+    # from_word read (True, False) as s2 s1, and "1" raised TypeError
+    with pytest.raises(ValueError, match="reflection index .* out of range"):
+        from_word(a2, (0, letter))
+    with pytest.raises(ValueError, match="reflection index .* out of range"):
+        simple_reflection(a2, letter)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3", "D4", "B4", "C4", "F4"])
@@ -138,7 +152,7 @@ def test_words_and_inverses_beyond_rank_two(label):
     for w in els:
         v = from_word(rs, w.word)
         assert v == w and v.word == w.word
-        assert w.length == w.inversions()
+        assert w.length == _inversions(w)
         inv = by_matrix[tuple(map(tuple, mat_inv(w.matrix)))]
         assert w.inverse() == inv and w.inverse().word == inv.word
 
