@@ -38,8 +38,6 @@ def central_character(rs, basis, lam, z):
 class Sl2OmegaResult:
     polys: dict    # name -> HPoly in (h_bar, h_1)
     values: dict   # name -> exact rational at the given (lam, nu)
-    lam: Weight
-    nu: Weight
 
     def restricted(self, name, nu_value):
         """Polynomial in h_1 obtained by fixing h_bar at nu_value."""
@@ -70,7 +68,6 @@ def _sl2_product_algebra():
         (2, 5): {1: 1, 3: -1},    # [ebar, f2] = h2
         (3, 4): {4: 2},           # [h1, e1] = 2 e1
     }, [(-2,), (0,), (2,), (0,), (2,), (-2,)])
-    table.check_jacobi()
     alg = PBWAlgebra(table, (0, 1, 2, 3, 4, 5))
     gens = {n: UElement.generator(alg, i) for i, n in enumerate(names)}
     return alg, gens
@@ -92,6 +89,8 @@ def sl2_omega(lam, nu):
     at the given point; nothing is assumed about the closed forms, they are
     computed from the straightening engine.
     """
+    if not (isinstance(lam, Weight) and isinstance(nu, Weight)):
+        raise TypeError("sl2_omega needs two Weights")
     if len(lam) != 1 or len(nu) != 1:
         raise ValueError("rank-one parameters required")
     alg, g = _sl2_product_algebra()
@@ -109,4 +108,4 @@ def sl2_omega(lam, nu):
     }
     point = [nu.coords[0], lam.coords[0]]  # (h_bar, h_1)
     values = {k: p.evaluate(point) for k, p in polys.items()}
-    return Sl2OmegaResult(polys, values, lam, nu)
+    return Sl2OmegaResult(polys, values)

@@ -3,11 +3,13 @@
 A Chevalley basis is built from the root system alone: signs are fixed by
 choosing, for each non-simple positive root, its minimal decomposition in the
 height-lex root order and normalising that bracket to p+1 > 0; every other
-structure constant follows from the standard triple/quadruple relations.  The
-finished table is machine-checked (antisymmetry, Jacobi on all triples, root
-string magnitudes, transpose compatibility) before use.  Every
-``BracketTable`` is graded: the Chevalley basis by roots, and the sl2 x sl2
-table that ``centralchar`` writes out by its h-bar-eigenvalues.
+structure constant follows from the standard triple/quadruple relations.
+Only rank <= ``MAX_RANK`` is built, so 13 tables can exist, and the library
+runs no check on them: ``tests/test_enveloping.py`` checks each one (Jacobi
+on all triples, root string magnitudes, integrality, transpose
+compatibility, a central Casimir).  Every ``BracketTable`` is graded: the
+Chevalley basis by roots, and the sl2 x sl2 table that ``centralchar``
+writes out by its h-bar-eigenvalues.
 
 PBW monomials are ordered f-block (roots ascending), Cartan block, e-block
 (roots descending).  The transpose anti-involution swaps e_alpha and f_alpha
@@ -37,7 +39,6 @@ from functools import lru_cache
 from itertools import chain, compress, count
 from operator import add, mul
 
-from .errors import InvariantViolation
 from .hpoly import HPoly, _require_exponent
 from .linalg import _integral
 from .rootsystem import _num
@@ -70,19 +71,6 @@ class BracketTable:
         if i < j:
             return self.table.get((i, j), {})
         return {k: -c for k, c in self.table.get((j, i), {}).items()}
-
-    def check_jacobi(self):
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    acc = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for mid, c1 in self.bracket(a, b).items():
-                            for out, c2 in self.bracket(mid, c).items():
-                                acc[out] = acc.get(out, 0) + c1 * c2
-                    if any(v != 0 for v in acc.values()):
-                        raise InvariantViolation(
-                            f"Jacobi fails on basis triple ({i},{j},{k})")
 
 
 # --------------------------------------------------------------------------
@@ -147,15 +135,7 @@ def _build_constants(rs):
                 d, _ = rs.root_difference(a, a1)
                 t2 = -n2 * n_mixed(b, b1) / norms[d]
             val = Fraction(norms[g]) / base * (t1 + t2)
-            ival = _num(val)
-            if not isinstance(ival, int):
-                raise InvariantViolation("non-integer structure constant")
-            npp[(a, b)] = ival
-        # root-string magnitude check
-        for a, b in decomps:
-            if abs(npp[(a, b)]) != p_down(a, b) + 1:
-                raise InvariantViolation(
-                    f"|N| != p+1 at pair {a},{b} of {rs.label}")
+            npp[(a, b)] = _num(val)
     return npp, special, n_pp, n_mixed
 
 
@@ -163,7 +143,8 @@ class ChevalleyBasis:
     """Chevalley generators and the full bracket table for one root system.
 
     Basis index layout: 0..m-1 the f_alpha (roots in height-lex order), then
-    the Cartan h_i, then e_alpha in the same root order.
+    the Cartan h_i, then e_alpha in the same root order.  The table is built
+    unchecked; the tests check it on every type of rank <= ``MAX_RANK``.
     """
 
     def __init__(self, rs):
@@ -220,10 +201,6 @@ class ChevalleyBasis:
         for k in range(m):
             weights.append(rs.positive_roots[k].coeffs)
         self.table = BracketTable(self._names(), table, weights)
-
-        self.table.check_jacobi()
-        self._check_transpose_compatible()
-
         order = (tuple(range(m)) + tuple(m + i for i in range(rank))
                  + tuple(edx(k) for k in reversed(range(m))))
         self.algebra = PBWAlgebra(self.table, order)
@@ -288,25 +265,6 @@ class ChevalleyBasis:
             raise ValueError(f"lowering monomial {mono} is not {self.m} "
                              f"nonnegative ints")
         return UElement(self.algebra, {mono + (0,) * (self.dim - self.m): 1})
-
-    # checks -------------------------------------------------------------------
-
-    def _check_transpose_compatible(self):
-        """iota([x, y]) == [iota(y), iota(x)] on the whole basis, iota the
-        index map swapping f_alpha and e_alpha and fixing h."""
-        m, top = self.m, self.m + self.rank
-
-        def iota(i):
-            return (self.idx_e(i) if i < m else i if i < top
-                    else self.idx_f(i - top))
-
-        bracket = self.table.bracket
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if ({iota(k): c for k, c in bracket(i, j).items()}
-                        != bracket(iota(j), iota(i))):
-                    raise InvariantViolation("transpose inconsistent with "
-                                             "the bracket table")
 
 
 MAX_RANK = 4
@@ -682,7 +640,8 @@ def is_central(basis, u):
 def casimir(basis):
     """Quadratic Casimir, normalised so the rank-one case is 4fe + h^2 + 2h.
 
-    Acts on V(lambda) by 2*((lambda+rho, lambda+rho) - (rho, rho)).
+    Acts on V(lambda) by 2*((lambda+rho, lambda+rho) - (rho, rho)).  Its
+    centrality is not re-checked here; the tests check it on every type.
     """
     if not isinstance(basis, ChevalleyBasis):
         raise TypeError(f"{type(basis).__name__} is not a ChevalleyBasis")
@@ -698,10 +657,7 @@ def casimir(basis):
         d_k = Fraction(rs.root_norms[k], 2)
         acc = acc + d_k * (basis.e_root(k) * basis.f_root(k)
                            + basis.f_root(k) * basis.e_root(k))
-    delta = 2 * acc
-    if not is_central(basis, delta):
-        raise InvariantViolation("Casimir element is not central")
-    return delta
+    return 2 * acc
 
 
 CASIMIR_SCALE = 2  # eigenvalue = CASIMIR_SCALE * ((lam+rho,lam+rho) - (rho,rho))

@@ -507,12 +507,6 @@ class RootSystem:
             return w
         return Weight(tuple(w[j] - c * self.cartan[j][i] for j in range(self.rank)))
 
-    def reflect_root(self, i, rv):
-        pair = sum(self.cartan[i][j] * rv.coeffs[j] for j in range(self.rank))
-        coeffs = list(rv.coeffs)
-        coeffs[i] -= pair
-        return RootVector(tuple(coeffs))
-
     def orbit_coords(self, coords):
         """Full W-orbit of raw fundamental coordinates, as a set, by closure
         under simple reflections."""

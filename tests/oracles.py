@@ -9,6 +9,7 @@ from operator import add
 
 from lierep.characters import dominant_weight_table, weyl_dimension
 from lierep.enveloping import PBWAlgebra
+from lierep.errors import InvariantViolation
 from lierep.hpoly import HPoly
 from lierep.linalg import mat_mul
 from lierep.rootsystem import RootVector
@@ -190,6 +191,73 @@ def transpose_by_straightening(basis, u):
             key = alg._exps[i]
             out[key] = out.get(key, 0) + c * c2
     return {e: c for e, c in out.items() if c}
+
+
+def check_jacobi(table):
+    """Raise InvariantViolation unless the BracketTable `table` satisfies
+    the Jacobi identity on every triple of basis elements."""
+    bracket = table.bracket
+    for i in range(table.dim):
+        for j in range(i + 1, table.dim):
+            for k in range(j + 1, table.dim):
+                acc = {}
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for mid, c1 in bracket(a, b).items():
+                        for out, c2 in bracket(mid, c).items():
+                            acc[out] = acc.get(out, 0) + c1 * c2
+                if any(acc.values()):
+                    raise InvariantViolation(
+                        f"Jacobi fails on basis triple ({i},{j},{k})")
+
+
+def check_transpose_compatible(basis):
+    """Raise InvariantViolation unless iota([x, y]) == [iota(y), iota(x)] on
+    the whole basis of the ChevalleyBasis `basis`, iota the index map
+    swapping f_alpha and e_alpha and fixing h."""
+    m, top = basis.m, basis.m + basis.rank
+
+    def iota(i):
+        return (basis.idx_e(i) if i < m else i if i < top
+                else basis.idx_f(i - top))
+
+    bracket = basis.table.bracket
+    for i in range(basis.dim):
+        for j in range(i + 1, basis.dim):
+            if ({iota(k): c for k, c in bracket(i, j).items()}
+                    != bracket(iota(j), iota(i))):
+                raise InvariantViolation(
+                    "transpose inconsistent with the bracket table")
+
+
+def check_string_magnitudes(table):
+    """Raise InvariantViolation unless the Chevalley bracket table `table`
+    has [x_a, x_b] = N x_(a+b), N an int with |N| = p + 1, for every two
+    roots a, b (of either sign) whose sum is a root, and [x_a, x_b] = 0
+    when a + b is neither a root nor 0.  The roots are read off the
+    grading, and p is the largest k with b - k a a root."""
+    root_of = {w: i for i, w in enumerate(table.weights) if any(w)}
+    for i, a in enumerate(table.weights):
+        for j, b in enumerate(table.weights):
+            if i == j or not any(a) or not any(b):
+                continue
+            s = tuple(map(add, a, b))
+            if not any(s):
+                continue
+            got, g = table.bracket(i, j), root_of.get(s)
+            if g is None:
+                if got:
+                    raise InvariantViolation(
+                        f"[{table.names[i]}, {table.names[j]}] is not 0")
+                continue
+            p, down = 0, tuple(x - y for x, y in zip(b, a))
+            while down in root_of:
+                p += 1
+                down = tuple(x - y for x, y in zip(down, a))
+            n = got.get(g)
+            if len(got) != 1 or type(n) is not int or abs(n) != p + 1:
+                raise InvariantViolation(
+                    f"[{table.names[i]}, {table.names[j]}] = {got}, "
+                    f"not +-{p + 1} {table.names[g]}")
 
 
 def hc_projection_by_exponents(basis, u, w):

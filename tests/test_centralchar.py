@@ -10,6 +10,8 @@ from lierep.centralchar import (_sl2_product_algebra, central_character,
                                 sl2_omega)
 from lierep.hpoly import HPoly
 
+from oracles import check_jacobi
+
 
 def test_casimir_eigenvalues_sl2(a1):
     cb = chevalley_basis(a1)
@@ -141,6 +143,10 @@ def test_product_algebra_is_sl2_x_sl2_graded_by_hbar():
         assert u.weight() == want
 
 
+def test_product_algebra_satisfies_jacobi():
+    check_jacobi(_sl2_product_algebra()[0].table)
+
+
 def test_sl2_omega_separates_parameters():
     # the classification argument: delta_bar + delta1 - delta2 is linear in
     # lam once nu is fixed and nonzero
@@ -162,3 +168,9 @@ def test_sl2_omega_invariant_ring_at_zero():
 def test_sl2_omega_rejects_higher_rank(a2):
     with pytest.raises(ValueError):
         sl2_omega(Weight((1, 0)), Weight((0, 0)))
+
+
+@pytest.mark.parametrize("lam, nu", [((5,), (3,)), (Weight((5,)), 3)])
+def test_sl2_omega_rejects_a_non_weight(lam, nu):
+    with pytest.raises(TypeError, match="two Weights"):
+        sl2_omega(lam, nu)

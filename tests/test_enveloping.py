@@ -1,4 +1,5 @@
 import copy
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -12,16 +13,21 @@ from lierep.weyl import enumerate_weyl, longest_element
 from lierep.hpoly import HPoly
 from lierep.errors import InvariantViolation
 from lierep.linalg import mat_inv
-from lierep.enveloping import (BracketTable, ChevalleyBasis, PBWAlgebra,
-                               UElement, _h_poly_from_terms, casimir,
-                               casimir_eigenvalue, chevalley_basis,
+from lierep.enveloping import (MAX_RANK, BracketTable, ChevalleyBasis,
+                               PBWAlgebra, UElement, _h_poly_from_terms,
+                               casimir, casimir_eigenvalue, chevalley_basis,
                                hc_projection, is_central, normal_form,
                                shapovalov, transpose, twisted_poly)
 
-from oracles import (hc_projection_by_exponents, mul_by_exponents,
-                     straighten_by_exponents, transpose_by_straightening)
+from oracles import (check_jacobi, check_string_magnitudes,
+                     check_transpose_compatible, hc_projection_by_exponents,
+                     mul_by_exponents, straighten_by_exponents,
+                     transpose_by_straightening)
 
 RANK_LE_3 = ["A1", "A2", "B2", "G2", "A3", "B3", "C3"]
+# every type of rank <= MAX_RANK: the only Chevalley bases the engine builds
+ENVELOPING_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3",
+                    "C4", "D4", "F4", "G2"]
 
 
 def _reference_mul(u, v):
@@ -127,11 +133,80 @@ def test_a2_structure_constants_unit(a2):
                 assert br == {}
 
 
-def test_g2_table_passes_construction_checks(g2):
-    # Jacobi, antisymmetry, string magnitudes all machine-checked at build
-    cb = chevalley_basis(g2)
-    assert cb.dim == 14
-    cb.table.check_jacobi()
+def test_enveloping_types_are_every_type_the_engine_builds():
+    built = []
+    for series in "ABCDEFG":
+        for rank in range(1, 9):
+            try:
+                rs = build_root_system(f"{series}{rank}")
+            except ValueError:
+                continue
+            if rank <= MAX_RANK:
+                assert chevalley_basis(rs).dim == 2 * rs.nroots + rank
+                built.append(rs.label)
+            else:
+                with pytest.raises(ValueError, match=f"rank <= {MAX_RANK}"):
+                    chevalley_basis(rs)
+    assert sorted(built) == sorted(ENVELOPING_TYPES)
+
+
+# the library builds its Chevalley tables unchecked; these tests check every
+# table it can build
+
+@pytest.mark.parametrize("label", ENVELOPING_TYPES)
+def test_jacobi_holds_on_every_table(label):
+    check_jacobi(chevalley_basis(build_root_system(label)).table)
+
+
+@pytest.mark.parametrize("label", ENVELOPING_TYPES)
+def test_transpose_compatible_on_every_table(label):
+    check_transpose_compatible(chevalley_basis(build_root_system(label)))
+
+
+@pytest.mark.parametrize("label", ENVELOPING_TYPES)
+def test_root_string_magnitudes_on_every_table(label):
+    # |N| = p+1 for every two roots whose sum is a root, in both Borels and
+    # across them
+    check_string_magnitudes(chevalley_basis(build_root_system(label)).table)
+
+
+@pytest.mark.parametrize("label", ENVELOPING_TYPES)
+def test_structure_constants_are_ints(label):
+    table = chevalley_basis(build_root_system(label)).table.table
+    assert all(type(c) is int for entry in table.values()
+               for c in entry.values())
+
+
+def _scale_first_ff_entry(cb, factor):
+    """A copy of cb whose first [f_a, f_b] table entry is multiplied by
+    factor, and that entry's key."""
+    twin = copy.copy(cb)
+    table = dict(cb.table.table)
+    key = next((i, j) for i, j in table if j < cb.m)
+    table[key] = {k: factor * c for k, c in table[key].items()}
+    twin.table = BracketTable(cb.table.names, table, cb.table.weights)
+    return twin, key
+
+
+@pytest.mark.parametrize("label, triple", [
+    ("A2", (0, 1, 5)), ("B2", (0, 1, 6)), ("G2", (0, 1, 3))])
+def test_jacobi_check_rejects_a_flipped_bracket_sign(label, triple):
+    cb = chevalley_basis(build_root_system(label))
+    twin, _ = _scale_first_ff_entry(cb, -1)
+    check_jacobi(cb.table)  # the unflipped table passes
+    with pytest.raises(InvariantViolation,
+                       match=re.escape("triple (%d,%d,%d)" % triple)):
+        check_jacobi(twin.table)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_string_magnitude_check_rejects_a_doubled_bracket(label):
+    # a flipped sign keeps every magnitude, so the mutation doubles the entry
+    cb = chevalley_basis(build_root_system(label))
+    twin, (i, j) = _scale_first_ff_entry(cb, 2)
+    with pytest.raises(InvariantViolation, match=re.escape(
+            f"[{cb.table.names[i]}, {cb.table.names[j]}]")):
+        check_string_magnitudes(twin.table)
 
 
 def test_root_string_magnitudes_g2(g2):
@@ -196,15 +271,10 @@ def test_transpose_matches_straightening(label, data):
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_transpose_check_rejects_a_flipped_bracket_sign(label):
     cb = chevalley_basis(build_root_system(label))
-    twin = copy.copy(cb)
-    twin._check_transpose_compatible()  # the copied table passes
-    table = dict(cb.table.table)
-    # the first [f_a, f_b] entry, its sign flipped
-    key = next((i, j) for i, j in table if j < cb.m)
-    table[key] = {k: -c for k, c in table[key].items()}
-    twin.table = BracketTable(cb.table.names, table, cb.table.weights)
+    check_transpose_compatible(copy.copy(cb))  # the copied table passes
+    twin, _ = _scale_first_ff_entry(cb, -1)
     with pytest.raises(InvariantViolation, match="transpose"):
-        twin._check_transpose_compatible()
+        check_transpose_compatible(twin)
 
 
 def test_transpose_example_sl2(a1):
@@ -300,8 +370,9 @@ def test_casimir_sl2_exact(a1):
         assert casimir_eigenvalue(a1, Weight((z,))) == z * z + 2 * z
 
 
-def test_casimir_central(rs):
-    cb = chevalley_basis(rs)
+@pytest.mark.parametrize("label", ENVELOPING_TYPES)
+def test_casimir_central(label):
+    cb = chevalley_basis(build_root_system(label))
     assert is_central(cb, casimir(cb))
 
 

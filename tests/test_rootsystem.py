@@ -13,6 +13,7 @@ from lierep.linalg import det, mat_inv
 from lierep.rootsystem import (RootSystem, RootVector, Weight,
                                build_root_system, dominance_hull_equiv,
                                format_weight, parse_weight)
+from lierep.weyl import simple_reflection
 from oracles import symmetrizers_by_propagation
 
 
@@ -60,9 +61,10 @@ def test_stated_type_data_has_every_built_in_property(label):
         for k in range(1, n + 1):
             assert det([list(row[:k]) for row in m[:k]]) > 0
     assert min(rs.root_norms) == 2
+    reflections = [simple_reflection(rs, i) for i in range(n)]
     for rv in rs.positive_roots:
-        for i in range(n):
-            img = rs.reflect_root(i, rv)
+        for s in reflections:
+            img = s.apply_root(rv)
             assert img.coeffs in rs.root_index \
                 or (-img).coeffs in rs.root_index
     assert rs.nroots == _classical_root_count(rs.series, n)
@@ -93,9 +95,10 @@ def test_rho_is_sum_of_fundamentals(rs):
 
 def test_reflection_closure(rs):
     stored = {rv.coeffs for rv in rs.positive_roots}
+    reflections = [simple_reflection(rs, i) for i in range(rs.rank)]
     for rv in rs.positive_roots:
-        for i in range(rs.rank):
-            img = rs.reflect_root(i, rv)
+        for s in reflections:
+            img = s.apply_root(rv)
             assert img.coeffs in stored or (-img).coeffs in stored
 
 
